@@ -187,16 +187,24 @@ class ParamStore:
         return {k: v.value.copy() for k, v in self._vars.items()}
 
     def load_state(self, state: dict[str, np.ndarray]):
+        """Replace every parameter; entries must match names, shapes and dtypes exactly."""
         missing = set(self._vars) - set(state)
         if missing:
             raise InputError(f"missing parameters in state: {sorted(missing)}")
+        unknown = [k for k in state if k not in self._vars]
+        if unknown:
+            raise InputError(f"unknown parameter '{unknown[0]}' in state")
         for k, v in self._vars.items():
             arr = np.asarray(state[k])
             if arr.shape != v.value.shape:
                 raise InputError(
                     f"parameter '{k}' shape {arr.shape} != expected {v.value.shape}"
                 )
-            v.value = arr.astype(v.value.dtype, copy=True)
+            if arr.dtype != v.value.dtype:
+                raise InputError(
+                    f"parameter '{k}' dtype {arr.dtype} != expected {v.value.dtype}"
+                )
+            v.value = arr.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +270,7 @@ def sigmoid(x):
 def leaky_relu(x, alpha: float = 0.2):
     xv = _val(x)
     y = ops.leaky_relu(xv, alpha)
-    return _track(y, (x,), lambda g: (g * np.where(xv > 0, 1.0, alpha),))
+    return _track(y, (x,), lambda g: (np.where(xv > 0, g, alpha * g),))
 
 
 def relu(x):
@@ -353,20 +361,22 @@ def conv2d(x, w, b=None, stride: int = 1):
     y = ops.conv2d(xv, wv, None if b is None else _val(b), stride)
 
     def vjp(g):
-        co, ci, kh, kw = wv.shape
-        p = (kh - 1) // 2
-        xp = ops.pad_hw(xv, p)
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-        if stride > 1:
-            win = win[:, ::stride, ::stride]
-        gw = np.einsum("ohw,ihwuv->oiuv", g, win) if isinstance(w, Var) else None
-        gb = g.sum(axis=(1, 2)) if isinstance(b, Var) else None
-        gxp = np.zeros_like(xp)
+        co, ci, k, _ = wv.shape
         ho, wo = g.shape[1:]
-        for u in range(kh):
-            for v_ in range(kw):
-                patch = np.einsum("ohw,oi->ihw", g, wv[:, :, u, v_])
-                gxp[:, u : u + stride * ho : stride, v_ : v_ + stride * wo : stride] += patch
+        g2 = g.reshape(co, ho * wo)
+        gw = None
+        if isinstance(w, Var):
+            gw = (g2 @ ops.im2col(xv, k, stride).T).reshape(wv.shape)
+        gb = g.sum(axis=(1, 2)) if isinstance(b, Var) else None
+        # col2im: scatter-add each kernel tap's rows back onto the padded input
+        gcols = (wv.reshape(co, ci * k * k).T @ g2).reshape(ci, k, k, ho, wo)
+        p = (k - 1) // 2
+        gxp = np.zeros((ci, xv.shape[1] + 2 * p, xv.shape[2] + 2 * p), dtype=gcols.dtype)
+        for u in range(k):
+            for v_ in range(k):
+                rows = slice(u, u + stride * ho, stride)
+                cols = slice(v_, v_ + stride * wo, stride)
+                gxp[:, rows, cols] += gcols[:, u, v_]
         gx = gxp[:, p : p + xv.shape[1], p : p + xv.shape[2]]
         return gx, gw, gb
 
@@ -378,8 +388,10 @@ def pwconv(x, w, b):
     y = ops.pwconv(xv, wv, bv)
 
     def vjp(g):
-        gx = np.einsum("oc,ohw->chw", wv, g)
-        gw = np.einsum("ohw,chw->oc", g, xv) if isinstance(w, Var) else None
+        c, hh, ww = xv.shape
+        g2 = g.reshape(g.shape[0], hh * ww)
+        gx = (wv.T @ g2).reshape(xv.shape)
+        gw = g2 @ xv.reshape(c, hh * ww).T if isinstance(w, Var) else None
         gb = g.sum(axis=(1, 2)) if isinstance(b, Var) else None
         return gx, gw, gb
 

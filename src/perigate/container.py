@@ -22,6 +22,8 @@ integer dtype; bytes are exactly representable).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -59,6 +61,13 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
+def _bytes_left(fh) -> int:
+    pos = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(pos)
+    return end - pos
+
+
 def read_tensor_blob(fh) -> np.ndarray:
     magic = _read_exact(fh, 4, "magic")
     if magic != TENSOR_MAGIC:
@@ -77,8 +86,11 @@ def read_tensor_blob(fh) -> np.ndarray:
     if any(d < 1 for d in dims):
         raise InputError(f"invalid dims {dims}")
     dtype = _CODE_DTYPES[code]
-    count = int(np.prod(dims, dtype=np.uint64))
-    payload = _read_exact(fh, count * dtype.itemsize, "payload")
+    nbytes = dtype.itemsize * math.prod(dims)  # Python ints: cannot wrap
+    left = _bytes_left(fh)
+    if nbytes > left:
+        raise InputError(f"dims {dims} need {nbytes} payload bytes, file has {left} left")
+    payload = _read_exact(fh, nbytes, "payload")
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
     return arr.astype(dtype.newbyteorder("="), copy=True)
 

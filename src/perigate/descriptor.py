@@ -4,6 +4,7 @@ Three single-channel maps are extracted from a feature stack with constant
 depthwise filters: gradient magnitude (Sobel), absolute curvature
 (4-neighbour Laplacian), and local variance (3x3 moments). The filters are
 constants, never parameters; gradients flow through them to the input only.
+They are cast to the input's dtype, so a float32 stack stays float32.
 """
 
 from __future__ import annotations
@@ -23,17 +24,23 @@ EPS_MAGNITUDE = 1e-12
 CUE_NAMES = ("f1", "f2", "f3")
 
 
+def _dtype(x) -> np.dtype:
+    return (x.value if isinstance(x, ad.Var) else np.asarray(x)).dtype
+
+
 def sobel_magnitude(x):
     """Channel-mean Sobel gradient magnitude: [C,H,W] -> [1,H,W]."""
-    gx = ad.dwconv_2d(x, SOBEL_X)
-    gy = ad.dwconv_2d(x, SOBEL_Y)
-    mag = ad.sqrt(ad.add(ad.add(ad.mul(gx, gx), ad.mul(gy, gy)), np.asarray(EPS_MAGNITUDE)))
+    dtype = _dtype(x)
+    gx = ad.dwconv_2d(x, SOBEL_X.astype(dtype))
+    gy = ad.dwconv_2d(x, SOBEL_Y.astype(dtype))
+    eps = np.asarray(EPS_MAGNITUDE, dtype=dtype)
+    mag = ad.sqrt(ad.add(ad.add(ad.mul(gx, gx), ad.mul(gy, gy)), eps))
     return ad.mean_channels(mag)
 
 
 def laplacian_abs(x):
     """Channel-mean absolute Laplacian response: [C,H,W] -> [1,H,W]."""
-    return ad.mean_channels(ad.absolute(ad.dwconv_2d(x, LAPLACIAN)))
+    return ad.mean_channels(ad.absolute(ad.dwconv_2d(x, LAPLACIAN.astype(_dtype(x)))))
 
 
 def local_variance(x):

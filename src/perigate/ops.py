@@ -6,8 +6,11 @@ Conventions shared by every operation here:
   (no kernel flip) with zero same-padding, so spatial shape is preserved;
 * depthwise kernels may be per-channel (``[C, k]`` / ``[C, k, k]``) or shared
   (``[k]`` / ``[k, k]``);
-* reductions run in fixed ascending index order, so repeated calls are
-  bitwise identical.
+* dense and point-wise convolutions are matrix products handed to BLAS,
+  whose summation order depends on the numpy/BLAS build, the CPU and the
+  thread count: repeated calls on one machine and build, with the same BLAS
+  thread count, are bitwise identical, while results across machines agree
+  only to rounding. The other reductions run in fixed ascending index order.
 """
 
 from __future__ import annotations
@@ -76,16 +79,36 @@ def sep_conv(x: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Dense depthwise k x k correlation."""
-    c = x.shape[0]
+    """Dense depthwise k x k correlation: k*k shifted-slice multiply-adds."""
+    c, hh, ww = x.shape
     kernel = _per_channel(kernel, c, 2)
     kh, kw = kernel.shape[1:]
     _check_odd(kh)
     if kh != kw:
         raise ConfigurationError(f"depthwise kernel must be square, got {kh}x{kw}")
-    p = (kh - 1) // 2
-    win = sliding_window_view(pad_hw(x, p), (kh, kw), axis=(1, 2))
-    return np.einsum("chwuv,cuv->chw", win, kernel)
+    xp = pad_hw(x, (kh - 1) // 2)
+    out = None
+    for u in range(kh):
+        for v in range(kw):
+            term = xp[:, u : u + hh, v : v + ww] * kernel[:, u, v, None, None]
+            if out is None:
+                out = term
+            else:
+                out += term
+    return out
+
+
+def im2col(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
+    """Patch matrix [Cin*k*k, Ho*Wo] of a zero same-padded k x k correlation.
+
+    Row ``(c*k + u)*k + v`` holds input channel c shifted by (u, v), so a
+    correlation with weights [Cout, Cin, k, k] is ``w.reshape(Cout, -1) @ cols``.
+    """
+    ci = x.shape[0]
+    win = sliding_window_view(pad_hw(x, (k - 1) // 2), (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride]
+    ho, wo = win.shape[1:3]
+    return win.transpose(0, 3, 4, 1, 2).reshape(ci * k * k, ho * wo)
 
 
 def conv2d(
@@ -95,6 +118,7 @@ def conv2d(
 
     Stride 1 preserves the spatial shape; stride 2 halves even extents.
     ``b=None`` skips the bias (convs feeding a normalization layer).
+    Computed as one GEMM over the :func:`im2col` patch matrix.
     """
     ci, hh, ww = x.shape
     co, ci_w, kh, kw = w.shape
@@ -105,27 +129,30 @@ def conv2d(
         raise ConfigurationError(f"conv expects {ci_w} input channels, got {ci}")
     if stride not in (1, 2):
         raise ConfigurationError(f"unsupported stride {stride}")
-    p = (kh - 1) // 2
-    win = sliding_window_view(pad_hw(x, p), (kh, kw), axis=(1, 2))
-    if stride > 1:
-        win = win[:, ::stride, ::stride]
-    out = np.einsum("ihwuv,oiuv->ohw", win, w)
+    out = w.reshape(co, ci * kh * kw) @ im2col(x, kh, stride)
+    out = out.reshape(co, (hh - 1) // stride + 1, (ww - 1) // stride + 1)
     return out if b is None else out + b[:, None, None]
 
 
 def pwconv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Point-wise 1 x 1 convolution: per-pixel matrix-vector product."""
+    """Point-wise 1 x 1 convolution: one [Cout,Cin] x [Cin,H*W] matrix product."""
     if w.ndim != 2 or w.shape[1] != x.shape[0]:
         raise ConfigurationError(
             f"pointwise weights {w.shape} incompatible with {x.shape[0]} channels"
         )
-    return np.einsum("oc,chw->ohw", w, x) + b[:, None, None]
+    c, hh, ww = x.shape
+    out = (w @ x.reshape(c, hh * ww)).reshape(w.shape[0], hh, ww)
+    return out + b[:, None, None]
 
 
 def avg_pool3(x: np.ndarray) -> np.ndarray:
-    """3 x 3 mean pool, stride 1, zero padding, divisor fixed at 9."""
-    win = sliding_window_view(pad_hw(x, 1), (3, 3), axis=(1, 2))
-    return win.sum(axis=(-2, -1)) * (1.0 / 9.0)
+    """3 x 3 mean pool, stride 1, zero padding, divisor fixed at 9.
+
+    Separable box sum: three-tap row sums, then three-tap column sums.
+    """
+    xp = pad_hw(x, 1)
+    rows = xp[:, :, :-2] + xp[:, :, 1:-1] + xp[:, :, 2:]
+    return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) * (1.0 / 9.0)
 
 
 def softmax_channels(x: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from perigate import autodiff as ad
 from perigate import ops
-from perigate.errors import ConfigurationError
+from perigate.errors import ConfigurationError, InputError
 
 
 def leaf(rng, *shape):
@@ -161,6 +161,32 @@ class TestGradCheckPrimitives:
             for fn, point in cases:
                 assert ad.grad_check(fn, point) < 1e-6
 
+    @pytest.mark.parametrize("weight_is_var", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d_gemm_vjp(self, k, stride, weight_is_var):
+        rng = np.random.default_rng(200 + k)
+        x = rng.standard_normal((2, 5, 6))
+        w = rng.standard_normal((3, 2, k, k))
+        b = rng.standard_normal(3)
+        if weight_is_var:
+            fn, point = (lambda a, ww, bb: ad.conv2d(a, ww, bb, stride)), [x, w, b]
+        else:
+            fn, point = (lambda a: ad.conv2d(a, w, b, stride)), [x]
+        assert ad.grad_check(fn, point) < 1e-6
+
+    @pytest.mark.parametrize("weight_is_var", [True, False])
+    def test_pwconv_gemm_vjp(self, weight_is_var):
+        rng = np.random.default_rng(210)
+        x = rng.standard_normal((3, 4, 7))
+        w = rng.standard_normal((5, 3))
+        b = rng.standard_normal(5)
+        if weight_is_var:
+            fn, point = (lambda a, ww, bb: ad.pwconv(a, ww, bb)), [x, w, b]
+        else:
+            fn, point = (lambda a: ad.pwconv(a, w, b)), [x]
+        assert ad.grad_check(fn, point) < 1e-6
+
     def test_linear_map_near_exact(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 4, 4))
@@ -258,6 +284,19 @@ class TestParamStore:
         store.add("w", np.zeros(3))
         with pytest.raises(Exception):
             store.load_state({"w": np.zeros(4)})
+
+    def test_load_unknown_entry(self):
+        store = ad.ParamStore()
+        store.add("w", np.zeros(3))
+        with pytest.raises(InputError, match="'extra'"):
+            store.load_state({"w": np.zeros(3), "extra": np.zeros(1)})
+
+    def test_load_dtype_mismatch(self):
+        store = ad.ParamStore()
+        store.add("w", np.zeros(3, dtype=np.float32))
+        with pytest.raises(InputError, match="'w'"):
+            store.load_state({"w": np.zeros(3, dtype=np.float64)})
+        assert store.value("w").dtype == np.float32
 
     def test_grad_shape_matches_param(self):
         store = ad.ParamStore()

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -179,6 +180,15 @@ class TestAnalyze:
         container.save_tensor(kfile, np.ones((3, 3), dtype=np.float64))
         assert main(["analyze", "ring", "--hl", f"kernel:{kfile}", "--hs", "gauss:1.0",
                      "--beta", "0.5"]) == 2
+
+    def test_kernel_crafted_header_exits_2(self, tmp_path, capsys):
+        kfile = tmp_path / "huge.pfgt"
+        header = b"PFGT" + struct.pack("<BBHI", 1, 1, 0, 2)
+        kfile.write_bytes(header + struct.pack("<2Q", 2**32, 2**32))
+        assert main(["analyze", "ring", "--hl", f"kernel:{kfile}", "--hs", "gauss:1.0",
+                     "--beta", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_snr_sweep_constant_for_proportional(self, tmp_path):
         out_csv = tmp_path / "sweep.csv"

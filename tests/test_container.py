@@ -66,6 +66,15 @@ class TestTensorBlob:
         with pytest.raises(InputError):
             container.load_tensor(path)
 
+    @pytest.mark.parametrize("dims", [(2**32, 2**32), (2**40,)])
+    def test_crafted_dims_rejected(self, tmp_path, dims):
+        # (2^32, 2^32) wraps a uint64 element count to 0; 2^40 float64s is 8 TiB
+        path = tmp_path / "huge.pfgt"
+        header = b"PFGT" + struct.pack("<BBHI", 1, 1, 0, len(dims))
+        path.write_bytes(header + struct.pack(f"<{len(dims)}Q", *dims) + b"\x00" * 16)
+        with pytest.raises(InputError, match="payload bytes"):
+            container.load_tensor(path)
+
     def test_unsupported_dtype(self, tmp_path):
         with pytest.raises(InputError):
             container.save_tensor(tmp_path / "t.pfgt", np.ones(3, dtype=np.int32))

@@ -249,6 +249,25 @@ class TestCounting:
         assert double > base
 
 
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_computes_in_its_dtype(self, dtype):
+        cfg = micro_config(n_t=2)
+        model = Model.build(cfg, seed=0, dtype=dtype)
+        frames = [f.astype(dtype) for f in frames_for(cfg, seed=5)]
+
+        def loss(*fs):
+            preds = model.predict(list(fs), mode="eval")
+            return ad.mean_all(ad.mul(preds[-1], preds[-1]))
+
+        out, tape = ad.forward_traced(loss, frames)
+        assert {node.value.dtype for node in tape.nodes} == {np.dtype(dtype)}
+        ad.backward(tape, np.asarray(1.0, dtype=dtype))
+        for name in model.store.names():
+            assert model.store.grad(name).dtype == dtype, name
+        assert {p.value.dtype for p in model.predict(frames)} == {np.dtype(dtype)}
+
+
 class TestEndToEndGradients:
     def test_micro_model_grad_check(self):
         cfg = micro_config()

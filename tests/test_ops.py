@@ -9,6 +9,18 @@ from perigate.tensor import SepKernel
 
 from naive import dense_conv2d, dense_dwconv2d, window_mean3
 
+DTYPES = [np.float64, np.float32]
+
+
+def assert_oracle(got, want, dtype):
+    """float64 agrees to atol 1e-12; float32 to 1e-5 of the output's scale."""
+    assert got.dtype == dtype
+    assert got.shape == want.shape
+    if dtype == np.float64:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
 
 class TestDepthwise1D:
     def test_ones_row(self):
@@ -97,6 +109,16 @@ class TestDepthwise2D:
         with pytest.raises(ConfigurationError):
             ops.dwconv_2d(np.zeros((1, 4, 4)), np.ones((4, 4)))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_oracle_cases(self, k, shared, dtype):
+        rng = np.random.default_rng(40 + k)
+        x = rng.standard_normal((3, 5, 8)).astype(dtype)
+        kernel = rng.standard_normal((k, k) if shared else (3, k, k)).astype(dtype)
+        want = dense_dwconv2d(x.astype(np.float64), kernel.astype(np.float64))
+        assert_oracle(ops.dwconv_2d(x, kernel), want, dtype)
+
 
 class TestConv2dFull:
     def test_matches_loop_oracle_stride1(self):
@@ -113,6 +135,21 @@ class TestConv2dFull:
         got = ops.conv2d(x, w, None, stride=2)
         assert got.shape == (4, 3, 3)
         np.testing.assert_allclose(got, dense_conv2d(x, w, None, stride=2), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_oracle_cases(self, k, stride, bias, dtype):
+        rng = np.random.default_rng(50 + k)
+        x = rng.standard_normal((3, 7, 10)).astype(dtype)
+        w = rng.standard_normal((4, 3, k, k)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype) if bias else None
+        want = dense_conv2d(
+            x.astype(np.float64), w.astype(np.float64),
+            None if b is None else b.astype(np.float64), stride=stride,
+        )
+        assert_oracle(ops.conv2d(x, w, b, stride=stride), want, dtype)
 
 
 class TestPwconv:
@@ -141,6 +178,18 @@ class TestPwconv:
         with pytest.raises(ConfigurationError):
             ops.pwconv(np.zeros((3, 2, 2)), np.zeros((2, 4)), np.zeros(2))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_oracle_cases(self, dtype):
+        # a point-wise conv is the dense conv with k = 1
+        rng = np.random.default_rng(60)
+        x = rng.standard_normal((3, 7, 10)).astype(dtype)
+        w = rng.standard_normal((5, 3)).astype(dtype)
+        b = rng.standard_normal(5).astype(dtype)
+        want = dense_conv2d(
+            x.astype(np.float64), w.astype(np.float64)[:, :, None, None], b.astype(np.float64)
+        )
+        assert_oracle(ops.pwconv(x, w, b), want, dtype)
+
 
 class TestAvgPool:
     def test_constant_image(self):
@@ -157,6 +206,12 @@ class TestAvgPool:
     def test_matches_window_oracle(self):
         x = np.random.default_rng(9).standard_normal((2, 5, 6))
         np.testing.assert_allclose(ops.avg_pool3(x), window_mean3(x), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("hw", [(7, 10), (1, 4), (2, 1)])
+    def test_oracle_cases(self, hw, dtype):
+        x = np.random.default_rng(70).standard_normal((3, *hw)).astype(dtype)
+        assert_oracle(ops.avg_pool3(x), window_mean3(x.astype(np.float64)), dtype)
 
 
 class TestSoftmax:
