@@ -212,13 +212,26 @@ class ParamStore:
 # ---------------------------------------------------------------------------
 
 
+def _sum_to_channels(g: np.ndarray) -> np.ndarray:
+    """[..., C, H, W] -> [C]: sum over every axis but the channel axis."""
+    return g.sum(axis=tuple(i for i in range(g.ndim) if i != g.ndim - 3))
+
+
+def _matmul_nt_summed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the leading axes of ``a @ b.T`` for [..., m, p] and [..., n, p]."""
+    out = a @ np.swapaxes(b, -1, -2)
+    return out.sum(axis=tuple(range(out.ndim - 2)))
+
+
 def _sum_to_operand(grad_full: np.ndarray, operand_value: np.ndarray) -> np.ndarray:
     """Reduce a full-shape gradient back to a broadcast operand's shape."""
     if operand_value.shape == grad_full.shape:
         return grad_full
     if operand_value.ndim == 0:
         return grad_full.sum()
-    return grad_full.sum(axis=(1, 2))  # per-channel [C] broadcast over [C,H,W]
+    if operand_value.ndim == 1:  # per-channel [C] broadcast over [..., C, H, W]
+        return _sum_to_channels(grad_full)
+    return grad_full.sum(axis=-3, keepdims=True)  # [..., 1, H, W] map over channels
 
 
 def add(a, b):
@@ -291,46 +304,40 @@ def absolute(x):
 
 
 def _kernel_grad_1d(g, win, kernel_value):
-    gk = np.einsum("chw,chwk->ck", g, win)
+    """1-D depthwise kernel gradient summed over the leading axes;
+    ``win`` is the [..., C, H, W, k] window view of the padded input."""
+    c, hh, ww = g.shape[-3:]
+    gk = np.einsum("nchw,nchwk->ck", g.reshape(-1, c, hh, ww),
+                   win.reshape((-1, c, hh, ww, win.shape[-1])))
     if kernel_value.ndim == 1:  # shared kernel: sum channel contributions
         gk = gk.sum(axis=0)
     return gk
 
 
-def dwconv_1d_h(x, h):
-    xv, hv = _val(x), _val(h)
-    y = ops.dwconv_1d_h(xv, hv)
+def _dwconv_1d(op, axis: int, x, kernel):
+    xv, kv = _val(x), _val(kernel)
+    y = op(xv, kv)
 
     def vjp(g):
-        k = hv.shape[-1]
+        k = kv.shape[-1]
         p = (k - 1) // 2
-        h2 = ops._per_channel(hv, xv.shape[0], 1)
-        gx = ops.dwconv_1d_h(g, h2[:, ::-1])
-        gh = None
-        if isinstance(h, Var):
-            win = sliding_window_view(ops.pad_width(xv, p), k, axis=2)
-            gh = _kernel_grad_1d(g, win, hv)
-        return gx, gh
+        flipped = ops._per_channel(kv, xv.shape[-3], 1)[:, ::-1]
+        gx = op(g, flipped)
+        gk = None
+        if isinstance(kernel, Var):
+            xp = ops.pad(xv, p, 0) if axis == -2 else ops.pad(xv, 0, p)
+            gk = _kernel_grad_1d(g, sliding_window_view(xp, k, axis=axis), kv)
+        return gx, gk
 
-    return _track(y, (x, h), vjp)
+    return _track(y, (x, kernel), vjp)
+
+
+def dwconv_1d_h(x, h):
+    return _dwconv_1d(ops.dwconv_1d_h, -1, x, h)
 
 
 def dwconv_1d_v(x, v):
-    xv, vv = _val(x), _val(v)
-    y = ops.dwconv_1d_v(xv, vv)
-
-    def vjp(g):
-        k = vv.shape[-1]
-        p = (k - 1) // 2
-        v2 = ops._per_channel(vv, xv.shape[0], 1)
-        gx = ops.dwconv_1d_v(g, v2[:, ::-1])
-        gv = None
-        if isinstance(v, Var):
-            win = sliding_window_view(ops.pad_height(xv, p), k, axis=1)
-            gv = _kernel_grad_1d(g, win, vv)
-        return gx, gv
-
-    return _track(y, (x, v), vjp)
+    return _dwconv_1d(ops.dwconv_1d_v, -2, x, v)
 
 
 def sep_conv(x, h, v):
@@ -342,14 +349,20 @@ def dwconv_2d(x, kernel):
     y = ops.dwconv_2d(xv, kv)
 
     def vjp(g):
-        k2 = ops._per_channel(kv, xv.shape[0], 2)
+        k2 = ops._per_channel(kv, xv.shape[-3], 2)
         gx = ops.dwconv_2d(g, k2[:, ::-1, ::-1])
         gk = None
         if isinstance(kernel, Var):
-            p = (k2.shape[1] - 1) // 2
-            win = sliding_window_view(ops.pad_hw(xv, p), k2.shape[1:], axis=(1, 2))
-            gk = np.einsum("chw,chwuv->cuv", g, win)
-            if kv.ndim == 2:
+            # one shifted-slice dot product per tap, summed over the leading axes
+            c, hh, ww = xv.shape[-3:]
+            k = k2.shape[1]
+            xp = ops.pad(xv, (k - 1) // 2, (k - 1) // 2).reshape((-1, c, hh + k - 1, ww + k - 1))
+            g3 = g.reshape(-1, c, hh, ww)
+            gk = np.empty(k2.shape, dtype=np.result_type(g, xv))
+            for u in range(k):
+                for v in range(k):
+                    gk[:, u, v] = np.einsum("nchw,nchw->c", g3, xp[..., u : u + hh, v : v + ww])
+            if kv.ndim == 2:  # shared kernel: sum channel contributions
                 gk = gk.sum(axis=0)
         return gx, gk
 
@@ -362,22 +375,22 @@ def conv2d(x, w, b=None, stride: int = 1):
 
     def vjp(g):
         co, ci, k, _ = wv.shape
-        ho, wo = g.shape[1:]
-        g2 = g.reshape(co, ho * wo)
+        lead, (hh, ww), (ho, wo) = xv.shape[:-3], xv.shape[-2:], g.shape[-2:]
+        g2 = g.reshape(lead + (co, ho * wo))
         gw = None
         if isinstance(w, Var):
-            gw = (g2 @ ops.im2col(xv, k, stride).T).reshape(wv.shape)
-        gb = g.sum(axis=(1, 2)) if isinstance(b, Var) else None
+            gw = _matmul_nt_summed(g2, ops.im2col(xv, k, stride)).reshape(wv.shape)
+        gb = _sum_to_channels(g) if isinstance(b, Var) else None
         # col2im: scatter-add each kernel tap's rows back onto the padded input
-        gcols = (wv.reshape(co, ci * k * k).T @ g2).reshape(ci, k, k, ho, wo)
+        gcols = (wv.reshape(co, ci * k * k).T @ g2).reshape(lead + (ci, k, k, ho, wo))
         p = (k - 1) // 2
-        gxp = np.zeros((ci, xv.shape[1] + 2 * p, xv.shape[2] + 2 * p), dtype=gcols.dtype)
+        gxp = np.zeros(lead + (ci, hh + 2 * p, ww + 2 * p), dtype=gcols.dtype)
         for u in range(k):
             for v_ in range(k):
                 rows = slice(u, u + stride * ho, stride)
                 cols = slice(v_, v_ + stride * wo, stride)
-                gxp[:, rows, cols] += gcols[:, u, v_]
-        gx = gxp[:, p : p + xv.shape[1], p : p + xv.shape[2]]
+                gxp[..., rows, cols] += gcols[..., u, v_, :, :]
+        gx = gxp[..., p : p + hh, p : p + ww]
         return gx, gw, gb
 
     return _track(y, (x, w, b), vjp)
@@ -388,11 +401,13 @@ def pwconv(x, w, b):
     y = ops.pwconv(xv, wv, bv)
 
     def vjp(g):
-        c, hh, ww = xv.shape
-        g2 = g.reshape(g.shape[0], hh * ww)
+        lead, (c, hh, ww) = xv.shape[:-3], xv.shape[-3:]
+        g2 = g.reshape(lead + (g.shape[-3], hh * ww))
         gx = (wv.T @ g2).reshape(xv.shape)
-        gw = g2 @ xv.reshape(c, hh * ww).T if isinstance(w, Var) else None
-        gb = g.sum(axis=(1, 2)) if isinstance(b, Var) else None
+        gw = None
+        if isinstance(w, Var):
+            gw = _matmul_nt_summed(g2, xv.reshape(lead + (c, hh * ww)))
+        gb = _sum_to_channels(g) if isinstance(b, Var) else None
         return gx, gw, gb
 
     return _track(y, (x, w, b), vjp)
@@ -408,54 +423,42 @@ def softmax_channels(x):
     y = ops.softmax_channels(_val(x))
 
     def vjp(g):
-        return (y * (g - (g * y).sum(axis=0, keepdims=True)),)
+        return (y * (g - (g * y).sum(axis=-3, keepdims=True)),)
 
     return _track(y, (x,), vjp)
 
 
 def grn(x, gamma, beta, eps: float = 1e-6):
-    xv, gav, bev = _val(x), _val(gamma), _val(beta)
-    if eps <= 0:
-        raise ConfigurationError("grn eps must be positive")
-    gnorm = np.sqrt(np.sum(xv * xv, axis=(1, 2)))
-    denom = gnorm.mean() + eps
-    n = gnorm / denom
-    y = gav[:, None, None] * (xv * n[:, None, None]) + bev[:, None, None] + xv
+    xv, gav = _val(x), _val(gamma)
+    y, (gnorm, denom, n) = ops.grn_parts(xv, gav, _val(beta), eps)
 
     def vjp(g):
-        c = xv.shape[0]
-        dgamma = (g * xv * n[:, None, None]).sum(axis=(1, 2)) if isinstance(gamma, Var) else None
-        dbeta = g.sum(axis=(1, 2)) if isinstance(beta, Var) else None
-        # adjoint of n_c = gnorm_c / (mean(gnorm) + eps)
-        q = (g * xv).sum(axis=(1, 2)) * gav
-        dgnorm = q / denom - (q * gnorm).sum() / (denom * denom * c)
+        c = xv.shape[-3]
+        dgamma = _sum_to_channels(g * xv * n[..., None, None]) if isinstance(gamma, Var) else None
+        dbeta = _sum_to_channels(g) if isinstance(beta, Var) else None
+        # adjoint of n_c = gnorm_c / (mean(gnorm) + eps), per sample
+        q = (g * xv).sum(axis=(-2, -1)) * gav
+        dgnorm = q / denom - (q * gnorm).sum(axis=-1, keepdims=True) / (denom * denom * c)
         safe = np.where(gnorm > 0, gnorm, 1.0)
         coef = np.where(gnorm > 0, dgnorm / safe, 0.0)
-        dx = g * (gav * n)[:, None, None] + g + coef[:, None, None] * xv
+        dx = g * (gav * n)[..., None, None] + g + coef[..., None, None] * xv
         return dx, dgamma, dbeta
 
     return _track(y, (x, gamma, beta), vjp)
 
 
 def group_norm(x, gamma, beta, groups: int = 2, eps: float = 1e-5):
-    xv, gav, bev = _val(x), _val(gamma), _val(beta)
-    c = xv.shape[0]
-    if c % groups != 0:
-        raise ConfigurationError(f"{c} channels not divisible into {groups} groups")
-    xg = xv.reshape(groups, c // groups, *xv.shape[1:])
-    mu = xg.mean(axis=(1, 2, 3), keepdims=True)
-    var = ((xg - mu) ** 2).mean(axis=(1, 2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat_g = (xg - mu) * inv
-    xhat = xhat_g.reshape(xv.shape)
-    y = gav[:, None, None] * xhat + bev[:, None, None]
+    xv, gav = _val(x), _val(gamma)
+    y, (xhat_g, inv) = ops.group_norm_parts(xv, gav, _val(beta), groups, eps)
 
     def vjp(g):
-        dgamma = (g * xhat).sum(axis=(1, 2)) if isinstance(gamma, Var) else None
-        dbeta = g.sum(axis=(1, 2)) if isinstance(beta, Var) else None
-        gh = (g * gav[:, None, None]).reshape(xg.shape)
-        m1 = gh.mean(axis=(1, 2, 3), keepdims=True)
-        m2 = (gh * xhat_g).mean(axis=(1, 2, 3), keepdims=True)
+        dgamma = (
+            _sum_to_channels(g * xhat_g.reshape(xv.shape)) if isinstance(gamma, Var) else None
+        )
+        dbeta = _sum_to_channels(g) if isinstance(beta, Var) else None
+        gh = (g * gav[:, None, None]).reshape(xhat_g.shape)
+        m1 = gh.mean(axis=(-3, -2, -1), keepdims=True)
+        m2 = (gh * xhat_g).mean(axis=(-3, -2, -1), keepdims=True)
         dx = (inv * (gh - m1 - xhat_g * m2)).reshape(xv.shape)
         return dx, dgamma, dbeta
 
@@ -467,8 +470,8 @@ def upsample2x(x):
     y = ops.upsample2x(xv)
 
     def vjp(g):
-        c, h, w = xv.shape
-        return (g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)),)
+        c, h, w = xv.shape[-3:]
+        return (g.reshape(xv.shape[:-3] + (c, h, 2, w, 2)).sum(axis=(-3, -1)),)
 
     return _track(y, (x,), vjp)
 
@@ -476,7 +479,7 @@ def upsample2x(x):
 def concat_channels(xs):
     vals = [_val(x) for x in xs]
     y = ops.concat_channels(vals)
-    sizes = [v.shape[0] for v in vals]
+    sizes = [v.shape[-3] for v in vals]
 
     def vjp(g):
         return tuple(ops.split_channels(g, sizes))
@@ -486,19 +489,20 @@ def concat_channels(xs):
 
 def _slice_channels(x, lo: int, hi: int):
     xv = _val(x)
-    y = xv[lo:hi]
+    y = xv[..., lo:hi, :, :]
 
     def vjp(g):
         gx = np.zeros_like(xv)
-        gx[lo:hi] = g
+        gx[..., lo:hi, :, :] = g
         return (gx,)
 
     return _track(y, (x,), vjp)
 
 
 def split_channels(x, sizes):
-    if sum(sizes) != _val(x).shape[0]:
-        raise ConfigurationError(f"split sizes {tuple(sizes)} do not sum to {_val(x).shape[0]}")
+    c_total = _val(x).shape[-3]
+    if sum(sizes) != c_total:
+        raise ConfigurationError(f"split sizes {tuple(sizes)} do not sum to {c_total}")
     out, lo = [], 0
     for s in sizes:
         out.append(_slice_channels(x, lo, lo + s))
@@ -511,7 +515,7 @@ def pack_time(frames):
 
 
 def unpack_time(z, t: int):
-    c_total = _val(z).shape[0]
+    c_total = _val(z).shape[-3]
     if c_total % t != 0:
         raise ConfigurationError(f"{c_total} channels not divisible by {t} frames")
     return split_channels(z, [c_total // t] * t)
@@ -520,7 +524,7 @@ def unpack_time(z, t: int):
 def mean_channels(x):
     xv = _val(x)
     y = ops.mean_channels(xv)
-    c = xv.shape[0]
+    c = xv.shape[-3]
 
     def vjp(g):
         return (np.broadcast_to(g / c, xv.shape).copy(),)
@@ -539,12 +543,13 @@ def mean_all(x):
     return _track(y, (x,), vjp)
 
 
-def drop_path(x, rate: float, mode: str, keep_u: float | None = None):
-    """Stochastic depth on a residual branch.
+def drop_path(x, rate: float, mode: str, keep_u=None):
+    """Stochastic depth on a residual branch, decided per sample.
 
-    Eval mode is the identity. In train mode the branch is zeroed with
-    probability ``rate`` (when the pre-drawn uniform ``keep_u`` < rate),
-    otherwise scaled by 1/(1-rate).
+    Eval mode is the identity. In train mode ``keep_u`` holds one pre-drawn
+    uniform per sample (a float for one [C,H,W] sample, an array over the
+    leading axes of a batch): a sample's branch is zeroed when its uniform
+    < rate, otherwise scaled by 1/(1-rate).
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"drop_path rate must lie in [0,1), got {rate}")
@@ -554,10 +559,12 @@ def drop_path(x, rate: float, mode: str, keep_u: float | None = None):
         return x
     if keep_u is None:
         raise ConfigurationError("train-mode drop_path needs a pre-drawn uniform")
-    if keep_u < rate:
-        xv = _val(x)
-        return _track(np.zeros_like(xv), (x,), lambda g: (np.zeros_like(g),))
-    return scale(x, 1.0 / (1.0 - rate))
+    xv = _val(x)
+    u = np.asarray(keep_u)
+    if u.shape != xv.shape[:-3]:
+        raise ConfigurationError(f"{u.shape} uniforms for samples of shape {xv.shape[:-3]}")
+    factor = np.where(u < rate, 0.0, 1.0 / (1.0 - rate)).astype(xv.dtype)[..., None, None, None]
+    return _track(xv * factor, (x,), lambda g: (g * factor,))
 
 
 # ---------------------------------------------------------------------------

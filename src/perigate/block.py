@@ -145,7 +145,7 @@ def init_params(
 def gate_weights(freq, gate_w, gate_b):
     """Per-pixel softmax gate over scales from the frequency descriptor."""
     w = gate_w.value if isinstance(gate_w, Var) else np.asarray(gate_w)
-    f_channels = freq.value.shape[0] if isinstance(freq, Var) else np.asarray(freq).shape[0]
+    f_channels = (freq.value if isinstance(freq, Var) else np.asarray(freq)).shape[-3]
     if w.shape[1] != f_channels:
         raise ConfigurationError(
             f"gate expects a {w.shape[1]}-channel descriptor, got {f_channels}"
@@ -157,7 +157,7 @@ def uniform_gate(freq, k_count: int):
     """Mean fusion: softmax over zero logits, the same arithmetic as a
     zero-initialized gate, so both paths agree bitwise at initialization."""
     fv = freq.value if isinstance(freq, Var) else np.asarray(freq)
-    zeros = np.zeros((k_count,) + fv.shape[1:], dtype=fv.dtype)
+    zeros = np.zeros(fv.shape[:-3] + (k_count,) + fv.shape[-2:], dtype=fv.dtype)
     return ad.softmax_channels(zeros)
 
 
@@ -183,22 +183,16 @@ def center_suppress(p_k, center_response, coefficient):
 def fuse(alpha, responses):
     """Convex per-pixel combination: sum_k alpha_k * Y_k, alpha broadcast over channels."""
     alpha_v = alpha.value if isinstance(alpha, Var) else np.asarray(alpha)
-    if alpha_v.shape[0] != len(responses):
+    if alpha_v.shape[-3] != len(responses):
         raise ConfigurationError(
-            f"{alpha_v.shape[0]} gate maps for {len(responses)} responses"
+            f"{alpha_v.shape[-3]} gate maps for {len(responses)} responses"
         )
     slices = ad.split_channels(alpha, [1] * len(responses))
     total = None
     for a_k, y_k in zip(slices, responses):
-        term = ad.mul(y_k, _spread(a_k, y_k))
+        term = ad.mul(y_k, a_k)
         total = term if total is None else ad.add(total, term)
     return total
-
-
-def _spread(a_k, like):
-    """Broadcast a [1,H,W] gate map over the channel axis of ``like``."""
-    c = like.value.shape[0] if isinstance(like, Var) else np.asarray(like).shape[0]
-    return ad.concat_channels([a_k] * c) if c > 1 else a_k
 
 
 def channel_mix_glu(s, params: BlockParams):
@@ -218,10 +212,15 @@ def forward(
     params: BlockParams,
     settings: BlockSettings,
     mode: str = "eval",
-    drop_u: float | None = None,
+    drop_u=None,
     internals: BlockInternals | None = None,
 ):
-    """Full block: gated multi-scale suppression, channel mixing, residual."""
+    """Full block: gated multi-scale suppression, channel mixing, residual.
+
+    ``x`` is one [C,H,W] sample or a batch [..., C,H,W]; in train mode
+    ``drop_u`` holds one stochastic-depth uniform per sample (see
+    :func:`perigate.autodiff.drop_path`).
+    """
     freq = descriptor.frequency_descriptor(x, settings.cues)
     if settings.fusion == "softmax":
         alpha = gate_weights(freq, params.gate_w, params.gate_b)

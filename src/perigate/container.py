@@ -18,10 +18,14 @@ Checkpoint file ("PFGC"):
 The first checkpoint entry is named "config" and stores the serialized
 config text as a float64 tensor of byte values (the format carries no
 integer dtype; bytes are exactly representable).
+
+Files are written atomically (see :func:`atomic_write`): a write that fails
+part-way leaves an existing target as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -95,8 +99,28 @@ def read_tensor_blob(fh) -> np.ndarray:
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path``; move it onto ``path`` on success.
+
+    ``os.replace`` swaps the complete file in at once, so the target holds
+    either its old bytes or all the new ones; on failure the temporary file is
+    removed and the target is untouched. There is no fsync: this guards
+    against a write that fails part-way, not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_tensor(path, arr: np.ndarray):
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         write_tensor_blob(fh, arr)
 
 
@@ -122,7 +146,7 @@ def save_checkpoint(path, config_text: str, tensors: dict[str, np.ndarray]):
     config_arr = np.frombuffer(config_text.encode("utf-8"), dtype=np.uint8).astype(np.float64)
     if config_arr.size == 0:
         raise InputError("empty config text")
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<B", VERSION))
         fh.write(struct.pack("<I", len(names)))

@@ -29,7 +29,7 @@ def _dtype(x) -> np.dtype:
 
 
 def sobel_magnitude(x):
-    """Channel-mean Sobel gradient magnitude: [C,H,W] -> [1,H,W]."""
+    """Channel-mean Sobel gradient magnitude: [..., C,H,W] -> [..., 1,H,W]."""
     dtype = _dtype(x)
     gx = ad.dwconv_2d(x, SOBEL_X.astype(dtype))
     gy = ad.dwconv_2d(x, SOBEL_Y.astype(dtype))
@@ -39,7 +39,7 @@ def sobel_magnitude(x):
 
 
 def laplacian_abs(x):
-    """Channel-mean absolute Laplacian response: [C,H,W] -> [1,H,W]."""
+    """Channel-mean absolute Laplacian response: [..., C,H,W] -> [..., 1,H,W]."""
     return ad.mean_channels(ad.absolute(ad.dwconv_2d(x, LAPLACIAN.astype(_dtype(x)))))
 
 
@@ -55,7 +55,7 @@ _CUES = {"f1": sobel_magnitude, "f2": laplacian_abs, "f3": local_variance}
 
 
 def frequency_descriptor(x, cues=CUE_NAMES):
-    """Stack the selected cues in fixed (f1, f2, f3) order: -> [len(cues),H,W]."""
+    """Stack the selected cues in fixed (f1, f2, f3) order: -> [..., len(cues),H,W]."""
     if not cues:
         raise ConfigurationError("descriptor needs at least one cue")
     unknown = [c for c in cues if c not in _CUES]

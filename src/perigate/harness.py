@@ -79,14 +79,19 @@ class EpochRecord:
     loss: float
 
 
-def _sequence_loss(model: Model, seq: np.ndarray, cfg: TrainConfig, mode: str, drop_draw):
-    m = cfg.model
-    inputs = [seq[t] for t in range(m.t_in)]
-    targets = [seq[m.t_in + t] for t in range(m.t_out)]
-    preds = model.predict(inputs, mode=mode, drop_draw=drop_draw)
+def _batch_loss(model: Model, seqs: np.ndarray, drop_draw):
+    """Mean over the batch of each sequence's mean per-frame MSE, as one graph.
+
+    ``seqs`` is one [T,C,H,W] sequence or a batch [N,T,C,H,W]; frame t of a
+    batch is one [N,C,H,W] array. All sequences share a frame size, so a
+    frame's MSE over the whole batch is the mean of the per-sequence MSEs.
+    """
+    m = model.config
+    inputs = [seqs[..., t, :, :, :] for t in range(m.t_in)]
+    preds = model.predict(inputs, mode="train", drop_draw=drop_draw)
     total = None
-    for pred, target in zip(preds, targets):
-        diff = ad.sub(pred, np.asarray(target, dtype=model.dtype))
+    for t, pred in enumerate(preds):
+        diff = ad.sub(pred, np.asarray(seqs[..., m.t_in + t, :, :, :], dtype=model.dtype))
         frame_loss = ad.mean_all(ad.mul(diff, diff))
         total = frame_loss if total is None else ad.add(total, frame_loss)
     return ad.scale(total, 1.0 / len(preds))
@@ -99,8 +104,43 @@ def _first_nonfinite(store) -> str | None:
     return None
 
 
+def _first_nonfinite_op(tape: Tape) -> str | None:
+    """The earliest recorded op whose output is not finite, named from its vjp."""
+    for i, node in enumerate(tape.nodes):
+        if not np.all(np.isfinite(node.value)):
+            op = node.vjp.__qualname__.split(".")[0]
+            return f"'{op}' (tape node {i} of {len(tape.nodes)})"
+    return None
+
+
+def _loss_and_grads(model: Model, seqs: np.ndarray, drop_draw, where: str) -> float:
+    """One graph over the minibatch: forward, divergence check, backward into the store.
+
+    The graph dies on return, so it never overlaps the next step's.
+    """
+    model.store.zero_grads()
+    tape = Tape()
+    with tape:
+        total = _batch_loss(model, seqs, drop_draw)
+    tape.outputs = (total,)
+    loss_value = float(total.value)
+    if not np.isfinite(loss_value):
+        culprit = _first_nonfinite(model.store)
+        raise NumericError(
+            f"non-finite loss at {where}; first non-finite op: {_first_nonfinite_op(tape)}"
+            + (f"; first non-finite parameter: '{culprit}'" if culprit else "")
+        )
+    backward(tape, np.asarray(1.0, dtype=total.value.dtype))
+    return loss_value
+
+
 def train(cfg: TrainConfig, data: np.ndarray, log=None) -> tuple[Model, list[EpochRecord]]:
-    """Train on [N,T,C,H,W] sequences; loss is the spatially normalized MSE."""
+    """Train on [N,T,C,H,W] sequences; loss is the spatially normalized MSE.
+
+    Each step runs one graph over the whole minibatch. Stochastic-depth
+    uniforms are keyed by (epoch, step, position in batch, pass and block),
+    so every drop decision is independent of how the batch is evaluated.
+    """
     cfg.validate()
     _check_data(cfg, data, need_targets=True)
     model = Model.build(cfg.model, seed=cfg.seed, dtype=np.float32)
@@ -112,29 +152,16 @@ def train(cfg: TrainConfig, data: np.ndarray, log=None) -> tuple[Model, list[Epo
         epoch_loss = 0.0
         for step, lo in enumerate(range(0, n, cfg.batch)):
             batch = order[lo : lo + cfg.batch]
-            model.store.zero_grads()
-            tape = Tape()
-            with tape:
-                total = None
-                for j, idx in enumerate(batch):
-                    def drop_draw(pass_idx, block_idx, _j=j):
-                        return counter_uniform(
-                            cfg.seed, DROP, (epoch, step, _j, pass_idx * 4096 + block_idx)
-                        )
-                    seq_loss = _sequence_loss(
-                        model, data[idx], cfg, mode="train", drop_draw=drop_draw
-                    )
-                    total = seq_loss if total is None else ad.add(total, seq_loss)
-                total = ad.scale(total, 1.0 / len(batch))
-            tape.outputs = (total,)
-            loss_value = float(total.value)
-            if not np.isfinite(loss_value):
-                culprit = _first_nonfinite(model.store)
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch} step {step}"
-                    + (f"; first non-finite parameter: '{culprit}'" if culprit else "")
-                )
-            backward(tape, np.asarray(1.0, dtype=total.value.dtype))
+
+            def drop_draw(pass_idx, block_idx):
+                counter = pass_idx * 4096 + block_idx
+                return np.array([
+                    counter_uniform(cfg.seed, DROP, (epoch, step, j, counter))
+                    for j in range(len(batch))
+                ])
+
+            where = f"epoch {epoch} step {step}"
+            loss_value = _loss_and_grads(model, data[batch], drop_draw, where)
             opt.step()
             bad = _first_nonfinite(model.store)
             if bad is not None:
@@ -150,7 +177,7 @@ def train(cfg: TrainConfig, data: np.ndarray, log=None) -> tuple[Model, list[Epo
 
 
 def write_history_csv(path, history: list[EpochRecord]):
-    with open(path, "w", newline="") as fh:
+    with container.atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss"])
         for rec in history:
@@ -223,7 +250,7 @@ def evaluate(cfg: TrainConfig, model: Model, data: np.ndarray) -> dict[str, floa
 
 def write_metrics_csv(path, report: dict[str, float]):
     """Exactly one `metric,value` row per report entry (no header)."""
-    with open(path, "w", newline="") as fh:
+    with container.atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for name in METRIC_NAMES:
             writer.writerow([name, f"{report[name]:.10g}"])

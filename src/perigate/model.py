@@ -225,9 +225,11 @@ class Model:
     def predict(self, frames, mode: str = "eval", drop_draw=None):
         """Map t_in input frames to exactly t_out output frames.
 
-        ``drop_draw(pass_idx, block_idx)`` supplies stochastic-depth uniforms
-        in train mode. Shorter horizons slice the first pass; longer horizons
-        roll out by feeding the last t_in predictions back as inputs.
+        Each frame is one [c_in,H,W] sample or a batch [N,c_in,H,W], and the
+        outputs match. ``drop_draw(pass_idx, block_idx)`` supplies the
+        stochastic-depth uniforms in train mode, one per sample. Shorter
+        horizons slice the first pass; longer horizons roll out by feeding
+        the last t_in predictions back as inputs.
         """
         cfg = self.config
         frames = list(frames)
@@ -293,14 +295,13 @@ class Model:
         return rows
 
     def _as_var(self, frame, expected_shape):
-        if isinstance(frame, Var):
-            if frame.value.shape != expected_shape:
-                raise InputError(f"frame shape {frame.value.shape} != {expected_shape}")
-            return frame
-        arr = np.asarray(frame, dtype=self.dtype)
-        if arr.shape != expected_shape:
-            raise InputError(f"frame shape {arr.shape} != {expected_shape}")
-        return Var(arr)
+        """A (c_in,H,W) sample or an (N,c_in,H,W) batch as a graph input."""
+        arr = frame.value if isinstance(frame, Var) else np.asarray(frame, dtype=self.dtype)
+        if arr.ndim not in (3, 4) or arr.shape[-3:] != expected_shape:
+            raise InputError(
+                f"frame shape {arr.shape} is neither {expected_shape} nor (N, *{expected_shape})"
+            )
+        return frame if isinstance(frame, Var) else Var(arr)
 
 
 def _conv_init(rng, cout, cin, k, dtype):

@@ -2,8 +2,13 @@
 
 Conventions shared by every operation here:
 
-* feature maps are ``[C, H, W]`` arrays; convolutions are cross-correlations
-  (no kernel flip) with zero same-padding, so spatial shape is preserved;
+* feature maps are ``[..., C, H, W]`` arrays: any number of leading axes
+  (a minibatch ``[N, C, H, W]``, or none for one ``[C, H, W]`` sample) in
+  front of channels and space. Every operation treats each leading index as
+  an independent sample; statistics (group and response normalization) are
+  taken per sample, never across the leading axes;
+* convolutions are cross-correlations (no kernel flip) with zero
+  same-padding, so spatial shape is preserved;
 * depthwise kernels may be per-channel (``[C, k]`` / ``[C, k, k]``) or shared
   (``[k]`` / ``[k, k]``);
 * dense and point-wise convolutions are matrix products handed to BLAS,
@@ -40,37 +45,33 @@ def _per_channel(kernel: np.ndarray, channels: int, spatial_rank: int) -> np.nda
     raise ConfigurationError(f"bad depthwise kernel shape {kernel.shape}")
 
 
-def pad_width(x: np.ndarray, p: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (0, 0), (p, p)))
+def pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the two spatial axes by ``ph`` rows and ``pw`` columns per side."""
+    hh, ww = x.shape[-2:]
+    out = np.zeros(x.shape[:-2] + (hh + 2 * ph, ww + 2 * pw), dtype=x.dtype)
+    out[..., ph : ph + hh, pw : pw + ww] = x
+    return out
 
 
-def pad_height(x: np.ndarray, p: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (p, p), (0, 0)))
-
-
-def pad_hw(x: np.ndarray, p: int) -> np.ndarray:
-    return np.pad(x, ((0, 0), (p, p), (p, p)))
+def _dwconv_1d(x: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    kernel = _per_channel(kernel, x.shape[-3], 1)
+    k = kernel.shape[1]
+    _check_odd(k)
+    p = (k - 1) // 2
+    xp = pad(x, p, 0) if axis == -2 else pad(x, 0, p)
+    # the window axis is appended last: [..., C, H, W, k]
+    win = sliding_window_view(xp, k, axis=axis)
+    return np.einsum("...chwk,ck->...chw", win, kernel)
 
 
 def dwconv_1d_h(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Depthwise 1 x k correlation along the width axis."""
-    c = x.shape[0]
-    h = _per_channel(h, c, 1)
-    _check_odd(h.shape[1])
-    p = (h.shape[1] - 1) // 2
-    win = sliding_window_view(pad_width(x, p), h.shape[1], axis=2)
-    return np.einsum("chwk,ck->chw", win, h)
+    return _dwconv_1d(x, h, -1)
 
 
 def dwconv_1d_v(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Depthwise k x 1 correlation along the height axis."""
-    c = x.shape[0]
-    v = _per_channel(v, c, 1)
-    _check_odd(v.shape[1])
-    p = (v.shape[1] - 1) // 2
-    win = sliding_window_view(pad_height(x, p), v.shape[1], axis=1)
-    # window axis is appended last: [C, H, W, k]
-    return np.einsum("chwk,ck->chw", win, v)
+    return _dwconv_1d(x, v, -2)
 
 
 def sep_conv(x: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -80,17 +81,17 @@ def sep_conv(x: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Dense depthwise k x k correlation: k*k shifted-slice multiply-adds."""
-    c, hh, ww = x.shape
-    kernel = _per_channel(kernel, c, 2)
+    hh, ww = x.shape[-2:]
+    kernel = _per_channel(kernel, x.shape[-3], 2)
     kh, kw = kernel.shape[1:]
     _check_odd(kh)
     if kh != kw:
         raise ConfigurationError(f"depthwise kernel must be square, got {kh}x{kw}")
-    xp = pad_hw(x, (kh - 1) // 2)
+    xp = pad(x, (kh - 1) // 2, (kh - 1) // 2)
     out = None
     for u in range(kh):
         for v in range(kw):
-            term = xp[:, u : u + hh, v : v + ww] * kernel[:, u, v, None, None]
+            term = xp[..., u : u + hh, v : v + ww] * kernel[:, u, v, None, None]
             if out is None:
                 out = term
             else:
@@ -99,28 +100,29 @@ def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def im2col(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
-    """Patch matrix [Cin*k*k, Ho*Wo] of a zero same-padded k x k correlation.
+    """Patch matrices [..., Cin*k*k, Ho*Wo] of a zero same-padded k x k correlation.
 
     Row ``(c*k + u)*k + v`` holds input channel c shifted by (u, v), so a
     correlation with weights [Cout, Cin, k, k] is ``w.reshape(Cout, -1) @ cols``.
     """
-    ci = x.shape[0]
-    win = sliding_window_view(pad_hw(x, (k - 1) // 2), (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride]
-    ho, wo = win.shape[1:3]
-    return win.transpose(0, 3, 4, 1, 2).reshape(ci * k * k, ho * wo)
+    p = (k - 1) // 2
+    win = sliding_window_view(pad(x, p, p), (k, k), axis=(-2, -1))
+    win = win[..., ::stride, ::stride, :, :]  # [..., Cin, Ho, Wo, k, k]
+    ho, wo = win.shape[-4:-2]
+    cols = np.moveaxis(win, (-2, -1), (-4, -3))  # [..., Cin, k, k, Ho, Wo]
+    return cols.reshape(x.shape[:-3] + (x.shape[-3] * k * k, ho * wo))
 
 
 def conv2d(
     x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1
 ) -> np.ndarray:
-    """Full k x k correlation [Cin,H,W] -> [Cout,Ho,Wo] with zero same-padding.
+    """Full k x k correlation [..., Cin,H,W] -> [..., Cout,Ho,Wo] with zero same-padding.
 
     Stride 1 preserves the spatial shape; stride 2 halves even extents.
     ``b=None`` skips the bias (convs feeding a normalization layer).
-    Computed as one GEMM over the :func:`im2col` patch matrix.
+    Computed as one GEMM per sample over the :func:`im2col` patch matrix.
     """
-    ci, hh, ww = x.shape
+    ci, hh, ww = x.shape[-3:]
     co, ci_w, kh, kw = w.shape
     _check_odd(kh)
     if kh != kw:
@@ -130,18 +132,18 @@ def conv2d(
     if stride not in (1, 2):
         raise ConfigurationError(f"unsupported stride {stride}")
     out = w.reshape(co, ci * kh * kw) @ im2col(x, kh, stride)
-    out = out.reshape(co, (hh - 1) // stride + 1, (ww - 1) // stride + 1)
+    out = out.reshape(x.shape[:-3] + (co, (hh - 1) // stride + 1, (ww - 1) // stride + 1))
     return out if b is None else out + b[:, None, None]
 
 
 def pwconv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Point-wise 1 x 1 convolution: one [Cout,Cin] x [Cin,H*W] matrix product."""
-    if w.ndim != 2 or w.shape[1] != x.shape[0]:
+    """Point-wise 1 x 1 convolution: one [Cout,Cin] x [Cin,H*W] product per sample."""
+    if w.ndim != 2 or w.shape[1] != x.shape[-3]:
         raise ConfigurationError(
-            f"pointwise weights {w.shape} incompatible with {x.shape[0]} channels"
+            f"pointwise weights {w.shape} incompatible with {x.shape[-3]} channels"
         )
-    c, hh, ww = x.shape
-    out = (w @ x.reshape(c, hh * ww)).reshape(w.shape[0], hh, ww)
+    lead, (c, hh, ww) = x.shape[:-3], x.shape[-3:]
+    out = (w @ x.reshape(lead + (c, hh * ww))).reshape(lead + (w.shape[0], hh, ww))
     return out + b[:, None, None]
 
 
@@ -150,26 +152,29 @@ def avg_pool3(x: np.ndarray) -> np.ndarray:
 
     Separable box sum: three-tap row sums, then three-tap column sums.
     """
-    xp = pad_hw(x, 1)
-    rows = xp[:, :, :-2] + xp[:, :, 1:-1] + xp[:, :, 2:]
-    return (rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:]) * (1.0 / 9.0)
+    xp = pad(x, 1, 1)
+    rows = xp[..., :-2] + xp[..., 1:-1] + xp[..., 2:]
+    return (rows[..., :-2, :] + rows[..., 1:-1, :] + rows[..., 2:, :]) * (1.0 / 9.0)
 
 
 def softmax_channels(x: np.ndarray) -> np.ndarray:
     """Per-pixel softmax over the channel axis with max subtraction."""
-    m = x.max(axis=0, keepdims=True)
+    m = x.max(axis=-3, keepdims=True)
     e = np.exp(x - m)
-    return e / e.sum(axis=0, keepdims=True)
+    return e / e.sum(axis=-3, keepdims=True)
 
 
 def _broadcast_operand(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``b`` shaped to combine with ``a``: equal shape, a scalar, a per-channel
+    ``[C]`` vector, or a ``[..., 1, H, W]`` map broadcast over channels."""
     b = np.asarray(b)
-    if b.shape == a.shape:
+    if b.shape == a.shape or b.ndim == 0:
         return b
-    if b.ndim == 0:
-        return b
-    if a.ndim == 3 and b.shape == (a.shape[0],):
-        return b[:, None, None]
+    if a.ndim >= 3:
+        if b.shape == (a.shape[-3],):
+            return b[:, None, None]
+        if b.shape == a.shape[:-3] + (1,) + a.shape[-2:]:
+            return b
     raise ConfigurationError(f"cannot broadcast {b.shape} onto {a.shape}")
 
 
@@ -213,76 +218,95 @@ def absolute(x):
     return np.abs(x)
 
 
-def grn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Global response normalization with residual.
+def grn_parts(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6):
+    """:func:`grn` output plus the per-sample statistics its gradient reuses.
 
-    n_c = |x_c|_2 / (mean_c |x_c|_2 + eps); out = gamma * (x * n) + beta + x.
+    Returns ``(out, (g, denom, n))`` with channel norms ``g`` [..., C],
+    ``denom`` = mean_c g + eps [..., 1] and ratios ``n`` = g / denom.
     """
     if eps <= 0:
         raise ConfigurationError("grn eps must be positive")
-    g = np.sqrt(np.sum(x * x, axis=(1, 2)))
-    n = g / (g.mean() + eps)
-    return gamma[:, None, None] * (x * n[:, None, None]) + beta[:, None, None] + x
+    g = np.sqrt(np.sum(x * x, axis=(-2, -1)))
+    denom = g.mean(axis=-1, keepdims=True) + eps
+    n = g / denom
+    out = gamma[:, None, None] * (x * n[..., None, None]) + beta[:, None, None] + x
+    return out, (g, denom, n)
+
+
+def grn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Global response normalization with residual, per sample.
+
+    n_c = |x_c|_2 / (mean_c |x_c|_2 + eps); out = gamma * (x * n) + beta + x.
+    """
+    return grn_parts(x, gamma, beta, eps)[0]
+
+
+def group_norm_parts(
+    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int = 2, eps: float = 1e-5
+):
+    """:func:`group_norm` output plus ``(xhat, inv)`` in grouped shape
+    [..., G, C/G, H, W], which its gradient reuses."""
+    c = x.shape[-3]
+    if c % groups != 0:
+        raise ConfigurationError(f"{c} channels not divisible into {groups} groups")
+    xg = x.reshape(x.shape[:-3] + (groups, c // groups) + x.shape[-2:])
+    mu = xg.mean(axis=(-3, -2, -1), keepdims=True)
+    var = ((xg - mu) ** 2).mean(axis=(-3, -2, -1), keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xg - mu) * inv
+    return gamma[:, None, None] * xhat.reshape(x.shape) + beta[:, None, None], (xhat, inv)
 
 
 def group_norm(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int = 2, eps: float = 1e-5
 ) -> np.ndarray:
-    """Group normalization over (channels-in-group, H, W) with per-channel affine."""
-    c = x.shape[0]
-    if c % groups != 0:
-        raise ConfigurationError(f"{c} channels not divisible into {groups} groups")
-    xg = x.reshape(groups, c // groups, *x.shape[1:])
-    mu = xg.mean(axis=(1, 2, 3), keepdims=True)
-    var = ((xg - mu) ** 2).mean(axis=(1, 2, 3), keepdims=True)
-    xhat = ((xg - mu) / np.sqrt(var + eps)).reshape(x.shape)
-    return gamma[:, None, None] * xhat + beta[:, None, None]
+    """Group normalization over (channels-in-group, H, W) of each sample, per-channel affine."""
+    return group_norm_parts(x, gamma, beta, groups, eps)[0]
 
 
 def upsample2x(x: np.ndarray) -> np.ndarray:
     """Nearest-neighbour 2x spatial upsampling."""
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
+    return np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
 
 
 def concat_channels(xs) -> np.ndarray:
     xs = [np.asarray(x) for x in xs]
-    hw = xs[0].shape[1:]
+    ref = xs[0].shape
     for x in xs[1:]:
-        if x.shape[1:] != hw:
-            raise ConfigurationError(f"spatial mismatch: {x.shape[1:]} vs {hw}")
-    return np.concatenate(xs, axis=0)
+        if x.ndim != len(ref) or x.shape[:-3] + x.shape[-2:] != ref[:-3] + ref[-2:]:
+            raise ConfigurationError(f"spatial mismatch: {x.shape} vs {ref}")
+    return np.concatenate(xs, axis=-3)
 
 
 def split_channels(x: np.ndarray, sizes) -> list[np.ndarray]:
-    if sum(sizes) != x.shape[0]:
-        raise ConfigurationError(f"split sizes {tuple(sizes)} do not sum to {x.shape[0]}")
+    if sum(sizes) != x.shape[-3]:
+        raise ConfigurationError(f"split sizes {tuple(sizes)} do not sum to {x.shape[-3]}")
     out, lo = [], 0
     for s in sizes:
-        out.append(x[lo : lo + s])
+        out.append(x[..., lo : lo + s, :, :])
         lo += s
     return out
 
 
 def pack_time(frames) -> np.ndarray:
-    """Stack T frames of [C,H,W] into [T*C,H,W]; frame t occupies block [t*C,(t+1)*C)."""
+    """Stack T frames of [..., C,H,W] into [..., T*C,H,W]; frame t occupies block [t*C,(t+1)*C)."""
     frames = [np.asarray(f) for f in frames]
     shape = frames[0].shape
     for f in frames[1:]:
         if f.shape != shape:
             raise ConfigurationError(f"frame shape mismatch: {f.shape} vs {shape}")
-    return np.concatenate(frames, axis=0)
+    return np.concatenate(frames, axis=-3)
 
 
 def unpack_time(z: np.ndarray, t: int) -> list[np.ndarray]:
-    if z.shape[0] % t != 0:
-        raise ConfigurationError(f"{z.shape[0]} channels not divisible by {t} frames")
-    c = z.shape[0] // t
-    return split_channels(z, [c] * t)
+    if z.shape[-3] % t != 0:
+        raise ConfigurationError(f"{z.shape[-3]} channels not divisible by {t} frames")
+    return split_channels(z, [z.shape[-3] // t] * t)
 
 
 def mean_channels(x: np.ndarray) -> np.ndarray:
-    """Channel mean, keeping a single-channel axis: [C,H,W] -> [1,H,W]."""
-    return x.mean(axis=0, keepdims=True)
+    """Channel mean, keeping a single-channel axis: [..., C,H,W] -> [..., 1,H,W]."""
+    return x.mean(axis=-3, keepdims=True)
 
 
 _ELEMENTWISE = {

@@ -187,6 +187,39 @@ class TestGradCheckPrimitives:
             fn, point = (lambda a: ad.pwconv(a, w, b)), [x]
         assert ad.grad_check(fn, point) < 1e-6
 
+    @pytest.mark.parametrize("name", [
+        "conv_s1", "conv_s2", "pw", "dw2", "dw2_shared", "sep", "gn", "grn", "softmax",
+        "drop_path", "mul_map", "add_chan",
+    ])
+    def test_batched_vjp(self, name):
+        """Every kernel with a leading batch axis N = 2, gradients summed over it."""
+        rng = np.random.default_rng(220)
+        x = rng.standard_normal((2, 4, 5, 6))
+        cases = {
+            "conv_s1": (lambda a, w, b: ad.conv2d(a, w, b, 1),
+                        [x, rng.standard_normal((3, 4, 3, 3)), rng.standard_normal(3)]),
+            "conv_s2": (lambda a, w: ad.conv2d(a, w, None, 2),
+                        [x, rng.standard_normal((3, 4, 3, 3))]),
+            "pw": (lambda a, w, b: ad.pwconv(a, w, b),
+                   [x, rng.standard_normal((3, 4)), rng.standard_normal(3)]),
+            "dw2": (lambda a, k: ad.dwconv_2d(a, k), [x, rng.standard_normal((4, 3, 3))]),
+            "dw2_shared": (lambda a, k: ad.dwconv_2d(a, k), [x, rng.standard_normal((3, 3))]),
+            "sep": (lambda a, h, v: ad.sep_conv(a, h, v),
+                    [x, rng.standard_normal((4, 5)), rng.standard_normal((4, 3))]),
+            "gn": (lambda a, g, b: ad.group_norm(a, g, b, 2),
+                   [x, rng.standard_normal(4), rng.standard_normal(4)]),
+            "grn": (lambda a, g, b: ad.grn(a, g, b),
+                    [x, rng.standard_normal(4), rng.standard_normal(4)]),
+            "softmax": (lambda a: ad.softmax_channels(a), [x]),
+            # one sample dropped (0.1 < 0.3), one kept
+            "drop_path": (lambda a: ad.drop_path(ad.tanh(a), 0.3, "train", np.array([0.1, 0.9])),
+                          [x]),
+            "mul_map": (lambda a, m: ad.mul(a, m), [x, rng.standard_normal((2, 1, 5, 6))]),
+            "add_chan": (lambda a, b: ad.add(a, b), [x, rng.standard_normal(4)]),
+        }
+        fn, point = cases[name]
+        assert ad.grad_check(fn, point) < 1e-6
+
     def test_linear_map_near_exact(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 4, 4))
@@ -246,6 +279,15 @@ class TestDropPath:
         x = np.random.default_rng(9).standard_normal((2, 3, 3))
         err = ad.grad_check(lambda a: ad.drop_path(ad.tanh(a), 0.3, "eval"), [x])
         assert err < 1e-7
+
+    def test_per_sample_decisions(self):
+        x = ad.Var(np.ones((3, 1, 2, 2)))
+        out = ad.drop_path(x, 0.5, "train", keep_u=np.array([0.2, 0.7, 0.5]))
+        np.testing.assert_array_equal(out.value[:, 0, 0, 0], [0.0, 2.0, 2.0])
+
+    def test_one_uniform_per_sample(self):
+        with pytest.raises(ConfigurationError):
+            ad.drop_path(ad.Var(np.ones((3, 1, 2, 2))), 0.5, "train", keep_u=0.2)
 
     def test_bad_rate(self):
         with pytest.raises(ConfigurationError):

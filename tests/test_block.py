@@ -146,6 +146,23 @@ class TestFusion:
         with pytest.raises(ConfigurationError):
             gate_block.fuse(Var(np.ones((2, 3, 3))), [Var(np.ones((1, 3, 3)))])
 
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_fuse_gradients(self, lead):
+        # gate maps broadcast over channels; their gradient sums over that axis
+        rng = np.random.default_rng(13)
+        alpha = rng.random(lead + (2, 4, 5))
+        ys = [rng.standard_normal(lead + (3, 4, 5)) for _ in range(2)]
+        err = ad.grad_check(lambda a, y0, y1: gate_block.fuse(a, [y0, y1]), [alpha, *ys])
+        assert err < 1e-6
+
+    def test_fuse_records_no_channel_copies(self):
+        rng = np.random.default_rng(14)
+        alpha = ad.Var(rng.random((2, 4, 4)))
+        ys = [ad.Var(rng.random((6, 4, 4))) for _ in range(2)]
+        out, tape = ad.forward_traced(lambda: gate_block.fuse(alpha, ys), [])
+        # two gate slices, two products, one sum
+        assert len(tape.nodes) == 5
+
 
 class TestChannelMixGlu:
     def test_zero_expand_gives_bias_map(self):

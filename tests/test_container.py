@@ -143,3 +143,48 @@ class TestTensorType:
     def test_rejects_nonfinite(self):
         with pytest.raises(AssertionError):
             Tensor(np.array([1.0, np.inf]))
+
+
+class TestAtomicWrites:
+    """A write that fails part-way leaves the old target and no temporary file."""
+
+    def _fails_midway(self, monkeypatch):
+        real = container.write_tensor_blob
+        calls = []
+
+        def flaky(fh, arr):
+            calls.append(1)
+            if len(calls) == 2:  # the first blob is already written
+                fh.write(b"partial")
+                raise OSError("disk full")
+            real(fh, arr)
+
+        monkeypatch.setattr(container, "write_tensor_blob", flaky)
+
+    def test_checkpoint_failure_keeps_target(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.pfgc"
+        container.save_checkpoint(path, "seed = 0\n", {"w": np.arange(3.0)})
+        before = path.read_bytes()
+        self._fails_midway(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            container.save_checkpoint(path, "seed = 1\n", {"w": np.zeros(5)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pfgc"]
+
+    def test_tensor_failure_keeps_target(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.pfgt"
+        container.save_tensor(path, np.arange(4.0))
+        before = path.read_bytes()
+        monkeypatch.setattr(container, "write_tensor_blob",
+                            lambda fh, arr: (fh.write(b"PFGT"), 1 / 0))
+        with pytest.raises(ZeroDivisionError):
+            container.save_tensor(path, np.zeros(2))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["t.pfgt"]
+
+    def test_success_replaces_target(self, tmp_path):
+        path = tmp_path / "t.pfgt"
+        container.save_tensor(path, np.arange(4.0))
+        container.save_tensor(path, np.zeros(2))
+        assert np.array_equal(container.load_tensor(path), np.zeros(2))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.pfgt"]

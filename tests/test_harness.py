@@ -79,6 +79,29 @@ class TestTraining:
         assert len(lines) == 3
 
 
+class TestAtomicCsv:
+    def test_failed_history_write_keeps_target(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        harness.write_history_csv(path, [harness.EpochRecord(1, 0.5)])
+        before = path.read_bytes()
+        bad = [harness.EpochRecord(1, 0.25), harness.EpochRecord(2, "not a number")]
+        with pytest.raises(ValueError):
+            harness.write_history_csv(path, bad)  # fails after the first row
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["hist.csv"]
+
+    def test_failed_metrics_write_keeps_target(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        report = {name: 1.0 for name in harness.METRIC_NAMES}
+        harness.write_metrics_csv(path, report)
+        before = path.read_bytes()
+        del report["flops"]  # the last row raises
+        with pytest.raises(KeyError):
+            harness.write_metrics_csv(path, report)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
 class TestCheckpointRoundtrip:
     def test_save_load_predict_identical(self, micro_data, tmp_path):
         cfg = micro_train_config(epochs=1)
@@ -257,3 +280,12 @@ class TestDivergenceAbort:
         cfg = micro_train_config(lr=1e12, epochs=2)
         with pytest.raises(NumericError, match="non-finite"):
             harness.train(cfg, micro_data)
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nonfinite_input_names_first_op(self, micro_data):
+        from perigate.errors import NumericError
+
+        data = micro_data.copy()
+        data[3, 0, 0, 2, 2] = np.inf
+        with pytest.raises(NumericError, match=r"first non-finite op: 'conv2d' \(tape node 0 of"):
+            harness.train(micro_train_config(epochs=1), data)

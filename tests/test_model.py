@@ -280,3 +280,77 @@ class TestEndToEndGradients:
             [f0, f1] + model.store.variables(),
         )
         assert err < 1e-5
+
+
+class TestBatchAxis:
+    """One graph over a minibatch equals the per-sample graphs it replaces."""
+
+    # drop uniforms per block (rows) and sample (columns): with rate 0.3,
+    # sample 0 drops block 0, sample 1 drops block 1, sample 2 keeps both
+    DRAWS = np.array([[0.1, 0.9, 0.5], [0.8, 0.2, 0.95]])
+
+    def test_batched_loss_and_grads_equal_per_sample_mean(self):
+        from perigate import harness
+        from perigate.data import gen_bouncing
+
+        cfg = micro_config(n_t=2, drop_path=0.3)
+        model = Model.build(cfg, seed=3, dtype=np.float64)
+        seqs = gen_bouncing(seed=6, num_sequences=3, frames=4, height=8, width=8)
+        assert (self.DRAWS < 0.3).any() and (self.DRAWS >= 0.3).any()
+
+        def loss_and_grads(batch, draw):
+            model.store.zero_grads()
+            out, tape = ad.forward_traced(lambda: harness._batch_loss(model, batch, draw), [])
+            ad.backward(tape, np.asarray(1.0))
+            return float(out.value), {n: model.store.grad(n).copy() for n in model.store.names()}
+
+        loss, grads = loss_and_grads(seqs, lambda p, b: self.DRAWS[b])
+        singles = [loss_and_grads(seqs[j], lambda p, b, j=j: float(self.DRAWS[b, j]))
+                   for j in range(3)]
+        want_loss = np.mean([s[0] for s in singles])
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for name in model.store.names():
+            want = np.mean([s[1][name] for s in singles], axis=0)
+            # relative to the gradient's largest entry, so cancelled entries do not count
+            assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    def test_scaling_one_sample_leaves_others_bitwise(self):
+        from perigate import block as gate_block
+        from perigate import ops
+        from perigate.rng import INIT, stream
+
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 4, 6, 6))
+        scaled = x.copy()
+        scaled[1] *= 100.0
+        gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+        settings = gate_block.BlockSettings(scales=(3, 5))
+        params = gate_block.init_params(ad.ParamStore(), "blk", 4, settings,
+                                        stream(0, INIT), np.float64)
+        for fn in (lambda a: ops.group_norm(a, gamma, beta, 2),
+                   lambda a: ops.grn(a, gamma, beta),
+                   lambda a: ad.group_norm(a, gamma, beta, 2).value,
+                   lambda a: ad.grn(a, gamma, beta).value,
+                   lambda a: gate_block.forward(ad.Var(a), params, settings).value):
+            before, after = fn(x), fn(scaled)
+            assert not np.array_equal(before[1], after[1])
+            for j in (0, 2):
+                assert before[j].tobytes() == after[j].tobytes()
+
+    def test_predict_accepts_batched_frames(self):
+        cfg = micro_config()
+        model = Model.build(cfg, seed=0, dtype=np.float64)
+        rng = np.random.default_rng(13)
+        batch = [rng.random((2, 1, 8, 8)) for _ in range(cfg.t_in)]
+        preds = model.predict(batch)
+        assert [p.value.shape for p in preds] == [(2, 1, 8, 8)] * cfg.t_out
+        for j in range(2):
+            single = model.predict([f[j] for f in batch])
+            for p, s in zip(preds, single):
+                np.testing.assert_allclose(p.value[j], s.value, rtol=1e-13, atol=1e-13)
+
+    def test_rejects_bad_frame_rank(self):
+        cfg = micro_config()
+        model = Model.build(cfg, seed=0, dtype=np.float64)
+        with pytest.raises(InputError):
+            model.predict([np.zeros((1, 2, 1, 8, 8))] * cfg.t_in)

@@ -333,6 +333,68 @@ class TestLayout:
             ops.unpack_time(np.zeros((5, 2, 2)), 2)
 
 
+class TestBatchAxis:
+    """A leading batch axis: every slice matches the loop oracle on that sample."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("op", ["conv2d_s1", "conv2d_s2", "pwconv", "dwconv_2d",
+                                    "sep_conv", "avg_pool3"])
+    def test_oracle_batch_slices(self, op, dtype):
+        rng = np.random.default_rng(80)
+        x = rng.standard_normal((2, 3, 5, 8)).astype(dtype)
+        w = rng.standard_normal((4, 3, 3, 3)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        pw = rng.standard_normal((4, 3)).astype(dtype)
+        k2 = rng.standard_normal((3, 3, 3)).astype(dtype)
+        h = rng.standard_normal((3, 5)).astype(dtype)
+        v = rng.standard_normal((3, 5)).astype(dtype)
+        f64 = lambda a: a.astype(np.float64)  # noqa: E731
+        kernels = {
+            "conv2d_s1": (lambda a: ops.conv2d(a, w, b),
+                          lambda a: dense_conv2d(a, f64(w), f64(b))),
+            "conv2d_s2": (lambda a: ops.conv2d(a, w, None, 2),
+                          lambda a: dense_conv2d(a, f64(w), None, stride=2)),
+            "pwconv": (lambda a: ops.pwconv(a, pw, b),
+                       lambda a: dense_conv2d(a, f64(pw)[:, :, None, None], f64(b))),
+            "dwconv_2d": (lambda a: ops.dwconv_2d(a, k2), lambda a: dense_dwconv2d(a, f64(k2))),
+            "sep_conv": (lambda a: ops.sep_conv(a, h, v),
+                         lambda a: dense_dwconv2d(a, np.einsum("ci,cj->cij", f64(v), f64(h)))),
+            "avg_pool3": (ops.avg_pool3, window_mean3),
+        }
+        fn, oracle = kernels[op]
+        got = fn(x)
+        assert got.shape[0] == 2
+        for i in range(2):
+            assert_oracle(got[i], oracle(f64(x[i])), dtype)
+
+    def test_statistics_per_sample(self):
+        rng = np.random.default_rng(81)
+        x = rng.standard_normal((2, 4, 5, 5))
+        gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+        for fn in (lambda a: ops.group_norm(a, gamma, beta, 2),
+                   lambda a: ops.grn(a, gamma, beta),
+                   ops.softmax_channels, ops.mean_channels, ops.upsample2x):
+            batched = fn(x)
+            for i in range(2):
+                np.testing.assert_allclose(batched[i], fn(x[i]), rtol=1e-14, atol=1e-14)
+
+    def test_layout_over_batch(self):
+        rng = np.random.default_rng(82)
+        frames = [rng.random((2, 3, 4, 4)) for _ in range(2)]
+        z = ops.pack_time(frames)
+        assert z.shape == (2, 6, 4, 4)
+        assert np.array_equal(z[:, 3:6], frames[1])
+        for a, b in zip(frames, ops.unpack_time(z, 2)):
+            assert np.array_equal(a, b)
+
+    def test_gate_map_broadcasts_over_channels(self):
+        x = np.random.default_rng(83).random((2, 3, 4, 4))
+        m = np.random.default_rng(84).random((2, 1, 4, 4))
+        assert np.array_equal(ops.mul(x, m), x * m)
+        with pytest.raises(ConfigurationError):
+            ops.mul(x, m[:1])  # a map must carry the same leading axes
+
+
 class TestSepKernelType:
     def test_outer(self):
         sk = SepKernel(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, -1.0]))
