@@ -230,9 +230,7 @@ def _cmd_analyze(args) -> int:
 
 def _beta_star(coeffs: spectral.QuadCoeffs, args) -> int:
     beta_star, snr_star = spectral.optimal_beta(coeffs, verify=False)
-    grid = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 100_000)
-    grid_max = float(np.max(spectral.snr(grid, coeffs)))
-    grid_ok = snr_star >= grid_max - 1e-9
+    grid_ok, _ = spectral.grid_check(coeffs, snr_star)
     print(f"beta_star {beta_star:.6f}")
     print(f"snr_star {snr_star:.9g}")
     print(f"snr_at_zero {spectral.snr(0.0, coeffs):.9g}")

@@ -267,7 +267,7 @@ def write_pgm(path, gray: np.ndarray):
     if gray.ndim != 2:
         raise InputError(f"PGM payload must be 2-D, got {gray.shape}")
     h, w = gray.shape
-    with open(path, "wb") as fh:
+    with container.atomic_write(path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(gray.astype(np.uint8).tobytes())
 
@@ -296,7 +296,7 @@ def dump_gates(model: Model, input_sequence: np.ndarray, block_index: int, out_p
     pgm_path = prefix.with_name(prefix.name + "_argmax.pgm")
     csv_path = prefix.with_name(prefix.name + "_alpha.csv")
     write_pgm(pgm_path, levels[argmax])
-    with open(csv_path, "w", newline="") as fh:
+    with container.atomic_write(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["h", "w"] + [f"alpha_{i}" for i in range(k)])
         for y in range(alpha.shape[1]):
@@ -307,7 +307,7 @@ def dump_gates(model: Model, input_sequence: np.ndarray, block_index: int, out_p
 
 def dump_betas(model: Model, out_csv):
     """Write every effective suppression coefficient: block, scale, channel, value."""
-    with open(out_csv, "w", newline="") as fh:
+    with container.atomic_write(out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block", "scale", "channel", "value"])
         for row in model.suppression_values():

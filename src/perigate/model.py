@@ -200,11 +200,16 @@ class Model:
         return x, skip
 
     def translate(self, z, mode: str = "eval", drop_draw=None):
-        """Multi-scale init followed by the gating block stack."""
+        """Multi-scale init followed by the gating block stack.
+
+        Stochastic-depth uniforms are drawn only when the drop rate is
+        positive; at rate 0 every branch is kept and nothing is drawn.
+        """
         settings = self.config.block_settings()
+        draws = drop_draw is not None and settings.drop_rate > 0.0
         x = multiscale.forward(z, self.params.msinit)
         for i, blk in enumerate(self.params.blocks):
-            u = drop_draw(i) if drop_draw is not None else None
+            u = drop_draw(i) if draws else None
             x = gate_block.forward(x, blk, settings, mode=mode, drop_u=u)
         return x
 

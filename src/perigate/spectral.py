@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .container import atomic_write
 from .errors import ConfigurationError, DegeneracyError, InputError, NumericError
 from .tensor import SepKernel
 
@@ -25,6 +26,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DEFAULT_SAMPLES = 1024
 MIN_SAMPLES = 64
+_EDGE = 1e-9  # beta domains are open: endpoints are approached this close
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +107,39 @@ def response_from_kernel(
     The real part keeps sign information (magnitude spectra cannot certify a
     ring). Radial symmetry of the real part under omega -> -omega lets the
     angular average run over [0, pi).
+
+    The angles come in mirror pairs theta, pi - theta, which flip the sign of
+    w1 and keep w2. Each factor's real part is even in its frequency and its
+    imaginary part odd, so over a pair the Im_h * Im_v products cancel and
+    the Re_h * Re_v products are equal: the average is Re_h * Re_v over
+    theta in [0, pi/2], each angle weighted by its number of mirror images.
+    With integer tap offsets -p..p, Re(w) = sum_o a_o cos(o w), where
+    a_0 = h_0 and a_o = h_o + h_-o, is summed by Clenshaw's recurrence in
+    cos w: O(n * angles * k) time and O(n * angles) memory.
     """
+    if num_angles < 1:
+        raise ConfigurationError(f"need at least one angle, got {num_angles}")
     r = grid(n)
-    offsets = np.arange(sk.k, dtype=np.float64) - (sk.k - 1) / 2.0
-    theta = np.linspace(0.0, math.pi, num_angles, endpoint=False)
+    p = (sk.k - 1) // 2
+    theta = np.linspace(0.0, math.pi, num_angles, endpoint=False)[: num_angles // 2 + 1]
     w1 = r[:, None] * np.cos(theta)[None, :]  # along columns (h)
     w2 = r[:, None] * np.sin(theta)[None, :]  # along rows (v)
-    eh = np.exp(-1j * w1[:, :, None] * offsets) @ sk.h
-    ev = np.exp(-1j * w2[:, :, None] * offsets) @ sk.v
-    values = (eh * ev).real.mean(axis=1)
-    return FreqResponse(r, values)
+    x = np.cos(np.stack([w1, w2]))
+    taps = np.stack([sk.h, sk.v])
+    coeffs = taps[:, p:] + taps[:, p::-1]
+    coeffs[:, 0] = taps[:, p]
+    two_x = 2.0 * x
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    for j in range(p, -1, -1):  # b_j = a_j + 2 x b_(j+1) - b_(j+2)
+        b0 = two_x * b1
+        b0 -= b2
+        b0 += coeffs[:, j, None, None]
+        b1, b2 = b0, b1
+    re_h, re_v = b1 - x * b2  # sum_j a_j T_j(x) = b_0 - x b_1
+    a = np.arange(theta.size)
+    weight = np.where((a == 0) | (2 * a == num_angles), 1.0, 2.0) / num_angles
+    return FreqResponse(r, (re_h * re_v) @ weight)
 
 
 def _same_grid(a: FreqResponse, b: FreqResponse):
@@ -351,19 +376,34 @@ def optimal_beta(
     lo, hi = domain
     if not lo < hi:
         raise ConfigurationError(f"empty domain ({lo}, {hi})")
-    edge = 1e-9
-    candidates = [r for r in roots if lo < r < hi] + [lo + edge, hi - edge]
+    candidates = [r for r in roots if lo < r < hi] + [lo + _EDGE, hi - _EDGE]
     values = [snr(b, coeffs) for b in candidates]
     best = int(np.argmax(values))
     beta_star, snr_star = candidates[best], values[best]
     if verify:
-        betas = np.linspace(lo + edge, hi - edge, grid_points)
-        grid_max = float(np.max(snr(betas, coeffs)))
-        if snr_star < grid_max - 1e-9:
+        ok, grid_max = grid_check(coeffs, snr_star, domain, grid_points)
+        if not ok:
             raise NumericError(
                 f"analytic optimum {snr_star} below grid maximum {grid_max}"
             )
     return beta_star, snr_star
+
+
+def grid_check(
+    coeffs: QuadCoeffs,
+    snr_star: float,
+    domain: tuple[float, float] = (-1.0, 1.0),
+    grid_points: int = 100_000,
+) -> tuple[bool, float]:
+    """Whether snr_star reaches the SNR maximum on a dense grid, and that maximum.
+
+    The grid spans the open domain 1e-9 in from each end; snr_star may fall
+    short of the grid maximum by at most 1e-9.
+    """
+    lo, hi = domain
+    betas = np.linspace(lo + _EDGE, hi - _EDGE, grid_points)
+    grid_max = float(np.max(snr(betas, coeffs)))
+    return snr_star >= grid_max - 1e-9, grid_max
 
 
 def snr_advantage(coeffs: QuadCoeffs) -> Optional[float]:
@@ -432,7 +472,7 @@ def write_ring_csv(
     """Per-sample response table: r, H_L, H_S, H_beta, ring_flag."""
     _same_grid(h_l, h_s)
     _same_grid(h_l, h_beta)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "H_L", "H_S", "H_beta", "ring_flag"])
         for i, r in enumerate(h_l.r):
@@ -444,7 +484,7 @@ def write_ring_csv(
 
 
 def write_snr_sweep_csv(path, betas: np.ndarray, values: np.ndarray):
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["beta", "snr"])
         for b, s in zip(betas, values):

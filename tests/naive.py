@@ -81,3 +81,23 @@ def window_variance3(x2d):
             arr = np.array(vals)
             out[i, j] = (arr**2).mean() - arr.mean() ** 2
     return out
+
+
+def kernel_radial_dtft(h, v, n, num_angles):
+    """Radially averaged real part of the 2-D DTFT of v (x) h on [0, pi].
+
+    Complex exponentials summed tap by tap, one angle at a time; h runs
+    along w1 = r cos(theta), v along w2 = r sin(theta), theta in [0, pi).
+    """
+    k = len(h)
+    r = np.linspace(0.0, np.pi, n)
+    offsets = np.arange(k) - (k - 1) / 2.0
+    out = np.zeros(n)
+    for theta in np.linspace(0.0, np.pi, num_angles, endpoint=False):
+        eh = np.zeros(n, dtype=np.complex128)
+        ev = np.zeros(n, dtype=np.complex128)
+        for tap in range(k):
+            eh += h[tap] * np.exp(-1j * r * np.cos(theta) * offsets[tap])
+            ev += v[tap] * np.exp(-1j * r * np.sin(theta) * offsets[tap])
+        out += (eh * ev).real
+    return out / num_angles

@@ -214,6 +214,16 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "snr_at_zero" in out and "grid_ok true" in out
 
+    def test_beta_star_below_grid_exits_1(self, capsys, monkeypatch):
+        from perigate import spectral
+
+        # an "optimum" at beta = 0.9 falls short of the grid maximum near -0.618
+        monkeypatch.setattr(spectral, "optimal_beta",
+                            lambda coeffs, verify: (0.9, spectral.snr(0.9, coeffs)))
+        code = main(["analyze", "beta-star", "--coeffs", "2,1,1,1,0,1"])
+        assert code == 1
+        assert "grid_ok false" in capsys.readouterr().out
+
     def test_malformed_grammar_exits_2(self, capsys):
         assert main(["analyze", "ring", "--hl", "exp:fast", "--hs", "gauss:1"]) == 2
         assert main(["analyze", "ring", "--hl", "blob:1", "--hs", "gauss:1"]) == 2

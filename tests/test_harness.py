@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from perigate import harness
+from perigate import harness, spectral
 from perigate.config import TrainConfig, parse_config_text, serialize_config
 from perigate.data import gen_bouncing
 from perigate.errors import InputError
@@ -56,6 +56,23 @@ class TestTraining:
         _, history = harness.train(cfg, micro_data)
         assert np.isfinite(history[0].loss)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_stochastic_depth_draws_only_when_used(self, micro_data, monkeypatch, rate):
+        calls = []
+
+        def counting_uniform(*args):
+            calls.append(args)
+            return harness_uniform(*args)
+
+        harness_uniform = harness.counter_uniform
+        monkeypatch.setattr(harness, "counter_uniform", counting_uniform)
+        cfg = micro_train_config(epochs=1)
+        cfg.model.drop_path = rate
+        model, _ = harness.train(cfg, micro_data)
+        # t_out <= t_in: one translator pass, one uniform per sequence and block
+        expected = len(micro_data) * len(model.params.blocks) if rate > 0 else 0
+        assert len(calls) == expected
+
     def test_data_shape_mismatch(self, micro_data):
         cfg = micro_train_config()
         cfg.model.height = 16
@@ -100,6 +117,15 @@ class TestAtomicCsv:
             harness.write_metrics_csv(path, report)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+    def test_failed_snr_sweep_write_keeps_target(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        spectral.write_snr_sweep_csv(path, [0.0, 0.5], [1.0, 2.0])
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            spectral.write_snr_sweep_csv(path, [0.0, 0.5], [3.0, "nan?"])  # second row raises
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 class TestCheckpointRoundtrip:

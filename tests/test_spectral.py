@@ -1,9 +1,13 @@
 """Spectral toolkit: responses, ring detection, SNR stationarity/advantage."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from perigate import spectral
 from perigate.errors import ConfigurationError, DegeneracyError, InputError
@@ -24,6 +28,8 @@ from perigate.spectral import (
     stationary_polynomial,
 )
 from perigate.tensor import SepKernel
+
+from naive import kernel_radial_dtft
 
 
 def scan_ring_oracle(fn, n):
@@ -89,6 +95,54 @@ class TestResponses:
             spectral.grid(32)  # too few samples
         resp = response_from_function(np.sin, 128)
         assert resp.r[0] == 0.0 and resp.r[-1] == pytest.approx(math.pi)
+
+
+def _mirror(taps, sign):
+    """Symmetric (sign 1) or antisymmetric (sign -1) part of a tap row; None keeps it."""
+    return taps if sign is None else 0.5 * (taps + sign * taps[::-1])
+
+
+@st.composite
+def kernel_pairs(draw):
+    k = 2 * draw(st.integers(0, 31)) + 1
+    taps = hnp.arrays(np.float64, k, elements=st.floats(-1.0, 1.0, allow_subnormal=False))
+    symmetry = st.sampled_from([None, 1.0, -1.0])
+    h = _mirror(draw(taps), draw(symmetry))
+    v = _mirror(draw(taps), draw(symmetry))
+    return h, v
+
+
+class TestKernelResponseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair=kernel_pairs(),
+        n=st.sampled_from([64, 1024]),
+        num_angles=st.sampled_from([1, 7, 64]),
+    )
+    @example(pair=(np.linspace(-1.0, 1.0, 63), np.linspace(1.0, -1.0, 63)), n=1024, num_angles=64)
+    @example(pair=(np.arange(7.0) - 3.0, np.ones(7)), n=64, num_angles=7)
+    def test_matches_complex_exponential_oracle(self, pair, n, num_angles):
+        h, v = pair
+        got = response_from_kernel(SepKernel(h, v), n=n, num_angles=num_angles).values
+        want = kernel_radial_dtft(h, v, n, num_angles)
+        scale = np.abs(h).sum() * np.abs(v).sum()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+    def test_no_angle_rejected(self):
+        with pytest.raises(ConfigurationError):
+            response_from_kernel(SepKernel(np.ones(3), np.ones(3)), n=64, num_angles=0)
+
+    def test_peak_memory_is_per_grid_point(self):
+        # an [n, angles, k] complex table would take 32 MB here
+        rng = np.random.default_rng(31)
+        sk = SepKernel(rng.standard_normal(31), rng.standard_normal(31))
+        tracemalloc.start()
+        try:
+            response_from_kernel(sk, n=1024, num_angles=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestComposite:
