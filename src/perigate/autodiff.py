@@ -26,10 +26,10 @@ from .errors import (
 __all__ = [
     "Var", "Tape", "ParamStore", "tape_active", "forward_traced", "backward",
     "grad_check", "add", "sub", "mul", "scale", "tanh", "sigmoid", "leaky_relu",
-    "relu", "sqrt", "absolute", "dwconv_1d_h", "dwconv_1d_v", "sep_conv",
-    "dwconv_2d", "conv2d", "pwconv", "avg_pool3", "softmax_channels", "grn",
-    "group_norm", "upsample2x", "concat_channels", "split_channels",
-    "pack_time", "unpack_time", "mean_channels", "mean_all", "drop_path",
+    "relu", "sqrt", "absolute", "sep_conv", "dwconv_2d", "conv2d", "pwconv",
+    "avg_pool3", "softmax_channels", "grn", "group_norm", "upsample2x",
+    "concat_channels", "split_channels", "pack_time", "unpack_time",
+    "mean_channels", "mean_all", "drop_path",
 ]
 
 
@@ -303,45 +303,33 @@ def absolute(x):
     return _track(y, (x,), lambda g: (g * np.sign(xv),))
 
 
-def _kernel_grad_1d(g, win, kernel_value):
-    """1-D depthwise kernel gradient summed over the leading axes;
-    ``win`` is the [..., C, H, W, k] window view of the padded input."""
+def _dwconv_1d_vjp(g, xv, kv, kernel, axis: int):
+    """Input and kernel gradients of one 1-D depthwise pass along ``axis``;
+    the kernel gradient sums over the leading axes."""
     c, hh, ww = g.shape[-3:]
-    gk = np.einsum("nchw,nchwk->ck", g.reshape(-1, c, hh, ww),
-                   win.reshape((-1, c, hh, ww, win.shape[-1])))
-    if kernel_value.ndim == 1:  # shared kernel: sum channel contributions
-        gk = gk.sum(axis=0)
-    return gk
-
-
-def _dwconv_1d(op, axis: int, x, kernel):
-    xv, kv = _val(x), _val(kernel)
-    y = op(xv, kv)
-
-    def vjp(g):
-        k = kv.shape[-1]
-        p = (k - 1) // 2
-        flipped = ops._per_channel(kv, xv.shape[-3], 1)[:, ::-1]
-        gx = op(g, flipped)
-        gk = None
-        if isinstance(kernel, Var):
-            xp = ops.pad(xv, p, 0) if axis == -2 else ops.pad(xv, 0, p)
-            gk = _kernel_grad_1d(g, sliding_window_view(xp, k, axis=axis), kv)
-        return gx, gk
-
-    return _track(y, (x, kernel), vjp)
-
-
-def dwconv_1d_h(x, h):
-    return _dwconv_1d(ops.dwconv_1d_h, -1, x, h)
-
-
-def dwconv_1d_v(x, v):
-    return _dwconv_1d(ops.dwconv_1d_v, -2, x, v)
+    k = kv.shape[-1]
+    p = (k - 1) // 2
+    gx = ops._dwconv_1d(g, ops._per_channel(kv, c, 1)[:, ::-1], axis)
+    if not isinstance(kernel, Var):
+        return gx, None
+    xp = ops.pad(xv, p, 0) if axis == -2 else ops.pad(xv, 0, p)
+    win = sliding_window_view(xp, k, axis=axis)  # [..., C, H, W, k]
+    gk = np.einsum("nchw,nchwk->ck", g.reshape(-1, c, hh, ww), win.reshape((-1, c, hh, ww, k)))
+    return gx, (gk.sum(axis=0) if kv.ndim == 1 else gk)  # shared kernel: sum channels
 
 
 def sep_conv(x, h, v):
-    return dwconv_1d_v(dwconv_1d_h(x, h), v)
+    """Separable depthwise correlation recorded as one node; its vjp undoes the
+    vertical pass (from the kept horizontal output), then the horizontal one."""
+    xv, hv, vv = _val(x), _val(h), _val(v)
+    y, mid = ops.sep_conv_parts(xv, hv, vv)
+
+    def vjp(g):
+        g_mid, gv = _dwconv_1d_vjp(g, mid, vv, v, -2)
+        gx, gh = _dwconv_1d_vjp(g_mid, xv, hv, h, -1)
+        return gx, gh, gv
+
+    return _track(y, (x, h, v), vjp)
 
 
 def dwconv_2d(x, kernel):

@@ -14,7 +14,7 @@ One block computes, from its input stack:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,10 +84,9 @@ class BlockSettings:
 
 @dataclass
 class BlockInternals:
-    """Optional introspection payload from a forward pass."""
+    """Optional introspection payload from a forward pass: the gate weights."""
 
     alpha: Var | None = None
-    responses: dict[int, Var] = field(default_factory=dict)
 
 
 def init_params(
@@ -235,8 +234,6 @@ def forward(
         else:
             y_k = center_suppress(p_k, center_response, suppression_coefficient(params, settings, k))
         responses.append(y_k)
-        if internals is not None:
-            internals.responses[k] = y_k
     if internals is not None:
         internals.alpha = alpha
     fused = fuse(alpha, responses)

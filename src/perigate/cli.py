@@ -120,21 +120,15 @@ def _parse_spectrum(raw: str, samples: int) -> spectral.FreqResponse:
     if kind == "kernel":
         arr = container.load_tensor(rest)
         if arr.ndim == 1:
-            sk = _sep_kernel(arr, arr)
+            sk = spectral.SepKernel(arr, arr)
         elif arr.ndim == 2 and arr.shape[0] == 2:
-            sk = _sep_kernel(arr[0], arr[1])
+            sk = spectral.SepKernel(arr[0], arr[1])
         else:
             raise InputError(
                 f"kernel file must hold [k] (h=v) or [2,k] (h,v rows), got {arr.shape}"
             )
         return spectral.response_from_kernel(sk, samples)
     raise InputError(f"unknown spectrum kind '{kind}'; use exp:, gauss: or kernel:")
-
-
-def _sep_kernel(h, v):
-    from .tensor import SepKernel
-
-    return SepKernel(np.asarray(h, dtype=np.float64), np.asarray(v, dtype=np.float64))
 
 
 def _parse_signal(raw: str, samples: int) -> spectral.FreqResponse:

@@ -19,7 +19,7 @@ from . import container, metrics
 from .autodiff import Tape, backward
 from .config import TrainConfig, parse_config_text, serialize_config
 from .errors import InputError, NumericError
-from .model import Model, count_flops, count_params
+from .model import Model, ModelConfig, count_flops
 from .rng import DROP, SHUFFLE, counter_uniform, stream
 
 
@@ -61,15 +61,15 @@ def load_sequences(path) -> np.ndarray:
     return arr
 
 
-def _check_data(cfg: TrainConfig, data: np.ndarray, need_targets: bool):
-    n, t, c, h, w = data.shape
-    m = cfg.model
-    need = m.t_in + m.t_out if need_targets else m.t_in
-    if t < need:
-        raise InputError(f"data has {t} frames, config needs {need}")
-    if (c, h, w) != (m.c_in, m.height, m.width):
+def _check_sequences(m: ModelConfig, data: np.ndarray, need: int):
+    """Accept only [N,T,c_in,H,W] sequences of at least ``need`` frames."""
+    if data.ndim != 5:
+        raise InputError(f"sequence data must be [N,T,C,H,W], got rank {data.ndim}")
+    if data.shape[1] < need:
+        raise InputError(f"data has {data.shape[1]} frames, config needs {need}")
+    if data.shape[2:] != (m.c_in, m.height, m.width):
         raise InputError(
-            f"data frames {c}x{h}x{w} do not match config {m.c_in}x{m.height}x{m.width}"
+            f"data frames {data.shape[2:]} do not match config {(m.c_in, m.height, m.width)}"
         )
 
 
@@ -142,7 +142,7 @@ def train(cfg: TrainConfig, data: np.ndarray, log=None) -> tuple[Model, list[Epo
     so every drop decision is independent of how the batch is evaluated.
     """
     cfg.validate()
-    _check_data(cfg, data, need_targets=True)
+    _check_sequences(cfg.model, data, cfg.model.t_in + cfg.model.t_out)
     model = Model.build(cfg.model, seed=cfg.seed, dtype=np.float32)
     opt = Adam(model.store, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
     n = data.shape[0]
@@ -200,7 +200,7 @@ def load_model(path) -> tuple[TrainConfig, Model]:
 def predict_batch(model: Model, data: np.ndarray) -> np.ndarray:
     """Eval-mode predictions for every sequence: [N, t_out, c_out, H, W]."""
     m = model.config
-    _check_data_model(model, data)
+    _check_sequences(m, data, m.t_in)
     out = np.empty(
         (data.shape[0], m.t_out, m.c_out, m.height, m.width), dtype=model.dtype
     )
@@ -212,28 +212,13 @@ def predict_batch(model: Model, data: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_data_model(model: Model, data: np.ndarray):
-    if data.ndim != 5:
-        raise InputError(f"sequence data must be [N,T,C,H,W], got rank {data.ndim}")
-    m = model.config
-    if data.shape[1] < m.t_in:
-        raise InputError(f"data has {data.shape[1]} frames, model needs {m.t_in}")
-    if data.shape[2:] != (m.c_in, m.height, m.width):
-        raise InputError(
-            f"data frames {data.shape[2:]} do not match model {(m.c_in, m.height, m.width)}"
-        )
-
-
 METRIC_NAMES = ("mse", "mse_norm", "mae", "psnr", "ssim", "params", "flops")
 
 
 def evaluate(cfg: TrainConfig, model: Model, data: np.ndarray) -> dict[str, float]:
     """Run eval-mode prediction over a dataset and report the seven metrics."""
     m = cfg.model
-    if data.shape[1] < m.t_in + m.t_out:
-        raise InputError(
-            f"data has {data.shape[1]} frames, evaluation needs {m.t_in + m.t_out}"
-        )
+    _check_sequences(m, data, m.t_in + m.t_out)
     preds = predict_batch(model, data)
     gt = data[:, m.t_in : m.t_in + m.t_out].astype(np.float64)
     preds = preds.astype(np.float64)
@@ -243,7 +228,7 @@ def evaluate(cfg: TrainConfig, model: Model, data: np.ndarray) -> dict[str, floa
         "mae": metrics.mae(preds, gt),
         "psnr": metrics.psnr(preds, gt),
         "ssim": metrics.ssim(preds, gt),
-        "params": float(count_params(m)),
+        "params": float(model.store.num_scalars()),
         "flops": float(count_flops(m)),
     }
 
@@ -275,16 +260,21 @@ def write_pgm(path, gray: np.ndarray):
 def dump_gates(model: Model, input_sequence: np.ndarray, block_index: int, out_prefix):
     """Write the gate map of one block: full alpha CSV plus argmax PGM.
 
+    The map comes from one ordinary eval-mode prediction of the sequence's
+    first t_in frames (its first pass when the horizon rolls out).
     The PGM maps the per-pixel argmax scale index (ties toward the smallest
     index) to evenly spaced gray levels. Returns the two output paths.
     """
     m = model.config
+    if not 0 <= block_index < m.n_t:
+        raise InputError(f"block index {block_index} out of range 0..{m.n_t - 1}")
     if input_sequence.ndim != 4 or input_sequence.shape[0] < m.t_in:
         raise InputError(
             f"input sequence must be [T>={m.t_in},C,H,W], got {input_sequence.shape}"
         )
-    frames = [input_sequence[t] for t in range(m.t_in)]
-    alpha = model.gate_map(frames, block_index)
+    internals = []
+    model.predict([input_sequence[t] for t in range(m.t_in)], internals=internals)
+    alpha = internals[block_index].alpha.value
     k = alpha.shape[0]
     argmax = alpha.argmax(axis=0)
     levels = (

@@ -199,18 +199,23 @@ class Model:
                 skip = x
         return x, skip
 
-    def translate(self, z, mode: str = "eval", drop_draw=None):
+    def translate(self, z, mode: str = "eval", drop_draw=None, internals=None):
         """Multi-scale init followed by the gating block stack.
 
         Stochastic-depth uniforms are drawn only when the drop rate is
-        positive; at rate 0 every branch is kept and nothing is drawn.
+        positive; at rate 0 every branch is kept and nothing is drawn. A list
+        passed as ``internals`` receives one :class:`BlockInternals` per block.
         """
         settings = self.config.block_settings()
         draws = drop_draw is not None and settings.drop_rate > 0.0
         x = multiscale.forward(z, self.params.msinit)
         for i, blk in enumerate(self.params.blocks):
             u = drop_draw(i) if draws else None
-            x = gate_block.forward(x, blk, settings, mode=mode, drop_u=u)
+            record = None
+            if internals is not None:
+                record = gate_block.BlockInternals()
+                internals.append(record)
+            x = gate_block.forward(x, blk, settings, mode=mode, drop_u=u, internals=record)
         return x
 
     def decode_frame(self, feat, skip):
@@ -227,14 +232,16 @@ class Model:
             x = ad.leaky_relu(x, 0.2)
         return ad.pwconv(x, self.params.readout_w, self.params.readout_b)
 
-    def predict(self, frames, mode: str = "eval", drop_draw=None):
+    def predict(self, frames, mode: str = "eval", drop_draw=None, internals=None):
         """Map t_in input frames to exactly t_out output frames.
 
         Each frame is one [c_in,H,W] sample or a batch [N,c_in,H,W], and the
         outputs match. ``drop_draw(pass_idx, block_idx)`` supplies the
         stochastic-depth uniforms in train mode, one per sample. Shorter
         horizons slice the first pass; longer horizons roll out by feeding
-        the last t_in predictions back as inputs.
+        the last t_in predictions back as inputs. A list passed as
+        ``internals`` receives the first pass's block internals (see
+        :meth:`translate`).
         """
         cfg = self.config
         frames = list(frames)
@@ -249,7 +256,8 @@ class Model:
                 skips.append(skip)
             z = ad.pack_time(feats)
             draw = (lambda b: drop_draw(pass_idx, b)) if drop_draw is not None else None
-            z = self.translate(z, mode=mode, drop_draw=draw)
+            z = self.translate(z, mode=mode, drop_draw=draw,
+                               internals=internals if pass_idx == 0 else None)
             parts = ad.unpack_time(z, cfg.t_in)
             return [self.decode_frame(parts[t], skips[t]) for t in range(keep)]
 
@@ -265,37 +273,17 @@ class Model:
             pass_idx += 1
         return outputs[: cfg.t_out]
 
-    def gate_map(self, frames, block_index: int) -> np.ndarray:
-        """Gate weights [K,H',W'] at one translator block for the first pass."""
-        if not 0 <= block_index < len(self.params.blocks):
-            raise InputError(
-                f"block index {block_index} out of range 0..{len(self.params.blocks) - 1}"
-            )
-        frames = list(frames)
-        if len(frames) != self.config.t_in:
-            raise InputError(f"expected {self.config.t_in} input frames, got {len(frames)}")
-        settings = self.config.block_settings()
-        feats = [self.encode_frame(f)[0] for f in frames]
-        x = multiscale.forward(ad.pack_time(feats), self.params.msinit)
-        for i in range(block_index):
-            x = gate_block.forward(x, self.params.blocks[i], settings, mode="eval")
-        internals = gate_block.BlockInternals()
-        gate_block.forward(
-            x, self.params.blocks[block_index], settings, mode="eval", internals=internals
-        )
-        return internals.alpha.value
-
     def suppression_values(self) -> list[tuple[int, int, int, float]]:
         """Effective center-suppression coefficients as (block, scale, channel, value)."""
         rows = []
         settings = self.config.block_settings()
         for b, blk in enumerate(self.params.blocks):
             for k in blk.scales:
-                if settings.beta_mode == "fixed":
+                coefficient = gate_block.suppression_coefficient(blk, settings, k)
+                if coefficient is None:
                     values = np.full(self.config.packed_channels, settings.beta_fixed)
                 else:
-                    raw = blk.beta_raw[k].value
-                    values = np.tanh(raw) if settings.beta_act == "tanh" else 1.0 / (1.0 + np.exp(-raw))
+                    values = coefficient.value
                 rows.extend((b, k, c, float(v)) for c, v in enumerate(values))
         return rows
 

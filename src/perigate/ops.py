@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, UnsupportedOperationError
+from .errors import ConfigurationError
 
 
 def _check_odd(k: int):
@@ -54,6 +54,7 @@ def pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 
 def _dwconv_1d(x: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Depthwise 1-D correlation along ``axis``: -1 (1 x k, width) or -2 (k x 1, height)."""
     kernel = _per_channel(kernel, x.shape[-3], 1)
     k = kernel.shape[1]
     _check_odd(k)
@@ -64,19 +65,16 @@ def _dwconv_1d(x: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     return np.einsum("...chwk,ck->...chw", win, kernel)
 
 
-def dwconv_1d_h(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Depthwise 1 x k correlation along the width axis."""
-    return _dwconv_1d(x, h, -1)
-
-
-def dwconv_1d_v(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Depthwise k x 1 correlation along the height axis."""
-    return _dwconv_1d(x, v, -2)
+def sep_conv_parts(x: np.ndarray, h: np.ndarray, v: np.ndarray):
+    """:func:`sep_conv` output plus the horizontal pass its gradient reuses."""
+    mid = _dwconv_1d(x, h, -1)
+    return _dwconv_1d(mid, v, -2), mid
 
 
 def sep_conv(x: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Separable depthwise correlation: horizontal pass then vertical pass."""
-    return dwconv_1d_v(dwconv_1d_h(x, h), v)
+    """Separable depthwise correlation: a 1 x k pass along the width with ``h``,
+    then a k x 1 pass along the height with ``v``."""
+    return sep_conv_parts(x, h, v)[0]
 
 
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -288,45 +286,7 @@ def split_channels(x: np.ndarray, sizes) -> list[np.ndarray]:
     return out
 
 
-def pack_time(frames) -> np.ndarray:
-    """Stack T frames of [..., C,H,W] into [..., T*C,H,W]; frame t occupies block [t*C,(t+1)*C)."""
-    frames = [np.asarray(f) for f in frames]
-    shape = frames[0].shape
-    for f in frames[1:]:
-        if f.shape != shape:
-            raise ConfigurationError(f"frame shape mismatch: {f.shape} vs {shape}")
-    return np.concatenate(frames, axis=-3)
-
-
-def unpack_time(z: np.ndarray, t: int) -> list[np.ndarray]:
-    if z.shape[-3] % t != 0:
-        raise ConfigurationError(f"{z.shape[-3]} channels not divisible by {t} frames")
-    return split_channels(z, [z.shape[-3] // t] * t)
-
-
 def mean_channels(x: np.ndarray) -> np.ndarray:
     """Channel mean, keeping a single-channel axis: [..., C,H,W] -> [..., 1,H,W]."""
     return x.mean(axis=-3, keepdims=True)
 
-
-_ELEMENTWISE = {
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "leaky_relu": leaky_relu,
-    "relu": relu,
-    "scale": scale,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "sqrt": sqrt,
-    "abs": absolute,
-}
-
-
-def elementwise(op: str, *args, **kwargs):
-    """Dispatch an elementwise operation by name."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise UnsupportedOperationError(f"unknown elementwise op '{op}'") from None
-    return fn(*args, **kwargs)

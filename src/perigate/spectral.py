@@ -20,7 +20,6 @@ import numpy as np
 
 from .container import atomic_write
 from .errors import ConfigurationError, DegeneracyError, InputError, NumericError
-from .tensor import SepKernel
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -56,9 +55,43 @@ class GaussianDecay:
     variance: float
     dc_gain: float = 1.0
 
+    def __post_init__(self):
+        if not self.variance > 0:
+            raise InputError(f"gaussian variance must be positive, got {self.variance}")
+
     def __call__(self, r):
         r = np.asarray(r, dtype=np.float64)
         return self.dc_gain * np.exp(-(r * r) / (2.0 * self.variance))
+
+
+@dataclass(frozen=True)
+class SepKernel:
+    """Separable kernel pair: row kernel ``h`` (1 x k) and column kernel ``v`` (k x 1)."""
+
+    h: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        h = np.asarray(self.h, dtype=np.float64)
+        v = np.asarray(self.v, dtype=np.float64)
+        if h.ndim != 1 or v.ndim != 1:
+            raise ConfigurationError("separable kernel components must be 1-D")
+        if h.shape[0] != v.shape[0]:
+            raise ConfigurationError(
+                f"row/column kernels must have equal length, got {h.shape[0]} and {v.shape[0]}"
+            )
+        if h.shape[0] % 2 == 0:
+            raise ConfigurationError(f"kernel size must be odd, got {h.shape[0]}")
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "v", v)
+
+    @property
+    def k(self) -> int:
+        return self.h.shape[0]
+
+    def outer(self) -> np.ndarray:
+        """Equivalent dense 2-D kernel v (x) h."""
+        return np.outer(self.v, self.h)
 
 
 @dataclass(frozen=True)
@@ -84,6 +117,8 @@ class FreqResponse:
             raise ConfigurationError("grid must span [0, pi]")
         if np.any(np.diff(r) <= 0):
             raise ConfigurationError("grid must be strictly increasing")
+        if not np.all(np.isfinite(v)):
+            raise InputError("response has non-finite samples")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", v)
 
@@ -246,6 +281,11 @@ class QuadCoeffs:
     bt: float
     ct: float
     sigma2: float
+
+    def __post_init__(self):
+        bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise InputError(f"non-finite SNR coefficient(s): {', '.join(bad)}")
 
 
 def quad_coeffs(

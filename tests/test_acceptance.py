@@ -134,8 +134,14 @@ def test_criterion_05_gradient_correctness():
     rng = np.random.default_rng(500)
     x = rng.random((2, 6, 6)) + 0.1
     primitives = {
-        "dwconv_1d_h": (lambda a, b: ad.dwconv_1d_h(a, b), [x, rng.standard_normal((2, 5))]),
-        "dwconv_1d_v": (lambda a, b: ad.dwconv_1d_v(a, b), [x, rng.standard_normal((2, 5))]),
+        "sep_conv_k5": (
+            lambda a, b, c: ad.sep_conv(a, b, c),
+            [x, rng.standard_normal((2, 5)), rng.standard_normal((2, 5))],
+        ),
+        "sep_conv_k5_shared": (
+            lambda a, b, c: ad.sep_conv(a, b, c),
+            [x, rng.standard_normal(5), rng.standard_normal(5)],
+        ),
         "sep_conv": (
             lambda a, b, c: ad.sep_conv(a, b, c),
             [x, rng.standard_normal((2, 3)), rng.standard_normal((2, 3))],

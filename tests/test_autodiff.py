@@ -81,61 +81,99 @@ class TestSoftmaxJacobian:
         np.testing.assert_allclose(x.grad.sum(axis=0), 0.0, atol=1e-12)
 
 
+def primitive_cases():
+    """One grad_check case per traced op (several for ops with more than one form)."""
+    rng = np.random.default_rng(5)
+    x = rng.random((2, 6, 6)) + 0.1
+    return {
+        "add": (lambda a, b: ad.add(a, b), [x, rng.standard_normal((2, 6, 6))]),
+        "add_chan": (lambda a, b: ad.add(a, b), [x, rng.standard_normal(2)]),
+        "sub": (lambda a, b: ad.sub(a, b), [x, rng.standard_normal((2, 6, 6))]),
+        "mul_chan": (lambda a, b: ad.mul(a, b), [x, rng.standard_normal(2)]),
+        "scale": (lambda a: ad.scale(a, -1.7), [x]),
+        "tanh": (lambda a: ad.tanh(a), [x]),
+        "sigmoid": (lambda a: ad.sigmoid(a), [x]),
+        "leaky": (lambda a: ad.leaky_relu(a, 0.2), [x]),
+        "relu": (lambda a: ad.relu(a), [x]),
+        "sqrt": (lambda a: ad.sqrt(a), [x]),
+        "abs": (lambda a: ad.absolute(a), [x]),
+        "sep_k5": (
+            lambda a, h, v: ad.sep_conv(a, h, v),
+            [x, rng.standard_normal((2, 5)), rng.standard_normal((2, 5))],
+        ),
+        "sep_k5_shared": (
+            lambda a, h, v: ad.sep_conv(a, h, v),
+            [x, rng.standard_normal(5), rng.standard_normal(5)],
+        ),
+        "dw2": (lambda a, b: ad.dwconv_2d(a, b), [x, rng.standard_normal((2, 3, 3))]),
+        "conv_s1": (
+            lambda a, w, b: ad.conv2d(a, w, b, 1),
+            [x, rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)],
+        ),
+        "conv_s2": (
+            lambda a, w: ad.conv2d(a, w, None, 2),
+            [x, rng.standard_normal((3, 2, 3, 3))],
+        ),
+        "pw": (
+            lambda a, w, b: ad.pwconv(a, w, b),
+            [x, rng.standard_normal((4, 2)), rng.standard_normal(4)],
+        ),
+        "pool": (lambda a: ad.avg_pool3(a), [x]),
+        "softmax": (lambda a: ad.softmax_channels(a), [rng.standard_normal((3, 4, 4))]),
+        "grn": (
+            lambda a, g, b: ad.grn(a, g, b),
+            [x, rng.standard_normal(2), rng.standard_normal(2)],
+        ),
+        "gn": (
+            lambda a, g, b: ad.group_norm(a, g, b, 2),
+            [x, rng.standard_normal(2), rng.standard_normal(2)],
+        ),
+        "up": (lambda a: ad.upsample2x(a), [x]),
+        "concat": (
+            lambda a, b: ad.concat_channels([a, b]),
+            [x, rng.standard_normal((1, 6, 6))],
+        ),
+        "split": (lambda a: ad.split_channels(a, [1, 1])[1], [x]),
+        "pack": (lambda a, b: ad.pack_time([a, b]), [x, rng.standard_normal((2, 6, 6))]),
+        "unpack": (lambda a: ad.unpack_time(a, 2)[1], [x]),
+        "meanc": (lambda a: ad.mean_channels(a), [x]),
+        "meanall": (lambda a: ad.mean_all(a), [x]),
+        "drop_path": (lambda a: ad.drop_path(a, 0.3, "train", 0.9), [x]),
+    }
+
+
 class TestGradCheckPrimitives:
     """Every vocabulary op differentiates correctly at random points."""
 
     def test_all_ops(self):
-        rng = np.random.default_rng(5)
-        x = rng.random((2, 6, 6)) + 0.1
-        cases = {
-            "add": (lambda a, b: ad.add(a, b), [x, rng.standard_normal((2, 6, 6))]),
-            "add_chan": (lambda a, b: ad.add(a, b), [x, rng.standard_normal(2)]),
-            "sub": (lambda a, b: ad.sub(a, b), [x, rng.standard_normal((2, 6, 6))]),
-            "mul_chan": (lambda a, b: ad.mul(a, b), [x, rng.standard_normal(2)]),
-            "scale": (lambda a: ad.scale(a, -1.7), [x]),
-            "tanh": (lambda a: ad.tanh(a), [x]),
-            "sigmoid": (lambda a: ad.sigmoid(a), [x]),
-            "leaky": (lambda a: ad.leaky_relu(a, 0.2), [x]),
-            "relu": (lambda a: ad.relu(a), [x]),
-            "sqrt": (lambda a: ad.sqrt(a), [x]),
-            "abs": (lambda a: ad.absolute(a), [x]),
-            "dw1h": (lambda a, b: ad.dwconv_1d_h(a, b), [x, rng.standard_normal((2, 5))]),
-            "dw1v": (lambda a, b: ad.dwconv_1d_v(a, b), [x, rng.standard_normal((2, 5))]),
-            "dw2": (lambda a, b: ad.dwconv_2d(a, b), [x, rng.standard_normal((2, 3, 3))]),
-            "conv_s1": (
-                lambda a, w, b: ad.conv2d(a, w, b, 1),
-                [x, rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)],
-            ),
-            "conv_s2": (
-                lambda a, w: ad.conv2d(a, w, None, 2),
-                [x, rng.standard_normal((3, 2, 3, 3))],
-            ),
-            "pw": (
-                lambda a, w, b: ad.pwconv(a, w, b),
-                [x, rng.standard_normal((4, 2)), rng.standard_normal(4)],
-            ),
-            "pool": (lambda a: ad.avg_pool3(a), [x]),
-            "softmax": (lambda a: ad.softmax_channels(a), [rng.standard_normal((3, 4, 4))]),
-            "grn": (
-                lambda a, g, b: ad.grn(a, g, b),
-                [x, rng.standard_normal(2), rng.standard_normal(2)],
-            ),
-            "gn": (
-                lambda a, g, b: ad.group_norm(a, g, b, 2),
-                [x, rng.standard_normal(2), rng.standard_normal(2)],
-            ),
-            "up": (lambda a: ad.upsample2x(a), [x]),
-            "concat": (
-                lambda a, b: ad.concat_channels([a, b]),
-                [x, rng.standard_normal((1, 6, 6))],
-            ),
-            "split": (lambda a: ad.split_channels(a, [1, 1])[1], [x]),
-            "meanc": (lambda a: ad.mean_channels(a), [x]),
-            "meanall": (lambda a: ad.mean_all(a), [x]),
-        }
-        for name, (fn, point) in cases.items():
+        for name, (fn, point) in primitive_cases().items():
             err = ad.grad_check(fn, point)
             assert err < 1e-6, f"{name}: gradient error {err:.3e}"
+
+    def test_every_op_has_a_case(self, monkeypatch):
+        """Each traced op in ``autodiff.__all__`` is the outermost op of some case."""
+        not_ops = {"Var", "Tape", "ParamStore", "tape_active", "forward_traced", "backward",
+                   "grad_check"}
+        op_names = [name for name in ad.__all__ if name not in not_ops]
+        called, depth = set(), [0]
+
+        def recorder(name, original):
+            def wrapper(*args, **kwargs):
+                if depth[0] == 0:
+                    called.add(name)
+                depth[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
+
+        for name in op_names:
+            monkeypatch.setattr(ad, name, recorder(name, getattr(ad, name)))
+        for fn, point in primitive_cases().values():
+            fn(*[ad.Var(p) for p in point])
+        assert sorted(set(op_names) - called) == []
 
     def test_five_random_points_per_op(self):
         for seed in range(5):

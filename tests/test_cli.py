@@ -231,6 +231,32 @@ class TestAnalyze:
                      "--ps", "band:2"]) == 2
 
 
+NONFINITE_ANALYZE = {
+    "coeffs_nan": ["beta-star", "--coeffs", "1,2,3,4,5,nan"],
+    "coeffs_inf": ["beta-star", "--coeffs", "1,2,3,4,5,inf"],
+    "kernel_nan": ["beta-star", "--hl", "kernel:{kfile}", "--hs", "gauss:2.5"],
+    "hl_exp_nan": ["ring", "--hl", "exp:nan", "--hs", "gauss:2.5"],
+    "hl_exp_inf": ["beta-star", "--hl", "exp:inf", "--hs", "gauss:2.5"],
+    "hs_gauss_nan": ["ring", "--hl", "exp:0.6", "--hs", "gauss:nan"],
+    "hs_gauss_zero": ["ring", "--hl", "exp:0.6", "--hs", "gauss:0"],
+    "hs_gauss_negative": ["snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:-1"],
+    "gain_nan": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5,gain=nan"],
+    "beta_nan": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--beta", "nan"],
+    "sigma2_nan": ["snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--sigma2", "nan"],
+    "sigma2_inf": ["beta-star", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--sigma2", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_ANALYZE))
+def test_nonfinite_analyze_input_exits_2(case, tmp_path, capsys):
+    kfile = tmp_path / "k.pfgt"
+    container.save_tensor(kfile, np.array([0.25, np.nan, 0.25]))
+    argv = [a.format(kfile=kfile) for a in NONFINITE_ANALYZE[case]]
+    assert main(["analyze"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 class TestInspect:
     def test_params_prints_two_integers(self, workspace, capsys):
         tmp_path, cfg, _ = workspace

@@ -7,7 +7,6 @@ import pytest
 
 from perigate import container
 from perigate.errors import InputError
-from perigate.tensor import Tensor
 
 
 class TestTensorBlob:
@@ -119,30 +118,6 @@ class TestCheckpoint:
         container.save_checkpoint(p1, "seed = 0\n", tensors)
         container.save_checkpoint(p2, "seed = 0\n", tensors)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestTensorType:
-    def test_invariants(self):
-        t = Tensor(np.ones((2, 3), dtype=np.float32))
-        assert t.dims == (2, 3)
-        assert t.dtype == "float32"
-        assert t.size == 6
-
-    def test_rejects_bad_rank(self):
-        from perigate.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            Tensor(np.ones((1, 1, 1, 1, 1, 1), dtype=np.float32))
-
-    def test_rejects_bad_dtype(self):
-        from perigate.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            Tensor(np.ones(3, dtype=np.int64))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(AssertionError):
-            Tensor(np.array([1.0, np.inf]))
 
 
 class TestAtomicWrites:

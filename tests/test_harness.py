@@ -155,6 +155,21 @@ class TestEvaluation:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 7
 
+    def test_params_counted_on_the_live_model(self, monkeypatch):
+        from perigate.model import Model
+
+        cfg = micro_train_config()
+        cfg.model.height = cfg.model.width = 16
+        model = Model.build(cfg.model, seed=0, dtype=np.float32)
+        data = gen_bouncing(seed=5, num_sequences=2, frames=4, height=16, width=16)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("evaluate built a second model")
+
+        monkeypatch.setattr(Model, "build", no_build)
+        report = harness.evaluate(cfg, model, data)
+        assert report["params"] == model.store.num_scalars()
+
     def test_identity_stub_perfect_scores(self):
         # evaluating ground truth against itself through the metric path
         from perigate import metrics

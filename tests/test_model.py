@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from perigate import autodiff as ad
+from perigate import block as gate_block
+from perigate import harness, multiscale
 from perigate.errors import ConfigurationError, InputError
 from perigate.model import (
     Model,
@@ -195,19 +197,74 @@ class TestDecoder:
             assert np.all(p.value == np.float32(0.25))
 
 
+def hand_built_alpha(model, frames, block_index):
+    """Gate weights of one block on the first pass, by the explicit chain:
+    encode each frame, pack, multi-scale init, then blocks 0..block_index."""
+    settings = model.config.block_settings()
+    feats = [model.encode_frame(f)[0] for f in frames]
+    x = multiscale.forward(ad.pack_time(feats), model.params.msinit)
+    for i in range(block_index):
+        x = gate_block.forward(x, model.params.blocks[i], settings, mode="eval")
+    internals = gate_block.BlockInternals()
+    gate_block.forward(x, model.params.blocks[block_index], settings, mode="eval",
+                       internals=internals)
+    return internals.alpha.value
+
+
+def rollout_model():
+    """t_out > t_in (three passes) and input-dependent gates (random gate weights)."""
+    cfg = micro_config(n_t=2, t_out=5)
+    model = Model.build(cfg, seed=3)
+    rng = np.random.default_rng(12)
+    for blk in model.params.blocks:
+        blk.gate_w.value = rng.standard_normal(blk.gate_w.value.shape).astype(np.float32)
+    return cfg, model
+
+
 class TestGateMap:
     def test_shape_and_simplex(self):
         cfg = micro_config(n_t=2)
         model = Model.build(cfg)
-        alpha = model.gate_map(frames_for(cfg, seed=9), 1)
+        internals = []
+        model.predict(frames_for(cfg, seed=9), internals=internals)
+        alpha = internals[1].alpha.value
         assert alpha.shape == (2, 4, 4)
         np.testing.assert_allclose(alpha.sum(axis=0), 1.0, atol=1e-6)
 
-    def test_bad_index(self):
+    def test_first_pass_matches_hand_built_chain(self):
+        cfg, model = rollout_model()
+        frames = frames_for(cfg, seed=10)
+        internals = []
+        preds = model.predict(frames, internals=internals)
+        assert len(preds) == 5
+        assert len(internals) == cfg.n_t  # one record per block, from pass 0 only
+        for b in range(cfg.n_t):
+            want = hand_built_alpha(model, frames, b)
+            assert internals[b].alpha.value.dtype == want.dtype
+            assert np.array_equal(internals[b].alpha.value, want)
+        assert not np.array_equal(internals[0].alpha.value, internals[1].alpha.value)
+
+    def test_dump_gates_writes_first_pass_alpha(self, tmp_path):
+        cfg, model = rollout_model()
+        seq = np.stack(frames_for(cfg, seed=11))
+        for b in range(cfg.n_t):
+            want = hand_built_alpha(model, list(seq), b)
+            csv_path, _ = harness.dump_gates(model, seq, b, tmp_path / f"g{b}")
+            rows = csv_path.read_text().strip().splitlines()[1:]
+            expected = [",".join([str(y), str(x)] + [f"{a:.10g}" for a in want[:, y, x]])
+                        for y in range(want.shape[1]) for x in range(want.shape[2])]
+            assert rows == expected
+
+    def test_bad_index(self, tmp_path, monkeypatch):
         cfg = micro_config()
         model = Model.build(cfg)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran before the block index was checked")
+
+        monkeypatch.setattr(Model, "encode_frame", no_forward)
         with pytest.raises(InputError):
-            model.gate_map(frames_for(cfg), 5)
+            harness.dump_gates(model, np.stack(frames_for(cfg)), 5, tmp_path / "g")
 
 
 class TestCounting:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from perigate import autodiff as ad
 from perigate import ops
-from perigate.errors import ConfigurationError, UnsupportedOperationError
-from perigate.tensor import SepKernel
+from perigate.errors import ConfigurationError
+from perigate.spectral import SepKernel
 
 from naive import dense_conv2d, dense_dwconv2d, window_mean3
 
@@ -22,20 +23,32 @@ def assert_oracle(got, want, dtype):
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
+IDENTITY3 = np.array([0.0, 1.0, 0.0])
+
+
+def row_pass(x, h):
+    """The 1 x k pass alone: a separable correlation with an identity column kernel."""
+    return ops.sep_conv(x, h, IDENTITY3)
+
+
+def column_pass(x, v):
+    return ops.sep_conv(x, IDENTITY3, v)
+
+
 class TestDepthwise1D:
     def test_ones_row(self):
         x = np.ones((1, 1, 3))
-        out = ops.dwconv_1d_h(x, np.array([[1.0, 1.0, 1.0]]))
+        out = row_pass(x, np.array([[1.0, 1.0, 1.0]]))
         assert np.array_equal(out, np.array([[[2.0, 3.0, 2.0]]]))
 
     def test_identity_kernel(self):
         x = np.random.default_rng(0).random((3, 4, 5))
-        assert np.array_equal(ops.dwconv_1d_h(x, np.array([0.0, 1.0, 0.0])), x)
-        assert np.array_equal(ops.dwconv_1d_v(x, np.array([0.0, 1.0, 0.0])), x)
+        assert np.array_equal(row_pass(x, np.array([0.0, 1.0, 0.0])), x)
+        assert np.array_equal(column_pass(x, np.array([0.0, 1.0, 0.0])), x)
 
     def test_ones_column(self):
         x = np.ones((1, 3, 1))
-        out = ops.dwconv_1d_v(x, np.array([[1.0, 1.0, 1.0]]))
+        out = column_pass(x, np.array([[1.0, 1.0, 1.0]]))
         assert np.array_equal(out[0, :, 0], np.array([2.0, 3.0, 2.0]))
 
     def test_matches_dense_embedding(self):
@@ -46,16 +59,16 @@ class TestDepthwise1D:
         dense = np.zeros((2, 5, 5))
         dense[:, 2, :] = h
         np.testing.assert_allclose(
-            ops.dwconv_1d_h(x, h), dense_dwconv2d(x, dense), rtol=0, atol=1e-12
+            row_pass(x, h), dense_dwconv2d(x, dense), rtol=0, atol=1e-12
         )
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
-            ops.dwconv_1d_h(np.zeros((1, 3, 3)), np.ones((1, 4)))
+            row_pass(np.zeros((1, 3, 3)), np.ones((1, 4)))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            ops.dwconv_1d_h(np.zeros((2, 3, 3)), np.ones((3, 3)))
+            row_pass(np.zeros((2, 3, 3)), np.ones((3, 3)))
 
 
 class TestSepConv:
@@ -255,12 +268,6 @@ class TestElementwise:
         with pytest.raises(ConfigurationError):
             ops.add(np.zeros((2, 3, 3)), np.zeros((3, 3)))
 
-    def test_dispatch(self):
-        x = np.array([1.0, -1.0])
-        np.testing.assert_array_equal(ops.elementwise("abs", x), np.abs(x))
-        with pytest.raises(UnsupportedOperationError):
-            ops.elementwise("median", x)
-
     def test_leaky_relu(self):
         x = np.array([-2.0, 0.0, 3.0])
         np.testing.assert_allclose(ops.leaky_relu(x, 0.2), [-0.4, 0.0, 3.0])
@@ -317,20 +324,20 @@ class TestLayout:
     def test_pack_unpack(self):
         rng = np.random.default_rng(19)
         frames = [rng.random((2, 3, 3)) for _ in range(4)]
-        z = ops.pack_time(frames)
+        z = ad.pack_time(frames).value
         assert z.shape == (8, 3, 3)
         assert np.array_equal(z[2:4], frames[1])  # frame t at block [t*C, (t+1)*C)
-        back = ops.unpack_time(z, 4)
+        back = ad.unpack_time(z, 4)
         for a, b in zip(frames, back):
-            assert np.array_equal(a, b)
+            assert np.array_equal(a, b.value)
 
     def test_pack_single_identity(self):
         x = np.random.default_rng(20).random((3, 2, 2))
-        assert np.array_equal(ops.pack_time([x]), x)
+        assert np.array_equal(ad.pack_time([x]).value, x)
 
     def test_unpack_indivisible_rejected(self):
         with pytest.raises(ConfigurationError):
-            ops.unpack_time(np.zeros((5, 2, 2)), 2)
+            ad.unpack_time(np.zeros((5, 2, 2)), 2)
 
 
 class TestBatchAxis:
@@ -381,11 +388,11 @@ class TestBatchAxis:
     def test_layout_over_batch(self):
         rng = np.random.default_rng(82)
         frames = [rng.random((2, 3, 4, 4)) for _ in range(2)]
-        z = ops.pack_time(frames)
+        z = ad.pack_time(frames).value
         assert z.shape == (2, 6, 4, 4)
         assert np.array_equal(z[:, 3:6], frames[1])
-        for a, b in zip(frames, ops.unpack_time(z, 2)):
-            assert np.array_equal(a, b)
+        for a, b in zip(frames, ad.unpack_time(z, 2)):
+            assert np.array_equal(a, b.value)
 
     def test_gate_map_broadcasts_over_channels(self):
         x = np.random.default_rng(83).random((2, 3, 4, 4))
@@ -412,7 +419,7 @@ class TestSepKernelType:
 def test_same_padding_preserves_shape_all_k():
     x = np.random.default_rng(21).random((1, 4, 4))
     for k in (1, 3, 5, 7, 9):
-        assert ops.dwconv_1d_h(x, np.ones((1, k))).shape == x.shape
+        assert ops.sep_conv(x, np.ones((1, k)), np.ones(k)).shape == x.shape
         assert ops.dwconv_2d(x, np.ones((k, k))).shape == x.shape
 
 

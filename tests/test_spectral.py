@@ -16,6 +16,7 @@ from perigate.spectral import (
     FreqResponse,
     GaussianDecay,
     QuadCoeffs,
+    SepKernel,
     composite,
     find_ring,
     optimal_beta,
@@ -27,7 +28,6 @@ from perigate.spectral import (
     stationary_betas,
     stationary_polynomial,
 )
-from perigate.tensor import SepKernel
 
 from naive import kernel_radial_dtft
 
