@@ -13,7 +13,7 @@ produced for the constant itself).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import ops
 from .errors import (
@@ -303,19 +303,38 @@ def absolute(x):
     return _track(y, (x,), lambda g: (g * np.sign(xv),))
 
 
+def _band_sums(m: np.ndarray, k: int) -> np.ndarray:
+    """[C, k] sums of the k central diagonals of [..., C, n, n] matrices, summed
+    over the leading axes: ``out[c, t] = sum_j m[..., c, j + t - p, j]``.
+
+    The matrices are summed into a buffer with p zero rows above and below,
+    whose diagonals are one strided view (so k > n needs no special case).
+    """
+    c, n = m.shape[-3:-1]
+    p = (k - 1) // 2
+    mp = np.zeros((c, n + 2 * p, n), dtype=m.dtype)
+    np.sum(m.reshape((-1, c, n, n)), axis=0, out=mp[:, p : p + n])
+    # mp[c, j + t, j] lies t*n + j*(n + 1) items into channel c
+    step = mp.itemsize
+    diagonals = as_strided(mp, (c, k, n), (mp.strides[0], n * step, (n + 1) * step))
+    return diagonals.sum(axis=-1)
+
+
 def _dwconv_1d_vjp(g, xv, kv, kernel, axis: int):
     """Input and kernel gradients of one 1-D depthwise pass along ``axis``;
-    the kernel gradient sums over the leading axes."""
-    c, hh, ww = g.shape[-3:]
-    k = kv.shape[-1]
-    p = (k - 1) // 2
-    gx = ops._dwconv_1d(g, ops._per_channel(kv, c, 1)[:, ::-1], axis)
-    if not isinstance(kernel, Var):
-        return gx, None
-    xp = ops.pad(xv, p, 0) if axis == -2 else ops.pad(xv, 0, p)
-    win = sliding_window_view(xp, k, axis=axis)  # [..., C, H, W, k]
-    gk = np.einsum("nchw,nchwk->ck", g.reshape(-1, c, hh, ww), win.reshape((-1, c, hh, ww, k)))
-    return gx, (gk.sum(axis=0) if kv.ndim == 1 else gk)  # shared kernel: sum channels
+    the kernel gradient sums over the leading axes.
+
+    The input gradient is the same pass with the flipped kernel. Tap t of the
+    kernel gradient sums the diagonal at offset t - p of ``M_c = x_c g_c^T``,
+    whose rows and columns index the pass axis."""
+    gk = None
+    if isinstance(kernel, Var):  # first, so M and the gx pass are never held together
+        xr, gr = (xv, g) if axis == -2 else (np.swapaxes(xv, -1, -2), np.swapaxes(g, -1, -2))
+        gk = _band_sums(xr @ np.swapaxes(gr, -1, -2), kv.shape[-1])
+        if kv.ndim == 1:  # shared kernel: sum channels
+            gk = gk.sum(axis=0)
+    gx = ops._dwconv_1d(g, ops._per_channel(kv, g.shape[-3], 1)[:, ::-1], axis)
+    return gx, gk
 
 
 def sep_conv(x, h, v):

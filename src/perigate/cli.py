@@ -65,9 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = an_sub.add_parser(name)
         p.add_argument("--hl", help="exp:RATE | gauss:VAR[,gain=G] | kernel:FILE")
         p.add_argument("--hs", help="same grammar as --hl")
-        p.add_argument("--beta", type=float, default=0.75)
-        p.add_argument("--ps", default="flat", help="flat | band:LO,HI")
-        p.add_argument("--sigma2", type=float, default=1.0)
+        if name == "ring":
+            p.add_argument("--beta", type=float, default=0.75)
+        else:
+            p.add_argument("--ps", default="flat", help="flat | band:LO,HI")
+            p.add_argument("--sigma2", type=float, default=1.0)
         p.add_argument("--samples", type=int, default=spectral.DEFAULT_SAMPLES)
         p.add_argument("--out-csv", default=None)
         if name == "beta-star":
@@ -92,6 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(raw: str, *values: float):
+    """Reject a non-finite closed-form parameter before the response is
+    evaluated (inf * 0 at r = 0 would warn on stderr first)."""
+    if not all(np.isfinite(values)):
+        raise InputError(f"spectrum '{raw}' has a non-finite parameter")
+
+
 def _parse_spectrum(raw: str, samples: int) -> spectral.FreqResponse:
     if raw is None:
         raise InputError("missing spectrum specification")
@@ -101,6 +110,7 @@ def _parse_spectrum(raw: str, samples: int) -> spectral.FreqResponse:
             rate = float(rest)
         except ValueError:
             raise InputError(f"bad exp spectrum '{raw}'; expected exp:RATE") from None
+        _check_finite(raw, rate)
         return spectral.response_from_function(spectral.ExpDecay(rate), samples)
     if kind == "gauss":
         parts = rest.split(",")
@@ -116,6 +126,7 @@ def _parse_spectrum(raw: str, samples: int) -> spectral.FreqResponse:
             raise InputError(
                 f"bad gauss spectrum '{raw}'; expected gauss:VAR[,gain=G]"
             ) from None
+        _check_finite(raw, variance, gain)
         return spectral.response_from_function(spectral.GaussianDecay(variance, gain), samples)
     if kind == "kernel":
         arr = container.load_tensor(rest)

@@ -11,11 +11,13 @@ Conventions shared by every operation here:
   same-padding, so spatial shape is preserved;
 * depthwise kernels may be per-channel (``[C, k]`` / ``[C, k, k]``) or shared
   (``[k]`` / ``[k, k]``);
-* dense and point-wise convolutions are matrix products handed to BLAS,
-  whose summation order depends on the numpy/BLAS build, the CPU and the
-  thread count: repeated calls on one machine and build, with the same BLAS
-  thread count, are bitwise identical, while results across machines agree
-  only to rounding. The other reductions run in fixed ascending index order.
+* dense and point-wise convolutions, and the 1 x k / k x 1 passes of the
+  separable convolution (products with banded Toeplitz matrices), are
+  matrix products handed to BLAS, whose summation order depends on the
+  numpy/BLAS build, the CPU and the thread count: repeated calls on one
+  machine and build, with the same BLAS thread count, are bitwise identical,
+  while results across machines agree only to rounding. The other
+  reductions run in fixed ascending index order.
 """
 
 from __future__ import annotations
@@ -53,48 +55,72 @@ def pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
-def _dwconv_1d(x: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Depthwise 1-D correlation along ``axis``: -1 (1 x k, width) or -2 (k x 1, height)."""
-    kernel = _per_channel(kernel, x.shape[-3], 1)
-    k = kernel.shape[1]
-    _check_odd(k)
+def _toeplitz(kernel: np.ndarray, n: int) -> np.ndarray:
+    """Per-channel banded Toeplitz matrices [C, n, n] of [C, k] taps:
+    ``T[c, i, j] = kernel[c, i - j + p]`` on the band |i - j| <= p, zero off it.
+
+    The band is clipped to the n x n matrix, so k > n needs no padding. Each
+    matrix is a reversed sliding window over the zero-padded, reversed taps.
+    """
+    c, k = kernel.shape
     p = (k - 1) // 2
-    xp = pad(x, p, 0) if axis == -2 else pad(x, 0, p)
-    # the window axis is appended last: [..., C, H, W, k]
-    win = sliding_window_view(xp, k, axis=axis)
-    return np.einsum("...chwk,ck->...chw", win, kernel)
+    m = max(n - 1, p)
+    taps = np.zeros((c, 2 * m + 1), dtype=kernel.dtype)
+    taps[:, m - p : m + p + 1] = kernel[:, ::-1]  # taps[:, m + d] = kernel[:, p - d]
+    # win[:, s, j] = taps[:, m - n + 1 + s + j]; row s = n - 1 - i gives taps[:, m + j - i]
+    win = sliding_window_view(taps[:, m - n + 1 : m + n], n, axis=-1)
+    return np.ascontiguousarray(win[:, ::-1, :])
+
+
+def _dwconv_1d(x: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Depthwise 1-D correlation along ``axis``: -1 (1 x k, width) or -2 (k x 1, height).
+
+    One batched matmul against per-channel banded Toeplitz matrices:
+    ``x @ T_c`` along the width, ``T_c^T @ x`` along the height.
+    """
+    kernel = _per_channel(kernel, x.shape[-3], 1)
+    _check_odd(kernel.shape[1])
+    t = _toeplitz(kernel, x.shape[axis])
+    return x @ t if axis == -1 else np.swapaxes(t, -1, -2) @ x
 
 
 def sep_conv_parts(x: np.ndarray, h: np.ndarray, v: np.ndarray):
-    """:func:`sep_conv` output plus the horizontal pass its gradient reuses."""
+    """Separable depthwise correlation: a 1 x k pass along the width with ``h``,
+    then a k x 1 pass along the height with ``v``. Returns the output and the
+    horizontal pass, which the gradient reuses."""
     mid = _dwconv_1d(x, h, -1)
     return _dwconv_1d(mid, v, -2), mid
 
 
-def sep_conv(x: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Separable depthwise correlation: a 1 x k pass along the width with ``h``,
-    then a k x 1 pass along the height with ``v``."""
-    return sep_conv_parts(x, h, v)[0]
-
-
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Dense depthwise k x k correlation: k*k shifted-slice multiply-adds."""
+    """Dense depthwise k x k correlation: k*k shifted multiply-adds.
+
+    Each zero-padded channel is read as one flat run of rows of width
+    W + k - 1, so a tap's shifted window is one contiguous slice of it; the
+    k - 1 columns per row that wrap past a row end are cut from the output.
+    Each product goes into one scratch buffer and is added in place.
+    """
     hh, ww = x.shape[-2:]
     kernel = _per_channel(kernel, x.shape[-3], 2)
     kh, kw = kernel.shape[1:]
     _check_odd(kh)
     if kh != kw:
         raise ConfigurationError(f"depthwise kernel must be square, got {kh}x{kw}")
-    xp = pad(x, (kh - 1) // 2, (kh - 1) // 2)
-    out = None
+    p = (kh - 1) // 2
+    wp = ww + 2 * p
+    # one spare zero row keeps the last tap's slice inside the buffer
+    xp = np.zeros(x.shape[:-2] + (hh + 2 * p + 1, wp), dtype=x.dtype)
+    xp[..., p : p + hh, p : p + ww] = x
+    flat = xp.reshape(x.shape[:-2] + (-1,))
+    n = hh * wp
+    out = flat[..., :n] * kernel[:, 0, 0, None]
+    tmp = np.empty_like(out)
     for u in range(kh):
         for v in range(kw):
-            term = xp[..., u : u + hh, v : v + ww] * kernel[:, u, v, None, None]
-            if out is None:
-                out = term
-            else:
-                out += term
-    return out
+            if u or v:
+                s = u * wp + v
+                out += np.multiply(flat[..., s : s + n], kernel[:, u, v, None], out=tmp)
+    return np.ascontiguousarray(out.reshape(out.shape[:-1] + (hh, wp))[..., :ww])
 
 
 def im2col(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
@@ -217,10 +243,12 @@ def absolute(x):
 
 
 def grn_parts(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6):
-    """:func:`grn` output plus the per-sample statistics its gradient reuses.
+    """Global response normalization with residual, per sample:
+    n_c = |x_c|_2 / (mean_c |x_c|_2 + eps); out = gamma * (x * n) + beta + x.
 
     Returns ``(out, (g, denom, n))`` with channel norms ``g`` [..., C],
-    ``denom`` = mean_c g + eps [..., 1] and ratios ``n`` = g / denom.
+    ``denom`` = mean_c g + eps [..., 1] and ratios ``n`` = g / denom, which
+    the gradient reuses.
     """
     if eps <= 0:
         raise ConfigurationError("grn eps must be positive")
@@ -231,19 +259,12 @@ def grn_parts(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
     return out, (g, denom, n)
 
 
-def grn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Global response normalization with residual, per sample.
-
-    n_c = |x_c|_2 / (mean_c |x_c|_2 + eps); out = gamma * (x * n) + beta + x.
-    """
-    return grn_parts(x, gamma, beta, eps)[0]
-
-
 def group_norm_parts(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int = 2, eps: float = 1e-5
 ):
-    """:func:`group_norm` output plus ``(xhat, inv)`` in grouped shape
-    [..., G, C/G, H, W], which its gradient reuses."""
+    """Group normalization over (channels-in-group, H, W) of each sample, with a
+    per-channel affine. Returns the output and ``(xhat, inv)`` in grouped shape
+    [..., G, C/G, H, W], which the gradient reuses."""
     c = x.shape[-3]
     if c % groups != 0:
         raise ConfigurationError(f"{c} channels not divisible into {groups} groups")
@@ -253,13 +274,6 @@ def group_norm_parts(
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xg - mu) * inv
     return gamma[:, None, None] * xhat.reshape(x.shape) + beta[:, None, None], (xhat, inv)
-
-
-def group_norm(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int = 2, eps: float = 1e-5
-) -> np.ndarray:
-    """Group normalization over (channels-in-group, H, W) of each sample, per-channel affine."""
-    return group_norm_parts(x, gamma, beta, groups, eps)[0]
 
 
 def upsample2x(x: np.ndarray) -> np.ndarray:

@@ -89,10 +89,6 @@ class SepKernel:
     def k(self) -> int:
         return self.h.shape[0]
 
-    def outer(self) -> np.ndarray:
-        """Equivalent dense 2-D kernel v (x) h."""
-        return np.outer(self.v, self.h)
-
 
 @dataclass(frozen=True)
 class FreqResponse:

@@ -28,6 +28,56 @@ def dense_dwconv2d(x, kernel):
     return out
 
 
+def _taps_per_channel(kernel, c):
+    return np.stack([kernel] * c) if kernel.ndim == 1 else kernel
+
+
+def _shifted(i, j, t, p, axis):
+    """Input pixel that tap t of a 1-D pass along ``axis`` reads for output (i, j)."""
+    return (i + t - p, j) if axis == -2 else (i, j + t - p)
+
+
+def dwconv_1d(x, kernel, axis):
+    """One depthwise 1-D correlation of [C, H, W] along axis -1 (a 1 x k
+    pass) or -2 (a k x 1 pass) with zero padding, via loops."""
+    c, h, w = x.shape
+    kernel = _taps_per_channel(kernel, c)
+    k = kernel.shape[1]
+    p = (k - 1) // 2
+    out = np.zeros((c, h, w))
+    for ch in range(c):
+        for i in range(h):
+            for j in range(w):
+                acc = 0.0
+                for t in range(k):
+                    ii, jj = _shifted(i, j, t, p, axis)
+                    if 0 <= ii < h and 0 <= jj < w:
+                        acc += kernel[ch, t] * x[ch, ii, jj]
+                out[ch, i, j] = acc
+    return out
+
+
+def dwconv_1d_grads(x, kernel, g, axis):
+    """Input gradient [C, H, W] and per-channel kernel gradient [C, k] of
+    :func:`dwconv_1d` for output gradient g: every output's gradient is
+    scattered back onto the input pixel and the tap that produced it."""
+    c, h, w = x.shape
+    kernel = _taps_per_channel(kernel, c)
+    k = kernel.shape[1]
+    p = (k - 1) // 2
+    gx = np.zeros((c, h, w))
+    gk = np.zeros((c, k))
+    for ch in range(c):
+        for i in range(h):
+            for j in range(w):
+                for t in range(k):
+                    ii, jj = _shifted(i, j, t, p, axis)
+                    if 0 <= ii < h and 0 <= jj < w:
+                        gx[ch, ii, jj] += kernel[ch, t] * g[ch, i, j]
+                        gk[ch, t] += x[ch, ii, jj] * g[ch, i, j]
+    return gx, gk
+
+
 def dense_conv2d(x, weight, bias, stride=1):
     """Full convolution oracle."""
     ci, h, w = x.shape

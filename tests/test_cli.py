@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,9 @@ NONFINITE_ANALYZE = {
     "kernel_nan": ["beta-star", "--hl", "kernel:{kfile}", "--hs", "gauss:2.5"],
     "hl_exp_nan": ["ring", "--hl", "exp:nan", "--hs", "gauss:2.5"],
     "hl_exp_inf": ["beta-star", "--hl", "exp:inf", "--hs", "gauss:2.5"],
+    "hl_exp_neg_inf": ["snr-sweep", "--hl", "exp:-inf", "--hs", "gauss:2.5"],
+    "hs_gauss_inf": ["ring", "--hl", "exp:0.6", "--hs", "gauss:inf"],
+    "gain_inf": ["beta-star", "--hl", "exp:0.6", "--hs", "gauss:2.5,gain=inf"],
     "hs_gauss_nan": ["ring", "--hl", "exp:0.6", "--hs", "gauss:nan"],
     "hs_gauss_zero": ["ring", "--hl", "exp:0.6", "--hs", "gauss:0"],
     "hs_gauss_negative": ["snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:-1"],
@@ -252,9 +256,31 @@ def test_nonfinite_analyze_input_exits_2(case, tmp_path, capsys):
     kfile = tmp_path / "k.pfgt"
     container.save_tensor(kfile, np.array([0.25, np.nan, 0.25]))
     argv = [a.format(kfile=kfile) for a in NONFINITE_ANALYZE[case]]
-    assert main(["analyze"] + argv) == 2
+    # outside pytest, any warning raised here would print to stderr before the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze"] + argv) == 2
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+STRAY_ANALYZE_FLAGS = {
+    "snr_sweep_beta": ["snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--beta", "nan"],
+    "beta_star_beta": ["beta-star", "--coeffs", "2,1,1,1,0,1", "--beta", "0.5"],
+    "ring_sigma2_ps": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--sigma2", "nan",
+                       "--ps", "band:9,1"],
+    "ring_ps": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--ps", "flat"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_ANALYZE_FLAGS))
+def test_flag_the_analysis_does_not_use_exits_2(case, capsys):
+    # --beta belongs to ring only; --ps and --sigma2 to snr-sweep and beta-star only
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze"] + STRAY_ANALYZE_FLAGS[case])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestInspect:

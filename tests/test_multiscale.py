@@ -49,7 +49,8 @@ def test_branch_matches_composed_primitives():
     b = params.branches[1]
     z = np.random.default_rng(2).standard_normal((4, 6, 6))
     got = multiscale.branch_forward(ad.Var(z), b).value
-    want = ops.sep_conv(z, b.sep_h.value, b.sep_v.value) + ops.dwconv_2d(z, b.dw.value) + z
+    sep = ops.sep_conv_parts(z, b.sep_h.value, b.sep_v.value)[0]
+    want = sep + ops.dwconv_2d(z, b.dw.value) + z
     np.testing.assert_allclose(got, want, atol=1e-14)
 
 

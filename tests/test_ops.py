@@ -1,14 +1,18 @@
 """Forward kernel semantics against hand values and loop oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perigate import autodiff as ad
 from perigate import ops
 from perigate.errors import ConfigurationError
 from perigate.spectral import SepKernel
 
-from naive import dense_conv2d, dense_dwconv2d, window_mean3
+from naive import dense_conv2d, dense_dwconv2d, dwconv_1d, dwconv_1d_grads, window_mean3
 
 DTYPES = [np.float64, np.float32]
 
@@ -26,13 +30,17 @@ def assert_oracle(got, want, dtype):
 IDENTITY3 = np.array([0.0, 1.0, 0.0])
 
 
+def sep_conv(x, h, v):
+    return ops.sep_conv_parts(x, h, v)[0]
+
+
 def row_pass(x, h):
     """The 1 x k pass alone: a separable correlation with an identity column kernel."""
-    return ops.sep_conv(x, h, IDENTITY3)
+    return sep_conv(x, h, IDENTITY3)
 
 
 def column_pass(x, v):
-    return ops.sep_conv(x, IDENTITY3, v)
+    return sep_conv(x, IDENTITY3, v)
 
 
 class TestDepthwise1D:
@@ -74,14 +82,14 @@ class TestDepthwise1D:
 class TestSepConv:
     def test_box_kernel_hand_values(self):
         x = np.ones((1, 3, 3))
-        out = ops.sep_conv(x, np.ones((1, 3)), np.ones((1, 3)))
+        out = sep_conv(x, np.ones((1, 3)), np.ones((1, 3)))
         expected = np.array([[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
         assert np.array_equal(out[0], expected)
 
     def test_identity(self):
         x = np.random.default_rng(2).random((2, 6, 6))
         ident = np.array([0.0, 1.0, 0.0])
-        assert np.array_equal(ops.sep_conv(x, ident, ident), x)
+        assert np.array_equal(sep_conv(x, ident, ident), x)
 
     @pytest.mark.parametrize("k", [3, 9, 15])
     def test_equals_rank1_dense(self, k):
@@ -90,14 +98,98 @@ class TestSepConv:
         h = rng.standard_normal((3, k))
         v = rng.standard_normal((3, k))
         dense = np.einsum("ci,cj->cij", v, h)
-        got = ops.sep_conv(x, h, v)
+        got = sep_conv(x, h, v)
         want = dense_dwconv2d(x, dense)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_shape_preserved_large_kernel(self):
         x = np.zeros((1, 16, 16))
-        out = ops.sep_conv(x, np.ones((1, 31)), np.ones((1, 31)))
+        out = sep_conv(x, np.ones((1, 31)), np.ones((1, 31)))
         assert out.shape == x.shape
+
+
+@st.composite
+def banded_cases(draw):
+    """A sep_conv input with image sides 1..20, odd k up to 35 (often k >= H or
+    W), shared [k] or per-channel [C, k] taps, and zero or one leading axes."""
+    c, hh, ww = (draw(st.integers(1, 20)) for _ in range(3))
+    k = 2 * draw(st.integers(0, 17)) + 1
+    lead = draw(st.sampled_from([(), (1,), (2,)]))
+    shared = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = (k,) if shared else (c, k)
+    x, g = (rng.standard_normal(lead + (c, hh, ww)).astype(dtype) for _ in range(2))
+    h, v = (rng.standard_normal(taps).astype(dtype) for _ in range(2))
+    return x, h, v, g
+
+
+def oracle_sep_conv(x, h, v, g):
+    """(y, mid, gx, gh, gv) of sep_conv from the loop oracles, sample by sample."""
+    f64 = lambda a: np.asarray(a, dtype=np.float64)  # noqa: E731
+    x, h, v, g = f64(x), f64(h), f64(v), f64(g)
+    xs, gs = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
+    ys, mids, gxs = [], [], []
+    gh = gv = 0.0
+    for xi, gi in zip(xs, gs):
+        mid = dwconv_1d(xi, h, -1)
+        g_mid, gv_i = dwconv_1d_grads(mid, v, gi, -2)
+        gx_i, gh_i = dwconv_1d_grads(xi, h, g_mid, -1)
+        ys.append(dwconv_1d(mid, v, -2))
+        mids.append(mid)
+        gxs.append(gx_i)
+        gh, gv = gh + gh_i, gv + gv_i
+    if h.ndim == 1:  # shared taps: channel contributions add up
+        gh, gv = gh.sum(axis=0), gv.sum(axis=0)
+    return (np.reshape(ys, x.shape), np.reshape(mids, x.shape), np.reshape(gxs, x.shape),
+            gh, gv)
+
+
+def assert_banded(got, want, bound, dtype):
+    """Entrywise error within a multiple of the sum of |terms| (``bound``, the
+    oracle on absolute values): 1e-12 in float64, 1e-5 in float32."""
+    assert got.dtype == dtype and got.shape == want.shape
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    assert np.all(np.abs(got - want) <= rtol * bound)
+
+
+class TestBandedPasses:
+    """The 1-D passes run as banded Toeplitz GEMMs; the loop oracles are the reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=banded_cases())
+    @example(case=(np.ones((2, 3, 20)), np.ones((2, 35)), np.ones((2, 35)), np.ones((2, 3, 20))))
+    @example(case=(np.ones((1, 20, 2, 1)), np.ones(35), np.ones(35), np.ones((1, 20, 2, 1))))
+    def test_forward_and_vjp_match_loop_oracles(self, case):
+        x, h, v, g = case
+        y, mid = ops.sep_conv_parts(x, h, v)
+        with ad.Tape():
+            out = ad.sep_conv(x, ad.Var(h), ad.Var(v))
+        got = (y, mid) + tuple(out.vjp(g))
+        want = oracle_sep_conv(x, h, v, g)
+        bound = oracle_sep_conv(np.abs(x), np.abs(h), np.abs(v), np.abs(g))
+        for a, b, c in zip(got, want, bound):
+            assert_banded(a, b, c, x.dtype)
+
+    def test_peak_memory_has_no_window_axis(self):
+        # Peak while the horizontal kernel gradient is formed, in input-sized
+        # [1, C, 64, 64] buffers: the kept y and mid (2), g_mid (1), M = x g^T
+        # (1) and M padded by p rows per side (1 + 2p/64), so 5 + 30/64; the
+        # bound adds one buffer of slack. A materialized [..., k] window alone
+        # would be k = 31 of them.
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((1, 60, 64, 64)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        h, v = (ad.Var(rng.standard_normal((60, 31)).astype(np.float32)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            with ad.Tape():
+                out = ad.sep_conv(x, h, v)
+            out.vjp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (6 + 30 / 64) * x.nbytes
 
 
 class TestDepthwise2D:
@@ -276,7 +368,7 @@ class TestElementwise:
 class TestGrn:
     def test_zero_affine_is_residual(self):
         x = np.random.default_rng(13).standard_normal((3, 4, 4))
-        out = ops.grn(x, np.zeros(3), np.zeros(3))
+        out = ops.grn_parts(x, np.zeros(3), np.zeros(3))[0]
         assert np.array_equal(out, x)
 
     def test_identical_channels_unit_ratio(self):
@@ -284,7 +376,7 @@ class TestGrn:
         x = np.stack([base] * 3)
         g = np.sqrt((base**2).sum())
         n_expected = g / (g + 1e-6)
-        out = ops.grn(x, np.ones(3), np.zeros(3))
+        out = ops.grn_parts(x, np.ones(3), np.zeros(3))[0]
         np.testing.assert_allclose(out, x * n_expected + x, rtol=1e-12)
 
     def test_scale_invariant_ratio(self):
@@ -364,7 +456,7 @@ class TestBatchAxis:
             "pwconv": (lambda a: ops.pwconv(a, pw, b),
                        lambda a: dense_conv2d(a, f64(pw)[:, :, None, None], f64(b))),
             "dwconv_2d": (lambda a: ops.dwconv_2d(a, k2), lambda a: dense_dwconv2d(a, f64(k2))),
-            "sep_conv": (lambda a: ops.sep_conv(a, h, v),
+            "sep_conv": (lambda a: sep_conv(a, h, v),
                          lambda a: dense_dwconv2d(a, np.einsum("ci,cj->cij", f64(v), f64(h)))),
             "avg_pool3": (ops.avg_pool3, window_mean3),
         }
@@ -378,8 +470,8 @@ class TestBatchAxis:
         rng = np.random.default_rng(81)
         x = rng.standard_normal((2, 4, 5, 5))
         gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
-        for fn in (lambda a: ops.group_norm(a, gamma, beta, 2),
-                   lambda a: ops.grn(a, gamma, beta),
+        for fn in (lambda a: ops.group_norm_parts(a, gamma, beta, 2)[0],
+                   lambda a: ops.grn_parts(a, gamma, beta)[0],
                    ops.softmax_channels, ops.mean_channels, ops.upsample2x):
             batched = fn(x)
             for i in range(2):
@@ -403,11 +495,11 @@ class TestBatchAxis:
 
 
 class TestSepKernelType:
-    def test_outer(self):
-        sk = SepKernel(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, -1.0]))
+    def test_taps(self):
+        sk = SepKernel(np.array([1, 2, 3]), np.array([1.0, 0.0, -1.0]))
         assert sk.k == 3
-        assert sk.outer().shape == (3, 3)
-        assert sk.outer()[0, 2] == 3.0
+        assert sk.h.dtype == np.float64
+        assert np.array_equal(sk.h, [1.0, 2.0, 3.0]) and np.array_equal(sk.v, [1.0, 0.0, -1.0])
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
@@ -419,7 +511,7 @@ class TestSepKernelType:
 def test_same_padding_preserves_shape_all_k():
     x = np.random.default_rng(21).random((1, 4, 4))
     for k in (1, 3, 5, 7, 9):
-        assert ops.sep_conv(x, np.ones((1, k)), np.ones(k)).shape == x.shape
+        assert sep_conv(x, np.ones((1, k)), np.ones(k)).shape == x.shape
         assert ops.dwconv_2d(x, np.ones((k, k))).shape == x.shape
 
 
@@ -437,7 +529,7 @@ def test_sep_equals_dense_float32_tolerance():
     h = rng.standard_normal((3, 9)).astype(np.float32)
     v = rng.standard_normal((3, 9)).astype(np.float32)
     dense = np.einsum("ci,cj->cij", v, h)
-    got = ops.sep_conv(x, h, v)
+    got = sep_conv(x, h, v)
     want = ops.dwconv_2d(x, dense)
     denom = np.abs(want).max()
     assert np.abs(got - want).max() / denom < 1e-5
