@@ -1,9 +1,12 @@
 """Define-by-run reverse-mode differentiation over the operation vocabulary.
 
-Each traced function computes its value with the exact kernel from
-:mod:`perigate.ops` (so traced and untraced forwards are bitwise identical)
-and, while a tape is active, records a node holding the backward closure.
-Without an active tape the same functions run as plain forwards.
+Each traced function computes its value and, while a tape is active,
+records a node holding the backward closure; without an active tape the same
+functions run as plain forwards. Convolutions, normalizations, softmax and
+the broadcasting arithmetic call their kernel in :mod:`perigate.ops`; the
+elementwise maths (scaling, tanh, sigmoid, the rectifiers, sqrt, abs,
+channel mean, upsampling) is one numpy expression here, beside its
+derivative.
 
 Kernel arguments may be ``Var`` (gradients flow) or plain arrays (treated as
 constants: gradients flow *through* them to other inputs but none are
@@ -266,40 +269,40 @@ def mul(a, b):
 
 
 def scale(x, s: float):
-    y = ops.scale(_val(x), s)
+    y = _val(x) * s
     return _track(y, (x,), lambda g: (g * s,))
 
 
 def tanh(x):
-    y = ops.tanh(_val(x))
+    y = np.tanh(_val(x))
     return _track(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
 def sigmoid(x):
-    y = ops.sigmoid(_val(x))
+    y = 1.0 / (1.0 + np.exp(-_val(x)))
     return _track(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 def leaky_relu(x, alpha: float = 0.2):
     xv = _val(x)
-    y = ops.leaky_relu(xv, alpha)
+    y = np.where(xv > 0, xv, alpha * xv)
     return _track(y, (x,), lambda g: (np.where(xv > 0, g, alpha * g),))
 
 
 def relu(x):
     xv = _val(x)
-    y = ops.relu(xv)
+    y = np.where(xv > 0, xv, 0.0 * xv)
     return _track(y, (x,), lambda g: (g * (xv > 0),))
 
 
 def sqrt(x):
-    y = ops.sqrt(_val(x))
+    y = np.sqrt(_val(x))
     return _track(y, (x,), lambda g: (g / (2.0 * y),))
 
 
 def absolute(x):
     xv = _val(x)
-    y = ops.absolute(xv)
+    y = np.abs(xv)
     return _track(y, (x,), lambda g: (g * np.sign(xv),))
 
 
@@ -473,8 +476,9 @@ def group_norm(x, gamma, beta, groups: int = 2, eps: float = 1e-5):
 
 
 def upsample2x(x):
+    """Nearest-neighbour 2x spatial upsampling."""
     xv = _val(x)
-    y = ops.upsample2x(xv)
+    y = np.repeat(np.repeat(xv, 2, axis=-2), 2, axis=-1)
 
     def vjp(g):
         c, h, w = xv.shape[-3:]
@@ -523,14 +527,13 @@ def pack_time(frames):
 
 def unpack_time(z, t: int):
     c_total = _val(z).shape[-3]
-    if c_total % t != 0:
-        raise ConfigurationError(f"{c_total} channels not divisible by {t} frames")
     return split_channels(z, [c_total // t] * t)
 
 
 def mean_channels(x):
+    """Channel mean, keeping a single-channel axis: [..., C,H,W] -> [..., 1,H,W]."""
     xv = _val(x)
-    y = ops.mean_channels(xv)
+    y = xv.mean(axis=-3, keepdims=True)
     c = xv.shape[-3]
 
     def vjp(g):

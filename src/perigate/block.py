@@ -78,6 +78,10 @@ class BlockSettings:
             raise ConfigurationError(f"drop rate must lie in [0,1), got {self.drop_rate}")
         if not self.cues:
             raise ConfigurationError("need at least one frequency cue")
+        if len(set(self.cues)) != len(self.cues):
+            raise ConfigurationError(f"duplicate frequency cues {self.cues}")
+        if not np.isfinite(self.beta_fixed):
+            raise ConfigurationError(f"fixed beta must be finite, got {self.beta_fixed}")
         if channels * self.expansion < 1:
             raise ConfigurationError("empty hidden width")
 
@@ -143,12 +147,6 @@ def init_params(
 
 def gate_weights(freq, gate_w, gate_b):
     """Per-pixel softmax gate over scales from the frequency descriptor."""
-    w = gate_w.value if isinstance(gate_w, Var) else np.asarray(gate_w)
-    f_channels = (freq.value if isinstance(freq, Var) else np.asarray(freq)).shape[-3]
-    if w.shape[1] != f_channels:
-        raise ConfigurationError(
-            f"gate expects a {w.shape[1]}-channel descriptor, got {f_channels}"
-        )
     return ad.softmax_channels(ad.pwconv(freq, gate_w, gate_b))
 
 
@@ -181,11 +179,6 @@ def center_suppress(p_k, center_response, coefficient):
 
 def fuse(alpha, responses):
     """Convex per-pixel combination: sum_k alpha_k * Y_k, alpha broadcast over channels."""
-    alpha_v = alpha.value if isinstance(alpha, Var) else np.asarray(alpha)
-    if alpha_v.shape[-3] != len(responses):
-        raise ConfigurationError(
-            f"{alpha_v.shape[-3]} gate maps for {len(responses)} responses"
-        )
     slices = ad.split_channels(alpha, [1] * len(responses))
     total = None
     for a_k, y_k in zip(slices, responses):
@@ -196,11 +189,9 @@ def fuse(alpha, responses):
 
 def channel_mix_glu(s, params: BlockParams):
     """Expand to 2E, gate one half with the other, normalize, project back."""
-    hidden2 = params.glu_expand_w.value.shape[0]
-    if hidden2 % 2 != 0:
-        raise ConfigurationError(f"expanded width {hidden2} must be even")
+    hidden = params.glu_expand_w.value.shape[0] // 2
     h = ad.pwconv(s, params.glu_expand_w, params.glu_expand_b)
-    u, v = ad.split_channels(h, [hidden2 // 2, hidden2 // 2])
+    u, v = ad.split_channels(h, [hidden, hidden])
     gated = ad.mul(ad.sigmoid(u), ad.dwconv_2d(v, params.glu_dw))
     normed = ad.grn(gated, params.grn_gamma, params.grn_beta)
     return ad.pwconv(normed, params.glu_project_w, params.glu_project_b)

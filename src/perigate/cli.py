@@ -163,7 +163,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config(args.config)
-    data = harness.load_sequences(args.data)
+    data = container.load_tensor(args.data)
     model, history = harness.train(
         cfg, data, log=lambda rec: print(f"epoch {rec.epoch}: loss {rec.loss:.6g}", file=sys.stderr)
     )
@@ -178,7 +178,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg, model = harness.load_model(args.ckpt)
-    data = harness.load_sequences(args.data)
+    data = container.load_tensor(args.data)
     report = harness.evaluate(cfg, model, data)
     harness.write_metrics_csv(args.out_csv, report)
     for name in harness.METRIC_NAMES:
@@ -192,7 +192,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     _, model = harness.load_model(args.ckpt)
-    data = harness.load_sequences(args.input)
+    data = container.load_tensor(args.input)
     preds = harness.predict_batch(model, data)
     container.save_tensor(args.output, preds)
     print(f"wrote {args.output}: dims {list(preds.shape)}")

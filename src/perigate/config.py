@@ -7,6 +7,7 @@ Every key is optional; omitted keys fall back to the documented defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .descriptor import CUE_NAMES
@@ -30,8 +31,8 @@ class TrainConfig:
         self.model.validate()
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
-        if self.lr < 0:
-            raise ConfigurationError("learning rate must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigurationError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.batch < 1:
             raise ConfigurationError("batch size must be >= 1")
         return self
@@ -42,7 +43,10 @@ def _parse_int(raw: str) -> int:
 
 
 def _parse_float(raw: str) -> float:
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw} is not a finite number")
+    return value
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
@@ -72,7 +76,7 @@ def _parse_beta_mode(raw: str) -> tuple[str, float]:
     if raw == "learnable":
         return "learnable", 0.0
     if raw.startswith("fixed:"):
-        return "fixed", float(raw.split(":", 1)[1])
+        return "fixed", _parse_float(raw.split(":", 1)[1])
     raise ValueError("expected 'learnable' or 'fixed:<value>'")
 
 

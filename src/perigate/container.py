@@ -26,6 +26,7 @@ part-way leaves an existing target as it was.
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import os
 import struct
@@ -119,6 +120,12 @@ def atomic_write(path, mode: str = "wb", **kwargs):
         raise
 
 
+def write_csv(path, rows):
+    """Write CSV rows atomically, one at a time as the iterable yields them."""
+    with atomic_write(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def save_tensor(path, arr: np.ndarray):
     with atomic_write(path) as fh:
         write_tensor_blob(fh, arr)
@@ -175,7 +182,7 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
         entries: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            name = _decode(_read_exact(fh, name_len, "name"), "entry name")
             if name in entries:
                 raise InputError(f"duplicate checkpoint entry '{name}'")
             entries[name] = read_tensor_blob(fh)
@@ -184,5 +191,15 @@ def load_checkpoint(path) -> tuple[str, dict[str, np.ndarray]]:
     if CONFIG_ENTRY not in entries:
         raise InputError("checkpoint is missing its config entry")
     config_arr = entries.pop(CONFIG_ENTRY)
-    config_text = bytes(np.round(config_arr).astype(np.uint8)).decode("utf-8")
-    return config_text, entries
+    codes = np.clip(np.nan_to_num(config_arr), 0, 255).astype(np.uint8)
+    # exactly the float64 byte values save_checkpoint writes, and nothing else
+    if config_arr.ndim != 1 or codes.astype(np.float64).tobytes() != config_arr.tobytes():
+        raise InputError("config entry is not a 1-D float64 tensor of integers 0..255")
+    return _decode(codes.tobytes(), "config text"), entries
+
+
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"checkpoint {what} is not valid UTF-8") from None

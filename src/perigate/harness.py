@@ -8,8 +8,8 @@ and history files.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,13 +52,6 @@ class Adam:
             update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
             p = self.store.var(name)
             p.value = p.value - (self.lr * update).astype(p.value.dtype)
-
-
-def load_sequences(path) -> np.ndarray:
-    arr = container.load_tensor(path)
-    if arr.ndim != 5:
-        raise InputError(f"sequence file must be [N,T,C,H,W], got rank {arr.ndim}")
-    return arr
 
 
 def _check_sequences(m: ModelConfig, data: np.ndarray, need: int):
@@ -177,11 +170,8 @@ def train(cfg: TrainConfig, data: np.ndarray, log=None) -> tuple[Model, list[Epo
 
 
 def write_history_csv(path, history: list[EpochRecord]):
-    with container.atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for rec in history:
-            writer.writerow([rec.epoch, f"{rec.loss:.10g}"])
+    rows = ([rec.epoch, f"{rec.loss:.10g}"] for rec in history)
+    container.write_csv(path, chain([["epoch", "loss"]], rows))
 
 
 def save_model(path, cfg: TrainConfig, model: Model):
@@ -235,10 +225,7 @@ def evaluate(cfg: TrainConfig, model: Model, data: np.ndarray) -> dict[str, floa
 
 def write_metrics_csv(path, report: dict[str, float]):
     """Exactly one `metric,value` row per report entry (no header)."""
-    with container.atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for name in METRIC_NAMES:
-            writer.writerow([name, f"{report[name]:.10g}"])
+    container.write_csv(path, ([name, f"{report[name]:.10g}"] for name in METRIC_NAMES))
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +273,14 @@ def dump_gates(model: Model, input_sequence: np.ndarray, block_index: int, out_p
     pgm_path = prefix.with_name(prefix.name + "_argmax.pgm")
     csv_path = prefix.with_name(prefix.name + "_alpha.csv")
     write_pgm(pgm_path, levels[argmax])
-    with container.atomic_write(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "w"] + [f"alpha_{i}" for i in range(k)])
-        for y in range(alpha.shape[1]):
-            for x in range(alpha.shape[2]):
-                writer.writerow([y, x] + [f"{alpha[i, y, x]:.10g}" for i in range(k)])
+    header = ["h", "w"] + [f"alpha_{i}" for i in range(k)]
+    rows = ([y, x] + [f"{alpha[i, y, x]:.10g}" for i in range(k)]
+            for y in range(alpha.shape[1]) for x in range(alpha.shape[2]))
+    container.write_csv(csv_path, chain([header], rows))
     return csv_path, pgm_path
 
 
 def dump_betas(model: Model, out_csv):
     """Write every effective suppression coefficient: block, scale, channel, value."""
-    with container.atomic_write(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block", "scale", "channel", "value"])
-        for row in model.suppression_values():
-            writer.writerow([row[0], row[1], row[2], f"{row[3]:.10g}"])
+    rows = ([b, k, c, f"{v:.10g}"] for b, k, c, v in model.suppression_values())
+    container.write_csv(out_csv, chain([["block", "scale", "channel", "value"]], rows))

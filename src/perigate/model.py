@@ -4,13 +4,14 @@ Pipeline per forward: every input frame runs through a shared convolutional
 encoder; the per-frame features are packed along channels, refined by the
 multi-scale init stage plus a stack of peripheral gating blocks, unpacked
 back into frames and decoded at full resolution (with a skip from the first
-encoder block). The output horizon is met by slicing (shorter) or
-autoregressive rollout of whole passes (longer).
+encoder block). Longer output horizons roll out autoregressively, pass by
+pass; each pass decodes only the frames still needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +85,8 @@ class ModelConfig:
             raise ConfigurationError("encoder depth n_s must be >= 1")
         if self.n_t < 0:
             raise ConfigurationError("translator depth n_t must be >= 0")
+        if self.n_s // 2 >= min(self.height, self.width).bit_length():  # downsample > H or W
+            raise ConfigurationError(f"encoder depth {self.n_s} shrinks frames below a pixel")
         ds = self.downsample
         if self.height % ds or self.width % ds:
             raise ConfigurationError(
@@ -237,41 +240,27 @@ class Model:
 
         Each frame is one [c_in,H,W] sample or a batch [N,c_in,H,W], and the
         outputs match. ``drop_draw(pass_idx, block_idx)`` supplies the
-        stochastic-depth uniforms in train mode, one per sample. Shorter
-        horizons slice the first pass; longer horizons roll out by feeding
-        the last t_in predictions back as inputs. A list passed as
-        ``internals`` receives the first pass's block internals (see
-        :meth:`translate`).
+        stochastic-depth uniforms in train mode, one per sample. Each pass
+        decodes min(t_in, frames still needed) frames; while more are needed,
+        the last t_in predictions are fed back as the next pass's inputs. A
+        list passed as ``internals`` receives the first pass's block
+        internals (see :meth:`translate`).
         """
         cfg = self.config
-        frames = list(frames)
-        if len(frames) != cfg.t_in:
-            raise InputError(f"expected {cfg.t_in} input frames, got {len(frames)}")
-
-        def run_pass(inputs, pass_idx, keep: int):
-            feats, skips = [], []
-            for f in inputs:
-                feat, skip = self.encode_frame(f)
-                feats.append(feat)
-                skips.append(skip)
-            z = ad.pack_time(feats)
-            draw = (lambda b: drop_draw(pass_idx, b)) if drop_draw is not None else None
-            z = self.translate(z, mode=mode, drop_draw=draw,
+        current = list(frames)
+        if len(current) != cfg.t_in:
+            raise InputError(f"expected {cfg.t_in} input frames, got {len(current)}")
+        outputs = []
+        for pass_idx in range((cfg.t_out + cfg.t_in - 1) // cfg.t_in):
+            feats, skips = zip(*(self.encode_frame(f) for f in current))
+            draw = partial(drop_draw, pass_idx) if drop_draw is not None else None
+            z = self.translate(ad.pack_time(list(feats)), mode=mode, drop_draw=draw,
                                internals=internals if pass_idx == 0 else None)
             parts = ad.unpack_time(z, cfg.t_in)
-            return [self.decode_frame(parts[t], skips[t]) for t in range(keep)]
-
-        if cfg.t_out <= cfg.t_in:
-            return run_pass(frames, 0, cfg.t_out)
-        outputs = []
-        current = frames
-        pass_idx = 0
-        while len(outputs) < cfg.t_out:
-            preds = run_pass(current, pass_idx, cfg.t_in)
-            outputs.extend(preds)
+            keep = min(cfg.t_in, cfg.t_out - len(outputs))
+            outputs.extend(self.decode_frame(parts[t], skips[t]) for t in range(keep))
             current = outputs[-cfg.t_in :]
-            pass_idx += 1
-        return outputs[: cfg.t_out]
+        return outputs
 
     def suppression_values(self) -> list[tuple[int, int, int, float]]:
         """Effective center-suppression coefficients as (block, scale, channel, value)."""

@@ -1,4 +1,7 @@
-"""Forward operation vocabulary on numpy arrays.
+"""Forward kernels on numpy arrays: convolutions, pooling, normalizations,
+softmax, the broadcasting arithmetic and channel concatenation. Elementwise
+maths with no shape rule of its own sits in :mod:`perigate.autodiff`, beside
+its derivative.
 
 Conventions shared by every operation here:
 
@@ -214,34 +217,6 @@ def mul(a, b):
     return a * _broadcast_operand(a, b)
 
 
-def scale(x, s: float):
-    return x * s
-
-
-def tanh(x):
-    return np.tanh(x)
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def leaky_relu(x, alpha: float = 0.2):
-    return np.where(x > 0, x, alpha * x)
-
-
-def relu(x):
-    return np.where(x > 0, x, 0.0 * x)
-
-
-def sqrt(x):
-    return np.sqrt(x)
-
-
-def absolute(x):
-    return np.abs(x)
-
-
 def grn_parts(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6):
     """Global response normalization with residual, per sample:
     n_c = |x_c|_2 / (mean_c |x_c|_2 + eps); out = gamma * (x * n) + beta + x.
@@ -276,11 +251,6 @@ def group_norm_parts(
     return gamma[:, None, None] * xhat.reshape(x.shape) + beta[:, None, None], (xhat, inv)
 
 
-def upsample2x(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour 2x spatial upsampling."""
-    return np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
-
-
 def concat_channels(xs) -> np.ndarray:
     xs = [np.asarray(x) for x in xs]
     ref = xs[0].shape
@@ -298,9 +268,4 @@ def split_channels(x: np.ndarray, sizes) -> list[np.ndarray]:
         out.append(x[..., lo : lo + s, :, :])
         lo += s
     return out
-
-
-def mean_channels(x: np.ndarray) -> np.ndarray:
-    """Channel mean, keeping a single-channel axis: [..., C,H,W] -> [..., 1,H,W]."""
-    return x.mean(axis=-3, keepdims=True)
 

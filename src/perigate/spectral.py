@@ -11,14 +11,14 @@ signal spectrum (plain Lebesgue weight for the noise side).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
 
-from .container import atomic_write
+from .container import write_csv
 from .errors import ConfigurationError, DegeneracyError, InputError, NumericError
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -95,7 +95,8 @@ class FreqResponse:
     """Real-valued radial response sampled on a uniform grid over [0, pi].
 
     ``fn`` is the continuous evaluator when one exists (parametric models,
-    compositions thereof); kernel-derived responses are sampled-only.
+    compositions thereof); kernel-derived responses and the flat and band
+    signal spectra are sampled-only.
     """
 
     r: np.ndarray
@@ -315,13 +316,23 @@ def snr(beta, coeffs: QuadCoeffs):
     """SNR(beta); accepts a scalar or an array of beta values."""
     beta = np.asarray(beta, dtype=np.float64)
     num = coeffs.a - 2.0 * beta * coeffs.b + beta * beta * coeffs.c
-    den = coeffs.sigma2 * (coeffs.at - 2.0 * beta * coeffs.bt + beta * beta * coeffs.ct)
+    den = coeffs.sigma2 * _noise_energy(beta, coeffs)
     if np.any(den <= 0):
         raise DegeneracyError(
             "noise energy vanished; responses are linearly dependent at some beta"
         )
     out = num / den
     return float(out) if out.ndim == 0 else out
+
+
+def _noise_energy(beta, coeffs: QuadCoeffs):
+    return coeffs.at - 2.0 * beta * coeffs.bt + beta * beta * coeffs.ct
+
+
+def _is_pole(beta: float, coeffs: QuadCoeffs) -> bool:
+    """Whether the noise energy vanishes at beta, relative to its terms' size."""
+    size = abs(coeffs.at) + abs(2.0 * beta * coeffs.bt) + abs(beta * beta * coeffs.ct)
+    return abs(_noise_energy(beta, coeffs)) <= 1e-12 * size
 
 
 def _snr_derivative(beta: float, coeffs: QuadCoeffs, h: float = 1e-6) -> float:
@@ -349,7 +360,9 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
 
     Roots come from companion-matrix eigenvalues after stripping degenerate
     leading coefficients, polished by Newton steps on the polynomial, and
-    each verified to zero the central-difference SNR derivative.
+    each verified to zero the central-difference SNR derivative. When
+    At*Ct = Bt^2 the double root Bt/Ct of the noise energy also solves the
+    equation; it is a pole of the SNR, not a stationary point, and is dropped.
     """
     poly = stationary_polynomial(coeffs)
     magnitude = max(
@@ -379,7 +392,7 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
                 break
             x -= p / dp
         real.append(x)
-    real = sorted(set(round(x, 14) for x in real))
+    real = sorted(set(round(x, 14) for x in real if not _is_pole(x, coeffs)))
     for x in real:
         d = _snr_derivative(x, coeffs)
         if abs(d) >= derivative_tol:
@@ -391,27 +404,25 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
 
 def optimal_beta(
     coeffs: QuadCoeffs,
-    domain: tuple[float, float] | None = (-1.0, 1.0),
+    domain: tuple[float, float] = (-1.0, 1.0),
     verify: bool = True,
     grid_points: int = 100_000,
 ) -> tuple[float, float]:
     """SNR-maximizing beta over an open interval (default (-1, 1)).
 
     Candidates are the in-domain stationary roots plus the endpoints
-    approached at a 1e-9 offset. ``domain=None`` is the unbounded variant
-    used for pure theory checks (best stationary root). With ``verify`` the
-    result is cross-checked against a dense grid evaluation.
+    approached at a 1e-9 offset. A pole of the SNR (see
+    :func:`stationary_betas`) in the closed domain has no maximizer and raises
+    :class:`DegeneracyError`. With ``verify`` the result is cross-checked
+    against a dense grid evaluation.
     """
     roots = stationary_betas(coeffs)
-    if domain is None:
-        if not roots:
-            raise DegeneracyError("no stationary points")
-        values = [snr(r, coeffs) for r in roots]
-        best = int(np.argmax(values))
-        return roots[best], values[best]
     lo, hi = domain
     if not lo < hi:
         raise ConfigurationError(f"empty domain ({lo}, {hi})")
+    pole = coeffs.bt / coeffs.ct if coeffs.ct != 0 else None
+    if pole is not None and lo <= pole <= hi and _is_pole(pole, coeffs):
+        raise DegeneracyError(f"noise energy vanishes at beta = {pole:.9g}: the SNR has a pole")
     candidates = [r for r in roots if lo < r < hi] + [lo + _EDGE, hi - _EDGE]
     values = [snr(b, coeffs) for b in candidates]
     best = int(np.argmax(values))
@@ -491,15 +502,14 @@ def snr_advantage(coeffs: QuadCoeffs) -> Optional[float]:
 
 def flat_spectrum(n: int = DEFAULT_SAMPLES) -> FreqResponse:
     r = grid(n)
-    return FreqResponse(r, np.ones_like(r), fn=lambda x: np.ones_like(np.asarray(x, float)))
+    return FreqResponse(r, np.ones_like(r))
 
 
 def band_spectrum(lo: float, hi: float, n: int = DEFAULT_SAMPLES) -> FreqResponse:
     if not 0.0 <= lo < hi:
         raise InputError(f"invalid band [{lo}, {hi}]")
     r = grid(n)
-    values = ((r >= lo) & (r <= hi)).astype(np.float64)
-    return FreqResponse(r, values, fn=lambda x: ((np.asarray(x) >= lo) & (np.asarray(x) <= hi)).astype(float))
+    return FreqResponse(r, ((r >= lo) & (r <= hi)).astype(np.float64))
 
 
 def write_ring_csv(
@@ -508,20 +518,12 @@ def write_ring_csv(
     """Per-sample response table: r, H_L, H_S, H_beta, ring_flag."""
     _same_grid(h_l, h_s)
     _same_grid(h_l, h_beta)
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "H_L", "H_S", "H_beta", "ring_flag"])
-        for i, r in enumerate(h_l.r):
-            flag = int(band is not None and band.r1 < r < band.r2)
-            writer.writerow(
-                [f"{r:.12g}", f"{h_l.values[i]:.12g}", f"{h_s.values[i]:.12g}",
-                 f"{h_beta.values[i]:.12g}", flag]
-            )
+    rows = ([f"{r:.12g}", f"{hl:.12g}", f"{hs:.12g}", f"{hb:.12g}",
+             int(band is not None and band.r1 < r < band.r2)]
+            for r, hl, hs, hb in zip(h_l.r, h_l.values, h_s.values, h_beta.values))
+    write_csv(path, chain([["r", "H_L", "H_S", "H_beta", "ring_flag"]], rows))
 
 
 def write_snr_sweep_csv(path, betas: np.ndarray, values: np.ndarray):
-    with atomic_write(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "snr"])
-        for b, s in zip(betas, values):
-            writer.writerow([f"{b:.12g}", f"{s:.12g}"])
+    rows = ([f"{b:.12g}", f"{s:.12g}"] for b, s in zip(betas, values))
+    write_csv(path, chain([["beta", "snr"]], rows))

@@ -225,7 +225,7 @@ def scan_oracle(fn, n):
 def test_criterion_06_ring_detection():
     n = 1024
     h_l = response_from_function(np.sin, n)
-    h_s = spectral.flat_spectrum(n)
+    h_s = response_from_function(np.ones_like, n)  # analytic, so the band is bisected
     band = find_ring(composite(h_l, h_s, 0.5))
     ok = band is not None
     ok &= abs(band.r1 - math.pi / 6) < 1e-6 and abs(band.r2 - 5 * math.pi / 6) < 1e-6

@@ -7,8 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from perigate import container
+from perigate import container, harness
 from perigate.cli import main
+from perigate.config import TrainConfig
+from perigate.model import Model, micro_config
 
 MICRO_CONFIG = """
 t_in = 2
@@ -232,6 +234,16 @@ class TestAnalyze:
                      "--ps", "band:2"]) == 2
 
 
+def _exits_2_with_one_error_line(argv, capsys):
+    # outside pytest, a warning raised here would print to stderr before the error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 NONFINITE_ANALYZE = {
     "coeffs_nan": ["beta-star", "--coeffs", "1,2,3,4,5,nan"],
     "coeffs_inf": ["beta-star", "--coeffs", "1,2,3,4,5,inf"],
@@ -256,13 +268,7 @@ def test_nonfinite_analyze_input_exits_2(case, tmp_path, capsys):
     kfile = tmp_path / "k.pfgt"
     container.save_tensor(kfile, np.array([0.25, np.nan, 0.25]))
     argv = [a.format(kfile=kfile) for a in NONFINITE_ANALYZE[case]]
-    # outside pytest, any warning raised here would print to stderr before the error line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["analyze"] + argv) == 2
-    assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    _exits_2_with_one_error_line(["analyze"] + argv, capsys)
 
 
 STRAY_ANALYZE_FLAGS = {
@@ -281,6 +287,57 @@ def test_flag_the_analysis_does_not_use_exits_2(case, capsys):
         main(["analyze"] + STRAY_ANALYZE_FLAGS[case])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", ["2,1,1,1,1,1", "2,1,1,1,-1,1"])
+def test_beta_star_pole_in_domain_exits_2(coeffs, capsys):
+    # At*Ct = Bt^2: the noise energy has a double root at beta = +-1
+    _exits_2_with_one_error_line(["analyze", "beta-star", "--coeffs", coeffs], capsys)
+
+
+def test_beta_star_pole_outside_domain(capsys):
+    # the noise energy's double root at beta = 2 solves the stationary
+    # equation but is a pole, not a stationary point; beta = 0 is one
+    assert main(["analyze", "beta-star", "--coeffs", "2,1,1,1,0.5,0.25"]) == 0
+    assert "grid_ok true" in capsys.readouterr().out
+
+
+CKPT_DAMAGE = {  # offset into the checkpoint -> replacement bytes
+    "name_byte_ff": (11, b"\xff"),
+    "config_value_255": (37, struct.pack("<d", 255.0)),
+    "config_value_nan": (37, struct.pack("<d", math.nan)),
+}
+
+
+@pytest.mark.parametrize("command", ["betas", "eval", "predict"])
+@pytest.mark.parametrize("case", sorted(CKPT_DAMAGE))
+def test_malformed_checkpoint_text_exits_2(case, command, tmp_path, capsys):
+    cfg = TrainConfig(model=micro_config())
+    ckpt, data = tmp_path / "m.pfgc", tmp_path / "d.pfgt"
+    harness.save_model(ckpt, cfg, Model.build(cfg.model))
+    container.save_tensor(data, np.zeros((1, 4, 1, 8, 8), dtype=np.float32))
+    raw = bytearray(ckpt.read_bytes())
+    at, patch = CKPT_DAMAGE[case]
+    raw[at : at + len(patch)] = patch
+    ckpt.write_bytes(raw)
+    argv = {
+        "betas": ["inspect", "betas", "--ckpt", str(ckpt), "--out-csv", str(tmp_path / "b.csv")],
+        "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data),
+                 "--out-csv", str(tmp_path / "m.csv")],
+        "predict": ["predict", "--ckpt", str(ckpt), "--input", str(data),
+                    "--output", str(tmp_path / "p.pfgt")],
+    }[command]
+    _exits_2_with_one_error_line(argv, capsys)
+
+
+@pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "beta_mode = fixed:nan",
+                                  "beta_mode = fixed:inf", "cues = f1,f1", "n_s = 1000000"])
+def test_unusable_config_value_exits_2(line, workspace, capsys):
+    tmp_path, cfg, _ = workspace
+    key = line.split(" = ")[0]
+    kept = [l for l in MICRO_CONFIG.splitlines() if l.split(" = ")[0] != key]
+    cfg.write_text("\n".join(kept + [line]) + "\n")
+    _exits_2_with_one_error_line(["inspect", "params", "--config", str(cfg)], capsys)
 
 
 class TestInspect:

@@ -4,9 +4,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from perigate import container
+from perigate import container, harness
+from perigate.config import TrainConfig
 from perigate.errors import InputError
+from perigate.model import Model, micro_config
+
+NAME_AT = 11  # magic, version, entry count, name length
+CONFIG_AT = NAME_AT + len("config") + 20  # the config blob's first float64 value
 
 
 class TestTensorBlob:
@@ -118,6 +125,101 @@ class TestCheckpoint:
         container.save_checkpoint(p1, "seed = 0\n", tensors)
         container.save_checkpoint(p2, "seed = 0\n", tensors)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestMalformedCheckpointText:
+    """Entry names and config text that are not UTF-8, and config values that
+    are not byte values, are input errors, not decoding crashes."""
+
+    @pytest.fixture()
+    def raw(self, tmp_path):
+        path = tmp_path / "m.pfgc"
+        container.save_checkpoint(path, "seed = 1\n", {"w": np.arange(3.0)})
+        return path, bytearray(path.read_bytes())
+
+    def test_name_not_utf8(self, raw):
+        path, data = raw
+        data[NAME_AT] = 0xFF
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="entry name is not valid UTF-8"):
+            container.load_checkpoint(path)
+
+    def test_config_text_not_utf8(self, raw):
+        path, data = raw
+        data[CONFIG_AT : CONFIG_AT + 8] = struct.pack("<d", 255.0)
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="config text is not valid UTF-8"):
+            container.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 115.5, -1.0, 256.0])
+    def test_config_value_not_a_byte(self, raw, value):
+        path, data = raw
+        data[CONFIG_AT : CONFIG_AT + 8] = struct.pack("<d", value)
+        path.write_bytes(data)
+        with pytest.raises(InputError, match="integers 0..255"):
+            container.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of a small PFGT blob and of a micro-config checkpoint."""
+    root = tmp_path_factory.mktemp("valid")
+    container.save_tensor(root / "t.pfgt", np.arange(6, dtype=np.float32).reshape(2, 3) - 2.5)
+    cfg = TrainConfig(model=micro_config())
+    harness.save_model(root / "m.pfgc", cfg, Model.build(cfg.model))
+    return root, (root / "t.pfgt").read_bytes(), (root / "m.pfgc").read_bytes()
+
+
+# byte replacements (offsets wrap around the file; small ones hit the headers,
+# names and config text) and a truncation length (at or past the end keeps all)
+MUTATIONS = st.lists(
+    st.tuples(st.one_of(st.integers(0, 64), st.integers(0, 4096), st.integers(0, 10**6)),
+              st.integers(0, 255)),
+    max_size=6,
+)
+CUTS = st.one_of(st.just(10**6), st.integers(0, 10**6))
+
+
+def _mutate(blob: bytes, mutations, cut: int) -> bytes:
+    data = bytearray(blob)
+    for pos, value in mutations:
+        data[pos % len(data)] = value
+    return bytes(data[:cut])
+
+
+def _rejected_or_resaved_exactly(root, data: bytes, suffix: str, load, save):
+    path, again = root / f"in{suffix}", root / f"again{suffix}"
+    path.write_bytes(data)
+    try:
+        loaded = load(path)
+    except InputError:
+        return
+    save(again, loaded)
+    assert again.read_bytes() == data
+
+
+class TestHostileInput:
+    """Mutated or truncated files either raise InputError or load to values
+    that save back to the very same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutations=MUTATIONS, cut=CUTS)
+    @example(mutations=[(5, 1)], cut=10**6)  # float32 code -> float64
+    @example(mutations=[(12, 3)], cut=10**6)  # rank 2 -> 3
+    def test_tensor_blob(self, valid_files, mutations, cut):
+        root, blob, _ = valid_files
+        _rejected_or_resaved_exactly(root, _mutate(blob, mutations, cut), ".pfgt",
+                                     container.load_tensor, container.save_tensor)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutations=MUTATIONS, cut=CUTS)
+    @example(mutations=[(CONFIG_AT, 1)], cut=10**6)  # 't' + 2^-46: not an integer
+    def test_checkpoint(self, valid_files, mutations, cut):
+        root, _, blob = valid_files
+        _rejected_or_resaved_exactly(
+            root, _mutate(blob, mutations, cut), ".pfgc", container.load_checkpoint,
+            lambda path, loaded: container.save_checkpoint(path, *loaded),
+        )
 
 
 class TestAtomicWrites:

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perigate import harness, spectral
 from perigate.config import TrainConfig, parse_config_text, serialize_config
 from perigate.data import gen_bouncing
-from perigate.errors import InputError
-from perigate.model import ModelConfig
+from perigate.errors import ConfigParseError, ConfigurationError, InputError
+from perigate.model import ModelConfig, micro_config
 
 
 def micro_train_config(**overrides):
@@ -299,6 +301,60 @@ class TestConfigFile:
 
         with pytest.raises(ConfigParseError):
             parse_config_text("cues = f1,f9\n")
+
+
+# a valid micro config, some of whose values the fuzzer replaces
+BASE_CONFIG = dict(
+    line.split(" = ") for line in serialize_config(TrainConfig(model=micro_config())).splitlines()
+)
+CONFIG_VALUES = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-2, 40), max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["softmax", "mean", "tanh", "sigmoid", "learnable", "fixed:0.5",
+                     "fixed:nan", "f1,f2", "f1,f1", "f2", ""]),
+    st.text(max_size=12),
+)
+CONFIG_TEXT = st.tuples(
+    st.dictionaries(st.sampled_from(sorted(BASE_CONFIG)), CONFIG_VALUES, max_size=4),
+    st.lists(st.text(max_size=20), max_size=1),
+).map(lambda t: "\n".join([f"{k} = {v}" for k, v in {**BASE_CONFIG, **t[0]}.items()] + t[1]))
+
+
+class TestConfigValues:
+    """Values that parse but cannot make a model are refused up front."""
+
+    @pytest.mark.parametrize("line", ["lr = nan", "lr = inf", "drop_path = -inf",
+                                      "beta_mode = fixed:nan", "beta_mode = fixed:inf"])
+    def test_nonfinite_float_rejected_with_line(self, line):
+        with pytest.raises(ConfigParseError, match="line 2: .*not a finite number"):
+            parse_config_text(f"t_in = 2\n{line}\n")
+
+    def test_validate_rejects_nonfinite(self):
+        with pytest.raises(ConfigurationError, match="learning rate"):
+            TrainConfig(model=micro_config(), lr=float("nan")).validate()
+        with pytest.raises(ConfigurationError, match="fixed beta"):
+            micro_config(beta_mode="fixed", beta_fixed=float("inf")).validate()
+
+    def test_duplicate_cues(self):
+        with pytest.raises(ConfigurationError, match="duplicate frequency cues"):
+            micro_config(cues=("f1", "f1")).validate()
+
+    def test_encoder_deeper_than_the_frame(self):
+        with pytest.raises(ConfigurationError, match="below a pixel"):
+            micro_config(n_s=10**6).validate()
+        micro_config(n_s=7, height=8, width=8).validate()  # 2^3 = 8 still fits
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=CONFIG_TEXT)
+    @example(text="n_s = 1000000")
+    def test_random_text_parses_or_is_refused(self, text):
+        try:
+            cfg = parse_config_text(text).validate()
+        except (ConfigParseError, ConfigurationError):
+            return
+        assert isinstance(cfg, TrainConfig)
 
 
 class TestRolloutTraining:
