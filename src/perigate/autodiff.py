@@ -363,15 +363,20 @@ def dwconv_2d(x, kernel):
         gx = ops.dwconv_2d(g, k2[:, ::-1, ::-1])
         gk = None
         if isinstance(kernel, Var):
-            # one shifted-slice dot product per tap, summed over the leading axes
+            # tap (u, v): g, zero in the wrapped columns, dotted with the flat
+            # rows the forward read from u (W + k - 1) + v, over the leading axes
             c, hh, ww = xv.shape[-3:]
             k = k2.shape[1]
-            xp = ops.pad(xv, (k - 1) // 2, (k - 1) // 2).reshape((-1, c, hh + k - 1, ww + k - 1))
-            g3 = g.reshape(-1, c, hh, ww)
+            wp = ww + k - 1
+            flat = ops.flat_rows(xv, k).reshape(-1, c, (hh + k) * wp)
+            gp = np.zeros(g.shape[:-1] + (wp,), dtype=g.dtype)
+            gp[..., :ww] = g
+            gf = gp.reshape(-1, c, hh * wp)
             gk = np.empty(k2.shape, dtype=np.result_type(g, xv))
             for u in range(k):
                 for v in range(k):
-                    gk[:, u, v] = np.einsum("nchw,nchw->c", g3, xp[..., u : u + hh, v : v + ww])
+                    s = u * wp + v
+                    gk[:, u, v] = np.einsum("ncj,ncj->c", gf, flat[..., s : s + hh * wp])
             if kv.ndim == 2:  # shared kernel: sum channel contributions
                 gk = gk.sum(axis=0)
         return gx, gk

@@ -200,6 +200,16 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    """Run one analysis; arithmetic that leaves the float64 range refuses the
+    query (exit 2) instead of printing a numpy warning."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            return _analyze(args)
+        except FloatingPointError as exc:
+            raise InputError(f"analysis leaves the float64 range ({exc})") from None
+
+
+def _analyze(args) -> int:
     if args.analysis == "beta-star" and args.coeffs is not None:
         try:
             a, b, c, at, bt, ct = (float(x) for x in args.coeffs.split(","))

@@ -72,21 +72,10 @@ def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.n
 
 
 def _windowed(img: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Separable valid-mode weighted local mean."""
+    """Separable valid-mode weighted local mean over the last two axes."""
     k = w.size
-    rows = sliding_window_view(img, k, axis=0) @ w
-    return sliding_window_view(rows, k, axis=1) @ w
-
-
-def _ssim_channel(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    mu_x = _windowed(x, w)
-    mu_y = _windowed(y, w)
-    sig_x = _windowed(x * x, w) - mu_x * mu_x
-    sig_y = _windowed(y * y, w) - mu_y * mu_y
-    sig_xy = _windowed(x * y, w) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * sig_xy + SSIM_C2)
-    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (sig_x + sig_y + SSIM_C2)
-    return float((num / den).mean())
+    rows = sliding_window_view(img, k, axis=-2) @ w
+    return sliding_window_view(rows, k, axis=-1) @ w
 
 
 def ssim(pred, gt) -> float:
@@ -94,19 +83,21 @@ def ssim(pred, gt) -> float:
 
     Window 11x11, sigma 1.5, constants for unit dynamic range. Channels are
     scored independently and averaged, then frames are averaged over N*T.
+    All frames are windowed in one pass over the [N,T,C,H,W] arrays.
     """
-    pred, gt = _check_pair(pred, gt)
-    n, t, c, h, w_ = pred.shape
+    x, y = _check_pair(pred, gt)
+    h, w_ = x.shape[-2:]
     if h < SSIM_WINDOW or w_ < SSIM_WINDOW:
         raise InputError(
             f"frames {h}x{w_} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
     win = _gaussian_window()
-    scores = np.empty((n, t))
-    for i in range(n):
-        for j in range(t):
-            per_channel = [
-                _ssim_channel(pred[i, j, ch], gt[i, j, ch], win) for ch in range(c)
-            ]
-            scores[i, j] = float(np.mean(per_channel))
-    return float(scores.mean())
+    mu_x = _windowed(x, win)
+    mu_y = _windowed(y, win)
+    sig_x = _windowed(x * x, win) - mu_x * mu_x
+    sig_y = _windowed(y * y, win) - mu_y * mu_y
+    sig_xy = _windowed(x * y, win) - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * sig_xy + SSIM_C2)
+    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (sig_x + sig_y + SSIM_C2)
+    per_channel = (num / den).mean(axis=(-2, -1))
+    return float(per_channel.mean(axis=-1).mean())

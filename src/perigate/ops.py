@@ -95,13 +95,24 @@ def sep_conv_parts(x: np.ndarray, h: np.ndarray, v: np.ndarray):
     return _dwconv_1d(mid, v, -2), mid
 
 
+def flat_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """Each channel zero-padded for a k x k window and read as one flat run of
+    rows of width W + k - 1: [..., C, (H + k) * (W + k - 1)]. Tap (u, v)'s
+    shifted window is the contiguous slice from u * (W + k - 1) + v of length
+    H * (W + k - 1); one spare zero row keeps the last tap's slice inside."""
+    hh, ww = x.shape[-2:]
+    p = (k - 1) // 2
+    xp = np.zeros(x.shape[:-2] + (hh + 2 * p + 1, ww + 2 * p), dtype=x.dtype)
+    xp[..., p : p + hh, p : p + ww] = x
+    return xp.reshape(x.shape[:-2] + (-1,))
+
+
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Dense depthwise k x k correlation: k*k shifted multiply-adds.
 
-    Each zero-padded channel is read as one flat run of rows of width
-    W + k - 1, so a tap's shifted window is one contiguous slice of it; the
-    k - 1 columns per row that wrap past a row end are cut from the output.
-    Each product goes into one scratch buffer and is added in place.
+    Each tap reads one contiguous slice of the :func:`flat_rows`; the k - 1
+    columns per row that wrap past a row end are cut from the output. Each
+    product goes into one scratch buffer and is added in place.
     """
     hh, ww = x.shape[-2:]
     kernel = _per_channel(kernel, x.shape[-3], 2)
@@ -109,12 +120,8 @@ def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     _check_odd(kh)
     if kh != kw:
         raise ConfigurationError(f"depthwise kernel must be square, got {kh}x{kw}")
-    p = (kh - 1) // 2
-    wp = ww + 2 * p
-    # one spare zero row keeps the last tap's slice inside the buffer
-    xp = np.zeros(x.shape[:-2] + (hh + 2 * p + 1, wp), dtype=x.dtype)
-    xp[..., p : p + hh, p : p + ww] = x
-    flat = xp.reshape(x.shape[:-2] + (-1,))
+    wp = ww + kw - 1
+    flat = flat_rows(x, kh)
     n = hh * wp
     out = flat[..., :n] * kernel[:, 0, 0, None]
     tmp = np.empty_like(out)

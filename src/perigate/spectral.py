@@ -127,8 +127,14 @@ def grid(n: int = DEFAULT_SAMPLES) -> np.ndarray:
 
 
 def response_from_function(fn: Callable, n: int = DEFAULT_SAMPLES) -> FreqResponse:
+    """``fn`` sampled on the grid. An exponent of a closed form past the
+    float64 range (exp:1e308, gauss:1e-320) stands for its limit, e^(-inf) = 0
+    or e^(+inf) = inf, so that overflow neither raises nor warns here or where
+    :func:`find_ring` refines a band on ``fn``."""
     r = grid(n)
-    return FreqResponse(r, np.asarray(fn(r), dtype=np.float64), fn=fn)
+    with np.errstate(over="ignore"):
+        values = np.asarray(fn(r), dtype=np.float64)
+    return FreqResponse(r, values, fn=fn)
 
 
 def response_from_kernel(
@@ -206,12 +212,13 @@ class RingBand:
 def _bisect(fn, lo, hi, lo_positive: bool, iters: int = 80) -> float:
     """Locate the sign change of fn between lo and hi."""
     flo_pos = lo_positive
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (float(fn(mid)) > 0.0) == flo_pos:
-            lo = mid
-        else:
-            hi = mid
+    with np.errstate(over="ignore"):  # closed-form limits, as in response_from_function
+        for _ in range(iters):
+            mid = 0.5 * (lo + hi)
+            if (float(fn(mid)) > 0.0) == flo_pos:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -355,20 +362,44 @@ def stationary_polynomial(coeffs: QuadCoeffs) -> np.ndarray:
     return np.array([c3, c2, c1, c0])
 
 
+def _unit_scaled(coeffs: QuadCoeffs) -> QuadCoeffs:
+    """``coeffs`` with (A, B, C) and (At, Bt, Ct) each scaled by the power of
+    two that brings its largest magnitude into [0.5, 1). The scaling is exact
+    and the stationary equation is bilinear in the two triples, so its roots
+    are unchanged, and its coefficients cannot overflow."""
+
+    def scaled(*values):
+        e = math.frexp(max(abs(v) for v in values))[1]
+        return [math.ldexp(v, -e) for v in values]
+
+    return QuadCoeffs(*scaled(coeffs.a, coeffs.b, coeffs.c),
+                      *scaled(coeffs.at, coeffs.bt, coeffs.ct), coeffs.sigma2)
+
+
 def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[float]:
     """All real roots of the stationary equation, ascending.
 
     Roots come from companion-matrix eigenvalues after stripping degenerate
     leading coefficients, polished by Newton steps on the polynomial, and
-    each verified to zero the central-difference SNR derivative. When
-    At*Ct = Bt^2 the double root Bt/Ct of the noise energy also solves the
-    equation; it is a pole of the SNR, not a stationary point, and is dropped.
+    each verified to zero the central-difference SNR derivative, to
+    ``derivative_tol`` times max(1, |SNR|). When At*Ct = Bt^2 the double root
+    Bt/Ct of the noise energy also solves the equation; it is a pole of the
+    SNR, not a stationary point, and is dropped. :class:`DegeneracyError` is
+    raised for a noise energy that is negative somewhere (At < 0, Ct < 0 or
+    Bt^2 > At*Ct), which no pair of real responses gives, and for a root that
+    fails the check (an SNR too sharp for its 1e-6 step).
     """
-    poly = stationary_polynomial(coeffs)
+    unit = _unit_scaled(coeffs)
+    gram = unit.at * unit.ct
+    if unit.at < 0 or unit.ct < 0 or unit.bt * unit.bt - gram > 1e-12 * max(gram, 1e-300):
+        raise DegeneracyError(
+            "noise energy At - 2 beta Bt + beta^2 Ct is negative for some beta"
+        )
+    poly = stationary_polynomial(unit)
     magnitude = max(
-        abs(coeffs.a * coeffs.bt), abs(coeffs.at * coeffs.b),
-        abs(coeffs.c * coeffs.at), abs(coeffs.a * coeffs.ct),
-        abs(coeffs.b * coeffs.ct), abs(coeffs.c * coeffs.bt), 1e-300,
+        abs(unit.a * unit.bt), abs(unit.at * unit.b),
+        abs(unit.c * unit.at), abs(unit.a * unit.ct),
+        abs(unit.b * unit.ct), abs(unit.c * unit.bt), 1e-300,
     )
     tol = 1e-12 * magnitude
     if np.all(np.abs(poly) <= tol):
@@ -395,9 +426,10 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
     real = sorted(set(round(x, 14) for x in real if not _is_pole(x, coeffs)))
     for x in real:
         d = _snr_derivative(x, coeffs)
-        if abs(d) >= derivative_tol:
-            raise NumericError(
+        if abs(d) >= derivative_tol * max(1.0, abs(snr(x, coeffs))):
+            raise DegeneracyError(
                 f"stationary root {x} fails the derivative check: |dSNR/dbeta| = {abs(d):.3e}"
+                " (the SNR varies on a finer scale than the check's 1e-6 step)"
             )
     return real
 
@@ -413,15 +445,18 @@ def optimal_beta(
     Candidates are the in-domain stationary roots plus the endpoints
     approached at a 1e-9 offset. A pole of the SNR (see
     :func:`stationary_betas`) in the closed domain has no maximizer and raises
-    :class:`DegeneracyError`. With ``verify`` the result is cross-checked
-    against a dense grid evaluation.
+    :class:`DegeneracyError`; so does a noise energy whose minimum there is
+    within 1e-12 of its largest coefficient, a pole at float64 resolution.
+    With ``verify`` the result is cross-checked against a dense grid
+    evaluation.
     """
     roots = stationary_betas(coeffs)
     lo, hi = domain
     if not lo < hi:
         raise ConfigurationError(f"empty domain ({lo}, {hi})")
-    pole = coeffs.bt / coeffs.ct if coeffs.ct != 0 else None
-    if pole is not None and lo <= pole <= hi and _is_pole(pole, coeffs):
+    unit = _unit_scaled(coeffs)
+    pole = unit.bt / unit.ct if unit.ct != 0 else None
+    if pole is not None and lo <= pole <= hi and _noise_energy(pole, unit) <= 1e-12:
         raise DegeneracyError(f"noise energy vanishes at beta = {pole:.9g}: the SNR has a pole")
     candidates = [r for r in roots if lo < r < hi] + [lo + _EDGE, hi - _EDGE]
     values = [snr(b, coeffs) for b in candidates]
@@ -445,12 +480,12 @@ def grid_check(
     """Whether snr_star reaches the SNR maximum on a dense grid, and that maximum.
 
     The grid spans the open domain 1e-9 in from each end; snr_star may fall
-    short of the grid maximum by at most 1e-9.
+    short of the grid maximum by at most 1e-9 times max(1, |grid maximum|).
     """
     lo, hi = domain
     betas = np.linspace(lo + _EDGE, hi - _EDGE, grid_points)
     grid_max = float(np.max(snr(betas, coeffs)))
-    return snr_star >= grid_max - 1e-9, grid_max
+    return snr_star >= grid_max - 1e-9 * max(1.0, abs(grid_max)), grid_max
 
 
 def snr_advantage(coeffs: QuadCoeffs) -> Optional[float]:

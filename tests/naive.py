@@ -28,6 +28,29 @@ def dense_dwconv2d(x, kernel):
     return out
 
 
+def dense_dwconv2d_grads(x, kernel, g):
+    """Input gradient [C, H, W] and per-channel kernel gradient [C, k, k] of
+    :func:`dense_dwconv2d` for output gradient g, scattered back output by
+    output onto the input pixel and the tap that produced it."""
+    c, h, w = x.shape
+    if kernel.ndim == 2:
+        kernel = np.stack([kernel] * c)
+    k = kernel.shape[1]
+    p = (k - 1) // 2
+    gx = np.zeros((c, h, w))
+    gk = np.zeros((c, k, k))
+    for ch in range(c):
+        for i in range(h):
+            for j in range(w):
+                for u in range(k):
+                    for v in range(k):
+                        ii, jj = i + u - p, j + v - p
+                        if 0 <= ii < h and 0 <= jj < w:
+                            gx[ch, ii, jj] += kernel[ch, u, v] * g[ch, i, j]
+                            gk[ch, u, v] += x[ch, ii, jj] * g[ch, i, j]
+    return gx, gk
+
+
 def _taps_per_channel(kernel, c):
     return np.stack([kernel] * c) if kernel.ndim == 1 else kernel
 
@@ -151,3 +174,37 @@ def kernel_radial_dtft(h, v, n, num_angles):
             ev += v[tap] * np.exp(-1j * r * np.sin(theta) * offsets[tap])
         out += (eh * ev).real
     return out / num_angles
+
+
+def ssim(pred, gt):
+    """Structural similarity of [N, T, C, H, W] batches, one frame and channel
+    at a time: the metrics module's window and constants, its channel mean,
+    then the mean over the N*T frames."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from perigate import metrics
+
+    w = metrics._gaussian_window()
+    k = w.size
+
+    def windowed(img):
+        rows = sliding_window_view(img, k, axis=0) @ w
+        return sliding_window_view(rows, k, axis=1) @ w
+
+    c1, c2 = metrics.SSIM_C1, metrics.SSIM_C2
+    n, t, c = pred.shape[:3]
+    scores = np.empty((n, t))
+    for i in range(n):
+        for j in range(t):
+            per_channel = []
+            for ch in range(c):
+                x, y = pred[i, j, ch], gt[i, j, ch]
+                mu_x, mu_y = windowed(x), windowed(y)
+                sig_x = windowed(x * x) - mu_x * mu_x
+                sig_y = windowed(y * y) - mu_y * mu_y
+                sig_xy = windowed(x * y) - mu_x * mu_y
+                num = (2.0 * mu_x * mu_y + c1) * (2.0 * sig_xy + c2)
+                den = (mu_x * mu_x + mu_y * mu_y + c1) * (sig_x + sig_y + c2)
+                per_channel.append(float((num / den).mean()))
+            scores[i, j] = float(np.mean(per_channel))
+    return float(scores.mean())

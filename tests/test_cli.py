@@ -1,11 +1,15 @@
 """CLI surface: subcommands, exit codes, file outputs."""
 
+import contextlib
+import io
 import math
 import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perigate import container, harness
 from perigate.cli import main
@@ -300,6 +304,95 @@ def test_beta_star_pole_outside_domain(capsys):
     # equation but is a pole, not a stationary point; beta = 0 is one
     assert main(["analyze", "beta-star", "--coeffs", "2,1,1,1,0.5,0.25"]) == 0
     assert "grid_ok true" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spectrum", ["exp:1e308", "gauss:1e-320"])
+def test_closed_form_past_float64_is_its_limit(spectrum, capsys):
+    # exp(-rate r) and exp(-r^2 / 2 var) past float64 are 0 away from r = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["analyze", "ring", "--hl", spectrum, "--hs", "exp:1.5", "--beta", "0.5"])
+    assert code == 0 and [str(w.message) for w in caught] == []
+    out = capsys.readouterr()
+    assert out.out == "none\n" and out.err == ""
+
+
+ANALYZE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308, 0.5, 1.0, 2.5]),
+)
+
+
+@st.composite
+def analyze_queries(draw):
+    """argv of one ``analyze`` query; every number a drawn float, finite or not.
+    Values are attached with '=' so that '-inf' or '-1e+308' is never read as a flag."""
+    num = lambda: repr(draw(ANALYZE_FLOATS))  # noqa: E731
+
+    def spectrum():
+        if draw(st.booleans()):
+            return f"exp:{num()}"
+        return f"gauss:{num()}" + (f",gain={num()}" if draw(st.booleans()) else "")
+
+    kind = draw(st.sampled_from(["ring", "snr-sweep", "beta-star"]))
+    argv = ["analyze", kind]
+    if kind == "beta-star" and draw(st.booleans()):
+        return argv + ["--coeffs=" + ",".join(num() for _ in range(6)), f"--sigma2={num()}"]
+    argv += [f"--hl={spectrum()}", f"--hs={spectrum()}", "--samples=64"]
+    if kind == "ring":
+        return argv + [f"--beta={num()}"]
+    if draw(st.booleans()):
+        argv.append(f"--ps=band:{num()},{num()}")
+    return argv + [f"--sigma2={num()}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=analyze_queries())
+@example(argv=["analyze", "ring", "--hl=exp:1e308", "--hs=exp:1.5", "--beta=0.5"])
+@example(argv=["analyze", "beta-star", "--coeffs=1e308,1e308,1e308,1e308,1,1e308"])
+@example(argv=["analyze", "snr-sweep", "--hl=exp:1", "--hs=gauss:1,gain=1e300",
+               "--sigma2=1e-300"])
+@example(argv=["analyze", "beta-star", "--coeffs=-4.7e16,-3e16,-3e16,0.5,0,1"])
+@example(argv=["analyze", "beta-star", "--coeffs=0,6.6e16,0,5e-324,5e-221,7.1e16"])
+def test_analyze_answers_or_refuses_every_query(argv):
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2)
+    assert [str(w.message) for w in caught] == []
+    text = err.getvalue()
+    assert text == "" or (text.startswith("error:") and text.count("\n") == 1)
+
+
+NONFINITE_SEQUENCES = {"nan": math.nan, "inf": math.inf}
+
+
+@pytest.mark.parametrize("value", sorted(NONFINITE_SEQUENCES))
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "gates"])
+def test_nonfinite_sequence_data_exits_2(command, value, workspace, capsys):
+    tmp, cfg, data = workspace
+    ckpt = tmp / "m.pfgc"
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt)]) == 0
+    seqs = container.load_tensor(data)
+    seqs[3, 1, 0, 2, 5] = NONFINITE_SEQUENCES[value]
+    if command == "gates":  # the gate dump reads the first sequence
+        seqs[0] = seqs[3]
+    bad = tmp / "bad.pfgt"
+    container.save_tensor(bad, seqs)
+    capsys.readouterr()
+    argv = {
+        "train": ["train", "--config", str(cfg), "--data", str(bad), "--out", str(tmp / "b.pfgc")],
+        "eval": ["eval", "--ckpt", str(ckpt), "--data", str(bad),
+                 "--out-csv", str(tmp / "m.csv")],
+        "predict": ["predict", "--ckpt", str(ckpt), "--input", str(bad),
+                    "--output", str(tmp / "p.pfgt")],
+        "gates": ["inspect", "gates", "--ckpt", str(ckpt), "--input", str(bad), "--block", "0",
+                  "--out-prefix", str(tmp / "g")],
+    }[command]
+    _exits_2_with_one_error_line(argv, capsys)
+    assert not any(tmp.glob("b.pfgc*")) and not any(tmp.glob("p.pfgt")) and not any(tmp.glob("g_*"))
 
 
 CKPT_DAMAGE = {  # offset into the checkpoint -> replacement bytes

@@ -1,5 +1,7 @@
 """Training loop, evaluation report, checkpoints, introspection dumps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -197,6 +199,83 @@ class TestEvaluation:
         assert report["ssim"] == metrics.ssim(preds, gt)
 
 
+README_MICRO = ModelConfig(t_in=2, t_out=2, height=16, width=16, latent_c=6, n_s=2, n_t=2,
+                           kernels=(9, 15, 31))
+
+
+def predict_one_by_one(model, data):
+    """One Model.predict per sequence on unbatched [c_in, H, W] frames."""
+    m = model.config
+    return np.stack([
+        np.stack([p.value for p in model.predict([seq[t] for t in range(m.t_in)])])
+        for seq in data
+    ])
+
+
+class TestBatchedPrediction:
+    """predict_batch runs chunks of sequences as one graph; each prediction is
+    bitwise the one its sequence gets alone."""
+
+    @pytest.mark.parametrize("case", ["readme_micro", "rollout", "t_out_1", "one_sequence",
+                                      "float64_data"])
+    def test_bitwise_equal_to_one_call_per_sequence(self, case):
+        cfg = {"rollout": replace(README_MICRO, t_out=5),
+               "t_out_1": replace(README_MICRO, t_out=1)}.get(case, README_MICRO)
+        n = 1 if case == "one_sequence" else 16
+        data = gen_bouncing(seed=4, num_sequences=n, frames=cfg.t_in, height=16, width=16)
+        if case == "float64_data":
+            data = data.astype(np.float64) + 1e-9  # not representable in float32
+        model = harness.Model.build(cfg, seed=2)
+        assert harness.eval_chunk(cfg, model.dtype) >= n
+        got = harness.predict_batch(model, data)
+        assert got.shape == (n, cfg.t_out, 1, 16, 16) and got.dtype == np.float32
+        assert got.tobytes() == predict_one_by_one(model, data).tobytes()
+
+    def test_last_chunk_shorter(self):
+        # 48x48 frames: the last decoder conv's im2col alone is ~1 MB per sample
+        cfg = ModelConfig(t_in=2, t_out=3, height=48, width=48, latent_c=6, n_s=2, n_t=1,
+                          kernels=(3, 5))
+        chunk = harness.eval_chunk(cfg, np.float32)
+        assert 2 <= chunk <= 4
+        n = 2 * chunk + 1
+        data = gen_bouncing(seed=9, num_sequences=n, frames=2, height=48, width=48)
+        model = harness.Model.build(cfg, seed=1)
+        assert harness.predict_batch(model, data).tobytes() == \
+            predict_one_by_one(model, data).tobytes()
+
+    def test_chunk_rule(self):
+        from test_model import SHAPE_CONFIGS
+
+        from perigate.model import per_sample_bytes
+
+        assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
+        assert harness.eval_chunk(README_MICRO, np.float32) >= 16
+        # the last decoder conv's im2col, 9 * 2c * H * W, is the largest array
+        assert per_sample_bytes(README_MICRO, np.float32) == 9 * 12 * 16 * 16 * 4
+        # at 128x128 it is the GLU's 2E-channel expansion, 2 * 4 * 60 * 64 * 64
+        assert per_sample_bytes(SHAPE_CONFIGS["kth"], np.float32) == 2 * 240 * 64 * 64 * 4
+        assert per_sample_bytes(README_MICRO, np.float64) == \
+            2 * per_sample_bytes(README_MICRO, np.float32)
+
+    def test_memory_of_chunk_one_does_not_grow_with_n(self):
+        import tracemalloc
+
+        cfg = ModelConfig(t_in=2, t_out=1, height=128, width=128, latent_c=6, n_s=2, n_t=1,
+                          kernels=(3, 5))
+        assert harness.eval_chunk(cfg, np.float32) == 1
+        model = harness.Model.build(cfg, seed=0)
+        data = gen_bouncing(seed=1, num_sequences=8, frames=2, height=128, width=128)
+        peaks = {}
+        for n in (1, 8):
+            tracemalloc.start()
+            try:
+                out = harness.predict_batch(model, data[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= peaks[1] + out.nbytes
+
+
 class TestDumps:
     def test_gate_dump_files(self, micro_data, tmp_path):
         cfg = micro_train_config(epochs=1)
@@ -380,9 +459,25 @@ class TestDivergenceAbort:
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_input_names_first_op(self, micro_data):
+        # train refuses such data up front (below); the graph's own diagnostic
+        # is reached by handing it the minibatch directly
         from perigate.errors import NumericError
+        from perigate.model import Model
 
         data = micro_data.copy()
         data[3, 0, 0, 2, 2] = np.inf
+        model = Model.build(micro_train_config().model, seed=0)
         with pytest.raises(NumericError, match=r"first non-finite op: 'conv2d' \(tape node 0 of"):
-            harness.train(micro_train_config(epochs=1), data)
+            harness._loss_and_grads(model, data[:8], None, "epoch 1 step 0")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_sequence_data_refused(self, micro_data, value):
+        data = micro_data.copy()
+        data[3, 2, 0, 2, 2] = value
+        cfg = micro_train_config(epochs=1)
+        with pytest.raises(InputError, match="sequence 3 frame 2 holds a non-finite value"):
+            harness.train(cfg, data)
+        with pytest.raises(InputError, match="sequence 3 frame 2"):
+            harness.evaluate(cfg, harness.Model.build(cfg.model), data)
+        # prediction reads only the first t_in = 2 frames
+        assert np.isfinite(harness.predict_batch(harness.Model.build(cfg.model), data)).all()

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import naive
 from perigate import metrics
 from perigate.errors import InputError
 
@@ -117,6 +120,28 @@ class TestSsim:
             metrics.ssim(pred[:, :, [c]], gt[:, :, [c]]) for c in range(3)
         ]
         assert metrics.ssim(pred, gt) == pytest.approx(np.mean(single), rel=1e-12)
+
+
+@st.composite
+def ssim_pairs(draw):
+    """[N,T,C,H,W] pairs with sides from the window size up, unrelated or close."""
+    shape = tuple(draw(st.integers(1, hi)) for hi in (4, 3, 3)) + tuple(
+        draw(st.integers(metrics.SSIM_WINDOW, 30)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pred = rng.random(shape)
+    gt = rng.random(shape) if draw(st.booleans()) else pred + 0.05 * rng.standard_normal(shape)
+    return pred, gt
+
+
+class TestSsimOneFrameAtATime:
+    """All frames are windowed in one pass; the per-frame loop is the oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pair=ssim_pairs())
+    @example(pair=batch(n=16, t=2, c=1, h=16, w=16, seed=7))
+    @example(pair=batch(n=3, t=2, c=2, h=20, w=24, seed=8))
+    def test_bitwise_equal_to_loop_oracle(self, pair):
+        assert metrics.ssim(*pair) == naive.ssim(*pair)
 
 
 class TestSymmetryAndPermutation:

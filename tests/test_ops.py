@@ -12,7 +12,14 @@ from perigate import ops
 from perigate.errors import ConfigurationError
 from perigate.spectral import SepKernel
 
-from naive import dense_conv2d, dense_dwconv2d, dwconv_1d, dwconv_1d_grads, window_mean3
+from naive import (
+    dense_conv2d,
+    dense_dwconv2d,
+    dense_dwconv2d_grads,
+    dwconv_1d,
+    dwconv_1d_grads,
+    window_mean3,
+)
 
 DTYPES = [np.float64, np.float32]
 
@@ -192,6 +199,33 @@ class TestBandedPasses:
         assert peak < (6 + 30 / 64) * x.nbytes
 
 
+@st.composite
+def dwconv_2d_cases(draw):
+    """A dwconv_2d input with sides 1..8, odd k up to 7 (often k > H or W),
+    shared [k, k] or per-channel [C, k, k] taps, and zero or one leading axes."""
+    c, hh, ww = (draw(st.integers(1, 8)) for _ in range(3))
+    k = 2 * draw(st.integers(0, 3)) + 1
+    lead = draw(st.sampled_from([(), (1,), (2,)]))
+    shared = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, g = (rng.standard_normal(lead + (c, hh, ww)).astype(dtype) for _ in range(2))
+    kernel = rng.standard_normal((k, k) if shared else (c, k, k)).astype(dtype)
+    return x, kernel, g
+
+
+def oracle_dwconv_2d(x, kernel, g):
+    """(y, gx, gk) of dwconv_2d from the loop oracles, sample by sample."""
+    x, kernel, g = (np.asarray(a, dtype=np.float64) for a in (x, kernel, g))
+    xs, gs = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
+    grads = [dense_dwconv2d_grads(xi, kernel, gi) for xi, gi in zip(xs, gs)]
+    gk = sum(gk_i for _, gk_i in grads)
+    if kernel.ndim == 2:  # shared taps: channel contributions add up
+        gk = gk.sum(axis=0)
+    ys = [dense_dwconv2d(xi, kernel) for xi in xs]
+    return np.reshape(ys, x.shape), np.reshape([gx for gx, _ in grads], x.shape), gk
+
+
 class TestDepthwise2D:
     def test_delta(self):
         x = np.random.default_rng(3).random((2, 4, 4))
@@ -213,6 +247,19 @@ class TestDepthwise2D:
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigurationError):
             ops.dwconv_2d(np.zeros((1, 4, 4)), np.ones((4, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=dwconv_2d_cases())
+    @example(case=(np.ones((2, 3, 2, 1)), np.ones((3, 7, 7)), np.ones((2, 3, 2, 1))))
+    def test_forward_and_vjp_match_loop_oracles(self, case):
+        x, kernel, g = case
+        with ad.Tape():
+            out = ad.dwconv_2d(x, ad.Var(kernel))
+        got = (out.value,) + tuple(out.vjp(g))
+        want = oracle_dwconv_2d(x, kernel, g)
+        bound = oracle_dwconv_2d(np.abs(x), np.abs(kernel), np.abs(g))
+        for a, b, c in zip(got, want, bound):
+            assert_banded(a, b, c, x.dtype)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shared", [False, True])
