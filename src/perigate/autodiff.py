@@ -363,20 +363,12 @@ def dwconv_2d(x, kernel):
         gx = ops.dwconv_2d(g, k2[:, ::-1, ::-1])
         gk = None
         if isinstance(kernel, Var):
-            # tap (u, v): g, zero in the wrapped columns, dotted with the flat
-            # rows the forward read from u (W + k - 1) + v, over the leading axes
-            c, hh, ww = xv.shape[-3:]
-            k = k2.shape[1]
-            wp = ww + k - 1
-            flat = ops.flat_rows(xv, k).reshape(-1, c, (hh + k) * wp)
-            gp = np.zeros(g.shape[:-1] + (wp,), dtype=g.dtype)
-            gp[..., :ww] = g
-            gf = gp.reshape(-1, c, hh * wp)
+            # tap (u, v): g, zero in wrapped columns, dotted with the forward's window
+            k, lead = k2.shape[1], (-1,) + xv.shape[-3:]
+            gf = ops.wrap_padded(g.reshape(lead), k)
             gk = np.empty(k2.shape, dtype=np.result_type(g, xv))
-            for u in range(k):
-                for v in range(k):
-                    s = u * wp + v
-                    gk[:, u, v] = np.einsum("ncj,ncj->c", gf, flat[..., s : s + hh * wp])
+            for u, v, win in ops.tap_windows(xv.reshape(lead), k):
+                gk[:, u, v] = np.einsum("ncj,ncj->c", gf, win)
             if kv.ndim == 2:  # shared kernel: sum channel contributions
                 gk = gk.sum(axis=0)
         return gx, gk
@@ -389,23 +381,19 @@ def conv2d(x, w, b=None, stride: int = 1):
     y = ops.conv2d(xv, wv, None if b is None else _val(b), stride)
 
     def vjp(g):
-        co, ci, k, _ = wv.shape
-        lead, (hh, ww), (ho, wo) = xv.shape[:-3], xv.shape[-2:], g.shape[-2:]
-        g2 = g.reshape(lead + (co, ho * wo))
+        k = wv.shape[-1]
+        gb = _sum_to_channels(g) if isinstance(b, Var) else None
+        if stride == 2:  # adjoint of reading every other row and column
+            g, g_sub = np.zeros(g.shape[:-2] + xv.shape[-2:], dtype=g.dtype), g
+            g[..., ::2, ::2] = g_sub
+        gx = ops.conv2d(g, wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], None)
         gw = None
         if isinstance(w, Var):
-            gw = _matmul_nt_summed(g2, ops.im2col(xv, k, stride)).reshape(wv.shape)
-        gb = _sum_to_channels(g) if isinstance(b, Var) else None
-        # col2im: scatter-add each kernel tap's rows back onto the padded input
-        gcols = (wv.reshape(co, ci * k * k).T @ g2).reshape(lead + (ci, k, k, ho, wo))
-        p = (k - 1) // 2
-        gxp = np.zeros(lead + (ci, hh + 2 * p, ww + 2 * p), dtype=gcols.dtype)
-        for u in range(k):
-            for v_ in range(k):
-                rows = slice(u, u + stride * ho, stride)
-                cols = slice(v_, v_ + stride * wo, stride)
-                gxp[..., rows, cols] += gcols[..., u, v_, :, :]
-        gx = gxp[..., p : p + hh, p : p + ww]
+            # tap (u, v): g, zero in wrapped columns, times the forward's window transposed
+            gf = ops.wrap_padded(g, k)
+            gw = np.empty(wv.shape, dtype=np.result_type(g, xv))
+            for u, v, win in ops.tap_windows(xv, k):
+                gw[:, :, u, v] = _matmul_nt_summed(gf, win)
         return gx, gw, gb
 
     return _track(y, (x, w, b), vjp)

@@ -22,6 +22,7 @@ from . import autodiff as ad
 from . import descriptor
 from .autodiff import ParamStore, Var
 from .errors import ConfigurationError
+from .multiscale import near_identity
 
 
 @dataclass
@@ -101,20 +102,13 @@ def init_params(
     hidden = settings.expansion * channels
     sep_h, sep_v, beta = {}, {}, {}
     for k in settings.scales:
-        h = np.zeros((channels, k))
-        h[:, k // 2] = 1.0
-        h += 0.02 * rng.standard_normal(h.shape)
-        v = np.zeros((channels, k))
-        v[:, k // 2] = 1.0
-        v += 0.02 * rng.standard_normal(v.shape)
+        h, v = (near_identity((channels, k), (k // 2,), rng) for _ in range(2))
         sep_h[k] = store.add(f"{prefix}/scale{k}/sep_h", h.astype(dtype))
         sep_v[k] = store.add(f"{prefix}/scale{k}/sep_v", v.astype(dtype))
         if settings.beta_mode == "learnable":
             beta[k] = store.add(f"{prefix}/scale{k}/beta_raw", np.zeros(channels, dtype=dtype))
     kc = settings.center_size
-    center = np.zeros((channels, kc, kc))
-    center[:, kc // 2, kc // 2] = 1.0
-    center += 0.02 * rng.standard_normal(center.shape)
+    center = near_identity((channels, kc, kc), (kc // 2, kc // 2), rng)
 
     def uniform(shape, fan_in):
         bound = 1.0 / np.sqrt(fan_in)

@@ -192,12 +192,10 @@ def load_model(path) -> tuple[TrainConfig, Model]:
     return cfg, model
 
 
-# Eval-mode prediction stacks as many sequences into one Model.predict call as
-# keep the largest per-sample intermediate (model.per_sample_bytes) within
-# this many bytes. The README micro config (0.11 MB per sample), where one
-# call on 16 sequences takes a fifth of the time of 16 calls, then predicts
-# 37 sequences per call. The 128x128 kth shape (7.9 MB per sample), where a
-# chunk of two saves no time and adds ~50 MB of peak memory, predicts one.
+# Eval-mode prediction stacks as many sequences into one Model.predict call as keep
+# the largest per-sample intermediate (model.per_sample_bytes) within this many bytes:
+# 170 at the README micro config (25 kB; one call on 16 sequences takes a fifth of
+# the time of 16), one at the 128x128 kth shape (7.9 MB; chunk 2 saves no time).
 EVAL_CHUNK_BYTES = 4 << 20
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
+from .ops import BLOCK_BYTES
 
 PSNR_CAP_DB = 100.0  # frames with zero 8-bit error contribute this cap
 SSIM_WINDOW = 11
@@ -78,12 +79,25 @@ def _windowed(img: np.ndarray, w: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, k, axis=-1) @ w
 
 
+def _ssim_frames(x: np.ndarray, y: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """Mean SSIM over the channels of each [..., C, H, W] frame."""
+    mu_x = _windowed(x, win)
+    mu_y = _windowed(y, win)
+    sig_x = _windowed(x * x, win) - mu_x * mu_x
+    sig_y = _windowed(y * y, win) - mu_y * mu_y
+    sig_xy = _windowed(x * y, win) - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * sig_xy + SSIM_C2)
+    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (sig_x + sig_y + SSIM_C2)
+    return (num / den).mean(axis=(-2, -1)).mean(axis=-1)
+
+
 def ssim(pred, gt) -> float:
     """Gaussian-window structural similarity on valid patches.
 
     Window 11x11, sigma 1.5, constants for unit dynamic range. Channels are
     scored independently and averaged, then frames are averaged over N*T.
-    All frames are windowed in one pass over the [N,T,C,H,W] arrays.
+    Frames are windowed in blocks of ``max(1, ops.BLOCK_BYTES // frame bytes)``
+    per pass, so a pass's temporaries stay in cache; each frame is scored alone.
     """
     x, y = _check_pair(pred, gt)
     h, w_ = x.shape[-2:]
@@ -92,12 +106,7 @@ def ssim(pred, gt) -> float:
             f"frames {h}x{w_} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
     win = _gaussian_window()
-    mu_x = _windowed(x, win)
-    mu_y = _windowed(y, win)
-    sig_x = _windowed(x * x, win) - mu_x * mu_x
-    sig_y = _windowed(y * y, win) - mu_y * mu_y
-    sig_xy = _windowed(x * y, win) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * sig_xy + SSIM_C2)
-    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (sig_x + sig_y + SSIM_C2)
-    per_channel = (num / den).mean(axis=(-2, -1))
-    return float(per_channel.mean(axis=-1).mean())
+    x, y = (a.reshape((-1,) + a.shape[2:]) for a in (x, y))
+    step = max(1, BLOCK_BYTES // x[0].nbytes)
+    scores = [_ssim_frames(x[i : i + step], y[i : i + step], win) for i in range(0, len(x), step)]
+    return float(np.concatenate(scores).mean())

@@ -319,23 +319,22 @@ def count_params(config: ModelConfig) -> int:
 
 
 def _encoder_convs(cfg: ModelConfig):
-    """(input channels, output height, output width) of each encoder conv."""
+    """(input channels, input height, input width, stride) of each encoder conv."""
     h, w, cin = cfg.height, cfg.width, cfg.c_in
     for stride in encoder_strides(cfg.n_s):
-        h, w = h // stride, w // stride
-        yield cin, h, w
-        cin = cfg.latent
+        yield cin, h, w, stride
+        h, w, cin = h // stride, w // stride, cfg.latent
 
 
 def _decoder_convs(cfg: ModelConfig):
-    """(input channels, height, width) of each decoder conv; the last one also
-    reads the encoder skip."""
+    """(input channels, height, width, stride 1) of each decoder conv; the last
+    one also reads the encoder skip."""
     c = cfg.latent
     h, w = cfg.latent_hw
     for j, enc_stride in enumerate(encoder_strides(cfg.n_s)[::-1]):
         if enc_stride == 2:
             h, w = 2 * h, 2 * w
-        yield (2 * c if j == cfg.n_s - 1 else c), h, w
+        yield (2 * c if j == cfg.n_s - 1 else c), h, w, 1
 
 
 def count_flops(config: ModelConfig) -> int:
@@ -346,7 +345,7 @@ def count_flops(config: ModelConfig) -> int:
     """
     cfg = config.validate()
     c = cfg.latent
-    macs_enc = sum(9 * cin * c * h * w for cin, h, w in _encoder_convs(cfg))
+    macs_enc = sum(9 * cin * c * (h // s) * (w // s) for cin, h, w, s in _encoder_convs(cfg))
     hp, wp = cfg.latent_hw
     hw = hp * wp
     cp = cfg.packed_channels
@@ -361,7 +360,7 @@ def count_flops(config: ModelConfig) -> int:
     per_block += cfg.center_size**2 * cp * hw
     per_block += cp * 2 * e * hw + 9 * e * hw + e * cp * hw
     macs_tr += cfg.n_t * per_block
-    macs_dec = sum(9 * cin * c * h * w for cin, h, w in _decoder_convs(cfg))
+    macs_dec = sum(9 * cin * c * h * w for cin, h, w, _ in _decoder_convs(cfg))
     macs_dec += c * cfg.c_out * cfg.height * cfg.width
     total_macs = cfg.t_in * macs_enc + macs_tr + cfg.t_out * macs_dec
     return 2 * total_macs
@@ -370,18 +369,21 @@ def count_flops(config: ModelConfig) -> int:
 def per_sample_bytes(config: ModelConfig, dtype) -> int:
     """Bytes of the largest single array one sample adds to an eval forward.
 
-    The candidates are each encoder and decoder conv's im2col patch matrix
-    (9 Cin x Ho Wo; frames are encoded and decoded one at a time), the GLU's
-    2E-channel expansion, and the zero-padded inputs ``ops.dwconv_2d`` reads
-    (H + k) x (W + k - 1) per channel: the multi-scale init's and the GLU's
-    3 x 3 and the center kernel. Every other per-sample array of the forward
-    is no larger than one of these; the banded Toeplitz matrices of the
-    separable passes are per channel, shared by all samples.
+    The candidates are, for each encoder and decoder conv (frames are encoded
+    and decoded one at a time), its flat padded input rows Cin x (H + 3)(W + 2),
+    its stride-1 output with wrap columns C x H (W + 2) and, with one input
+    channel, its 9 stacked windows 9 x H (W + 2); the GLU's 2E-channel
+    expansion; and the zero-padded inputs ``ops.dwconv_2d`` reads, (H + k) x
+    (W + k - 1) per channel (a bound: it pads a block of channels at a time),
+    of the multi-scale init's and the GLU's 3 x 3 and the center kernel. Every
+    other per-sample array of the forward is no larger than one of these; the
+    banded Toeplitz matrices of the separable passes are shared by all samples.
     """
     cfg = config.validate()
     hp, wp = cfg.latent_hw
     cp, e, kc = cfg.packed_channels, cfg.expansion * cfg.packed_channels, cfg.center_size
-    sizes = [9 * cin * h * w for cin, h, w in chain(_encoder_convs(cfg), _decoder_convs(cfg))]
+    sizes = [max(cin * (h + 3), cfg.latent * h, 9 * h * (cin == 1)) * (w + 2)
+             for cin, h, w, _ in chain(_encoder_convs(cfg), _decoder_convs(cfg))]
     sizes.append(cp * (hp + 3) * (wp + 2))
     if cfg.n_t:
         sizes += [2 * e * hp * wp, e * (hp + 3) * (wp + 2), cp * (hp + kc) * (wp + kc - 1)]

@@ -47,7 +47,8 @@ def validate_scales(channels: int, scales):
     return sizes
 
 
-def _near_identity(shape, center_index, rng, noise=0.02):
+def near_identity(shape, center_index, rng, noise=0.02):
+    """Zeros with a one at ``center_index`` of every channel, plus Gaussian noise."""
     arr = np.zeros(shape)
     arr[(slice(None),) + center_index] = 1.0
     return arr + noise * rng.standard_normal(shape)
@@ -67,13 +68,13 @@ def init_params(
             BranchParams(
                 size=k,
                 sep_h=store.add(
-                    f"{name}/sep_h", _near_identity((channels, k), (k // 2,), rng).astype(dtype)
+                    f"{name}/sep_h", near_identity((channels, k), (k // 2,), rng).astype(dtype)
                 ),
                 sep_v=store.add(
-                    f"{name}/sep_v", _near_identity((channels, k), (k // 2,), rng).astype(dtype)
+                    f"{name}/sep_v", near_identity((channels, k), (k // 2,), rng).astype(dtype)
                 ),
                 dw=store.add(
-                    f"{name}/dw", _near_identity((channels, 3, 3), (1, 1), rng).astype(dtype)
+                    f"{name}/dw", near_identity((channels, 3, 3), (1, 1), rng).astype(dtype)
                 ),
                 proj_w=store.add(
                     f"{name}/proj_w",

@@ -14,6 +14,8 @@ Conventions shared by every operation here:
   same-padding, so spatial shape is preserved;
 * depthwise kernels may be per-channel (``[C, k]`` / ``[C, k, k]``) or shared
   (``[k]`` / ``[k, k]``);
+* k x k convolutions, dense and depthwise, sum one product per tap, each
+  reading a contiguous slice of the padded input's rows (:func:`tap_windows`);
 * dense and point-wise convolutions, and the 1 x k / k x 1 passes of the
   separable convolution (products with banded Toeplitz matrices), are
   matrix products handed to BLAS, whose summation order depends on the
@@ -31,9 +33,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError
 
 
-def _check_odd(k: int):
+def _check_odd(k: int, kw: int | None = None):
+    """A k (x kw) kernel must be odd, positive and, given kw, square."""
     if k % 2 == 0 or k < 1:
         raise ConfigurationError(f"kernel size must be odd and positive, got {k}")
+    if kw is not None and kw != k:
+        raise ConfigurationError(f"kernel must be square, got {k}x{kw}")
 
 
 def _per_channel(kernel: np.ndarray, channels: int, spatial_rank: int) -> np.ndarray:
@@ -48,14 +53,6 @@ def _per_channel(kernel: np.ndarray, channels: int, spatial_rank: int) -> np.nda
             )
         return kernel
     raise ConfigurationError(f"bad depthwise kernel shape {kernel.shape}")
-
-
-def pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad the two spatial axes by ``ph`` rows and ``pw`` columns per side."""
-    hh, ww = x.shape[-2:]
-    out = np.zeros(x.shape[:-2] + (hh + 2 * ph, ww + 2 * pw), dtype=x.dtype)
-    out[..., ph : ph + hh, pw : pw + ww] = x
-    return out
 
 
 def _toeplitz(kernel: np.ndarray, n: int) -> np.ndarray:
@@ -107,67 +104,77 @@ def flat_rows(x: np.ndarray, k: int) -> np.ndarray:
     return xp.reshape(x.shape[:-2] + (-1,))
 
 
+def tap_windows(x: np.ndarray, k: int) -> list:
+    """``(u, v, window)`` per k x k tap: the [..., C, H * (W + k - 1)] slice of the
+    :func:`flat_rows` from u * (W + k - 1) + v; k - 1 columns per row wrap."""
+    wp = x.shape[-1] + k - 1
+    flat, n = flat_rows(x, k), x.shape[-2] * wp
+    return [(u, v, flat[..., u * wp + v : u * wp + v + n]) for u in range(k) for v in range(k)]
+
+
+def wrap_padded(g: np.ndarray, k: int) -> np.ndarray:
+    """[..., C, H, W] with k - 1 zero columns per row, flat like a tap window."""
+    gp = np.zeros(g.shape[:-1] + (g.shape[-1] + k - 1,), dtype=g.dtype)
+    gp[..., : g.shape[-1]] = g
+    return gp.reshape(g.shape[:-2] + (-1,))
+
+
+def _tap_sum(x: np.ndarray, k: int, product) -> np.ndarray:
+    """Sum over the :func:`tap_windows` of ``product(u, v, window, out)``, wrapped
+    columns cut; later products go into one scratch ``out``, added in place."""
+    (_, _, win), *rest = tap_windows(x, k)
+    acc = product(0, 0, win, None)
+    tmp = np.empty_like(acc)
+    for u, v, win in rest:
+        acc += product(u, v, win, tmp)
+    return acc.reshape(acc.shape[:-1] + (x.shape[-2], -1))[..., : x.shape[-1]]
+
+
+# Input bytes one pass of a blocked kernel covers (dwconv_2d's channel blocks,
+# metrics.ssim's frame blocks), so that its temporaries stay in L2 cache.
+BLOCK_BYTES = 256 * 1024
+
+
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Dense depthwise k x k correlation: k*k shifted multiply-adds.
-
-    Each tap reads one contiguous slice of the :func:`flat_rows`; the k - 1
-    columns per row that wrap past a row end are cut from the output. Each
-    product goes into one scratch buffer and is added in place.
-    """
-    hh, ww = x.shape[-2:]
+    """Dense depthwise k x k correlation: k*k multiply-adds over the :func:`tap_windows`
+    in blocks of ``max(1, BLOCK_BYTES // bytes of one channel's [..., H, W])``
+    channels; channels are independent, so blocks leave the result bitwise unchanged."""
     kernel = _per_channel(kernel, x.shape[-3], 2)
-    kh, kw = kernel.shape[1:]
-    _check_odd(kh)
-    if kh != kw:
-        raise ConfigurationError(f"depthwise kernel must be square, got {kh}x{kw}")
-    wp = ww + kw - 1
-    flat = flat_rows(x, kh)
-    n = hh * wp
-    out = flat[..., :n] * kernel[:, 0, 0, None]
-    tmp = np.empty_like(out)
-    for u in range(kh):
-        for v in range(kw):
-            if u or v:
-                s = u * wp + v
-                out += np.multiply(flat[..., s : s + n], kernel[:, u, v, None], out=tmp)
-    return np.ascontiguousarray(out.reshape(out.shape[:-1] + (hh, wp))[..., :ww])
+    k = kernel.shape[1]
+    _check_odd(k, kernel.shape[2])
+    out = np.empty(x.shape, dtype=np.result_type(x, kernel))
+    step = max(1, BLOCK_BYTES // x[..., 0, :, :].nbytes)
+    for lo in range(0, x.shape[-3], step):
+        kb = kernel[lo : lo + step]
+        out[..., lo : lo + step, :, :] = _tap_sum(
+            x[..., lo : lo + step, :, :], k,
+            lambda u, v, win, o: np.multiply(win, kb[:, u, v, None], out=o))
+    return out
 
 
-def im2col(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
-    """Patch matrices [..., Cin*k*k, Ho*Wo] of a zero same-padded k x k correlation.
-
-    Row ``(c*k + u)*k + v`` holds input channel c shifted by (u, v), so a
-    correlation with weights [Cout, Cin, k, k] is ``w.reshape(Cout, -1) @ cols``.
-    """
-    p = (k - 1) // 2
-    win = sliding_window_view(pad(x, p, p), (k, k), axis=(-2, -1))
-    win = win[..., ::stride, ::stride, :, :]  # [..., Cin, Ho, Wo, k, k]
-    ho, wo = win.shape[-4:-2]
-    cols = np.moveaxis(win, (-2, -1), (-4, -3))  # [..., Cin, k, k, Ho, Wo]
-    return cols.reshape(x.shape[:-3] + (x.shape[-3] * k * k, ho * wo))
-
-
-def conv2d(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1
-) -> np.ndarray:
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1) -> np.ndarray:
     """Full k x k correlation [..., Cin,H,W] -> [..., Cout,Ho,Wo] with zero same-padding.
 
-    Stride 1 preserves the spatial shape; stride 2 halves even extents.
-    ``b=None`` skips the bias (convs feeding a normalization layer).
-    Computed as one GEMM per sample over the :func:`im2col` patch matrix.
+    The sum over the :func:`tap_windows` of ``w[:, :, u, v] @ window``, or with one
+    input channel one product with the k*k stacked windows (an inner size of 1 is
+    slow). Stride 2 halves even extents: the stride-1 map at every other row and
+    column. ``b=None`` skips the bias (convs feeding a normalization layer).
     """
-    ci, hh, ww = x.shape[-3:]
-    co, ci_w, kh, kw = w.shape
-    _check_odd(kh)
-    if kh != kw:
-        raise ConfigurationError(f"conv kernel must be square, got {kh}x{kw}")
-    if ci_w != ci:
-        raise ConfigurationError(f"conv expects {ci_w} input channels, got {ci}")
+    co, ci, k, kw = w.shape
+    _check_odd(k, kw)
+    if ci != x.shape[-3]:
+        raise ConfigurationError(f"conv expects {ci} input channels, got {x.shape[-3]}")
     if stride not in (1, 2):
         raise ConfigurationError(f"unsupported stride {stride}")
-    out = w.reshape(co, ci * kh * kw) @ im2col(x, kh, stride)
-    out = out.reshape(x.shape[:-3] + (co, (hh - 1) // stride + 1, (ww - 1) // stride + 1))
-    return out if b is None else out + b[:, None, None]
+    if ci == 1:
+        wins = np.stack([win[..., 0, :] for _, _, win in tap_windows(x, k)], axis=-2)
+        out = w.reshape(co, k * k) @ wins
+        out = out.reshape(out.shape[:-1] + (x.shape[-2], -1))[..., : x.shape[-1]]
+    else:
+        taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # [k, k, Co, Ci]
+        out = _tap_sum(x, k, lambda u, v, win, o: np.matmul(taps[u, v], win, out=o))
+    out = out[..., ::stride, ::stride]
+    return np.ascontiguousarray(out) if b is None else out + b[:, None, None]
 
 
 def pwconv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,7 +193,7 @@ def avg_pool3(x: np.ndarray) -> np.ndarray:
 
     Separable box sum: three-tap row sums, then three-tap column sums.
     """
-    xp = pad(x, 1, 1)
+    xp = flat_rows(x, 3).reshape(x.shape[:-2] + (x.shape[-2] + 3, -1))[..., :-1, :]
     rows = xp[..., :-2] + xp[..., 1:-1] + xp[..., 2:]
     return (rows[..., :-2, :] + rows[..., 1:-1, :] + rows[..., 2:, :]) * (1.0 / 9.0)
 
@@ -234,10 +241,11 @@ def grn_parts(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
     """
     if eps <= 0:
         raise ConfigurationError("grn eps must be positive")
-    g = np.sqrt(np.sum(x * x, axis=(-2, -1)))
+    g = np.sqrt(np.einsum("...hw,...hw->...", x, x))
     denom = g.mean(axis=-1, keepdims=True) + eps
     n = g / denom
-    out = gamma[:, None, None] * (x * n[..., None, None]) + beta[:, None, None] + x
+    out = x * (gamma * n + 1)[..., None, None]  # = gamma * (x * n) + x
+    out += beta[:, None, None]
     return out, (g, denom, n)
 
 

@@ -123,6 +123,30 @@ def dense_conv2d(x, weight, bias, stride=1):
     return out
 
 
+def dense_conv2d_grads(x, weight, g, stride=1):
+    """Input gradient [Ci, H, W], weight gradient [Co, Ci, k, k] and bias
+    gradient [Co] of :func:`dense_conv2d` for output gradient g, scattered
+    back output by output onto the input pixel and the tap that produced it."""
+    ci, h, w = x.shape
+    co, _, k, _ = weight.shape
+    p = (k - 1) // 2
+    gx = np.zeros((ci, h, w))
+    gw = np.zeros((co, ci, k, k))
+    gb = np.zeros(co)
+    for o in range(co):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                gb[o] += g[o, i, j]
+                for cc in range(ci):
+                    for u in range(k):
+                        for v in range(k):
+                            ii, jj = stride * i + u - p, stride * j + v - p
+                            if 0 <= ii < h and 0 <= jj < w:
+                                gx[cc, ii, jj] += weight[o, cc, u, v] * g[o, i, j]
+                                gw[o, cc, u, v] += x[cc, ii, jj] * g[o, i, j]
+    return gx, gw, gb
+
+
 def window_mean3(x):
     """3x3 zero-padded mean with fixed divisor 9, via loops."""
     c, h, w = x.shape

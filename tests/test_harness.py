@@ -232,13 +232,13 @@ class TestBatchedPrediction:
         assert got.tobytes() == predict_one_by_one(model, data).tobytes()
 
     def test_last_chunk_shorter(self):
-        # 48x48 frames: the last decoder conv's im2col alone is ~1 MB per sample
-        cfg = ModelConfig(t_in=2, t_out=3, height=48, width=48, latent_c=6, n_s=2, n_t=1,
+        # 96x96 frames: the GLU's 2E-channel expansion, 2 * 48 * 48 * 48, is ~0.9 MB
+        cfg = ModelConfig(t_in=2, t_out=3, height=96, width=96, latent_c=6, n_s=2, n_t=1,
                           kernels=(3, 5))
         chunk = harness.eval_chunk(cfg, np.float32)
         assert 2 <= chunk <= 4
         n = 2 * chunk + 1
-        data = gen_bouncing(seed=9, num_sequences=n, frames=2, height=48, width=48)
+        data = gen_bouncing(seed=9, num_sequences=n, frames=2, height=96, width=96)
         model = harness.Model.build(cfg, seed=1)
         assert harness.predict_batch(model, data).tobytes() == \
             predict_one_by_one(model, data).tobytes()
@@ -250,8 +250,9 @@ class TestBatchedPrediction:
 
         assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
         assert harness.eval_chunk(README_MICRO, np.float32) >= 16
-        # the last decoder conv's im2col, 9 * 2c * H * W, is the largest array
-        assert per_sample_bytes(README_MICRO, np.float32) == 9 * 12 * 16 * 16 * 4
+        # the GLU's 2E-channel expansion, 2 * 4 * 12 * 8 * 8, is the largest array; the
+        # last decoder conv's flat rows, 2c * (H + 3) * (W + 2), come next
+        assert per_sample_bytes(README_MICRO, np.float32) == 2 * 48 * 8 * 8 * 4
         # at 128x128 it is the GLU's 2E-channel expansion, 2 * 4 * 60 * 64 * 64
         assert per_sample_bytes(SHAPE_CONFIGS["kth"], np.float32) == 2 * 240 * 64 * 64 * 4
         assert per_sample_bytes(README_MICRO, np.float64) == \
@@ -260,7 +261,8 @@ class TestBatchedPrediction:
     def test_memory_of_chunk_one_does_not_grow_with_n(self):
         import tracemalloc
 
-        cfg = ModelConfig(t_in=2, t_out=1, height=128, width=128, latent_c=6, n_s=2, n_t=1,
+        # the GLU's 2E-channel expansion, 2 * 4 * 24 * 64 * 64, is ~3.1 MB per sample
+        cfg = ModelConfig(t_in=2, t_out=1, height=128, width=128, latent_c=12, n_s=2, n_t=1,
                           kernels=(3, 5))
         assert harness.eval_chunk(cfg, np.float32) == 1
         model = harness.Model.build(cfg, seed=0)

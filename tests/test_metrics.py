@@ -134,12 +134,14 @@ def ssim_pairs(draw):
 
 
 class TestSsimOneFrameAtATime:
-    """All frames are windowed in one pass; the per-frame loop is the oracle."""
+    """Frames are windowed in byte-bounded blocks; the per-frame loop is the oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(pair=ssim_pairs())
     @example(pair=batch(n=16, t=2, c=1, h=16, w=16, seed=7))
     @example(pair=batch(n=3, t=2, c=2, h=20, w=24, seed=8))
+    @example(pair=batch(n=1, t=5, c=1, h=128, w=128, seed=9))  # blocks of 2, last of 1
+    @example(pair=batch(n=2, t=2, c=2, h=128, w=128, seed=10))  # one frame per block
     def test_bitwise_equal_to_loop_oracle(self, pair):
         assert metrics.ssim(*pair) == naive.ssim(*pair)
 

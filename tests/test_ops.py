@@ -14,6 +14,7 @@ from perigate.spectral import SepKernel
 
 from naive import (
     dense_conv2d,
+    dense_conv2d_grads,
     dense_dwconv2d,
     dense_dwconv2d_grads,
     dwconv_1d,
@@ -261,6 +262,15 @@ class TestDepthwise2D:
         for a, b, c in zip(got, want, bound):
             assert_banded(a, b, c, x.dtype)
 
+    def test_channel_blocks_bitwise_equal_to_one_call_per_channel(self):
+        # 32 KiB planes: blocks of 8 channels, 30 of them
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 240, 64, 64)).astype(np.float32)
+        kernel = rng.standard_normal((240, 3, 3)).astype(np.float32)
+        assert ops.BLOCK_BYTES // x[:, 0].nbytes == 8
+        want = [ops.dwconv_2d(x[:, c : c + 1], kernel[c : c + 1]) for c in range(240)]
+        assert ops.dwconv_2d(x, kernel).tobytes() == np.concatenate(want, axis=1).tobytes()
+
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -272,7 +282,48 @@ class TestDepthwise2D:
         assert_oracle(ops.dwconv_2d(x, kernel), want, dtype)
 
 
+@st.composite
+def conv2d_cases(draw, ci, k, stride):
+    """An ad.conv2d input with sides 1..7 (odd and even, often below k), 1..3
+    output channels, zero or one leading axes, and an output gradient."""
+    hh, ww, co = draw(st.integers(1, 7)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (1,), (2,)]))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(lead + (ci, hh, ww)).astype(dtype)
+    w = rng.standard_normal((co, ci, k, k)).astype(dtype)
+    b = rng.standard_normal(co).astype(dtype)
+    g = rng.standard_normal(lead + (co, (hh - 1) // stride + 1, (ww - 1) // stride + 1))
+    return x, w, b, g.astype(dtype)
+
+
+def oracle_conv2d(x, w, b, g, stride):
+    """(y, gx, gw, gb) of conv2d from the loop oracles, sample by sample."""
+    x, w, b, g = (np.asarray(a, dtype=np.float64) for a in (x, w, b, g))
+    xs, gs = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
+    ys = [dense_conv2d(xi, w, b, stride) for xi in xs]
+    grads = [dense_conv2d_grads(xi, w, gi, stride) for xi, gi in zip(xs, gs)]
+    return (np.reshape(ys, g.shape), np.reshape([gx for gx, _, _ in grads], x.shape),
+            sum(gw for _, gw, _ in grads), sum(gb for _, _, gb in grads))
+
+
 class TestConv2dFull:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("ci", [1, 2, 3])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_forward_and_vjp_match_loop_oracles(self, ci, k, stride, data):
+        x, w, b, g = data.draw(conv2d_cases(ci, k, stride))
+        with ad.Tape():
+            out = ad.conv2d(x, ad.Var(w), ad.Var(b), stride)
+        got = (out.value,) + tuple(out.vjp(g))
+        want = oracle_conv2d(x, w, b, g, stride)
+        bound = oracle_conv2d(np.abs(x), np.abs(w), np.abs(b), np.abs(g), stride)
+        for a, b_, c in zip(got, want, bound):
+            assert_banded(a, b_, c, x.dtype)
+
+
     def test_matches_loop_oracle_stride1(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 5, 5))
