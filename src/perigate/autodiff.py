@@ -2,10 +2,10 @@
 
 Each traced function computes its value and, while a tape is active,
 records a node holding the backward closure; without an active tape the same
-functions run as plain forwards. Convolutions, normalizations, softmax and
-the broadcasting arithmetic call their kernel in :mod:`perigate.ops`; the
-elementwise maths (scaling, tanh, sigmoid, the rectifiers, sqrt, abs,
-channel mean, upsampling) is one numpy expression here, beside its
+functions run as plain forwards. Convolutions, the frequency descriptor,
+normalizations, softmax and the broadcasting arithmetic call their kernel in
+:mod:`perigate.ops`; the elementwise maths (scaling, tanh, sigmoid, leaky
+ReLU, upsampling, the loss mean) is one numpy expression here, beside its
 derivative.
 
 Kernel arguments may be ``Var`` (gradients flow) or plain arrays (treated as
@@ -29,10 +29,9 @@ from .errors import (
 __all__ = [
     "Var", "Tape", "ParamStore", "tape_active", "forward_traced", "backward",
     "grad_check", "add", "sub", "mul", "scale", "tanh", "sigmoid", "leaky_relu",
-    "relu", "sqrt", "absolute", "sep_conv", "dwconv_2d", "conv2d", "pwconv",
-    "avg_pool3", "softmax_channels", "grn", "group_norm", "upsample2x",
-    "concat_channels", "split_channels", "pack_time", "unpack_time",
-    "mean_channels", "mean_all", "drop_path",
+    "sep_conv", "dwconv_2d", "conv2d", "pwconv", "freq_descriptor",
+    "softmax_channels", "grn", "group_norm", "upsample2x", "concat_channels",
+    "split_channels", "pack_time", "unpack_time", "mean_all", "drop_path",
 ]
 
 
@@ -289,23 +288,6 @@ def leaky_relu(x, alpha: float = 0.2):
     return _track(y, (x,), lambda g: (np.where(xv > 0, g, alpha * g),))
 
 
-def relu(x):
-    xv = _val(x)
-    y = np.where(xv > 0, xv, 0.0 * xv)
-    return _track(y, (x,), lambda g: (g * (xv > 0),))
-
-
-def sqrt(x):
-    y = np.sqrt(_val(x))
-    return _track(y, (x,), lambda g: (g / (2.0 * y),))
-
-
-def absolute(x):
-    xv = _val(x)
-    y = np.abs(xv)
-    return _track(y, (x,), lambda g: (g * np.sign(xv),))
-
-
 def _band_sums(m: np.ndarray, k: int) -> np.ndarray:
     """[C, k] sums of the k central diagonals of [..., C, n, n] matrices, summed
     over the leading axes: ``out[c, t] = sum_j m[..., c, j + t - p, j]``.
@@ -416,10 +398,46 @@ def pwconv(x, w, b):
     return _track(y, (x, w, b), vjp)
 
 
-def avg_pool3(x):
-    y = ops.avg_pool3(_val(x))
-    # zero-padded 3x3 mean with fixed divisor is self-adjoint
-    return _track(y, (x,), lambda g: (ops.avg_pool3(g),))
+def freq_descriptor(x, cues):
+    """:func:`perigate.ops.freq_descriptor` as one node. The filters are constants: the
+    vjp returns the gradient for x only. Per channel block it recomputes the cue maps
+    and writes each adjoint's input, zero in the wrapped columns, into one padded
+    buffer read by the flipped stencil (the box mean is its own adjoint). With d the
+    cue's gradient over C: f1 d sx / mag and d sy / mag, f2 d sign(lap), and f3
+    2x box(d') - box(2 box(x) d') with d' = d [var > 0]."""
+    xv = _val(x)
+    y = ops.freq_descriptor(xv, cues)
+
+    def vjp(g):
+        wp = xv.shape[-1] + 2
+        d = ops.wrap_padded(g / xv.shape[-3], 3)
+        gx = np.empty(xv.shape, dtype=np.result_type(g, xv))
+        for sl in ops.channel_blocks(xv):
+            f = ops.flat_rows(xv[..., sl, :, :], 3)
+            pad = np.zeros_like(f)
+            inner = pad[..., wp + 1 : 1 - 2 * wp]  # where x sits in the padded rows
+
+            def adjoint(q, kernel=None):  # of the correlation with kernel, or of the box mean
+                inner[...] = q
+                return ops.box_mean3(pad, wp) if kernel is None else ops.stencil3(
+                    pad, kernel[::-1, ::-1], wp)
+
+            acc = np.zeros_like(inner)
+            for i, name in enumerate(c for c in ops.CUE_NAMES if c in cues):
+                di = d[..., i : i + 1, :]
+                cue, saved = ops.cue_maps(f, wp, name)
+                if name == "f1":
+                    acc += adjoint(di / cue * saved[0], ops.SOBEL_X)
+                    acc += adjoint(di / cue * saved[1], ops.SOBEL_Y)
+                elif name == "f2":
+                    acc += adjoint(di * np.sign(saved[0]), ops.LAPLACIAN)
+                else:
+                    dvar2 = 2 * di * (cue > 0)
+                    acc += f[..., wp + 1 : 1 - 2 * wp] * adjoint(dvar2) - adjoint(saved[0] * dvar2)
+            gx[..., sl, :, :] = acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2]
+        return (gx,)
+
+    return _track(y, (x,), vjp)
 
 
 def softmax_channels(x):
@@ -521,18 +539,6 @@ def pack_time(frames):
 def unpack_time(z, t: int):
     c_total = _val(z).shape[-3]
     return split_channels(z, [c_total // t] * t)
-
-
-def mean_channels(x):
-    """Channel mean, keeping a single-channel axis: [..., C,H,W] -> [..., 1,H,W]."""
-    xv = _val(x)
-    y = xv.mean(axis=-3, keepdims=True)
-    c = xv.shape[-3]
-
-    def vjp(g):
-        return (np.broadcast_to(g / c, xv.shape).copy(),)
-
-    return _track(y, (x,), vjp)
 
 
 def mean_all(x):

@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # MemoryError: a size flag too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, PerigateError) as exc:

@@ -302,16 +302,6 @@ def _pw_init(rng, cout, cin, dtype):
 # ---------------------------------------------------------------------------
 
 
-def sep_scale_params(k: int, channels: int) -> int:
-    """Kernel parameters of one separable depthwise scale: 2k per channel."""
-    return 2 * k * channels
-
-
-def dense_scale_params(k: int, channels: int) -> int:
-    """Kernel parameters of the dense depthwise equivalent: k^2 per channel."""
-    return k * k * channels
-
-
 def count_params(config: ModelConfig) -> int:
     """Exact number of learnable scalars for a configuration."""
     model = Model.build(config.validate(), seed=0)
@@ -388,24 +378,3 @@ def per_sample_bytes(config: ModelConfig, dtype) -> int:
     if cfg.n_t:
         sizes += [2 * e * hp * wp, e * (hp + 3) * (wp + 2), cp * (hp + kc) * (wp + kc - 1)]
     return max(sizes) * np.dtype(dtype).itemsize
-
-
-def micro_config(**overrides) -> ModelConfig:
-    """Small, fast configuration used by gradient checks and examples."""
-    base = dict(
-        t_in=2,
-        t_out=2,
-        c_in=1,
-        c_out=1,
-        height=8,
-        width=8,
-        latent_c=2,
-        n_s=2,
-        n_t=1,
-        kernels=(3, 5),
-        expansion=2,
-        msinit_scales=(3, 5),
-        drop_path=0.0,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)

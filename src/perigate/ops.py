@@ -1,7 +1,7 @@
-"""Forward kernels on numpy arrays: convolutions, pooling, normalizations,
-softmax, the broadcasting arithmetic and channel concatenation. Elementwise
-maths with no shape rule of its own sits in :mod:`perigate.autodiff`, beside
-its derivative.
+"""Forward kernels on numpy arrays: convolutions, the frequency descriptor's
+fixed-filter cues, normalizations, softmax, the broadcasting arithmetic and
+channel concatenation. Elementwise maths with no shape rule of its own sits
+in :mod:`perigate.autodiff`, beside its derivative.
 
 Conventions shared by every operation here:
 
@@ -130,25 +130,28 @@ def _tap_sum(x: np.ndarray, k: int, product) -> np.ndarray:
     return acc.reshape(acc.shape[:-1] + (x.shape[-2], -1))[..., : x.shape[-1]]
 
 
-# Input bytes one pass of a blocked kernel covers (dwconv_2d's channel blocks,
-# metrics.ssim's frame blocks), so that its temporaries stay in L2 cache.
+# Input bytes one pass of a blocked kernel covers (dwconv_2d's and the descriptor's
+# channel blocks, metrics.ssim's frame blocks), so that its temporaries stay in L2 cache.
 BLOCK_BYTES = 256 * 1024
+
+
+def channel_blocks(x: np.ndarray) -> list:
+    """Slices of ``max(1, BLOCK_BYTES // bytes of one channel's [..., H, W])`` channels."""
+    step = max(1, BLOCK_BYTES // x[..., 0, :, :].nbytes)
+    return [slice(lo, lo + step) for lo in range(0, x.shape[-3], step)]
 
 
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Dense depthwise k x k correlation: k*k multiply-adds over the :func:`tap_windows`
-    in blocks of ``max(1, BLOCK_BYTES // bytes of one channel's [..., H, W])``
-    channels; channels are independent, so blocks leave the result bitwise unchanged."""
+    in :func:`channel_blocks`; channels are independent, so blocks leave the result
+    bitwise unchanged."""
     kernel = _per_channel(kernel, x.shape[-3], 2)
     k = kernel.shape[1]
     _check_odd(k, kernel.shape[2])
     out = np.empty(x.shape, dtype=np.result_type(x, kernel))
-    step = max(1, BLOCK_BYTES // x[..., 0, :, :].nbytes)
-    for lo in range(0, x.shape[-3], step):
-        kb = kernel[lo : lo + step]
-        out[..., lo : lo + step, :, :] = _tap_sum(
-            x[..., lo : lo + step, :, :], k,
-            lambda u, v, win, o: np.multiply(win, kb[:, u, v, None], out=o))
+    for sl in channel_blocks(x):
+        out[..., sl, :, :] = _tap_sum(x[..., sl, :, :], k, lambda u, v, win, o: np.multiply(
+            win, kernel[sl, u, v, None], out=o))
     return out
 
 
@@ -188,14 +191,77 @@ def pwconv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out + b[:, None, None]
 
 
-def avg_pool3(x: np.ndarray) -> np.ndarray:
-    """3 x 3 mean pool, stride 1, zero padding, divisor fixed at 9.
+# The frequency descriptor's fixed 3 x 3 filters (correlation taps, never learned)
+SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+SOBEL_Y = SOBEL_X.T.copy()
+LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
+# guards the sqrt gradient when the gradient magnitude is exactly zero
+EPS_MAGNITUDE = 1e-12
+CUE_NAMES = ("f1", "f2", "f3")
 
-    Separable box sum: three-tap row sums, then three-tap column sums.
-    """
-    xp = flat_rows(x, 3).reshape(x.shape[:-2] + (x.shape[-2] + 3, -1))[..., :-1, :]
-    rows = xp[..., :-2] + xp[..., 1:-1] + xp[..., 2:]
-    return (rows[..., :-2, :] + rows[..., 1:-1, :] + rows[..., 2:, :]) * (1.0 / 9.0)
+
+def stencil3(f: np.ndarray, kernel: np.ndarray, wp: int) -> np.ndarray:
+    """3 x 3 correlation of the :func:`flat_rows` ``f`` (rows wp = W + 2 wide) of a
+    [..., C, H, W] map: ``kernel[u, v]`` times the window of tap (u, v), summed over
+    the nonzero taps in row-major order (as :func:`dwconv_2d` sums them, so the bits
+    agree); [..., C, H * wp] with two wrapped columns per row."""
+    n = f.shape[-1] - 3 * wp
+    (k0, first), *taps = [(float(k), f[..., u * wp + v : u * wp + v + n])
+                          for (u, v), k in np.ndenumerate(kernel) if k]
+    acc = first * k0
+    for k, win in taps:
+        if abs(k) == 1:  # x - y is exactly x + (-1 * y)
+            (np.add if k > 0 else np.subtract)(acc, win, out=acc)
+        else:
+            acc += win * k
+    return acc
+
+
+def box_mean3(f: np.ndarray, wp: int) -> np.ndarray:
+    """3 x 3 zero-padded mean (divisor fixed at 9) of the :func:`flat_rows` ``f``, laid
+    out like :func:`stencil3`: row sums (a + b) + c, then the same sums of rows, times 1/9."""
+    m = f.shape[-1] - wp  # H + 2 rows of row sums
+    rows = f[..., :m] + f[..., 1 : m + 1]
+    rows += f[..., 2 : m + 2]
+    out = rows[..., : m - 2 * wp] + rows[..., wp : m - wp]
+    out += rows[..., 2 * wp :]
+    return np.multiply(out, 1.0 / 9.0, out=out)
+
+
+def cue_maps(f: np.ndarray, wp: int, cue: str):
+    """One cue's per-channel map of the :func:`flat_rows` ``f``, laid out like
+    :func:`stencil3`, and the responses its adjoint reads: f1 the Sobel magnitude
+    sqrt(sx^2 + sy^2 + EPS_MAGNITUDE) with (sx, sy); f2 |Laplacian| with (Laplacian,);
+    f3 the local variance box(x^2) - box(x)^2, clamped at zero (0 * var), with (box(x),)."""
+    if cue == "f1":
+        sx, sy = stencil3(f, SOBEL_X, wp), stencil3(f, SOBEL_Y, wp)
+        return np.sqrt(sx * sx + sy * sy + f.dtype.type(EPS_MAGNITUDE)), (sx, sy)
+    if cue == "f2":
+        lap = stencil3(f, LAPLACIAN, wp)
+        return np.abs(lap), (lap,)
+    mean = box_mean3(f, wp)
+    var = box_mean3(f * f, wp) - mean * mean
+    return var * (var > 0), (mean,)
+
+
+def freq_descriptor(x: np.ndarray, cues) -> np.ndarray:
+    """The selected cues of :data:`CUE_NAMES`, each averaged over channels, stacked
+    in fixed (f1, f2, f3) order: [..., C, H, W] -> [..., len(cues), H, W].
+
+    One zero-padded copy per :func:`channel_blocks` block. Each channel sum runs from 0
+    in ascending channel order (a block's first map adds the sum so far), then is
+    divided by C: bitwise ``mean(axis=-3)``."""
+    names = [c for c in CUE_NAMES if c in cues]
+    hh, ww = x.shape[-2:]
+    acc = np.zeros(x.shape[:-3] + (len(names), hh * (ww + 2)), dtype=x.dtype)
+    for sl in channel_blocks(x):
+        f = flat_rows(x[..., sl, :, :], 3)
+        for i, name in enumerate(names):
+            maps = cue_maps(f, ww + 2, name)[0]
+            maps[..., 0, :] += acc[..., i, :]
+            np.add.reduce(maps, axis=-2, out=acc[..., i, :])
+    acc /= x.shape[-3]
+    return np.ascontiguousarray(acc.reshape(acc.shape[:-1] + (hh, -1))[..., :ww])
 
 
 def softmax_channels(x: np.ndarray) -> np.ndarray:

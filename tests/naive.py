@@ -148,20 +148,95 @@ def dense_conv2d_grads(x, weight, g, stride=1):
 
 
 def window_mean3(x):
-    """3x3 zero-padded mean with fixed divisor 9, via loops."""
+    """3x3 zero-padded mean with fixed divisor 9, via loops: per output pixel the
+    three-tap sums (a + b) + c of rows i - 1, i and i + 1, added in that order,
+    times 1/9 (the summation order of the library's box mean, so that float64
+    results agree bit for bit)."""
     c, h, w = x.shape
+
+    def at(ch, i, j):
+        return x[ch, i, j] if 0 <= i < h and 0 <= j < w else 0.0
+
     out = np.zeros_like(x)
     for ch in range(c):
         for i in range(h):
             for j in range(w):
-                acc = 0.0
+                rows = [at(ch, i + u, j - 1) + at(ch, i + u, j) + at(ch, i + u, j + 1)
+                        for u in (-1, 0, 1)]
+                out[ch, i, j] = (rows[0] + rows[1] + rows[2]) * (1.0 / 9.0)
+    return out
+
+
+def window_mean3_grad(g):
+    """Input gradient of :func:`window_mean3` for output gradient g: each output's
+    gradient over 9, scattered back onto the pixels of its window."""
+    c, h, w = g.shape
+    gx = np.zeros((c, h, w))
+    for ch in range(c):
+        for i in range(h):
+            for j in range(w):
                 for u in (-1, 0, 1):
                     for v in (-1, 0, 1):
                         ii, jj = i + u, j + v
                         if 0 <= ii < h and 0 <= jj < w:
-                            acc += x[ch, ii, jj]
-                out[ch, i, j] = acc / 9.0
-    return out
+                            gx[ch, ii, jj] += g[ch, i, j] / 9.0
+    return gx
+
+
+# The frequency descriptor's fixed filters and sqrt guard, restated
+SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+SOBEL_Y = SOBEL_X.T.copy()
+LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
+EPS_MAGNITUDE = 1e-12
+
+
+def _cue_parts(x):
+    """Per-channel cue maps of [C, H, W] x and the responses their gradients read."""
+    sx, sy = dense_dwconv2d(x, SOBEL_X), dense_dwconv2d(x, SOBEL_Y)
+    lap = dense_dwconv2d(x, LAPLACIAN)
+    m = window_mean3(x)
+    pre = window_mean3(x * x) - m * m
+    return {"f1": np.sqrt(sx * sx + sy * sy + EPS_MAGNITUDE),
+            "f2": np.abs(lap),
+            "f3": np.where(pre > 0, pre, 0.0 * pre)}, (sx, sy, lap, m)
+
+
+def freq_descriptor(x, cues):
+    """The frequency descriptor of [C, H, W] x: for each selected cue in (f1, f2,
+    f3) order, its per-channel map (f1 the Sobel magnitude sqrt(sx^2 + sy^2 +
+    1e-12), f2 the absolute Laplacian, f3 the 3x3 variance clamped at zero, 0 *
+    value below) summed over channels from 0 in ascending order, over C."""
+    maps, _ = _cue_parts(x)
+    out = []
+    for name in ("f1", "f2", "f3"):
+        if name in cues:
+            acc = np.zeros(x.shape[1:])
+            for ch in range(x.shape[0]):
+                acc += maps[name][ch]
+            out.append(acc / x.shape[0])
+    return np.stack(out)
+
+
+def freq_descriptor_grad(x, cues, g):
+    """Input gradient of :func:`freq_descriptor` for output gradient g, by the
+    chain rule through the loop oracles: :func:`dense_dwconv2d_grads` for the
+    filters, :func:`window_mean3_grad` for the box means."""
+    maps, (sx, sy, lap, m) = _cue_parts(x)
+    gx = np.zeros(x.shape)
+    rows = iter(g)
+    for name in ("f1", "f2", "f3"):
+        if name not in cues:
+            continue
+        d = np.broadcast_to(next(rows) / x.shape[0], x.shape)
+        if name == "f1":
+            gx += dense_dwconv2d_grads(x, SOBEL_X, d * sx / maps["f1"])[0]
+            gx += dense_dwconv2d_grads(x, SOBEL_Y, d * sy / maps["f1"])[0]
+        elif name == "f2":
+            gx += dense_dwconv2d_grads(x, LAPLACIAN, d * np.sign(lap))[0]
+        else:
+            dvar = d * (maps["f3"] > 0)
+            gx += 2.0 * x * window_mean3_grad(dvar) - window_mean3_grad(2.0 * m * dvar)
+    return gx
 
 
 def window_variance3(x2d):

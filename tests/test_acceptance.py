@@ -16,7 +16,7 @@ from perigate import harness, metrics, ops, spectral
 from perigate.autodiff import ParamStore, Var
 from perigate.config import TrainConfig
 from perigate.data import gen_bouncing
-from perigate.model import Model, ModelConfig, dense_scale_params, micro_config, sep_scale_params
+from perigate.model import Model, ModelConfig
 from perigate.rng import INIT, stream
 from perigate.spectral import (
     ExpDecay,
@@ -31,6 +31,8 @@ from perigate.spectral import (
     snr_advantage,
     stationary_betas,
 )
+
+from helpers import dense_scale_params, micro_config, sep_scale_params
 
 
 def report(num, ok, label):
@@ -155,7 +157,7 @@ def test_criterion_05_gradient_correctness():
             lambda a, w, b: ad.pwconv(a, w, b),
             [x, rng.standard_normal((3, 2)), rng.standard_normal(3)],
         ),
-        "avg_pool3": (lambda a: ad.avg_pool3(a), [x]),
+        "freq_descriptor": (lambda a: ad.freq_descriptor(a, ops.CUE_NAMES), [x]),
         "softmax": (lambda a: ad.softmax_channels(a), [rng.standard_normal((3, 5, 5))]),
         "tanh": (lambda a: ad.tanh(a), [x]),
         "sigmoid": (lambda a: ad.sigmoid(a), [x]),

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from perigate import container, harness
 from perigate.cli import main
 from perigate.config import TrainConfig
-from perigate.model import Model, micro_config
+from perigate.model import Model
+
+from helpers import micro_config
 
 MICRO_CONFIG = """
 t_in = 2
@@ -273,6 +275,23 @@ def test_nonfinite_analyze_input_exits_2(case, tmp_path, capsys):
     container.save_tensor(kfile, np.array([0.25, np.nan, 0.25]))
     argv = [a.format(kfile=kfile) for a in NONFINITE_ANALYZE[case]]
     _exits_2_with_one_error_line(["analyze"] + argv, capsys)
+
+
+# Sizes numpy refuses to allocate before touching any memory: 373 TiB and 284 PiB
+# of frames, and 728 TiB of float64 samples (beyond a 47-bit address space).
+TOO_LARGE = {
+    "gen_num": ["gen-data", "--out", "{out}", "--num", "100000000000"],
+    "gen_size": ["gen-data", "--out", "{out}", "--num", "2", "--size", "100000000"],
+    "analyze_samples": ["analyze", "ring", "--hl", "exp:1", "--hs", "exp:2",
+                        "--samples", "100000000000000"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LARGE))
+def test_size_beyond_memory_exits_2(case, tmp_path, capsys):
+    out = tmp_path / "a.pfgt"
+    _exits_2_with_one_error_line([a.format(out=out) for a in TOO_LARGE[case]], capsys)
+    assert not out.exists()
 
 
 STRAY_ANALYZE_FLAGS = {

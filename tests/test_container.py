@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from perigate import container, harness
 from perigate.config import TrainConfig
 from perigate.errors import InputError
-from perigate.model import Model, micro_config
+from perigate.model import Model
+
+from helpers import micro_config
 
 NAME_AT = 11  # magic, version, entry count, name length
 CONFIG_AT = NAME_AT + len("config") + 20  # the config blob's first float64 value

@@ -14,6 +14,18 @@ def val(x):
     return x.value if hasattr(x, "value") else np.asarray(x)
 
 
+def sobel_magnitude(x):
+    return descriptor.frequency_descriptor(x, cues=("f1",))
+
+
+def laplacian_abs(x):
+    return descriptor.frequency_descriptor(x, cues=("f2",))
+
+
+def local_variance(x):
+    return descriptor.frequency_descriptor(x, cues=("f3",))
+
+
 def ramp(h, w):
     return np.broadcast_to(np.arange(w, dtype=np.float64), (h, w)).copy()
 
@@ -30,19 +42,19 @@ class TestFilters:
 class TestSobelMagnitude:
     def test_constant_image_zero_interior(self):
         # borders see the zero padding; the zero-sum kernel cancels inside
-        out = val(descriptor.sobel_magnitude(np.full((1, 5, 5), 3.0)))
+        out = val(sobel_magnitude(np.full((1, 5, 5), 3.0)))
         assert np.all(out[0, 1:-1, 1:-1] <= np.sqrt(descriptor.EPS_MAGNITUDE) + 1e-15)
 
     def test_ramp_interior_is_eight(self):
         x = ramp(6, 6)[None]
-        out = val(descriptor.sobel_magnitude(x))
+        out = val(sobel_magnitude(x))
         np.testing.assert_allclose(out[0, 1:-1, 1:-1], 8.0, rtol=1e-9)
 
     def test_identical_channels_match_single(self):
         x = np.random.default_rng(0).random((1, 6, 6))
         two = np.concatenate([x, x])
         np.testing.assert_allclose(
-            val(descriptor.sobel_magnitude(two)), val(descriptor.sobel_magnitude(x)), atol=1e-15
+            val(sobel_magnitude(two)), val(sobel_magnitude(x)), atol=1e-15
         )
 
 
@@ -51,41 +63,41 @@ class TestLaplacianAbs:
         h = w = 7
         grid_h, grid_w = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
         x = (2.0 * grid_w + 3.0 * grid_h + 1.0)[None]
-        out = val(descriptor.laplacian_abs(x))
+        out = val(laplacian_abs(x))
         np.testing.assert_allclose(out[0, 1:-1, 1:-1], 0.0, atol=1e-12)
 
     def test_impulse_values(self):
         x = np.zeros((1, 5, 5))
         x[0, 2, 2] = 1.0
-        out = val(descriptor.laplacian_abs(x))
+        out = val(laplacian_abs(x))
         assert out[0, 2, 2] == 4.0
         for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             assert out[0, 2 + dy, 2 + dx] == 1.0
 
     def test_constant_zero_interior(self):
-        out = val(descriptor.laplacian_abs(np.full((2, 4, 4), 2.5)))
+        out = val(laplacian_abs(np.full((2, 4, 4), 2.5)))
         assert np.all(out[0, 1:-1, 1:-1] == 0.0)
 
 
 class TestLocalVariance:
     def test_constant_interior_zero(self):
-        out = val(descriptor.local_variance(np.full((1, 5, 5), 4.0)))
+        out = val(local_variance(np.full((1, 5, 5), 4.0)))
         np.testing.assert_allclose(out[0, 1:-1, 1:-1], 0.0, atol=1e-12)
 
     def test_ramp_interior_two_thirds(self):
         x = ramp(6, 8)[None]
-        out = val(descriptor.local_variance(x))
+        out = val(local_variance(x))
         np.testing.assert_allclose(out[0, 1:-1, 1:-1], 2.0 / 3.0, rtol=1e-12)
 
     def test_checkerboard_20_over_81(self):
         h = w = 6
         board = ((np.add.outer(np.arange(h), np.arange(w)) % 2) == 0).astype(np.float64)
-        out = val(descriptor.local_variance(board[None]))
+        out = val(local_variance(board[None]))
         np.testing.assert_allclose(out[0, 1:-1, 1:-1], 20.0 / 81.0, rtol=1e-12)
 
     def test_matches_window_oracle(self):
         x = np.random.default_rng(1).random((6, 7))
-        out = val(descriptor.local_variance(x[None]))
+        out = val(local_variance(x[None]))
         np.testing.assert_allclose(out[0], window_variance3(x), atol=1e-12)
 
 

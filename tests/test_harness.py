@@ -11,7 +11,9 @@ from perigate import harness, spectral
 from perigate.config import TrainConfig, parse_config_text, serialize_config
 from perigate.data import gen_bouncing
 from perigate.errors import ConfigParseError, ConfigurationError, InputError
-from perigate.model import ModelConfig, micro_config
+from perigate.model import ModelConfig
+
+from helpers import micro_config
 
 
 def micro_train_config(**overrides):

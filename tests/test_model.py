@@ -12,11 +12,10 @@ from perigate.model import (
     ModelConfig,
     count_flops,
     count_params,
-    dense_scale_params,
     encoder_strides,
-    micro_config,
-    sep_scale_params,
 )
+
+from helpers import dense_scale_params, micro_config, sep_scale_params
 
 
 def frames_for(cfg, seed=0):

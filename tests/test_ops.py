@@ -1,6 +1,7 @@
 """Forward kernel semantics against hand values and loop oracles."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from naive import (
     dense_dwconv2d_grads,
     dwconv_1d,
     dwconv_1d_grads,
-    window_mean3,
+    freq_descriptor as naive_descriptor,
+    freq_descriptor_grad,
+    window_variance3,
 )
 
 DTYPES = [np.float64, np.float32]
@@ -394,27 +397,94 @@ class TestPwconv:
         assert_oracle(ops.pwconv(x, w, b), want, dtype)
 
 
+def f3(x):
+    """The descriptor's local-variance cue alone, [..., 1, H, W]."""
+    return ops.freq_descriptor(x, ("f3",))
+
+
 class TestAvgPool:
+    """The 3 x 3 box mean (zero padding, divisor 9) inside the descriptor's
+    local variance box(x^2) - box(x)^2."""
+
     def test_constant_image(self):
-        out = ops.avg_pool3(np.full((1, 4, 4), 3.0))
-        assert out[0, 1, 1] == pytest.approx(3.0)
-        assert out[0, 0, 1] == pytest.approx(6 * 3.0 / 9)
-        assert out[0, 0, 0] == pytest.approx(4 * 3.0 / 9)
+        out = f3(np.full((1, 4, 4), 3.0))
+        assert out[0, 1, 1] == pytest.approx(0.0, abs=1e-12)
+        assert out[0, 0, 1] == pytest.approx(6 * 9.0 / 9 - (6 * 3.0 / 9) ** 2)
+        assert out[0, 0, 0] == pytest.approx(4 * 9.0 / 9 - (4 * 3.0 / 9) ** 2)
 
     def test_center_impulse(self):
         x = np.zeros((1, 3, 3))
         x[0, 1, 1] = 1.0
-        np.testing.assert_allclose(ops.avg_pool3(x), np.full((1, 3, 3), 1.0 / 9.0))
+        np.testing.assert_allclose(f3(x), np.full((1, 3, 3), 1.0 / 9.0 - 1.0 / 81.0))
 
     def test_matches_window_oracle(self):
         x = np.random.default_rng(9).standard_normal((2, 5, 6))
-        np.testing.assert_allclose(ops.avg_pool3(x), window_mean3(x), atol=1e-12)
+        want = (window_variance3(x[0]) + window_variance3(x[1])) / 2.0
+        np.testing.assert_allclose(f3(x)[0], want, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("hw", [(7, 10), (1, 4), (2, 1)])
     def test_oracle_cases(self, hw, dtype):
         x = np.random.default_rng(70).standard_normal((3, *hw)).astype(dtype)
-        assert_oracle(ops.avg_pool3(x), window_mean3(x.astype(np.float64)), dtype)
+        want = naive_descriptor(x.astype(np.float64), ops.CUE_NAMES)
+        assert_oracle(ops.freq_descriptor(x, ops.CUE_NAMES), want, dtype)
+
+
+@st.composite
+def freq_descriptor_cases(draw):
+    """A freq_descriptor input with sides 1..6, 1..4 channels, no, one or two
+    leading axes, a cue subset, an output gradient, and the channels per block:
+    None for the default BLOCK_BYTES, else BLOCK_BYTES cut to that many channels."""
+    c, hh, ww = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([(), (1,), (2,), (2, 2)]))
+    cues = tuple(sorted(draw(st.sets(st.sampled_from(ops.CUE_NAMES), min_size=1))))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    per_block = draw(st.sampled_from([None, 1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(lead + (c, hh, ww)).astype(dtype)
+    g = rng.standard_normal(lead + (len(cues), hh, ww)).astype(dtype)
+    return x, cues, g, per_block
+
+
+class TestFreqDescriptor:
+    """The fused descriptor op against the composed loop oracle, sample by sample."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=freq_descriptor_cases())
+    @example(case=(np.ones((2, 3, 2, 1)), ("f1", "f2", "f3"), np.ones((2, 3, 2, 1)), 1))
+    def test_forward_and_vjp_match_loop_oracle(self, case):
+        x, cues, g, per_block = case
+        block_bytes = ops.BLOCK_BYTES if per_block is None else per_block * x[..., 0, :, :].nbytes
+        with mock.patch.object(ops, "BLOCK_BYTES", block_bytes):
+            with ad.Tape():
+                out = ad.freq_descriptor(x, cues)
+            (gx,) = out.vjp(g)
+        assert out.value.dtype == gx.dtype == x.dtype
+        xs = x.reshape((-1,) + x.shape[-3:]).astype(np.float64)
+        gs = g.reshape((-1,) + g.shape[-3:]).astype(np.float64)
+        want = np.reshape([naive_descriptor(xi, cues) for xi in xs], out.value.shape)
+        want_gx = np.reshape([freq_descriptor_grad(xi, cues, gi) for xi, gi in zip(xs, gs)],
+                             x.shape)
+        # float64: the forward bit for bit; the vjp sums in another order. float32:
+        # a few roundings of values up to max(1, max x^2), gradients of max|g| max(1, |x|)
+        if x.dtype == np.float64:
+            assert out.value.tobytes() == want.tobytes()
+            rtol = 1e-12
+        else:
+            rtol = 1e-5
+            scale = max(1.0, float(np.abs(x).max()) ** 2)
+            assert np.abs(out.value - want).max() <= rtol * scale
+        scale = float(np.abs(g).max()) * max(1.0, float(np.abs(x).max()))
+        assert np.abs(gx - want_gx).max() <= rtol * scale
+
+    def test_channel_blocks_bitwise_equal_to_one_block(self):
+        # 32 KiB planes: blocks of 8 channels, 30 of them
+        x = np.random.default_rng(42).standard_normal((2, 240, 64, 64)).astype(np.float32)
+        assert ops.BLOCK_BYTES // x[:, 0].nbytes == 8
+        blocked = ops.freq_descriptor(x, ops.CUE_NAMES)
+        with mock.patch.object(ops, "BLOCK_BYTES", x.nbytes):
+            whole = ops.freq_descriptor(x, ops.CUE_NAMES)
+        assert blocked.tobytes() == whole.tobytes()
 
 
 class TestSoftmax:
@@ -535,7 +605,7 @@ class TestBatchAxis:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("op", ["conv2d_s1", "conv2d_s2", "pwconv", "dwconv_2d",
-                                    "sep_conv", "avg_pool3"])
+                                    "sep_conv", "freq_descriptor"])
     def test_oracle_batch_slices(self, op, dtype):
         rng = np.random.default_rng(80)
         x = rng.standard_normal((2, 3, 5, 8)).astype(dtype)
@@ -556,7 +626,8 @@ class TestBatchAxis:
             "dwconv_2d": (lambda a: ops.dwconv_2d(a, k2), lambda a: dense_dwconv2d(a, f64(k2))),
             "sep_conv": (lambda a: sep_conv(a, h, v),
                          lambda a: dense_dwconv2d(a, np.einsum("ci,cj->cij", f64(v), f64(h)))),
-            "avg_pool3": (ops.avg_pool3, window_mean3),
+            "freq_descriptor": (lambda a: ops.freq_descriptor(a, ops.CUE_NAMES),
+                                lambda a: naive_descriptor(a, ops.CUE_NAMES)),
         }
         fn, oracle = kernels[op]
         got = fn(x)
@@ -570,7 +641,7 @@ class TestBatchAxis:
         gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
         for fn in (lambda a: ops.group_norm_parts(a, gamma, beta, 2)[0],
                    lambda a: ops.grn_parts(a, gamma, beta)[0],
-                   ops.softmax_channels, lambda a: ad.mean_channels(a).value,
+                   ops.softmax_channels, lambda a: ops.freq_descriptor(a, ops.CUE_NAMES),
                    lambda a: ad.upsample2x(a).value):
             batched = fn(x)
             for i in range(2):
