@@ -10,6 +10,10 @@ One block computes, from its input stack:
 4. a gated channel-mixing stage (expand, sigmoid gate x depthwise, global
    response normalization, project);
 5. a residual add of the layer-scaled branch, optionally dropped per sample.
+
+The static choices (scales, cues, fusion, suppression mode, center size,
+expansion, drop rate) are read from a validated
+:class:`perigate.model.ModelConfig` passed as ``cfg``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from . import autodiff as ad
 from . import descriptor
 from .autodiff import ParamStore, Var
 from .errors import ConfigurationError
-from .multiscale import near_identity
+from .multiscale import fan_in_uniform, near_identity
 
 
 @dataclass
@@ -45,93 +49,42 @@ class BlockParams:
 
 
 @dataclass
-class BlockSettings:
-    """Static choices threaded through a block forward."""
-
-    scales: tuple[int, ...] = (9, 15, 31)
-    cues: tuple[str, ...] = descriptor.CUE_NAMES
-    fusion: str = "softmax"  # or "mean"
-    beta_mode: str = "learnable"  # or "fixed"
-    beta_fixed: float = 0.0
-    beta_act: str = "tanh"  # or "sigmoid"
-    center_size: int = 3
-    expansion: int = 4
-    drop_rate: float = 0.0
-
-    def validate(self, channels: int):
-        if len(self.scales) < 1:
-            raise ConfigurationError("need at least one kernel scale")
-        if len(set(self.scales)) != len(self.scales):
-            raise ConfigurationError(f"duplicate kernel scales {self.scales}")
-        if any(k % 2 == 0 or k < 1 for k in self.scales):
-            raise ConfigurationError(f"kernel scales must be odd, got {self.scales}")
-        if self.fusion not in ("softmax", "mean"):
-            raise ConfigurationError(f"unknown fusion '{self.fusion}'")
-        if self.beta_mode not in ("learnable", "fixed"):
-            raise ConfigurationError(f"unknown beta mode '{self.beta_mode}'")
-        if self.beta_act not in ("tanh", "sigmoid"):
-            raise ConfigurationError(f"unknown beta activation '{self.beta_act}'")
-        if self.center_size not in (3, 5):
-            raise ConfigurationError(f"center size must be 3 or 5, got {self.center_size}")
-        if self.expansion < 1:
-            raise ConfigurationError(f"expansion must be >= 1, got {self.expansion}")
-        if not 0.0 <= self.drop_rate < 1.0:
-            raise ConfigurationError(f"drop rate must lie in [0,1), got {self.drop_rate}")
-        if not self.cues:
-            raise ConfigurationError("need at least one frequency cue")
-        if len(set(self.cues)) != len(self.cues):
-            raise ConfigurationError(f"duplicate frequency cues {self.cues}")
-        if not np.isfinite(self.beta_fixed):
-            raise ConfigurationError(f"fixed beta must be finite, got {self.beta_fixed}")
-        if channels * self.expansion < 1:
-            raise ConfigurationError("empty hidden width")
-
-
-@dataclass
 class BlockInternals:
     """Optional introspection payload from a forward pass: the gate weights."""
 
     alpha: Var | None = None
 
 
-def init_params(
-    store: ParamStore, prefix: str, channels: int, settings: BlockSettings, rng, dtype
-) -> BlockParams:
-    settings.validate(channels)
-    k_count = len(settings.scales)
-    hidden = settings.expansion * channels
+def init_params(store: ParamStore, prefix: str, channels: int, cfg, rng, dtype) -> BlockParams:
+    k_count = len(cfg.kernels)
+    hidden = cfg.expansion * channels
     sep_h, sep_v, beta = {}, {}, {}
-    for k in settings.scales:
+    for k in cfg.kernels:
         h, v = (near_identity((channels, k), (k // 2,), rng) for _ in range(2))
         sep_h[k] = store.add(f"{prefix}/scale{k}/sep_h", h.astype(dtype))
         sep_v[k] = store.add(f"{prefix}/scale{k}/sep_v", v.astype(dtype))
-        if settings.beta_mode == "learnable":
+        if cfg.beta_mode == "learnable":
             beta[k] = store.add(f"{prefix}/scale{k}/beta_raw", np.zeros(channels, dtype=dtype))
-    kc = settings.center_size
+    kc = cfg.center_size
     center = near_identity((channels, kc, kc), (kc // 2, kc // 2), rng)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
     gate_w = gate_b = None
-    if settings.fusion == "softmax":
-        gate_w = store.add(
-            f"{prefix}/gate/w", np.zeros((k_count, len(settings.cues)), dtype=dtype)
-        )
+    if cfg.fusion == "softmax":
+        gate_w = store.add(f"{prefix}/gate/w", np.zeros((k_count, len(cfg.cues)), dtype=dtype))
         gate_b = store.add(f"{prefix}/gate/b", np.zeros(k_count, dtype=dtype))
     return BlockParams(
-        scales=tuple(settings.scales),
+        scales=tuple(cfg.kernels),
         sep_h=sep_h,
         sep_v=sep_v,
         center=store.add(f"{prefix}/center", center.astype(dtype)),
-        beta_raw=beta if settings.beta_mode == "learnable" else None,
+        beta_raw=beta if cfg.beta_mode == "learnable" else None,
         gate_w=gate_w,
         gate_b=gate_b,
-        glu_expand_w=store.add(f"{prefix}/glu/expand_w", uniform((2 * hidden, channels), channels)),
+        glu_expand_w=store.add(f"{prefix}/glu/expand_w",
+                               fan_in_uniform((2 * hidden, channels), channels, rng, dtype)),
         glu_expand_b=store.add(f"{prefix}/glu/expand_b", np.zeros(2 * hidden, dtype=dtype)),
-        glu_dw=store.add(f"{prefix}/glu/dw", uniform((hidden, 3, 3), 9)),
-        glu_project_w=store.add(f"{prefix}/glu/project_w", uniform((channels, hidden), hidden)),
+        glu_dw=store.add(f"{prefix}/glu/dw", fan_in_uniform((hidden, 3, 3), 9, rng, dtype)),
+        glu_project_w=store.add(f"{prefix}/glu/project_w",
+                                fan_in_uniform((channels, hidden), hidden, rng, dtype)),
         glu_project_b=store.add(f"{prefix}/glu/project_b", np.zeros(channels, dtype=dtype)),
         grn_gamma=store.add(f"{prefix}/grn/gamma", np.zeros(hidden, dtype=dtype)),
         grn_beta=store.add(f"{prefix}/grn/beta", np.zeros(hidden, dtype=dtype)),
@@ -144,11 +97,12 @@ def gate_weights(freq, gate_w, gate_b):
     return ad.softmax_channels(ad.pwconv(freq, gate_w, gate_b))
 
 
-def uniform_gate(freq, k_count: int):
-    """Mean fusion: softmax over zero logits, the same arithmetic as a
-    zero-initialized gate, so both paths agree bitwise at initialization."""
-    fv = freq.value if isinstance(freq, Var) else np.asarray(freq)
-    zeros = np.zeros(fv.shape[:-3] + (k_count,) + fv.shape[-2:], dtype=fv.dtype)
+def uniform_gate(x, k_count: int):
+    """Mean fusion: softmax over zero logits shaped like the block input's
+    pixels, the same arithmetic as a zero-initialized gate, so both paths
+    agree bitwise at initialization."""
+    xv = x.value if isinstance(x, Var) else np.asarray(x)
+    zeros = np.zeros(xv.shape[:-3] + (k_count,) + xv.shape[-2:], dtype=xv.dtype)
     return ad.softmax_channels(zeros)
 
 
@@ -158,12 +112,12 @@ def peripheral_response(x, params: BlockParams, k: int):
     return ad.sep_conv(x, params.sep_h[k], params.sep_v[k])
 
 
-def suppression_coefficient(params: BlockParams, settings: BlockSettings, k: int):
+def suppression_coefficient(params: BlockParams, cfg, k: int):
     """Activated channel-wise multiplier for the center response."""
-    if settings.beta_mode == "fixed":
+    if cfg.beta_mode == "fixed":
         return None  # constant scalar handled by caller
     raw = params.beta_raw[k]
-    return ad.tanh(raw) if settings.beta_act == "tanh" else ad.sigmoid(raw)
+    return ad.tanh(raw) if cfg.gate_act == "tanh" else ad.sigmoid(raw)
 
 
 def center_suppress(p_k, center_response, coefficient):
@@ -194,7 +148,7 @@ def channel_mix_glu(s, params: BlockParams):
 def forward(
     x,
     params: BlockParams,
-    settings: BlockSettings,
+    cfg,
     mode: str = "eval",
     drop_u=None,
     internals: BlockInternals | None = None,
@@ -205,24 +159,24 @@ def forward(
     ``drop_u`` holds one stochastic-depth uniform per sample (see
     :func:`perigate.autodiff.drop_path`).
     """
-    freq = descriptor.frequency_descriptor(x, settings.cues)
-    if settings.fusion == "softmax":
+    if cfg.fusion == "softmax":
+        freq = descriptor.frequency_descriptor(x, cfg.cues)
         alpha = gate_weights(freq, params.gate_w, params.gate_b)
     else:
-        alpha = uniform_gate(freq, len(params.scales))
+        alpha = uniform_gate(x, len(params.scales))
     center_response = ad.dwconv_2d(x, params.center)
     responses = []
     for k in params.scales:
         p_k = peripheral_response(x, params, k)
-        if settings.beta_mode == "fixed":
-            y_k = ad.sub(p_k, ad.scale(center_response, settings.beta_fixed))
+        if cfg.beta_mode == "fixed":
+            y_k = ad.sub(p_k, ad.scale(center_response, cfg.beta_fixed))
         else:
-            y_k = center_suppress(p_k, center_response, suppression_coefficient(params, settings, k))
+            y_k = center_suppress(p_k, center_response, suppression_coefficient(params, cfg, k))
         responses.append(y_k)
     if internals is not None:
         internals.alpha = alpha
     fused = fuse(alpha, responses)
     mixed = channel_mix_glu(fused, params)
     branch = ad.mul(mixed, params.layerscale)
-    branch = ad.drop_path(branch, settings.drop_rate, mode, drop_u)
+    branch = ad.drop_path(branch, cfg.drop_path, mode, drop_u)
     return ad.add(x, branch)

@@ -22,10 +22,6 @@ class TrainConfig:
     lr: float = 1e-3
     batch: int = 8
     seed: int = 0
-    # Adam moments; the loss is fixed to the spatially normalized MSE
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> "TrainConfig":
         self.model.validate()
@@ -80,8 +76,8 @@ def _parse_beta_mode(raw: str) -> tuple[str, float]:
     raise ValueError("expected 'learnable' or 'fixed:<value>'")
 
 
-# key -> (parser, assignment target): 'model' fields land on ModelConfig,
-# 'train' fields on TrainConfig itself.
+# key -> (parser, owner, attribute): 'model' attributes live on ModelConfig,
+# 'train' ones on TrainConfig itself. The rows are in canonical text order.
 _KEYS = {
     "t_in": (_parse_int, "model", "t_in"),
     "t_out": (_parse_int, "model", "t_out"),
@@ -96,7 +92,7 @@ _KEYS = {
     "expansion": (_parse_int, "model", "expansion"),
     "center_size": (_parse_int, "model", "center_size"),
     "fusion": (_parse_choice({"softmax", "mean"}), "model", "fusion"),
-    "beta_mode": (_parse_beta_mode, "model", None),
+    "beta_mode": (_parse_beta_mode, "model", "beta_mode"),  # also sets beta_fixed
     "gate_act": (_parse_choice({"tanh", "sigmoid"}), "model", "gate_act"),
     "cues": (_parse_cues, "model", "cues"),
     "drop_path": (_parse_float, "model", "drop_path"),
@@ -123,17 +119,15 @@ def parse_config_text(text: str) -> TrainConfig:
         if key in seen:
             raise ConfigParseError(f"line {lineno}: duplicate key '{key}'")
         seen.add(key)
-        parser, target, attr = _KEYS[key]
+        parser, owner, attr = _KEYS[key]
         try:
             value = parser(raw_value)
         except (ValueError, TypeError) as exc:
             raise ConfigParseError(f"line {lineno}: bad value for '{key}': {exc}") from None
         if key == "beta_mode":
             cfg.model.beta_mode, cfg.model.beta_fixed = value
-        elif target == "model":
-            setattr(cfg.model, attr, value)
         else:
-            setattr(cfg, attr, value)
+            setattr(cfg.model if owner == "model" else cfg, attr, value)
     return cfg
 
 
@@ -149,31 +143,19 @@ def load_config(path) -> TrainConfig:
 
 
 def serialize_config(cfg: TrainConfig) -> str:
-    """Canonical config text, round-trippable through the parser."""
+    """Canonical config text, one line per key in ``_KEYS`` order,
+    round-trippable through the parser."""
     m = cfg.model
-    beta = "learnable" if m.beta_mode == "learnable" else f"fixed:{m.beta_fixed!r}"
-    lines = [
-        f"t_in = {m.t_in}",
-        f"t_out = {m.t_out}",
-        f"c_in = {m.c_in}",
-        f"c_out = {m.c_out}",
-        f"height = {m.height}",
-        f"width = {m.width}",
-        f"latent_c = {m.latent}",
-        f"n_s = {m.n_s}",
-        f"n_t = {m.n_t}",
-        "kernels = " + ",".join(str(k) for k in m.kernels),
-        f"expansion = {m.expansion}",
-        f"center_size = {m.center_size}",
-        f"fusion = {m.fusion}",
-        f"beta_mode = {beta}",
-        f"gate_act = {m.gate_act}",
-        "cues = " + ",".join(m.cues),
-        f"drop_path = {m.drop_path!r}",
-        "msinit = " + ",".join(str(k) for k in m.msinit_scales),
-        f"epochs = {cfg.epochs}",
-        f"lr = {cfg.lr!r}",
-        f"batch = {cfg.batch}",
-        f"seed = {cfg.seed}",
-    ]
+    lines = []
+    for key, (parser, owner, attr) in _KEYS.items():
+        value = getattr(m if owner == "model" else cfg, attr)
+        if key == "latent_c":
+            value = m.latent  # the resolved width, default or not
+        elif key == "beta_mode" and value != "learnable":
+            value = f"fixed:{m.beta_fixed!r}"
+        elif parser in (_parse_int_list, _parse_cues):
+            value = ",".join(str(v) for v in value)
+        elif parser is _parse_float:
+            value = repr(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"

@@ -142,7 +142,7 @@ def train(cfg: TrainConfig, data: np.ndarray, log=None) -> tuple[Model, list[Epo
     cfg.validate()
     _check_sequences(cfg.model, data, cfg.model.t_in + cfg.model.t_out)
     model = Model.build(cfg.model, seed=cfg.seed, dtype=np.float32)
-    opt = Adam(model.store, cfg.lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    opt = Adam(model.store, cfg.lr)
     n = data.shape[0]
     history: list[EpochRecord] = []
     for epoch in range(1, cfg.epochs + 1):

@@ -22,6 +22,7 @@ from . import multiscale
 from .autodiff import ParamStore, Var
 from .descriptor import CUE_NAMES
 from .errors import ConfigurationError, InputError
+from .multiscale import fan_in_uniform
 from .rng import INIT, stream
 
 
@@ -33,7 +34,7 @@ class ModelConfig:
     c_out: int = 1
     height: int = 16
     width: int = 16
-    latent_c: int | None = None  # None: 16 for <=32x32 inputs, 32 otherwise
+    latent_c: int | None = None  # None: see ``latent``
     n_s: int = 2
     n_t: int = 2
     kernels: tuple[int, ...] = (9, 15, 31)
@@ -49,9 +50,15 @@ class ModelConfig:
 
     @property
     def latent(self) -> int:
+        """``latent_c``, or by default 16 for <=32x32 inputs and 32 otherwise,
+        rounded up to the next even width whose t_in frames split over the
+        multi-scale init branches."""
         if self.latent_c is not None:
             return self.latent_c
-        return 16 if max(self.height, self.width) <= 32 else 32
+        width = 16 if max(self.height, self.width) <= 32 else 32
+        while self.t_in * width % max(len(self.msinit_scales), 1):
+            width += 2
+        return width
 
     @property
     def packed_channels(self) -> int:
@@ -65,23 +72,12 @@ class ModelConfig:
     def latent_hw(self) -> tuple[int, int]:
         return self.height // self.downsample, self.width // self.downsample
 
-    def block_settings(self) -> gate_block.BlockSettings:
-        return gate_block.BlockSettings(
-            scales=self.kernels,
-            cues=self.cues,
-            fusion=self.fusion,
-            beta_mode=self.beta_mode,
-            beta_fixed=self.beta_fixed,
-            beta_act=self.gate_act,
-            center_size=self.center_size,
-            expansion=self.expansion,
-            drop_rate=self.drop_path,
-        )
-
     def validate(self) -> "ModelConfig":
         for name in ("t_in", "t_out", "c_in", "c_out", "height", "width"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if self.latent_c is not None and self.latent_c < 1:
+            raise ConfigurationError(f"latent_c must be >= 1, got {self.latent_c}")
         if self.n_s < 1:
             raise ConfigurationError("encoder depth n_s must be >= 1")
         if self.n_t < 0:
@@ -98,32 +94,52 @@ class ModelConfig:
                 f"latent width {self.latent} must be even (2-group normalization)"
             )
         multiscale.validate_scales(self.packed_channels, self.msinit_scales)
-        self.block_settings().validate(self.packed_channels)
+        scales, cues = self.kernels, self.cues
+        if not scales:
+            raise ConfigurationError("need at least one kernel scale")
+        if len(set(scales)) != len(scales):
+            raise ConfigurationError(f"duplicate kernel scales {scales}")
+        if any(k % 2 == 0 or k < 1 for k in scales):
+            raise ConfigurationError(f"kernel scales must be odd, got {scales}")
+        if self.fusion not in ("softmax", "mean"):
+            raise ConfigurationError(f"unknown fusion '{self.fusion}'")
+        if self.beta_mode not in ("learnable", "fixed"):
+            raise ConfigurationError(f"unknown beta mode '{self.beta_mode}'")
+        if self.gate_act not in ("tanh", "sigmoid"):
+            raise ConfigurationError(f"unknown beta activation '{self.gate_act}'")
+        if self.center_size not in (3, 5):
+            raise ConfigurationError(f"center size must be 3 or 5, got {self.center_size}")
+        if self.expansion < 1:
+            raise ConfigurationError(f"expansion must be >= 1, got {self.expansion}")
+        if not 0.0 <= self.drop_path < 1.0:
+            raise ConfigurationError(f"drop rate must lie in [0,1), got {self.drop_path}")
+        if not cues:
+            raise ConfigurationError("need at least one frequency cue")
+        if len(set(cues)) != len(cues):
+            raise ConfigurationError(f"duplicate frequency cues {cues}")
+        if not np.isfinite(self.beta_fixed):
+            raise ConfigurationError(f"fixed beta must be finite, got {self.beta_fixed}")
         return self
 
 
 @dataclass
-class EncoderBlock:
+class ConvStage:
+    """One conv -> group norm -> LeakyReLU stage: an encoder conv may have
+    stride 2, a decoder stage may upsample its input 2x before the conv."""
+
     w: Var
     gn_gamma: Var
     gn_beta: Var
     stride: int
-
-
-@dataclass
-class DecoderBlock:
-    w: Var
-    gn_gamma: Var
-    gn_beta: Var
     upsample: bool
 
 
 @dataclass
 class ModelParams:
-    encoder: list[EncoderBlock]
+    encoder: list[ConvStage]
     msinit: multiscale.MultiScaleInitParams
     blocks: list[gate_block.BlockParams]
-    decoder: list[DecoderBlock]
+    decoder: list[ConvStage]
     readout_w: Var
     readout_b: Var
 
@@ -150,41 +166,30 @@ class Model:
         rng = stream(seed, INIT)
         store = ParamStore()
         c = config.latent
-        enc = []
-        for i, stride in enumerate(encoder_strides(config.n_s)):
-            cin = config.c_in if i == 0 else c
-            enc.append(
-                EncoderBlock(
-                    w=store.add(f"encoder/block{i}/w", _conv_init(rng, c, cin, 3, dtype)),
-                    gn_gamma=store.add(f"encoder/block{i}/gn_gamma", np.ones(c, dtype=dtype)),
-                    gn_beta=store.add(f"encoder/block{i}/gn_beta", np.zeros(c, dtype=dtype)),
-                    stride=stride,
-                )
+
+        def stage(prefix, cin, stride=1, upsample=False):
+            return ConvStage(
+                w=store.add(f"{prefix}/w", fan_in_uniform((c, cin, 3, 3), 9 * cin, rng, dtype)),
+                gn_gamma=store.add(f"{prefix}/gn_gamma", np.ones(c, dtype=dtype)),
+                gn_beta=store.add(f"{prefix}/gn_beta", np.zeros(c, dtype=dtype)),
+                stride=stride,
+                upsample=upsample,
             )
+
+        enc = [stage(f"encoder/block{i}", cin, stride=stride)
+               for i, (cin, _, _, stride) in enumerate(_encoder_convs(config))]
         ms = multiscale.init_params(
             store, "translator/msinit", config.packed_channels, config.msinit_scales, rng, dtype
         )
-        settings = config.block_settings()
         blocks = [
             gate_block.init_params(
-                store, f"translator/block{i}", config.packed_channels, settings, rng, dtype
+                store, f"translator/block{i}", config.packed_channels, config, rng, dtype
             )
             for i in range(config.n_t)
         ]
-        dec = []
-        mirrored = encoder_strides(config.n_s)[::-1]
-        for j, enc_stride in enumerate(mirrored):
-            final = j == config.n_s - 1
-            cin = 2 * c if final else c
-            dec.append(
-                DecoderBlock(
-                    w=store.add(f"decoder/block{j}/w", _conv_init(rng, c, cin, 3, dtype)),
-                    gn_gamma=store.add(f"decoder/block{j}/gn_gamma", np.ones(c, dtype=dtype)),
-                    gn_beta=store.add(f"decoder/block{j}/gn_beta", np.zeros(c, dtype=dtype)),
-                    upsample=enc_stride == 2,
-                )
-            )
-        readout_w = store.add("decoder/readout/w", _pw_init(rng, config.c_out, c, dtype))
+        dec = [stage(f"decoder/block{j}", cin, upsample=upsample)
+               for j, (cin, _, _, upsample) in enumerate(_decoder_convs(config))]
+        readout_w = store.add("decoder/readout/w", fan_in_uniform((config.c_out, c), c, rng, dtype))
         readout_b = store.add("decoder/readout/b", np.zeros(config.c_out, dtype=dtype))
         params = ModelParams(enc, ms, blocks, dec, readout_w, readout_b)
         return cls(config, store, params, dtype)
@@ -195,10 +200,8 @@ class Model:
         """Shared encoder: returns (latent features, first-block skip)."""
         x = self._as_var(frame, (self.config.c_in, self.config.height, self.config.width))
         skip = None
-        for blk in self.params.encoder:
-            x = ad.conv2d(x, blk.w, stride=blk.stride)
-            x = ad.group_norm(x, blk.gn_gamma, blk.gn_beta, groups=2)
-            x = ad.leaky_relu(x, 0.2)
+        for stage in self.params.encoder:
+            x = _conv_norm_act(x, stage)
             if skip is None:
                 skip = x
         return x, skip
@@ -210,8 +213,7 @@ class Model:
         positive; at rate 0 every branch is kept and nothing is drawn. A list
         passed as ``internals`` receives one :class:`BlockInternals` per block.
         """
-        settings = self.config.block_settings()
-        draws = drop_draw is not None and settings.drop_rate > 0.0
+        draws = drop_draw is not None and self.config.drop_path > 0.0
         x = multiscale.forward(z, self.params.msinit)
         for i, blk in enumerate(self.params.blocks):
             u = drop_draw(i) if draws else None
@@ -219,21 +221,19 @@ class Model:
             if internals is not None:
                 record = gate_block.BlockInternals()
                 internals.append(record)
-            x = gate_block.forward(x, blk, settings, mode=mode, drop_u=u, internals=record)
+            x = gate_block.forward(x, blk, self.config, mode=mode, drop_u=u, internals=record)
         return x
 
     def decode_frame(self, feat, skip):
         """Mirror decoder; the last block consumes the encoder skip."""
         x = feat
         n = len(self.params.decoder)
-        for j, blk in enumerate(self.params.decoder):
-            if blk.upsample:
+        for j, stage in enumerate(self.params.decoder):
+            if stage.upsample:
                 x = ad.upsample2x(x)
             if j == n - 1:
                 x = ad.concat_channels([x, skip])
-            x = ad.conv2d(x, blk.w, stride=1)
-            x = ad.group_norm(x, blk.gn_gamma, blk.gn_beta, groups=2)
-            x = ad.leaky_relu(x, 0.2)
+            x = _conv_norm_act(x, stage)
         return ad.pwconv(x, self.params.readout_w, self.params.readout_b)
 
     def predict(self, frames, mode: str = "eval", drop_draw=None, internals=None):
@@ -266,12 +266,11 @@ class Model:
     def suppression_values(self) -> list[tuple[int, int, int, float]]:
         """Effective center-suppression coefficients as (block, scale, channel, value)."""
         rows = []
-        settings = self.config.block_settings()
         for b, blk in enumerate(self.params.blocks):
             for k in blk.scales:
-                coefficient = gate_block.suppression_coefficient(blk, settings, k)
+                coefficient = gate_block.suppression_coefficient(blk, self.config, k)
                 if coefficient is None:
-                    values = np.full(self.config.packed_channels, settings.beta_fixed)
+                    values = np.full(self.config.packed_channels, self.config.beta_fixed)
                 else:
                     values = coefficient.value
                 rows.extend((b, k, c, float(v)) for c, v in enumerate(values))
@@ -287,14 +286,11 @@ class Model:
         return frame if isinstance(frame, Var) else Var(arr)
 
 
-def _conv_init(rng, cout, cin, k, dtype):
-    bound = 1.0 / np.sqrt(cin * k * k)
-    return rng.uniform(-bound, bound, size=(cout, cin, k, k)).astype(dtype)
-
-
-def _pw_init(rng, cout, cin, dtype):
-    bound = 1.0 / np.sqrt(cin)
-    return rng.uniform(-bound, bound, size=(cout, cin)).astype(dtype)
+def _conv_norm_act(x, stage: ConvStage):
+    """The encoder/decoder stage: 3x3 conv, 2-group normalization, LeakyReLU(0.2)."""
+    x = ad.conv2d(x, stage.w, stride=stage.stride)
+    x = ad.group_norm(x, stage.gn_gamma, stage.gn_beta, groups=2)
+    return ad.leaky_relu(x, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +313,22 @@ def _encoder_convs(cfg: ModelConfig):
 
 
 def _decoder_convs(cfg: ModelConfig):
-    """(input channels, height, width, stride 1) of each decoder conv; the last
-    one also reads the encoder skip."""
+    """(input channels, height, width, upsample) of each stride-1 decoder conv:
+    the height and width are after the 2x upsample, if there is one, and the
+    last conv also reads the encoder skip."""
     c = cfg.latent
     h, w = cfg.latent_hw
     for j, enc_stride in enumerate(encoder_strides(cfg.n_s)[::-1]):
         if enc_stride == 2:
             h, w = 2 * h, 2 * w
-        yield (2 * c if j == cfg.n_s - 1 else c), h, w, 1
+        yield (2 * c if j == cfg.n_s - 1 else c), h, w, enc_stride == 2
 
 
 def count_flops(config: ModelConfig) -> int:
     """2 x multiply-adds of every convolution in one forward pass.
 
     Accounts t_in frames through the encoder, one translator pass (including
-    the fixed descriptor filters), and t_out frames through decoder+readout.
+    the fixed descriptor filters under softmax fusion), and t_out frames through decoder+readout.
     """
     cfg = config.validate()
     c = cfg.latent
@@ -342,9 +339,10 @@ def count_flops(config: ModelConfig) -> int:
     m = len(cfg.msinit_scales)
     macs_tr = sum(2 * k * cp * hw + 9 * cp * hw + cp * (cp // m) * hw for k in cfg.msinit_scales)
     e = cfg.expansion * cp
-    cue_macs = {"f1": 18 * cp * hw, "f2": 9 * cp * hw, "f3": 18 * cp * hw}
-    per_block = sum(cue_macs[cue] for cue in cfg.cues)
-    if cfg.fusion == "softmax":
+    per_block = 0
+    if cfg.fusion == "softmax":  # descriptor cues and gate; mean fusion computes neither
+        cue_macs = {"f1": 18 * cp * hw, "f2": 9 * cp * hw, "f3": 18 * cp * hw}
+        per_block += sum(cue_macs[cue] for cue in cfg.cues)
         per_block += len(cfg.cues) * len(cfg.kernels) * hw
     per_block += sum(2 * k * cp * hw for k in cfg.kernels)
     per_block += cfg.center_size**2 * cp * hw

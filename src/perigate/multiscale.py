@@ -54,13 +54,18 @@ def near_identity(shape, center_index, rng, noise=0.02):
     return arr + noise * rng.standard_normal(shape)
 
 
+def fan_in_uniform(shape, fan_in: int, rng, dtype):
+    """Uniform draws on +-1/sqrt(fan_in), cast to ``dtype``."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
 def init_params(
     store: ParamStore, prefix: str, channels: int, scales, rng, dtype
 ) -> MultiScaleInitParams:
     """Register branch parameters; separable/depthwise kernels start near identity."""
     sizes = validate_scales(channels, scales)
     out_c = channels // len(sizes)
-    bound = 1.0 / np.sqrt(channels)
     branches = []
     for i, k in enumerate(sizes):
         name = f"{prefix}/branch{i}"
@@ -77,8 +82,7 @@ def init_params(
                     f"{name}/dw", near_identity((channels, 3, 3), (1, 1), rng).astype(dtype)
                 ),
                 proj_w=store.add(
-                    f"{name}/proj_w",
-                    rng.uniform(-bound, bound, size=(out_c, channels)).astype(dtype),
+                    f"{name}/proj_w", fan_in_uniform((out_c, channels), channels, rng, dtype)
                 ),
                 proj_b=store.add(f"{name}/proj_b", np.zeros(out_c, dtype=dtype)),
             )

@@ -79,7 +79,7 @@ def test_criterion_02_complexity_ratio():
 
 
 def test_criterion_03_gating_simplex():
-    settings = gate_block.BlockSettings(scales=(9, 15, 31))
+    settings = ModelConfig(kernels=(9, 15, 31))
     ok = True
     for trial in range(100):
         rng = np.random.default_rng(300 + trial)
@@ -108,7 +108,7 @@ def test_criterion_03_gating_simplex():
 
 
 def test_criterion_04_center_suppression():
-    settings = gate_block.BlockSettings(scales=(3, 5))
+    settings = ModelConfig(kernels=(3, 5))
     store = ParamStore()
     params = gate_block.init_params(store, "b", 4, settings, stream(4, INIT), np.float64)
     x = np.random.default_rng(400).standard_normal((4, 8, 8))
@@ -179,7 +179,7 @@ def test_criterion_05_gradient_correctness():
         worst_prim = max(worst_prim, err)
         assert err < 1e-5, f"primitive {name}: {err:.2e}"
 
-    settings = gate_block.BlockSettings(scales=(3, 5), expansion=4)
+    settings = ModelConfig(kernels=(3, 5), expansion=4)
     store = ParamStore()
     params = gate_block.init_params(store, "b", 4, settings, stream(5, INIT), np.float64)
     xb = np.random.default_rng(501).standard_normal((4, 8, 8))
@@ -390,8 +390,8 @@ def test_criterion_11_protocol_conformance():
 
 
 def test_criterion_12_ablation_parity():
-    settings_soft = gate_block.BlockSettings(scales=(9, 15, 31), fusion="softmax")
-    settings_mean = gate_block.BlockSettings(scales=(9, 15, 31), fusion="mean")
+    settings_soft = ModelConfig(kernels=(9, 15, 31), fusion="softmax")
+    settings_mean = ModelConfig(kernels=(9, 15, 31), fusion="mean")
     store = ParamStore()
     params = gate_block.init_params(store, "b", 6, settings_soft, stream(12, INIT), np.float64)
     ok = np.all(params.gate_w.value == 0.0) and np.all(params.gate_b.value == 0.0)

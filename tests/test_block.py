@@ -7,11 +7,12 @@ from perigate import autodiff as ad
 from perigate import block as gate_block
 from perigate.autodiff import ParamStore, Var
 from perigate.errors import ConfigurationError
+from perigate.model import ModelConfig
 from perigate.rng import INIT, stream
 
 
 def build(channels=4, scales=(3, 5), seed=0, **kw):
-    settings = gate_block.BlockSettings(scales=scales, **kw)
+    settings = ModelConfig(kernels=scales, **kw)
     store = ParamStore()
     params = gate_block.init_params(store, "blk", channels, settings, stream(seed, INIT), np.float64)
     return store, params, settings
@@ -210,7 +211,7 @@ class TestBlockForward:
         store, params, settings = build()
         x = np.random.default_rng(14).standard_normal((4, 6, 6))
         soft = gate_block.forward(Var(x), params, settings)
-        mean_settings = gate_block.BlockSettings(scales=(3, 5), fusion="mean")
+        mean_settings = ModelConfig(kernels=(3, 5), fusion="mean")
         mean = gate_block.forward(Var(x), params, mean_settings)
         assert np.array_equal(soft.value, mean.value)
 
@@ -245,7 +246,7 @@ class TestBlockForward:
         assert out.value.shape == x.shape
 
     def test_sigmoid_beta_activation(self):
-        store, params, settings = build(beta_act="sigmoid")
+        store, params, settings = build(gate_act="sigmoid")
         coeff = gate_block.suppression_coefficient(params, settings, 3)
         assert np.all(coeff.value == 0.5)  # sigmoid(0)
 
@@ -258,13 +259,13 @@ class TestBlockForward:
 
     def test_settings_validation(self):
         with pytest.raises(ConfigurationError):
-            gate_block.BlockSettings(scales=(4,)).validate(4)
+            ModelConfig(kernels=(4,)).validate()
         with pytest.raises(ConfigurationError):
-            gate_block.BlockSettings(fusion="max").validate(4)
+            ModelConfig(fusion="max").validate()
         with pytest.raises(ConfigurationError):
-            gate_block.BlockSettings(center_size=7).validate(4)
+            ModelConfig(center_size=7).validate()
         with pytest.raises(ConfigurationError):
-            gate_block.BlockSettings(drop_rate=1.0).validate(4)
+            ModelConfig(drop_path=1.0).validate()
 
 
 class TestSpatialStageIdentity:
@@ -290,6 +291,20 @@ class TestSpatialStageIdentity:
             responses.append(gate_block.center_suppress(p_k, center, coeff))
         fused = gate_block.fuse(alpha, responses)
         np.testing.assert_allclose(fused.value, x, rtol=1e-12, atol=1e-12)
+
+
+def test_mean_fusion_never_computes_the_descriptor(monkeypatch):
+    from perigate import descriptor
+
+    def fail(*args, **kwargs):
+        raise AssertionError("frequency descriptor computed under mean fusion")
+
+    store, params, settings = build(fusion="mean")
+    x = np.random.default_rng(22).standard_normal((2, 4, 6, 6))
+    monkeypatch.setattr(descriptor, "frequency_descriptor", fail)
+    monkeypatch.setattr(ad, "freq_descriptor", fail)
+    out, _ = ad.forward_traced(lambda v: gate_block.forward(v, params, settings), [x])
+    assert out.value.shape == x.shape
 
 
 def test_block_traced_matches_untraced_bitwise():

@@ -248,6 +248,7 @@ def _exits_2_with_one_error_line(argv, capsys):
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    return err
 
 
 NONFINITE_ANALYZE = {
@@ -452,6 +453,15 @@ def test_unusable_config_value_exits_2(line, workspace, capsys):
     _exits_2_with_one_error_line(["inspect", "params", "--config", str(cfg)], capsys)
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_latent_c_exits_2_naming_it(value, workspace, capsys):
+    tmp_path, cfg, _ = workspace
+    kept = [l for l in MICRO_CONFIG.splitlines() if not l.startswith("latent_c")]
+    cfg.write_text("\n".join(kept + [f"latent_c = {value}"]) + "\n")
+    err = _exits_2_with_one_error_line(["inspect", "params", "--config", str(cfg)], capsys)
+    assert "latent_c" in err
+
+
 class TestInspect:
     def test_params_prints_two_integers(self, workspace, capsys):
         tmp_path, cfg, _ = workspace
@@ -459,6 +469,13 @@ class TestInspect:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert all(int(l) > 0 for l in lines)
+
+    def test_params_of_an_empty_config(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")  # every key is optional
+        assert main(["inspect", "params", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 2 and all(int(l) > 0 for l in lines)
 
     def test_gates_and_betas(self, workspace, capsys):
         tmp_path, cfg, data = workspace

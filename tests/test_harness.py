@@ -385,6 +385,38 @@ class TestConfigFile:
         with pytest.raises(ConfigParseError):
             parse_config_text("cues = f1,f9\n")
 
+    def test_serialized_text_golden(self):
+        micro = TrainConfig(model=README_MICRO, epochs=5, lr=0.002, batch=8, seed=7)
+        assert serialize_config(micro) == (
+            "t_in = 2\nt_out = 2\nc_in = 1\nc_out = 1\nheight = 16\nwidth = 16\n"
+            "latent_c = 6\nn_s = 2\nn_t = 2\nkernels = 9,15,31\nexpansion = 4\n"
+            "center_size = 3\nfusion = softmax\nbeta_mode = learnable\ngate_act = tanh\n"
+            "cues = f1,f2,f3\ndrop_path = 0.0\nmsinit = 3,5,7\n"
+            "epochs = 5\nlr = 0.002\nbatch = 8\nseed = 7\n"
+        )
+        ablation = replace(micro, model=replace(
+            README_MICRO, n_s=3, fusion="mean", beta_mode="fixed", beta_fixed=0.3,
+            gate_act="sigmoid", cues=("f1", "f3"), drop_path=0.2, center_size=5))
+        assert serialize_config(ablation) == (
+            "t_in = 2\nt_out = 2\nc_in = 1\nc_out = 1\nheight = 16\nwidth = 16\n"
+            "latent_c = 6\nn_s = 3\nn_t = 2\nkernels = 9,15,31\nexpansion = 4\n"
+            "center_size = 5\nfusion = mean\nbeta_mode = fixed:0.3\ngate_act = sigmoid\n"
+            "cues = f1,f3\ndrop_path = 0.2\nmsinit = 3,5,7\n"
+            "epochs = 5\nlr = 0.002\nbatch = 8\nseed = 7\n"
+        )
+        assert parse_config_text(serialize_config(ablation)) == ablation
+
+    def test_every_config_field_has_a_key(self):
+        from dataclasses import fields
+
+        from perigate.config import _KEYS
+
+        reachable = {(owner, attr) for _, owner, attr in _KEYS.values()}
+        reachable.add(("model", "beta_fixed"))  # written and read by the beta_mode row
+        for owner, cls in (("model", ModelConfig), ("train", TrainConfig)):
+            for f in fields(cls):
+                assert f.name == "model" or (owner, f.name) in reachable, f.name
+
 
 # a valid micro config, some of whose values the fuzzer replaces
 BASE_CONFIG = dict(

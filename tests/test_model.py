@@ -42,8 +42,13 @@ SHAPE_CONFIGS = {
 
 class TestConfig:
     def test_latent_defaults(self):
-        assert ModelConfig(height=32, width=32).latent == 16
-        assert ModelConfig(height=64, width=64).latent == 32
+        # 16 (<=32px) or 32, rounded up to the next even width whose t_in
+        # frames split over the three msinit branches
+        assert ModelConfig(height=32, width=32).latent == 18
+        assert ModelConfig(height=64, width=64).latent == 36
+        assert ModelConfig(t_in=3, height=32, width=32).latent == 16
+        assert ModelConfig(t_in=3, height=64, width=64).latent == 32
+        assert ModelConfig(t_in=2, msinit_scales=(3, 5)).latent == 16
 
     def test_downsample(self):
         assert ModelConfig(n_s=2).downsample == 2
@@ -58,7 +63,7 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(n_s=0).validate()
         with pytest.raises(ConfigurationError):
-            ModelConfig(height=10, width=10, n_s=2).validate()  # not divisible by 2
+            ModelConfig(height=9, width=9, n_s=2).validate()  # not divisible by 2
         with pytest.raises(ConfigurationError):
             ModelConfig(latent_c=5).validate()  # odd latent
         with pytest.raises(ConfigurationError):
@@ -199,7 +204,7 @@ class TestDecoder:
 def hand_built_alpha(model, frames, block_index):
     """Gate weights of one block on the first pass, by the explicit chain:
     encode each frame, pack, multi-scale init, then blocks 0..block_index."""
-    settings = model.config.block_settings()
+    settings = model.config
     feats = [model.encode_frame(f)[0] for f in frames]
     x = multiscale.forward(ad.pack_time(feats), model.params.msinit)
     for i in range(block_index):
@@ -380,7 +385,7 @@ class TestBatchAxis:
         scaled = x.copy()
         scaled[1] *= 100.0
         gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
-        settings = gate_block.BlockSettings(scales=(3, 5))
+        settings = ModelConfig(kernels=(3, 5))
         params = gate_block.init_params(ad.ParamStore(), "blk", 4, settings,
                                         stream(0, INIT), np.float64)
         for fn in (lambda a: ops.group_norm_parts(a, gamma, beta, 2)[0],

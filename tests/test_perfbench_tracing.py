@@ -3,7 +3,12 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from perigate import block, harness
+from perigate.config import TrainConfig
+
+from helpers import micro_config
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -22,3 +27,19 @@ def test_install_then_restore_leaves_nothing_wrapped():
         leftover = tracer.restore()
     assert leftover == []
     assert not hasattr(block.fuse, "perfbench_wrapper")
+
+
+def test_train_step_and_predict_reach_every_layer_span():
+    cfg = TrainConfig(model=micro_config(kernels=(3, 9)), epochs=1, batch=2)
+    data = np.random.default_rng(0).random((2, 4, 1, 8, 8)).astype(np.float32)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        model, _ = harness.train(cfg, data)  # one minibatch: one step
+        model.predict([data[0, t] for t in range(cfg.model.t_in)])
+    finally:
+        assert tracer.restore() == []
+    metrics = tracing.layer_metrics(tracer)
+    for name in ("block.gate_ms", "block.peripheral.k9_ms", "block.center_ms", "block.glu_ms",
+                 "model.encoder_ms_per_seq", "autodiff.tape_nodes_per_seq"):
+        assert metrics[name] > 0, name
