@@ -2,11 +2,11 @@
 
 Each traced function computes its value and, while a tape is active,
 records a node holding the backward closure; without an active tape the same
-functions run as plain forwards. Convolutions, the frequency descriptor,
-normalizations, softmax and the broadcasting arithmetic call their kernel in
-:mod:`perigate.ops`; the elementwise maths (scaling, tanh, sigmoid, leaky
-ReLU, upsampling, the loss mean) is one numpy expression here, beside its
-derivative.
+functions run as plain forwards. Convolutions, the frequency descriptor, the
+GLU, normalizations, softmax and the broadcasting arithmetic call their
+kernel in :mod:`perigate.ops`; the elementwise maths (scaling, tanh,
+sigmoid, leaky ReLU, upsampling, the loss mean) is one numpy expression
+here, beside its derivative.
 
 Kernel arguments may be ``Var`` (gradients flow) or plain arrays (treated as
 constants: gradients flow *through* them to other inputs but none are
@@ -30,7 +30,7 @@ __all__ = [
     "Var", "Tape", "ParamStore", "tape_active", "forward_traced", "backward",
     "grad_check", "add", "sub", "mul", "scale", "tanh", "sigmoid", "leaky_relu",
     "sep_conv", "dwconv_2d", "conv2d", "pwconv", "freq_descriptor",
-    "softmax_channels", "grn", "group_norm", "upsample2x", "concat_channels",
+    "glu", "softmax_channels", "group_norm", "upsample2x", "concat_channels",
     "split_channels", "pack_time", "unpack_time", "mean_all", "drop_path",
 ]
 
@@ -336,6 +336,18 @@ def sep_conv(x, h, v):
     return _track(y, (x, h, v), vjp)
 
 
+def _dwconv_kernel_grad(g: np.ndarray, xv: np.ndarray, k: int) -> np.ndarray:
+    """[C, k, k] per-channel kernel gradient of a k x k depthwise correlation of
+    ``xv``, summed over the leading axes: tap (u, v) dots ``g``, zero in the wrapped
+    columns, with the forward's window."""
+    lead = (-1,) + xv.shape[-3:]
+    gf = ops.wrap_padded(g.reshape(lead), k)
+    gk = np.empty((xv.shape[-3], k, k), dtype=np.result_type(g, xv))
+    for u, v, win in ops.tap_windows(xv.reshape(lead), k):
+        gk[:, u, v] = np.einsum("ncj,ncj->c", gf, win)
+    return gk
+
+
 def dwconv_2d(x, kernel):
     xv, kv = _val(x), _val(kernel)
     y = ops.dwconv_2d(xv, kv)
@@ -345,12 +357,7 @@ def dwconv_2d(x, kernel):
         gx = ops.dwconv_2d(g, k2[:, ::-1, ::-1])
         gk = None
         if isinstance(kernel, Var):
-            # tap (u, v): g, zero in wrapped columns, dotted with the forward's window
-            k, lead = k2.shape[1], (-1,) + xv.shape[-3:]
-            gf = ops.wrap_padded(g.reshape(lead), k)
-            gk = np.empty(k2.shape, dtype=np.result_type(g, xv))
-            for u, v, win in ops.tap_windows(xv.reshape(lead), k):
-                gk[:, u, v] = np.einsum("ncj,ncj->c", gf, win)
+            gk = _dwconv_kernel_grad(g, xv, k2.shape[1])
             if kv.ndim == 2:  # shared kernel: sum channel contributions
                 gk = gk.sum(axis=0)
         return gx, gk
@@ -411,8 +418,8 @@ def freq_descriptor(x, cues):
     def vjp(g):
         wp = xv.shape[-1] + 2
         d = ops.wrap_padded(g / xv.shape[-3], 3)
-        gx = np.empty(xv.shape, dtype=np.result_type(g, xv))
-        for sl in ops.channel_blocks(xv):
+
+        def block(sl):
             f = ops.flat_rows(xv[..., sl, :, :], 3)
             pad = np.zeros_like(f)
             inner = pad[..., wp + 1 : 1 - 2 * wp]  # where x sits in the padded rows
@@ -434,10 +441,61 @@ def freq_descriptor(x, cues):
                 else:
                     dvar2 = 2 * di * (cue > 0)
                     acc += f[..., wp + 1 : 1 - 2 * wp] * adjoint(dvar2) - adjoint(saved[0] * dvar2)
-            gx[..., sl, :, :] = acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2]
-        return (gx,)
+            return (acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2],)
+
+        return ops.map_blocks(block, ops.channel_blocks(xv.shape[-3], xv[..., 0, :, :].nbytes))
 
     return _track(y, (x,), vjp)
+
+
+def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p):
+    """:func:`perigate.ops.glu` as one node, saving what its vjp reads only while a tape
+    is active. The vjp takes the projection's gradients from M = g z^T per sample, the
+    normalization's from M and n, then per hidden channel block (the forward's) the
+    gated map's adjoint (w_p diag(gamma n + 1))^T g + coef z, with coef the adjoint of
+    n through G = |z|_2 as in GRN; the value half is recomputed from x."""
+    vals = [_val(a) for a in (x, w_e, b_e, dw, gamma, beta, w_p, b_p)]
+    xv, wev, bev, dwv, gav, bv, wpv, _ = vals
+    y, saved = ops.glu(*vals, keep=tape_active() is not None)
+
+    def vjp(g):
+        sig, d, z, norms, denom, n = saved
+        lead, (c, hh, ww), e = xv.shape[:-3], xv.shape[-3:], dwv.shape[0]
+
+        def summed(a):  # over the leading axes
+            return a.reshape((-1,) + a.shape[len(lead):]).sum(axis=0)
+
+        x2, g2 = xv.reshape(lead + (c, hh * ww)), g.reshape(lead + (c, hh * ww))
+        z2 = z.reshape(lead + (e, hh * ww))
+        g_sum = g2.sum(axis=-1)  # [..., C]
+        m = g2 @ np.swapaxes(z2, -1, -2)  # [..., C, E]
+        scale = gav * n + 1
+        q = (m * wpv).sum(axis=-2)  # per sample: the gated map's adjoint dotted with z
+        dn = q * gav
+        dnorms = dn / denom - (dn * norms).sum(axis=-1, keepdims=True) / (denom * denom * e)
+        coef = np.where(norms > 0, dnorms / np.where(norms > 0, norms, 1.0), 0.0)
+        w_t = np.swapaxes(wpv * scale[..., None, :], -1, -2)  # [..., E, C]
+        gx2 = np.zeros(x2.shape, dtype=np.result_type(g, xv))
+        gw_e, gb_e, gdw = np.empty_like(wev), np.empty_like(bev), np.empty_like(dwv)
+        for sl in ops.channel_blocks(e, hh * ww * xv.itemsize):
+            shape = lead + (sl.stop - sl.start, hh, ww)
+            vsl = slice(e + sl.start, e + sl.stop)
+            dz2 = w_t[..., sl, :] @ g2 + coef[..., sl, None] * z2[..., sl, :]
+            dz, s_b = dz2.reshape(shape), sig[..., sl, :, :]
+            dd = dz * s_b  # the depthwise output's adjoint
+            du = (dz * d[..., sl, :, :] * s_b * (1.0 - s_b)).reshape(dz2.shape)
+            v = (wev[vsl] @ x2 + bev[vsl, None]).reshape(shape)
+            dv = ops.dwconv_2d(dd, dwv[sl, ::-1, ::-1]).reshape(dz2.shape)
+            gdw[sl] = _dwconv_kernel_grad(dd, v, 3)
+            gw_e[sl], gw_e[vsl] = _matmul_nt_summed(du, x2), _matmul_nt_summed(dv, x2)
+            gb_e[sl], gb_e[vsl] = summed(du.sum(axis=-1)), summed(dv.sum(axis=-1))
+            gx2 += wev[sl].T @ du
+            gx2 += wev[vsl].T @ dv
+        gw_p = summed(m * scale[..., None, :] + g_sum[..., None] * bv)
+        return (gx2.reshape(xv.shape), gw_e, gb_e, gdw, summed(q * n), summed(g_sum @ wpv),
+                gw_p, summed(g_sum))
+
+    return _track(y, (x, w_e, b_e, dw, gamma, beta, w_p, b_p), vjp)
 
 
 def softmax_channels(x):
@@ -447,25 +505,6 @@ def softmax_channels(x):
         return (y * (g - (g * y).sum(axis=-3, keepdims=True)),)
 
     return _track(y, (x,), vjp)
-
-
-def grn(x, gamma, beta, eps: float = 1e-6):
-    xv, gav = _val(x), _val(gamma)
-    y, (gnorm, denom, n) = ops.grn_parts(xv, gav, _val(beta), eps)
-
-    def vjp(g):
-        c = xv.shape[-3]
-        dgamma = _sum_to_channels(g * xv * n[..., None, None]) if isinstance(gamma, Var) else None
-        dbeta = _sum_to_channels(g) if isinstance(beta, Var) else None
-        # adjoint of n_c = gnorm_c / (mean(gnorm) + eps), per sample
-        q = (g * xv).sum(axis=(-2, -1)) * gav
-        dgnorm = q / denom - (q * gnorm).sum(axis=-1, keepdims=True) / (denom * denom * c)
-        safe = np.where(gnorm > 0, gnorm, 1.0)
-        coef = np.where(gnorm > 0, dgnorm / safe, 0.0)
-        dx = g * (gav * n)[..., None, None] + g + coef[..., None, None] * xv
-        return dx, dgamma, dbeta
-
-    return _track(y, (x, gamma, beta), vjp)
 
 
 def group_norm(x, gamma, beta, groups: int = 2, eps: float = 1e-5):

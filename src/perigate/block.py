@@ -7,8 +7,9 @@ One block computes, from its input stack:
 2. per scale, a large separable peripheral response minus an activated,
    channel-wise multiple of a shared small center response;
 3. the convex per-pixel fusion of those responses;
-4. a gated channel-mixing stage (expand, sigmoid gate x depthwise, global
-   response normalization, project);
+4. a gated channel-mixing stage, one traced op run in blocks of hidden
+   channels (expand, sigmoid gate x depthwise, global response normalization
+   folded into the projection);
 5. a residual add of the layer-scaled branch, optionally dropped per sample.
 
 The static choices (scales, cues, fusion, suppression mode, center size,
@@ -38,12 +39,12 @@ class BlockParams:
     beta_raw: dict[int, Var] | None  # per scale: [C]; None when beta is fixed
     gate_w: Var | None  # [K, num_cues]; None for mean fusion
     gate_b: Var | None  # [K]
-    glu_expand_w: Var  # [2E, C]
+    glu_expand_w: Var  # [2E, C]: rows [0, E) the gate, [E, 2E) the value
     glu_expand_b: Var  # [2E]
-    glu_dw: Var  # [E, 3, 3]
+    glu_dw: Var  # [E, 3, 3], depthwise on the value half
     glu_project_w: Var  # [C, E]
     glu_project_b: Var  # [C]
-    grn_gamma: Var  # [E]
+    grn_gamma: Var  # [E]: global response normalization, folded into the projection
     grn_beta: Var  # [E]
     layerscale: Var  # [C]
 
@@ -136,13 +137,10 @@ def fuse(alpha, responses):
 
 
 def channel_mix_glu(s, params: BlockParams):
-    """Expand to 2E, gate one half with the other, normalize, project back."""
-    hidden = params.glu_expand_w.value.shape[0] // 2
-    h = ad.pwconv(s, params.glu_expand_w, params.glu_expand_b)
-    u, v = ad.split_channels(h, [hidden, hidden])
-    gated = ad.mul(ad.sigmoid(u), ad.dwconv_2d(v, params.glu_dw))
-    normed = ad.grn(gated, params.grn_gamma, params.grn_beta)
-    return ad.pwconv(normed, params.glu_project_w, params.glu_project_b)
+    """Expand to 2E, gate one half with the depthwise-filtered other, normalize,
+    project back: one traced op, :func:`perigate.autodiff.glu`."""
+    return ad.glu(s, params.glu_expand_w, params.glu_expand_b, params.glu_dw,
+                  params.grn_gamma, params.grn_beta, params.glu_project_w, params.glu_project_b)
 
 
 def forward(

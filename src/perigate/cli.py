@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 usage or input error, 1 internal error. Results go
 to stdout, diagnostics to stderr. All file outputs are deterministic
 functions of the flags (no timestamps in payloads).
+
+The model stack (``harness``, ``config``, ``model`` and what they import) is
+imported inside the commands that use it, so that ``analyze`` starts without it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,7 @@ import sys
 
 import numpy as np
 
-from . import container, harness, spectral
-from .config import load_config
-from .data import gen_bouncing
+from . import container, spectral
 from .errors import (
     ConfigParseError,
     ConfigurationError,
@@ -23,7 +24,6 @@ from .errors import (
     NumericError,
     PerigateError,
 )
-from .model import count_flops, count_params
 
 USAGE_ERRORS = (ConfigurationError, ConfigParseError, InputError, DegeneracyError)
 
@@ -155,6 +155,8 @@ def _parse_signal(raw: str, samples: int) -> spectral.FreqResponse:
 
 
 def _cmd_gen_data(args) -> int:
+    from .data import gen_bouncing
+
     data = gen_bouncing(args.seed, args.num, args.frames, args.size, args.size, args.objects)
     container.save_tensor(args.out, data)
     print(f"wrote {args.out}: dims {list(data.shape)}")
@@ -162,6 +164,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from . import harness
+    from .config import load_config
+
     cfg = load_config(args.config)
     data = container.load_tensor(args.data)
     model, history = harness.train(
@@ -177,20 +182,23 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import harness
+    from .metrics import PSNR_CAP_DB
+
     cfg, model = harness.load_model(args.ckpt)
     data = container.load_tensor(args.data)
     report = harness.evaluate(cfg, model, data)
     harness.write_metrics_csv(args.out_csv, report)
     for name in harness.METRIC_NAMES:
         print(f"{name} {report[name]:.10g}")
-    from .metrics import PSNR_CAP_DB
-
     if report["psnr"] >= PSNR_CAP_DB:
         print(f"note: zero-error frames score the {PSNR_CAP_DB} dB PSNR cap", file=sys.stderr)
     return 0
 
 
 def _cmd_predict(args) -> int:
+    from . import harness
+
     _, model = harness.load_model(args.ckpt)
     data = container.load_tensor(args.input)
     preds = harness.predict_batch(model, data)
@@ -257,7 +265,12 @@ def _beta_star(coeffs: spectral.QuadCoeffs, args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from . import harness
+
     if args.inspection == "params":
+        from .config import load_config
+        from .model import count_flops, count_params
+
         cfg = load_config(args.config)
         print(count_params(cfg.model))
         print(count_flops(cfg.model))

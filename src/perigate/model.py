@@ -360,10 +360,13 @@ def per_sample_bytes(config: ModelConfig, dtype) -> int:
     The candidates are, for each encoder and decoder conv (frames are encoded
     and decoded one at a time), its flat padded input rows Cin x (H + 3)(W + 2),
     its stride-1 output with wrap columns C x H (W + 2) and, with one input
-    channel, its 9 stacked windows 9 x H (W + 2); the GLU's 2E-channel
-    expansion; and the zero-padded inputs ``ops.dwconv_2d`` reads, (H + k) x
-    (W + k - 1) per channel (a bound: it pads a block of channels at a time),
-    of the multi-scale init's and the GLU's 3 x 3 and the center kernel. Every
+    channel, its 9 stacked windows 9 x H (W + 2); 2E channels for the GLU,
+    whose largest array is its E-channel gated map (``ops.glu`` builds the
+    rest a block of hidden channels at a time; the 2E term, the width of the
+    expansion before the op was blocked, is kept as a bound); and the
+    zero-padded inputs ``ops.dwconv_2d`` reads, (H + k) x (W + k - 1) per
+    channel (a bound: it pads a block of channels at a time), of the
+    multi-scale init's and the GLU's 3 x 3 and the center kernel. Every
     other per-sample array of the forward is no larger than one of these; the
     banded Toeplitz matrices of the separable passes are shared by all samples.
     """

@@ -1,7 +1,8 @@
 """Forward kernels on numpy arrays: convolutions, the frequency descriptor's
-fixed-filter cues, normalizations, softmax, the broadcasting arithmetic and
-channel concatenation. Elementwise maths with no shape rule of its own sits
-in :mod:`perigate.autodiff`, beside its derivative.
+fixed-filter cues, the gated channel mixing (GLU), normalizations, softmax,
+the broadcasting arithmetic and channel concatenation. Elementwise maths
+with no shape rule of its own sits in :mod:`perigate.autodiff`, beside its
+derivative.
 
 Conventions shared by every operation here:
 
@@ -16,13 +17,13 @@ Conventions shared by every operation here:
   (``[k]`` / ``[k, k]``);
 * k x k convolutions, dense and depthwise, sum one product per tap, each
   reading a contiguous slice of the padded input's rows (:func:`tap_windows`);
-* dense and point-wise convolutions, and the 1 x k / k x 1 passes of the
-  separable convolution (products with banded Toeplitz matrices), are
-  matrix products handed to BLAS, whose summation order depends on the
-  numpy/BLAS build, the CPU and the thread count: repeated calls on one
-  machine and build, with the same BLAS thread count, are bitwise identical,
-  while results across machines agree only to rounding. The other
-  reductions run in fixed ascending index order.
+* dense and point-wise convolutions, the GLU's expand and projection, and
+  the 1 x k / k x 1 passes of the separable convolution (products with
+  banded Toeplitz matrices), are matrix products handed to BLAS, whose
+  summation order depends on the numpy/BLAS build, the CPU and the thread
+  count: repeated calls on one machine and build, with the same BLAS thread
+  count, are bitwise identical, while results across machines agree only to
+  rounding. The other reductions run in fixed ascending index order.
 """
 
 from __future__ import annotations
@@ -130,29 +131,51 @@ def _tap_sum(x: np.ndarray, k: int, product) -> np.ndarray:
     return acc.reshape(acc.shape[:-1] + (x.shape[-2], -1))[..., : x.shape[-1]]
 
 
-# Input bytes one pass of a blocked kernel covers (dwconv_2d's and the descriptor's
-# channel blocks, metrics.ssim's frame blocks), so that its temporaries stay in L2 cache.
+# Input bytes one pass of a blocked kernel covers (the channel blocks of dwconv_2d, the
+# descriptor and the GLU, metrics.ssim's frame blocks), so that its temporaries stay in L2.
 BLOCK_BYTES = 256 * 1024
 
 
-def channel_blocks(x: np.ndarray) -> list:
-    """Slices of ``max(1, BLOCK_BYTES // bytes of one channel's [..., H, W])`` channels."""
-    step = max(1, BLOCK_BYTES // x[..., 0, :, :].nbytes)
-    return [slice(lo, lo + step) for lo in range(0, x.shape[-3], step)]
+def channel_blocks(channels: int, channel_bytes: int) -> list:
+    """Slices of ``max(1, BLOCK_BYTES // channel_bytes)`` of ``channels`` channels."""
+    step = max(1, BLOCK_BYTES // channel_bytes)
+    return [slice(lo, min(lo + step, channels)) for lo in range(0, channels, step)]
+
+
+def map_blocks(fn, blocks) -> tuple:
+    """``fn(sl)`` for each channel slice of ``blocks``, each call returning a tuple of
+    [..., Cb, H, W] arrays: the tuple of whole [..., C, H, W] arrays. One block's arrays
+    are returned as they are; more blocks' are written into preallocated ones."""
+    first, *rest = blocks
+    parts = fn(first)
+    if not rest:
+        return parts
+    channels = blocks[-1].stop
+    outs = tuple(np.empty(p.shape[:-3] + (channels,) + p.shape[-2:], dtype=p.dtype)
+                 for p in parts)
+    for sl in blocks:
+        for out, part in zip(outs, parts if sl is first else fn(sl)):
+            out[..., sl, :, :] = part
+    return outs
+
+
+def _dw_taps(x: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
+    """The :func:`_tap_sum` of a per-channel k x k ``kernel`` over x's channels: a view
+    that cuts the wrapped columns."""
+    return _tap_sum(x, k, lambda u, v, win, o: np.multiply(win, kernel[:, u, v, None], out=o))
 
 
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Dense depthwise k x k correlation: k*k multiply-adds over the :func:`tap_windows`
     in :func:`channel_blocks`; channels are independent, so blocks leave the result
-    bitwise unchanged."""
+    bitwise unchanged. One block's view is copied out contiguous: an elementwise pass
+    over a view with cut rows costs ~3x as much at micro sizes."""
     kernel = _per_channel(kernel, x.shape[-3], 2)
     k = kernel.shape[1]
     _check_odd(k, kernel.shape[2])
-    out = np.empty(x.shape, dtype=np.result_type(x, kernel))
-    for sl in channel_blocks(x):
-        out[..., sl, :, :] = _tap_sum(x[..., sl, :, :], k, lambda u, v, win, o: np.multiply(
-            win, kernel[sl, u, v, None], out=o))
-    return out
+    blocks = channel_blocks(x.shape[-3], x[..., 0, :, :].nbytes)
+    out = map_blocks(lambda sl: (_dw_taps(x[..., sl, :, :], kernel[sl], k),), blocks)[0]
+    return np.ascontiguousarray(out)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1) -> np.ndarray:
@@ -254,7 +277,7 @@ def freq_descriptor(x: np.ndarray, cues) -> np.ndarray:
     names = [c for c in CUE_NAMES if c in cues]
     hh, ww = x.shape[-2:]
     acc = np.zeros(x.shape[:-3] + (len(names), hh * (ww + 2)), dtype=x.dtype)
-    for sl in channel_blocks(x):
+    for sl in channel_blocks(x.shape[-3], x[..., 0, :, :].nbytes):
         f = flat_rows(x[..., sl, :, :], 3)
         for i, name in enumerate(names):
             maps = cue_maps(f, ww + 2, name)[0]
@@ -297,22 +320,54 @@ def mul(a, b):
     return a * _broadcast_operand(a, b)
 
 
-def grn_parts(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6):
-    """Global response normalization with residual, per sample:
-    n_c = |x_c|_2 / (mean_c |x_c|_2 + eps); out = gamma * (x * n) + beta + x.
+# Global response normalization's guard: n_c = |z_c|_2 / (mean_c |z_c|_2 + GRN_EPS)
+GRN_EPS = 1e-6
 
-    Returns ``(out, (g, denom, n))`` with channel norms ``g`` [..., C],
-    ``denom`` = mean_c g + eps [..., 1] and ratios ``n`` = g / denom, which
-    the gradient reuses.
-    """
-    if eps <= 0:
-        raise ConfigurationError("grn eps must be positive")
-    g = np.sqrt(np.einsum("...hw,...hw->...", x, x))
-    denom = g.mean(axis=-1, keepdims=True) + eps
-    n = g / denom
-    out = x * (gamma * n + 1)[..., None, None]  # = gamma * (x * n) + x
-    out += beta[:, None, None]
-    return out, (g, denom, n)
+
+def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
+    """Gated channel mixing [..., C, H, W] -> [..., C, H, W] through E = ``dw.shape[0]``
+    hidden channels: the expand rows [0, E) of ``w_e``/``b_e`` give the gate u, rows
+    [E, 2E) the value v; the gated map z = sigmoid(u) * (3 x 3 depthwise ``dw`` of v);
+    global response normalization per sample, z (gamma n + 1) + beta with channel
+    norms G_c = |z_c|_2 and n = G / (mean_c G + GRN_EPS); then the projection
+    ``w_p``/``b_p``, folded with the normalization into one product:
+    (w_p diag(gamma n + 1)) z + (w_p beta + b_p).
+
+    Everything before the projection runs per :func:`channel_blocks` block of the E
+    channels, sized from one sample's channel bytes: a batch and each of its samples
+    take the same blocks, so each sample's result is bitwise the one it gets alone.
+    Returns ``(out, saved)``; with ``keep``, ``saved`` is (sigmoid(u), the depthwise
+    output, z, G, mean_c G + GRN_EPS, n), which the gradient reads; else None, and each
+    block's temporaries die with the block."""
+    e = dw.shape[0]
+    lead, (c, hh, ww) = x.shape[:-3], x.shape[-3:]
+    if w_e.shape != (2 * e, c) or w_p.shape != (c, e):
+        raise ConfigurationError(
+            f"GLU weights {w_e.shape}, {w_p.shape} do not fit {c} channels and {e} hidden"
+        )
+    x2 = x.reshape(lead + (c, hh * ww))
+
+    def block(sl):
+        shape = lead + (sl.stop - sl.start, hh, ww)
+        sig = w_e[sl] @ x2
+        sig += b_e[sl, None]
+        np.exp(np.negative(sig, out=sig), out=sig)  # the sigmoid, in place
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        v = w_e[e + sl.start : e + sl.stop] @ x2
+        v += b_e[e + sl.start : e + sl.stop, None]
+        d = _dw_taps(v.reshape(shape), dw[sl], 3)
+        z = sig.reshape(shape) * d
+        norms = np.sqrt(np.einsum("...hw,...hw->...", z, z))[..., None, None]
+        return (sig.reshape(shape), d, z, norms) if keep else (z, norms)
+
+    *front, z, norms = map_blocks(block, channel_blocks(e, hh * ww * x.itemsize))
+    norms = norms[..., 0, 0]
+    denom = norms.mean(axis=-1, keepdims=True) + GRN_EPS
+    n = norms / denom
+    out = (w_p * (gamma * n + 1)[..., None, :]) @ z.reshape(lead + (e, hh * ww))
+    out += (w_p @ beta + b_p)[:, None]
+    return out.reshape(x.shape), (*front, z, norms, denom, n) if keep else None
 
 
 def group_norm_parts(

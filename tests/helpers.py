@@ -1,4 +1,6 @@
-"""Test-only model configurations and parameter-count formulas."""
+"""Test-only model configurations, parameter-count formulas and GLU parameters."""
+
+import numpy as np
 
 from perigate.model import ModelConfig
 
@@ -32,3 +34,12 @@ def sep_scale_params(k: int, channels: int) -> int:
 def dense_scale_params(k: int, channels: int) -> int:
     """Kernel parameters of the dense depthwise equivalent: k^2 per channel."""
     return k * k * channels
+
+
+def glu_params(rng, channels: int, hidden: int, dtype=np.float64) -> list:
+    """Random parameters of the GLU op in its argument order: expand weights [2E, C]
+    and bias [2E], depthwise [E, 3, 3], GRN gamma and beta [E], projection [C, E] and
+    bias [C]."""
+    shapes = [(2 * hidden, channels), (2 * hidden,), (hidden, 3, 3), (hidden,), (hidden,),
+              (channels, hidden), (channels,)]
+    return [rng.standard_normal(s).astype(dtype) for s in shapes]

@@ -239,6 +239,65 @@ def freq_descriptor_grad(x, cues, g):
     return gx
 
 
+GRN_EPS = 1e-6
+
+
+def _pointwise(w, x):
+    """[Cout, H, W] = sum over input channels of w[o, c] * x[c], via a loop."""
+    out = np.zeros((w.shape[0],) + x.shape[1:])
+    for o in range(w.shape[0]):
+        for c in range(x.shape[0]):
+            out[o] += w[o, c] * x[c]
+    return out
+
+
+def _glu_parts(x, w_e, b_e, dw, gamma, beta):
+    """The GLU chain of [C, H, W] x up to the response-normalized map: expand,
+    split, sigmoid, depthwise 3x3, product, global response normalization."""
+    e = dw.shape[0]
+    h = _pointwise(w_e, x) + b_e[:, None, None]
+    u, v = h[:e], h[e:]
+    s = 1.0 / (1.0 + np.exp(-u))
+    d = dense_dwconv2d(v, dw)
+    z = s * d
+    norms = np.array([np.sqrt((z[ch] ** 2).sum()) for ch in range(e)])
+    denom = norms.mean() + GRN_EPS
+    n = norms / denom
+    normed = gamma[:, None, None] * (z * n[:, None, None]) + beta[:, None, None] + z
+    return v, s, d, z, norms, denom, n, normed
+
+
+def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p):
+    """The composed gated channel mixing of one [C, H, W] sample: expand to 2E,
+    sigmoid of the first half times the 3x3 depthwise of the second, global response
+    normalization gamma (z n) + beta + z with n = |z_c| / (mean |z_c| + 1e-6), project."""
+    normed = _glu_parts(x, w_e, b_e, dw, gamma, beta)[-1]
+    return _pointwise(w_p, normed) + b_p[:, None, None]
+
+
+def glu_grads(x, w_e, b_e, dw, gamma, beta, w_p, b_p, g):
+    """Gradients of :func:`glu` for output gradient g, in argument order, by the chain
+    rule back through each step of the composed chain."""
+    v, s, d, z, norms, denom, n, normed = _glu_parts(x, w_e, b_e, dw, gamma, beta)
+    e = dw.shape[0]
+    g_wp = np.array([[(g[o] * normed[j]).sum() for j in range(e)] for o in range(g.shape[0])])
+    g_normed = _pointwise(w_p.T, g)
+    g_gamma = (g_normed * z * n[:, None, None]).sum(axis=(1, 2))
+    dn = gamma * (g_normed * z).sum(axis=(1, 2))
+    # n_j = norms_j / (mean(norms) + eps)
+    dnorms = dn / denom - (dn * norms).sum() / (denom * denom * e)
+    g_z = g_normed * (gamma * n + 1.0)[:, None, None]
+    for ch in range(e):
+        if norms[ch] > 0:
+            g_z[ch] += dnorms[ch] * z[ch] / norms[ch]
+    g_u = g_z * d * s * (1.0 - s)
+    g_v, g_dw = dense_dwconv2d_grads(v, dw, g_z * s)
+    g_h = np.concatenate([g_u, g_v])
+    g_we = np.array([[(g_h[j] * x[c]).sum() for c in range(x.shape[0])] for j in range(2 * e)])
+    return (_pointwise(w_e.T, g_h), g_we, g_h.sum(axis=(1, 2)), g_dw, g_gamma,
+            g_normed.sum(axis=(1, 2)), g_wp, g.sum(axis=(1, 2)))
+
+
 def window_variance3(x2d):
     """Per-pixel 3x3 variance (fixed divisor 9, zero padding), via loops."""
     h, w = x2d.shape

@@ -32,7 +32,7 @@ from perigate.spectral import (
     stationary_betas,
 )
 
-from helpers import dense_scale_params, micro_config, sep_scale_params
+from helpers import dense_scale_params, glu_params, micro_config, sep_scale_params
 
 
 def report(num, ok, label):
@@ -162,10 +162,7 @@ def test_criterion_05_gradient_correctness():
         "tanh": (lambda a: ad.tanh(a), [x]),
         "sigmoid": (lambda a: ad.sigmoid(a), [x]),
         "leaky_relu": (lambda a: ad.leaky_relu(a, 0.2), [x]),
-        "grn": (
-            lambda a, g, b: ad.grn(a, g, b),
-            [x, rng.standard_normal(2), rng.standard_normal(2)],
-        ),
+        "glu": (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 2, 3)),
         "group_norm": (
             lambda a, g, b: ad.group_norm(a, g, b, 2),
             [x, rng.standard_normal(2), rng.standard_normal(2)],

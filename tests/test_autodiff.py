@@ -10,6 +10,8 @@ from perigate import autodiff as ad
 from perigate import ops
 from perigate.errors import ConfigurationError, InputError
 
+from helpers import glu_params
+
 
 def leaf(rng, *shape):
     return ad.Var(rng.standard_normal(shape))
@@ -157,10 +159,7 @@ def primitive_cases():
         "freq_descriptor": (lambda a: ad.freq_descriptor(a, ops.CUE_NAMES), [x]),
         "freq_descriptor_f3": (lambda a: ad.freq_descriptor(a, ("f3",)), [x]),
         "softmax": (lambda a: ad.softmax_channels(a), [rng.standard_normal((3, 4, 4))]),
-        "grn": (
-            lambda a, g, b: ad.grn(a, g, b),
-            [x, rng.standard_normal(2), rng.standard_normal(2)],
-        ),
+        "glu": (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 2, 3)),
         "gn": (
             lambda a, g, b: ad.group_norm(a, g, b, 2),
             [x, rng.standard_normal(2), rng.standard_normal(2)],
@@ -233,7 +232,7 @@ class TestGradCheckPrimitives:
                 (lambda a: ad.freq_descriptor(a, ops.CUE_NAMES), [x]),
                 (lambda a: ad.tanh(a), [x]),
                 (lambda a: ad.sigmoid(a), [x]),
-                (lambda a, g, b: ad.grn(a, g, b), [x, g2, rng.standard_normal(2)]),
+                (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 2, 3)),
                 (lambda a, g, b: ad.group_norm(a, g, b, 2), [x, g2, rng.standard_normal(2)]),
                 (lambda a: ad.upsample2x(a), [x]),
                 (lambda a: ad.mean_all(a), [x]),
@@ -268,7 +267,7 @@ class TestGradCheckPrimitives:
         assert ad.grad_check(fn, point) < 1e-6
 
     @pytest.mark.parametrize("name", [
-        "conv_s1", "conv_s2", "pw", "dw2", "dw2_shared", "sep", "gn", "grn", "softmax",
+        "conv_s1", "conv_s2", "pw", "dw2", "dw2_shared", "sep", "gn", "glu", "softmax",
         "drop_path", "mul_map", "add_chan",
     ])
     def test_batched_vjp(self, name):
@@ -288,8 +287,7 @@ class TestGradCheckPrimitives:
                     [x, rng.standard_normal((4, 5)), rng.standard_normal((4, 3))]),
             "gn": (lambda a, g, b: ad.group_norm(a, g, b, 2),
                    [x, rng.standard_normal(4), rng.standard_normal(4)]),
-            "grn": (lambda a, g, b: ad.grn(a, g, b),
-                    [x, rng.standard_normal(4), rng.standard_normal(4)]),
+            "glu": (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 4, 3)),
             "softmax": (lambda a: ad.softmax_channels(a), [x]),
             # one sample dropped (0.1 < 0.3), one kept
             "drop_path": (lambda a: ad.drop_path(ad.tanh(a), 0.3, "train", np.array([0.1, 0.9])),

@@ -172,7 +172,7 @@ class TestChannelMixGlu:
         params.glu_expand_b.value = np.zeros_like(params.glu_expand_b.value)
         x = np.random.default_rng(12).random((4, 5, 5))
         out = gate_block.channel_mix_glu(Var(x), params)
-        # sigmoid(0) * dw(0) = 0 -> grn(0) = 0 -> projection bias broadcast
+        # sigmoid(0) * dw(0) = 0 -> GRN(0) = beta = 0 -> projection bias broadcast
         want = np.broadcast_to(params.glu_project_b.value[:, None, None], out.value.shape)
         np.testing.assert_allclose(out.value, want, atol=1e-15)
 

@@ -3,7 +3,11 @@
 import contextlib
 import io
 import math
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -511,3 +515,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["train"])  # missing required flags
         assert exc.value.code == 2
+
+
+def test_import_leaves_the_model_stack_unloaded():
+    """A fresh interpreter importing the CLI, as every ``perigate`` command starts,
+    loads none of the model stack: ``analyze`` never pays for it."""
+    import perigate
+
+    src = str(pathlib.Path(perigate.__file__).parent.parent)
+    code = ("import sys, perigate.cli; print([m for m in ('perigate.model', "
+            "'perigate.autodiff', 'perigate.harness') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

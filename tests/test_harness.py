@@ -1,13 +1,14 @@
 """Training loop, evaluation report, checkpoints, introspection dumps."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perigate import harness, spectral
+from perigate import harness, ops, spectral
 from perigate.config import TrainConfig, parse_config_text, serialize_config
 from perigate.data import gen_bouncing
 from perigate.errors import ConfigParseError, ConfigurationError, InputError
@@ -219,7 +220,7 @@ class TestBatchedPrediction:
     bitwise the one its sequence gets alone."""
 
     @pytest.mark.parametrize("case", ["readme_micro", "rollout", "t_out_1", "one_sequence",
-                                      "float64_data"])
+                                      "float64_data", "small_blocks"])
     def test_bitwise_equal_to_one_call_per_sequence(self, case):
         cfg = {"rollout": replace(README_MICRO, t_out=5),
                "t_out_1": replace(README_MICRO, t_out=1)}.get(case, README_MICRO)
@@ -227,14 +228,24 @@ class TestBatchedPrediction:
         data = gen_bouncing(seed=4, num_sequences=n, frames=cfg.t_in, height=16, width=16)
         if case == "float64_data":
             data = data.astype(np.float64) + 1e-9  # not representable in float32
-        model = harness.Model.build(cfg, seed=2)
-        assert harness.eval_chunk(cfg, model.dtype) >= n
-        got = harness.predict_batch(model, data)
+        # 20 channels of one 8x8 float32 latent map a block: the GLU's 48 hidden channels
+        # run in blocks of 20, 20 and 8 for the batch and for each sequence alone, while
+        # the batch of 16 cuts dwconv_2d's and the descriptor's blocks to one channel
+        plane = 8 * 8 * 4
+        block_bytes = 20 * plane if case == "small_blocks" else ops.BLOCK_BYTES
+        with mock.patch.object(ops, "BLOCK_BYTES", block_bytes):
+            if case == "small_blocks":
+                assert len(ops.channel_blocks(48, plane)) == 3
+                assert len(ops.channel_blocks(12, n * plane)) == 12
+            model = harness.Model.build(cfg, seed=2)
+            assert harness.eval_chunk(cfg, model.dtype) >= n
+            got = harness.predict_batch(model, data)
+            want = predict_one_by_one(model, data)
         assert got.shape == (n, cfg.t_out, 1, 16, 16) and got.dtype == np.float32
-        assert got.tobytes() == predict_one_by_one(model, data).tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_last_chunk_shorter(self):
-        # 96x96 frames: the GLU's 2E-channel expansion, 2 * 48 * 48 * 48, is ~0.9 MB
+        # 96x96 frames: the GLU's 2E-channel bound, 2 * 48 * 48 * 48, is ~0.9 MB
         cfg = ModelConfig(t_in=2, t_out=3, height=96, width=96, latent_c=6, n_s=2, n_t=1,
                           kernels=(3, 5))
         chunk = harness.eval_chunk(cfg, np.float32)
@@ -252,10 +263,10 @@ class TestBatchedPrediction:
 
         assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
         assert harness.eval_chunk(README_MICRO, np.float32) >= 16
-        # the GLU's 2E-channel expansion, 2 * 4 * 12 * 8 * 8, is the largest array; the
+        # the GLU's 2E-channel bound, 2 * 4 * 12 * 8 * 8, is the largest term; the
         # last decoder conv's flat rows, 2c * (H + 3) * (W + 2), come next
         assert per_sample_bytes(README_MICRO, np.float32) == 2 * 48 * 8 * 8 * 4
-        # at 128x128 it is the GLU's 2E-channel expansion, 2 * 4 * 60 * 64 * 64
+        # at 128x128 it is the GLU's 2E-channel bound, 2 * 4 * 60 * 64 * 64
         assert per_sample_bytes(SHAPE_CONFIGS["kth"], np.float32) == 2 * 240 * 64 * 64 * 4
         assert per_sample_bytes(README_MICRO, np.float64) == \
             2 * per_sample_bytes(README_MICRO, np.float32)
@@ -263,7 +274,7 @@ class TestBatchedPrediction:
     def test_memory_of_chunk_one_does_not_grow_with_n(self):
         import tracemalloc
 
-        # the GLU's 2E-channel expansion, 2 * 4 * 24 * 64 * 64, is ~3.1 MB per sample
+        # the GLU's 2E-channel bound, 2 * 4 * 24 * 64 * 64, is ~3.1 MB per sample
         cfg = ModelConfig(t_in=2, t_out=1, height=128, width=128, latent_c=12, n_s=2, n_t=1,
                           kernels=(3, 5))
         assert harness.eval_chunk(cfg, np.float32) == 1

@@ -15,7 +15,7 @@ from perigate.model import (
     encoder_strides,
 )
 
-from helpers import dense_scale_params, micro_config, sep_scale_params
+from helpers import dense_scale_params, glu_params, micro_config, sep_scale_params
 
 
 def frames_for(cfg, seed=0):
@@ -385,13 +385,14 @@ class TestBatchAxis:
         scaled = x.copy()
         scaled[1] *= 100.0
         gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+        glu = glu_params(rng, 4, 8)
         settings = ModelConfig(kernels=(3, 5))
         params = gate_block.init_params(ad.ParamStore(), "blk", 4, settings,
                                         stream(0, INIT), np.float64)
         for fn in (lambda a: ops.group_norm_parts(a, gamma, beta, 2)[0],
-                   lambda a: ops.grn_parts(a, gamma, beta)[0],
+                   lambda a: ops.glu(a, *glu)[0],
                    lambda a: ad.group_norm(a, gamma, beta, 2).value,
-                   lambda a: ad.grn(a, gamma, beta).value,
+                   lambda a: ad.glu(a, *glu).value,
                    lambda a: gate_block.forward(ad.Var(a), params, settings).value):
             before, after = fn(x), fn(scaled)
             assert not np.array_equal(before[1], after[1])

@@ -13,6 +13,7 @@ from perigate import ops
 from perigate.errors import ConfigurationError
 from perigate.spectral import SepKernel
 
+from helpers import glu_params
 from naive import (
     dense_conv2d,
     dense_conv2d_grads,
@@ -22,6 +23,8 @@ from naive import (
     dwconv_1d_grads,
     freq_descriptor as naive_descriptor,
     freq_descriptor_grad,
+    glu as naive_glu,
+    glu_grads as naive_glu_grads,
     window_variance3,
 )
 
@@ -487,6 +490,81 @@ class TestFreqDescriptor:
         assert blocked.tobytes() == whole.tobytes()
 
 
+# hidden widths and channels per block giving one block, two equal blocks, or a shorter last
+GLU_PARTITIONS = {"one": [(e, e) for e in range(1, 7)], "two": [(2, 1), (4, 2), (6, 3)],
+                  "uneven": [(3, 2), (5, 2), (7, 3)]}
+
+
+@st.composite
+def glu_cases(draw, partition):
+    """An ad.glu input with sides 1..5, 1..3 channels, no or one leading axis, its seven
+    parameters, an output gradient, and the channels per hidden block."""
+    e, per_block = draw(st.sampled_from(GLU_PARTITIONS[partition]))
+    c, hh, ww = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (1,), (2,)]))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(lead + (c, hh, ww)).astype(dtype)
+    g = rng.standard_normal(lead + (c, hh, ww)).astype(dtype)
+    return x, glu_params(rng, c, e, dtype), g, per_block
+
+
+class TestGlu:
+    """The blocked GLU op against the composed loop oracle, sample by sample."""
+
+    @pytest.mark.parametrize("partition", sorted(GLU_PARTITIONS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_forward_and_vjp_match_loop_oracle(self, partition, data):
+        x, params, g, per_block = data.draw(glu_cases(partition))
+        plane = x.shape[-2] * x.shape[-1] * x.itemsize
+        e = params[2].shape[0]
+        with mock.patch.object(ops, "BLOCK_BYTES", per_block * plane):
+            blocks = ops.channel_blocks(e, plane)
+            with ad.Tape():
+                out = ad.glu(x, *[ad.Var(p) for p in params])
+            grads = out.vjp(g)
+        sizes = [b.stop - b.start for b in blocks]
+        assert sum(sizes) == e and sizes[:-1] == [per_block] * (len(sizes) - 1)
+        assert {"one": len(sizes) == 1, "two": sizes == [per_block] * 2,
+                "uneven": sizes[-1] < per_block}[partition]
+        assert out.value.dtype == x.dtype and all(gr.dtype == x.dtype for gr in grads)
+        xs = x.reshape((-1,) + x.shape[-3:]).astype(np.float64)
+        gs = g.reshape((-1,) + g.shape[-3:]).astype(np.float64)
+        ps = [p.astype(np.float64) for p in params]
+        want = np.reshape([naive_glu(xi, *ps) for xi in xs], out.value.shape)
+        per_sample = [naive_glu_grads(xi, *ps, gi) for xi, gi in zip(xs, gs)]
+        want_grads = [np.reshape([w[0] for w in per_sample], x.shape)]
+        want_grads += [sum(w[i] for w in per_sample) for i in range(1, 8)]
+        # roundings of values up to each result's largest magnitude
+        rtol = 1e-12 if x.dtype == np.float64 else 1e-5
+        for got, ref in zip((out.value,) + tuple(grads), [want] + want_grads):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= rtol * max(1.0, float(np.abs(ref).max()))
+
+    def test_blocks_depend_on_one_sample(self):
+        # a batch of 4 takes the same hidden blocks as one sample (dwconv_2d's would
+        # shrink 4-fold), so each sample is bitwise what it gets alone on any BLAS
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((4, 6, 16, 16)).astype(np.float32)
+        params = glu_params(rng, 6, 24, np.float32)
+        partitions, channel_blocks = [], ops.channel_blocks
+
+        def recorded(channels, channel_bytes):
+            blocks = channel_blocks(channels, channel_bytes)
+            if channels == 24:  # the hidden channels, not dwconv_2d's within a block
+                partitions.append(blocks)
+            return blocks
+
+        with mock.patch.object(ops, "BLOCK_BYTES", 10 * 16 * 16 * 4), \
+                mock.patch.object(ops, "channel_blocks", recorded):
+            batched = ops.glu(x, *params)[0]
+            for i in range(4):
+                assert batched[i].tobytes() == ops.glu(x[i], *params)[0].tobytes()
+        assert len(partitions) == 5 and all(p == partitions[0] for p in partitions)
+        assert [b.stop - b.start for b in partitions[0]] == [10, 10, 4]
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = ops.softmax_channels(np.zeros((3, 2, 2)))
@@ -534,18 +612,30 @@ class TestElementwise:
 
 
 class TestGrn:
+    """The GLU's global response normalization, seen through an identity projection:
+    the op's output is then the normalized gated map z (gamma n + 1) + beta."""
+
     def test_zero_affine_is_residual(self):
-        x = np.random.default_rng(13).standard_normal((3, 4, 4))
-        out = ops.grn_parts(x, np.zeros(3), np.zeros(3))[0]
-        assert np.array_equal(out, x)
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 4, 4))
+        w_e, b_e, dw = glu_params(rng, 3, 3)[:3]
+        out, saved = ops.glu(x, w_e, b_e, dw, np.zeros(3), np.zeros(3), np.eye(3), np.zeros(3),
+                             keep=True)
+        assert np.array_equal(out, saved[2])
 
     def test_identical_channels_unit_ratio(self):
-        base = np.random.default_rng(14).standard_normal((4, 4))
+        rng = np.random.default_rng(14)
+        base = rng.standard_normal((4, 4))
         x = np.stack([base] * 3)
-        g = np.sqrt((base**2).sum())
+        # equal expand rows and depthwise kernels: three identical gated channels
+        w_e, dw = np.full((6, 3), 0.5), np.stack([rng.standard_normal((3, 3))] * 3)
+        out, (_, _, z, _, _, n) = ops.glu(x, w_e, np.zeros(6), dw, np.ones(3), np.zeros(3),
+                                          np.eye(3), np.zeros(3), keep=True)
+        assert np.array_equal(z[0], z[1]) and np.array_equal(z[0], z[2])
+        g = np.sqrt((z[0] ** 2).sum())
         n_expected = g / (g + 1e-6)
-        out = ops.grn_parts(x, np.ones(3), np.zeros(3))[0]
-        np.testing.assert_allclose(out, x * n_expected + x, rtol=1e-12)
+        np.testing.assert_allclose(n, n_expected, rtol=1e-12)
+        np.testing.assert_allclose(out, z * n_expected + z, rtol=1e-12)
 
     def test_scale_invariant_ratio(self):
         # invariance is exact up to the eps guard in the denominator
@@ -639,8 +729,9 @@ class TestBatchAxis:
         rng = np.random.default_rng(81)
         x = rng.standard_normal((2, 4, 5, 5))
         gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+        glu = glu_params(rng, 4, 3)
         for fn in (lambda a: ops.group_norm_parts(a, gamma, beta, 2)[0],
-                   lambda a: ops.grn_parts(a, gamma, beta)[0],
+                   lambda a: ops.glu(a, *glu)[0],
                    ops.softmax_channels, lambda a: ops.freq_descriptor(a, ops.CUE_NAMES),
                    lambda a: ad.upsample2x(a).value):
             batched = fn(x)
