@@ -4,9 +4,10 @@ Each traced function computes its value and, while a tape is active,
 records a node holding the backward closure; without an active tape the same
 functions run as plain forwards. Convolutions, the frequency descriptor, the
 GLU, normalizations, softmax and the broadcasting arithmetic call their
-kernel in :mod:`perigate.ops`; the elementwise maths (scaling, tanh,
-sigmoid, leaky ReLU, upsampling, the loss mean) is one numpy expression
-here, beside its derivative.
+kernel in :mod:`perigate.ops` (group normalization with its LeakyReLU is one
+op, ``group_norm_act``); the elementwise maths (scaling, tanh, sigmoid,
+upsampling, the loss mean) is one numpy expression here, beside its
+derivative.
 
 Kernel arguments may be ``Var`` (gradients flow) or plain arrays (treated as
 constants: gradients flow *through* them to other inputs but none are
@@ -28,9 +29,9 @@ from .errors import (
 
 __all__ = [
     "Var", "Tape", "ParamStore", "tape_active", "forward_traced", "backward",
-    "grad_check", "add", "sub", "mul", "scale", "tanh", "sigmoid", "leaky_relu",
+    "grad_check", "add", "sub", "mul", "scale", "tanh", "sigmoid",
     "sep_conv", "dwconv_2d", "conv2d", "pwconv", "freq_descriptor",
-    "glu", "softmax_channels", "group_norm", "upsample2x", "concat_channels",
+    "glu", "softmax_channels", "group_norm_act", "upsample2x", "concat_channels",
     "split_channels", "pack_time", "unpack_time", "mean_all", "drop_path",
 ]
 
@@ -282,12 +283,6 @@ def sigmoid(x):
     return _track(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
-def leaky_relu(x, alpha: float = 0.2):
-    xv = _val(x)
-    y = np.where(xv > 0, xv, alpha * xv)
-    return _track(y, (x,), lambda g: (np.where(xv > 0, g, alpha * g),))
-
-
 def _band_sums(m: np.ndarray, k: int) -> np.ndarray:
     """[C, k] sums of the k central diagonals of [..., C, n, n] matrices, summed
     over the leading axes: ``out[c, t] = sum_j m[..., c, j + t - p, j]``.
@@ -372,16 +367,13 @@ def conv2d(x, w, b=None, stride: int = 1):
     def vjp(g):
         k = wv.shape[-1]
         gb = _sum_to_channels(g) if isinstance(b, Var) else None
-        if stride == 2:  # adjoint of reading every other row and column
-            g, g_sub = np.zeros(g.shape[:-2] + xv.shape[-2:], dtype=g.dtype), g
-            g[..., ::2, ::2] = g_sub
-        gx = ops.conv2d(g, wv.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], None)
+        gx = ops.conv2d_input_grad(g, wv, xv.shape[-2:], stride)
         gw = None
         if isinstance(w, Var):
             # tap (u, v): g, zero in wrapped columns, times the forward's window transposed
-            gf = ops.wrap_padded(g, k)
+            gf = ops.wrap_padded(g, k, stride)
             gw = np.empty(wv.shape, dtype=np.result_type(g, xv))
-            for u, v, win in ops.tap_windows(xv, k):
+            for u, v, win in ops.tap_windows(xv, k, stride):
                 gw[:, :, u, v] = _matmul_nt_summed(gf, win)
         return gx, gw, gb
 
@@ -420,7 +412,7 @@ def freq_descriptor(x, cues):
         d = ops.wrap_padded(g / xv.shape[-3], 3)
 
         def block(sl):
-            f = ops.flat_rows(xv[..., sl, :, :], 3)
+            f = ops.flat_rows(xv[..., sl, :, :], 3)[..., 0, :, :]
             pad = np.zeros_like(f)
             inner = pad[..., wp + 1 : 1 - 2 * wp]  # where x sits in the padded rows
 
@@ -443,7 +435,7 @@ def freq_descriptor(x, cues):
                     acc += f[..., wp + 1 : 1 - 2 * wp] * adjoint(dvar2) - adjoint(saved[0] * dvar2)
             return (acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2],)
 
-        return ops.map_blocks(block, ops.channel_blocks(xv.shape[-3], xv[..., 0, :, :].nbytes))
+        return ops.map_blocks(block, ops.index_blocks(xv.shape[-3], xv[..., 0, :, :].nbytes))
 
     return _track(y, (x,), vjp)
 
@@ -477,7 +469,7 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p):
         w_t = np.swapaxes(wpv * scale[..., None, :], -1, -2)  # [..., E, C]
         gx2 = np.zeros(x2.shape, dtype=np.result_type(g, xv))
         gw_e, gb_e, gdw = np.empty_like(wev), np.empty_like(bev), np.empty_like(dwv)
-        for sl in ops.channel_blocks(e, hh * ww * xv.itemsize):
+        for sl in ops.index_blocks(e, hh * ww * xv.itemsize):
             shape = lead + (sl.stop - sl.start, hh, ww)
             vsl = slice(e + sl.start, e + sl.stop)
             dz2 = w_t[..., sl, :] @ g2 + coef[..., sl, None] * z2[..., sl, :]
@@ -507,11 +499,17 @@ def softmax_channels(x):
     return _track(y, (x,), vjp)
 
 
-def group_norm(x, gamma, beta, groups: int = 2, eps: float = 1e-5):
+def group_norm_act(x, gamma, beta, groups: int = 2, slope: float = 0.2):
+    """:func:`perigate.ops.group_norm_act` as one node, saving xhat and 1 / std only
+    while a tape is active. The vjp passes g through the LeakyReLU by the sign of the
+    output (slope where it is not positive), then through the group normalization."""
     xv, gav = _val(x), _val(gamma)
-    y, (xhat_g, inv) = ops.group_norm_parts(xv, gav, _val(beta), groups, eps)
+    y, saved = ops.group_norm_act(xv, gav, _val(beta), groups, slope,
+                                  keep=tape_active() is not None)
 
     def vjp(g):
+        xhat_g, inv = saved
+        g = np.where(y > 0, g, slope * g)
         dgamma = (
             _sum_to_channels(g * xhat_g.reshape(xv.shape)) if isinstance(gamma, Var) else None
         )

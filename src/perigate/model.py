@@ -289,8 +289,7 @@ class Model:
 def _conv_norm_act(x, stage: ConvStage):
     """The encoder/decoder stage: 3x3 conv, 2-group normalization, LeakyReLU(0.2)."""
     x = ad.conv2d(x, stage.w, stride=stage.stride)
-    x = ad.group_norm(x, stage.gn_gamma, stage.gn_beta, groups=2)
-    return ad.leaky_relu(x, 0.2)
+    return ad.group_norm_act(x, stage.gn_gamma, stage.gn_beta, groups=2, slope=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +357,12 @@ def per_sample_bytes(config: ModelConfig, dtype) -> int:
     """Bytes of the largest single array one sample adds to an eval forward.
 
     The candidates are, for each encoder and decoder conv (frames are encoded
-    and decoded one at a time), its flat padded input rows Cin x (H + 3)(W + 2),
-    its stride-1 output with wrap columns C x H (W + 2) and, with one input
-    channel, its 9 stacked windows 9 x H (W + 2); 2E channels for the GLU,
+    and decoded one at a time) with output rows Ho and flat rows Wo + r wide
+    (r = 2 at stride 1, 1 at stride 2), its zero-padded input's parity planes
+    Cin x stride^2 x (Ho + r + 1)(Wo + r) (at stride 1 the padded rows
+    Cin x (H + 3)(W + 2)), its output with wrap columns C x Ho (Wo + r) and,
+    with one input channel, its 9 stacked windows 9 x Ho (Wo + r) (the pixel
+    blocks' products are smaller); 2E channels for the GLU,
     whose largest array is its E-channel gated map (``ops.glu`` builds the
     rest a block of hidden channels at a time; the 2E term, the width of the
     expansion before the op was blocked, is kept as a bound); and the
@@ -373,8 +375,12 @@ def per_sample_bytes(config: ModelConfig, dtype) -> int:
     cfg = config.validate()
     hp, wp = cfg.latent_hw
     cp, e, kc = cfg.packed_channels, cfg.expansion * cfg.packed_channels, cfg.center_size
-    sizes = [max(cin * (h + 3), cfg.latent * h, 9 * h * (cin == 1)) * (w + 2)
-             for cin, h, w, _ in chain(_encoder_convs(cfg), _decoder_convs(cfg))]
+    sizes = []
+    for cin, h, w, s in chain(_encoder_convs(cfg),
+                              ((cin, h, w, 1) for cin, h, w, _ in _decoder_convs(cfg))):
+        ho, r = h // s, 2 // s
+        sizes.append(max(cin * s * s * (ho + r + 1), cfg.latent * ho, 9 * ho * (cin == 1))
+                     * (w // s + r))
     sizes.append(cp * (hp + 3) * (wp + 2))
     if cfg.n_t:
         sizes += [2 * e * hp * wp, e * (hp + 3) * (wp + 2), cp * (hp + kc) * (wp + kc - 1)]

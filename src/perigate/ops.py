@@ -1,8 +1,8 @@
 """Forward kernels on numpy arrays: convolutions, the frequency descriptor's
-fixed-filter cues, the gated channel mixing (GLU), normalizations, softmax,
-the broadcasting arithmetic and channel concatenation. Elementwise maths
-with no shape rule of its own sits in :mod:`perigate.autodiff`, beside its
-derivative.
+fixed-filter cues, the gated channel mixing (GLU), group normalization with
+its LeakyReLU, softmax, the broadcasting arithmetic and channel
+concatenation. Elementwise maths with no shape rule of its own sits in
+:mod:`perigate.autodiff`, beside its derivative.
 
 Conventions shared by every operation here:
 
@@ -12,11 +12,13 @@ Conventions shared by every operation here:
   an independent sample; statistics (group and response normalization) are
   taken per sample, never across the leading axes;
 * convolutions are cross-correlations (no kernel flip) with zero
-  same-padding, so spatial shape is preserved;
+  same-padding, so spatial shape is preserved (halved, rounding up, by a
+  stride-2 dense convolution);
 * depthwise kernels may be per-channel (``[C, k]`` / ``[C, k, k]``) or shared
   (``[k]`` / ``[k, k]``);
 * k x k convolutions, dense and depthwise, sum one product per tap, each
-  reading a contiguous slice of the padded input's rows (:func:`tap_windows`);
+  reading a contiguous slice of the padded input's rows, or at stride 2 of
+  one of its row/column parity planes (:func:`tap_windows`);
 * dense and point-wise convolutions, the GLU's expand and projection, and
   the 1 x k / k x 1 passes of the separable convolution (products with
   banded Toeplitz matrices), are matrix products handed to BLAS, whose
@@ -93,53 +95,88 @@ def sep_conv_parts(x: np.ndarray, h: np.ndarray, v: np.ndarray):
     return _dwconv_1d(mid, v, -2), mid
 
 
-def flat_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """Each channel zero-padded for a k x k window and read as one flat run of
-    rows of width W + k - 1: [..., C, (H + k) * (W + k - 1)]. Tap (u, v)'s
-    shifted window is the contiguous slice from u * (W + k - 1) + v of length
-    H * (W + k - 1); one spare zero row keeps the last tap's slice inside."""
-    hh, ww = x.shape[-2:]
-    p = (k - 1) // 2
-    xp = np.zeros(x.shape[:-2] + (hh + 2 * p + 1, ww + 2 * p), dtype=x.dtype)
+def _extent(n: int, stride: int) -> int:
+    """Output extent of a same-padded correlation over n pixels at ``stride``."""
+    return (n - 1) // stride + 1
+
+
+def _phase(a: int, p: int, stride: int) -> tuple[int, int]:
+    """(first plane index i, first input index) of parity plane ``a`` of an input
+    padded by p: plane index i holds input index stride * i + a - p."""
+    i0 = -((a - p) // stride)
+    return i0, stride * i0 + a - p
+
+
+def flat_rows(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
+    """x zero-padded for a k x k window and split into its stride x stride row and
+    column parity planes, each read as one flat run of rows of width Wo + r:
+    [..., stride**2, C, (Ho + r + 1) * (Wo + r)], with Ho, Wo the output extents and
+    r = (k - 1) // stride. Plane a * stride + b holds the padded rows a, a + stride, ...
+    and columns b, b + stride, ...; tap (u, v) of output (i, j) reads plane
+    (u % stride) * stride + v % stride at row i + u // stride, column j + v // stride, so
+    its window is the contiguous slice from (u // stride) * (Wo + r) + v // stride of
+    length Ho * (Wo + r). One spare zero row keeps the last tap's slice inside. At
+    stride 1 there is one plane, rows W + k - 1 wide."""
+    lead, (c, hh, ww), s = x.shape[:-3], x.shape[-3:], stride
+    p, r = (k - 1) // 2, (k - 1) // s
+    rows, wq = _extent(hh, s) + r + 1, _extent(ww, s) + r
+    xp = np.zeros(lead + (c, s * rows, s * wq), dtype=x.dtype)
     xp[..., p : p + hh, p : p + ww] = x
-    return xp.reshape(x.shape[:-2] + (-1,))
+    if s == 1:
+        return xp.reshape(lead + (1, c, -1))
+    planes = xp.reshape(lead + (c, rows, s, wq, s))
+    n = len(lead)
+    planes = planes.transpose(tuple(range(n)) + (n + 2, n + 4, n, n + 1, n + 3))
+    return np.ascontiguousarray(planes).reshape(lead + (s * s, c, -1))
 
 
-def tap_windows(x: np.ndarray, k: int) -> list:
-    """``(u, v, window)`` per k x k tap: the [..., C, H * (W + k - 1)] slice of the
-    :func:`flat_rows` from u * (W + k - 1) + v; k - 1 columns per row wrap."""
-    wp = x.shape[-1] + k - 1
-    flat, n = flat_rows(x, k), x.shape[-2] * wp
-    return [(u, v, flat[..., u * wp + v : u * wp + v + n]) for u in range(k) for v in range(k)]
+def tap_windows(x: np.ndarray, k: int, stride: int = 1) -> list:
+    """``(u, v, window)`` per k x k tap: the [..., C, Ho * (Wo + r)] slice of its
+    :func:`flat_rows` plane; r = (k - 1) // stride columns per row wrap."""
+    s, r = stride, (k - 1) // stride
+    wq = _extent(x.shape[-1], s) + r
+    planes, n = flat_rows(x, k, s), _extent(x.shape[-2], s) * wq
+    starts = [(u, v, (u % s) * s + v % s, (u // s) * wq + v // s)
+              for u in range(k) for v in range(k)]
+    return [(u, v, planes[..., q, :, st : st + n]) for u, v, q, st in starts]
 
 
-def wrap_padded(g: np.ndarray, k: int) -> np.ndarray:
-    """[..., C, H, W] with k - 1 zero columns per row, flat like a tap window."""
-    gp = np.zeros(g.shape[:-1] + (g.shape[-1] + k - 1,), dtype=g.dtype)
+def wrap_padded(g: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
+    """[..., C, Ho, Wo] with (k - 1) // stride zero columns per row, flat like a tap window."""
+    gp = np.zeros(g.shape[:-1] + (g.shape[-1] + (k - 1) // stride,), dtype=g.dtype)
     gp[..., : g.shape[-1]] = g
     return gp.reshape(g.shape[:-2] + (-1,))
 
 
-def _tap_sum(x: np.ndarray, k: int, product) -> np.ndarray:
-    """Sum over the :func:`tap_windows` of ``product(u, v, window, out)``, wrapped
-    columns cut; later products go into one scratch ``out``, added in place."""
-    (_, _, win), *rest = tap_windows(x, k)
-    acc = product(0, 0, win, None)
-    tmp = np.empty_like(acc)
+def _cut(flat: np.ndarray, rows: int, cols: int, lo: int = 0) -> np.ndarray:
+    """[..., C, rows * width] read as rows, columns [lo, lo + cols) kept: a view."""
+    return flat.reshape(flat.shape[:-1] + (rows, -1))[..., lo : lo + cols]
+
+
+def _tap_sum(windows, product, out: np.ndarray) -> np.ndarray:
+    """``out`` [..., C', m] set to the sum over ``windows``' ``(u, v, window)``, each
+    window m columns long, of ``product(u, v, window, o)``: the first product written
+    into ``out``, later ones into one scratch ``o`` and added in place, in window order."""
+    (u, v, win), *rest = windows
+    product(u, v, win, out)
+    tmp = None
     for u, v, win in rest:
-        acc += product(u, v, win, tmp)
-    return acc.reshape(acc.shape[:-1] + (x.shape[-2], -1))[..., : x.shape[-1]]
+        tmp = product(u, v, win, tmp)
+        out += tmp
+    return out
 
 
 # Input bytes one pass of a blocked kernel covers (the channel blocks of dwconv_2d, the
-# descriptor and the GLU, metrics.ssim's frame blocks), so that its temporaries stay in L2.
+# descriptor and the GLU, the pixel blocks of conv2d, metrics.ssim's frame blocks), so
+# that its temporaries stay in L2.
 BLOCK_BYTES = 256 * 1024
 
 
-def channel_blocks(channels: int, channel_bytes: int) -> list:
-    """Slices of ``max(1, BLOCK_BYTES // channel_bytes)`` of ``channels`` channels."""
-    step = max(1, BLOCK_BYTES // channel_bytes)
-    return [slice(lo, min(lo + step, channels)) for lo in range(0, channels, step)]
+def index_blocks(count: int, item_bytes: int) -> list:
+    """Slices of ``max(1, BLOCK_BYTES // item_bytes)`` of ``range(count)``: the channel
+    blocks of a map, or the pixel-column blocks of a tap GEMM."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def map_blocks(fn, blocks) -> tuple:
@@ -162,29 +199,50 @@ def map_blocks(fn, blocks) -> tuple:
 def _dw_taps(x: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
     """The :func:`_tap_sum` of a per-channel k x k ``kernel`` over x's channels: a view
     that cuts the wrapped columns."""
-    return _tap_sum(x, k, lambda u, v, win, o: np.multiply(win, kernel[:, u, v, None], out=o))
+    hh, ww = x.shape[-2:]
+    out = np.empty(x.shape[:-2] + (hh * (ww + k - 1),), dtype=np.result_type(x, kernel))
+    _tap_sum(tap_windows(x, k),
+             lambda u, v, win, o: np.multiply(win, kernel[:, u, v, None], out=o), out)
+    return _cut(out, hh, ww)
 
 
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Dense depthwise k x k correlation: k*k multiply-adds over the :func:`tap_windows`
-    in :func:`channel_blocks`; channels are independent, so blocks leave the result
-    bitwise unchanged. One block's view is copied out contiguous: an elementwise pass
-    over a view with cut rows costs ~3x as much at micro sizes."""
+    in :func:`index_blocks` of channels; channels are independent, so blocks leave the
+    result bitwise unchanged. One block's view is copied out contiguous: an elementwise
+    pass over a view with cut rows costs ~3x as much at micro sizes."""
     kernel = _per_channel(kernel, x.shape[-3], 2)
     k = kernel.shape[1]
     _check_odd(k, kernel.shape[2])
-    blocks = channel_blocks(x.shape[-3], x[..., 0, :, :].nbytes)
+    blocks = index_blocks(x.shape[-3], x[..., 0, :, :].nbytes)
     out = map_blocks(lambda sl: (_dw_taps(x[..., sl, :, :], kernel[sl], k),), blocks)[0]
     return np.ascontiguousarray(out)
+
+
+def _tap_gemms(windows, mats: np.ndarray) -> np.ndarray:
+    """[..., M, n]: the :func:`_tap_sum` of ``mats[u, v] @ window`` ([M, K] matrices) over
+    ``windows`` of n columns, one :func:`index_blocks` block of the columns at a time, so
+    each GEMM is small and its accumulator stays in L2. The blocks depend only on K and
+    the windows' itemsize, never on the leading axes: a batch and each of its samples
+    take the same partition."""
+    win = windows[0][2]
+    n = win.shape[-1]
+    out = np.empty(win.shape[:-2] + (mats.shape[-2], n), dtype=np.result_type(win, mats))
+    blocks = index_blocks(n, mats.shape[-1] * win.itemsize)
+    for sl in blocks:
+        part = windows if len(blocks) == 1 else [(u, v, w[..., sl]) for u, v, w in windows]
+        _tap_sum(part, lambda u, v, w, o: np.matmul(mats[u, v], w, out=o), out[..., sl])
+    return out
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1) -> np.ndarray:
     """Full k x k correlation [..., Cin,H,W] -> [..., Cout,Ho,Wo] with zero same-padding.
 
-    The sum over the :func:`tap_windows` of ``w[:, :, u, v] @ window``, or with one
-    input channel one product with the k*k stacked windows (an inner size of 1 is
-    slow). Stride 2 halves even extents: the stride-1 map at every other row and
-    column. ``b=None`` skips the bias (convs feeding a normalization layer).
+    The sum over the :func:`tap_windows` of ``w[:, :, u, v] @ window`` (:func:`_tap_gemms`),
+    or with one input channel one product with the k*k stacked windows (an inner size
+    of 1 is slow). Stride 2 reads each tap from the input's row/column parity planes,
+    so it computes only the Ho x Wo outputs, Ho = ceil(H / 2). ``b=None`` skips the
+    bias (convs feeding a normalization layer).
     """
     co, ci, k, kw = w.shape
     _check_odd(k, kw)
@@ -192,15 +250,46 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1) 
         raise ConfigurationError(f"conv expects {ci} input channels, got {x.shape[-3]}")
     if stride not in (1, 2):
         raise ConfigurationError(f"unsupported stride {stride}")
+    windows = tap_windows(x, k, stride)
     if ci == 1:
-        wins = np.stack([win[..., 0, :] for _, _, win in tap_windows(x, k)], axis=-2)
-        out = w.reshape(co, k * k) @ wins
-        out = out.reshape(out.shape[:-1] + (x.shape[-2], -1))[..., : x.shape[-1]]
+        out = w.reshape(co, k * k) @ np.stack([win[..., 0, :] for _, _, win in windows], axis=-2)
     else:
         taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # [k, k, Co, Ci]
-        out = _tap_sum(x, k, lambda u, v, win, o: np.matmul(taps[u, v], win, out=o))
-    out = out[..., ::stride, ::stride]
+        out = _tap_gemms(windows, taps)
+    out = _cut(out, _extent(x.shape[-2], stride), _extent(x.shape[-1], stride))
     return np.ascontiguousarray(out) if b is None else out + b[:, None, None]
+
+
+def conv2d_input_grad(g: np.ndarray, w: np.ndarray, hw: tuple, stride: int = 1) -> np.ndarray:
+    """Input gradient [..., Cin, H, W] of :func:`conv2d` over H x W = ``hw`` for the output
+    gradient ``g`` [..., Cout, Ho, Wo]: the adjoint of its tap windows, read where the
+    input sits in each :func:`flat_rows` plane. Plane item m gathers
+    ``w[:, :, u, v].T @ g`` at m minus tap (u, v)'s window start over the plane's taps,
+    in reverse row-major order (a correlation with the flipped kernel), through
+    :func:`_tap_gemms`; at stride 2 each plane is a quarter of the input."""
+    co, ci, k, _ = w.shape
+    (hh, ww), (ho, wo) = hw, g.shape[-2:]
+    s, p, r = stride, (k - 1) // 2, (k - 1) // stride
+    wq, lead = wo + r, g.shape[:-3]
+    d = r * wq + r  # the last tap's window start
+    gext = np.zeros(lead + (co, d + (ho + r + 1) * wq), dtype=g.dtype)
+    gext[..., d : d + ho * wq] = wrap_padded(g, k, s)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # [k, k, Ci, Co]
+    gx = np.empty(lead + (ci, hh, ww), dtype=np.result_type(g, w))
+    for a in range(s):
+        for b in range(s):
+            (i0, ri), (j0, cj) = _phase(a, p, s), _phase(b, p, s)
+            rows, cols = len(range(ri, hh, s)), len(range(cj, ww, s))
+            if not rows * cols:
+                continue
+            starts = [(u, v, d - (u // s) * wq - v // s + i0 * wq)
+                      for u in range(k - 1, -1, -1) for v in range(k - 1, -1, -1)
+                      if u % s == a and v % s == b]
+            windows = [(u, v, gext[..., st : st + rows * wq]) for u, v, st in starts]
+            # a plane no tap reads (k = 1 at stride 2) gets a zero gradient
+            gx[..., ri::s, cj::s] = (_cut(_tap_gemms(windows, taps), rows, cols, j0)
+                                     if windows else 0)
+    return gx
 
 
 def pwconv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,14 +360,14 @@ def freq_descriptor(x: np.ndarray, cues) -> np.ndarray:
     """The selected cues of :data:`CUE_NAMES`, each averaged over channels, stacked
     in fixed (f1, f2, f3) order: [..., C, H, W] -> [..., len(cues), H, W].
 
-    One zero-padded copy per :func:`channel_blocks` block. Each channel sum runs from 0
+    One zero-padded copy per :func:`index_blocks` block. Each channel sum runs from 0
     in ascending channel order (a block's first map adds the sum so far), then is
     divided by C: bitwise ``mean(axis=-3)``."""
     names = [c for c in CUE_NAMES if c in cues]
     hh, ww = x.shape[-2:]
     acc = np.zeros(x.shape[:-3] + (len(names), hh * (ww + 2)), dtype=x.dtype)
-    for sl in channel_blocks(x.shape[-3], x[..., 0, :, :].nbytes):
-        f = flat_rows(x[..., sl, :, :], 3)
+    for sl in index_blocks(x.shape[-3], x[..., 0, :, :].nbytes):
+        f = flat_rows(x[..., sl, :, :], 3)[..., 0, :, :]
         for i, name in enumerate(names):
             maps = cue_maps(f, ww + 2, name)[0]
             maps[..., 0, :] += acc[..., i, :]
@@ -333,7 +422,7 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
     ``w_p``/``b_p``, folded with the normalization into one product:
     (w_p diag(gamma n + 1)) z + (w_p beta + b_p).
 
-    Everything before the projection runs per :func:`channel_blocks` block of the E
+    Everything before the projection runs per :func:`index_blocks` block of the E
     channels, sized from one sample's channel bytes: a batch and each of its samples
     take the same blocks, so each sample's result is bitwise the one it gets alone.
     Returns ``(out, saved)``; with ``keep``, ``saved`` is (sigmoid(u), the depthwise
@@ -361,7 +450,7 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
         norms = np.sqrt(np.einsum("...hw,...hw->...", z, z))[..., None, None]
         return (sig.reshape(shape), d, z, norms) if keep else (z, norms)
 
-    *front, z, norms = map_blocks(block, channel_blocks(e, hh * ww * x.itemsize))
+    *front, z, norms = map_blocks(block, index_blocks(e, hh * ww * x.itemsize))
     norms = norms[..., 0, 0]
     denom = norms.mean(axis=-1, keepdims=True) + GRN_EPS
     n = norms / denom
@@ -370,21 +459,28 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
     return out.reshape(x.shape), (*front, z, norms, denom, n) if keep else None
 
 
-def group_norm_parts(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int = 2, eps: float = 1e-5
-):
-    """Group normalization over (channels-in-group, H, W) of each sample, with a
-    per-channel affine. Returns the output and ``(xhat, inv)`` in grouped shape
-    [..., G, C/G, H, W], which the gradient reuses."""
+def group_norm_act(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int = 2,
+                   slope: float = 0.2, eps: float = 1e-5, keep: bool = False):
+    """Group normalization over (channels-in-group, H, W) of each sample with a
+    per-channel affine, then LeakyReLU: y = max(a, slope * a) with
+    a = gamma * xhat + beta, in place (for 0 <= slope < 1 this is bitwise
+    ``where(a > 0, a, slope * a)``, at signed zeros, infinities and NaN too). Returns
+    ``(y, saved)``; with ``keep``, ``saved`` is (xhat, 1 / std) in grouped shape
+    [..., G, C/G, H, W], which the gradient reads, else None and the affine runs
+    over xhat in place."""
     c = x.shape[-3]
     if c % groups != 0:
         raise ConfigurationError(f"{c} channels not divisible into {groups} groups")
     xg = x.reshape(x.shape[:-3] + (groups, c // groups) + x.shape[-2:])
-    mu = xg.mean(axis=(-3, -2, -1), keepdims=True)
-    var = ((xg - mu) ** 2).mean(axis=(-3, -2, -1), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xg - mu) * inv
-    return gamma[:, None, None] * xhat.reshape(x.shape) + beta[:, None, None], (xhat, inv)
+    axes = (-3, -2, -1)
+    xhat = xg - xg.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=axes, keepdims=True) + eps)
+    xhat *= inv
+    y = np.multiply(xhat.reshape(x.shape), gamma[:, None, None],
+                    out=None if keep else xhat.reshape(x.shape))
+    y += beta[:, None, None]
+    np.maximum(y, slope * y, out=y)
+    return y, (xhat, inv) if keep else None
 
 
 def concat_channels(xs) -> np.ndarray:

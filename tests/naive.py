@@ -147,6 +147,26 @@ def dense_conv2d_grads(x, weight, g, stride=1):
     return gx, gw, gb
 
 
+def group_norm_act(x, gamma, beta, groups=2, slope=0.2, eps=1e-5):
+    """Group normalization of one [C, H, W] sample then LeakyReLU, via loops: each
+    group's mean and (biased) variance over its channels and pixels, the affine
+    gamma * xhat + beta, and slope times every value that is not positive."""
+    c, h, w = x.shape
+    per = c // groups
+    out = np.zeros((c, h, w))
+    for grp in range(groups):
+        chans = range(grp * per, (grp + 1) * per)
+        vals = [x[ch, i, j] for ch in chans for i in range(h) for j in range(w)]
+        mean = sum(vals) / len(vals)
+        var = sum((v - mean) ** 2 for v in vals) / len(vals)
+        for ch in chans:
+            for i in range(h):
+                for j in range(w):
+                    a = gamma[ch] * (x[ch, i, j] - mean) / np.sqrt(var + eps) + beta[ch]
+                    out[ch, i, j] = a if a > 0 else slope * a
+    return out
+
+
 def window_mean3(x):
     """3x3 zero-padded mean with fixed divisor 9, via loops: per output pixel the
     three-tap sums (a + b) + c of rows i - 1, i and i + 1, added in that order,

@@ -161,10 +161,9 @@ def test_criterion_05_gradient_correctness():
         "softmax": (lambda a: ad.softmax_channels(a), [rng.standard_normal((3, 5, 5))]),
         "tanh": (lambda a: ad.tanh(a), [x]),
         "sigmoid": (lambda a: ad.sigmoid(a), [x]),
-        "leaky_relu": (lambda a: ad.leaky_relu(a, 0.2), [x]),
         "glu": (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 2, 3)),
-        "group_norm": (
-            lambda a, g, b: ad.group_norm(a, g, b, 2),
+        "group_norm_act": (
+            lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2),
             [x, rng.standard_normal(2), rng.standard_normal(2)],
         ),
         "upsample2x": (lambda a: ad.upsample2x(a), [x]),

@@ -134,7 +134,6 @@ def primitive_cases():
         "scale": (lambda a: ad.scale(a, -1.7), [x]),
         "tanh": (lambda a: ad.tanh(a), [x]),
         "sigmoid": (lambda a: ad.sigmoid(a), [x]),
-        "leaky": (lambda a: ad.leaky_relu(a, 0.2), [x]),
         "sep_k5": (
             lambda a, h, v: ad.sep_conv(a, h, v),
             [x, rng.standard_normal((2, 5)), rng.standard_normal((2, 5))],
@@ -160,8 +159,8 @@ def primitive_cases():
         "freq_descriptor_f3": (lambda a: ad.freq_descriptor(a, ("f3",)), [x]),
         "softmax": (lambda a: ad.softmax_channels(a), [rng.standard_normal((3, 4, 4))]),
         "glu": (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 2, 3)),
-        "gn": (
-            lambda a, g, b: ad.group_norm(a, g, b, 2),
+        "group_norm_act": (
+            lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2),
             [x, rng.standard_normal(2), rng.standard_normal(2)],
         ),
         "up": (lambda a: ad.upsample2x(a), [x]),
@@ -233,7 +232,8 @@ class TestGradCheckPrimitives:
                 (lambda a: ad.tanh(a), [x]),
                 (lambda a: ad.sigmoid(a), [x]),
                 (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 2, 3)),
-                (lambda a, g, b: ad.group_norm(a, g, b, 2), [x, g2, rng.standard_normal(2)]),
+                (lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2),
+                 [x, g2, rng.standard_normal(2)]),
                 (lambda a: ad.upsample2x(a), [x]),
                 (lambda a: ad.mean_all(a), [x]),
             ]
@@ -267,7 +267,8 @@ class TestGradCheckPrimitives:
         assert ad.grad_check(fn, point) < 1e-6
 
     @pytest.mark.parametrize("name", [
-        "conv_s1", "conv_s2", "pw", "dw2", "dw2_shared", "sep", "gn", "glu", "softmax",
+        "conv_s1", "conv_s2", "pw", "dw2", "dw2_shared", "sep", "group_norm_act", "glu",
+        "softmax",
         "drop_path", "mul_map", "add_chan",
     ])
     def test_batched_vjp(self, name):
@@ -285,8 +286,8 @@ class TestGradCheckPrimitives:
             "dw2_shared": (lambda a, k: ad.dwconv_2d(a, k), [x, rng.standard_normal((3, 3))]),
             "sep": (lambda a, h, v: ad.sep_conv(a, h, v),
                     [x, rng.standard_normal((4, 5)), rng.standard_normal((4, 3))]),
-            "gn": (lambda a, g, b: ad.group_norm(a, g, b, 2),
-                   [x, rng.standard_normal(4), rng.standard_normal(4)]),
+            "group_norm_act": (lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2),
+                               [x, rng.standard_normal(4), rng.standard_normal(4)]),
             "glu": (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 4, 3)),
             "softmax": (lambda a: ad.softmax_channels(a), [x]),
             # one sample dropped (0.1 < 0.3), one kept

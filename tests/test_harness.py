@@ -229,20 +229,58 @@ class TestBatchedPrediction:
         if case == "float64_data":
             data = data.astype(np.float64) + 1e-9  # not representable in float32
         # 20 channels of one 8x8 float32 latent map a block: the GLU's 48 hidden channels
-        # run in blocks of 20, 20 and 8 for the batch and for each sequence alone, while
-        # the batch of 16 cuts dwconv_2d's and the descriptor's blocks to one channel
+        # run in blocks of 20, 20 and 8 for the batch and for each sequence alone, and
+        # the decoder's last conv2d (12 input channels, 16 x 18 flat output columns) in
+        # pixel blocks of 106, 106 and 76 columns, while the batch of 16 cuts dwconv_2d's
+        # and the descriptor's blocks to one channel
         plane = 8 * 8 * 4
         block_bytes = 20 * plane if case == "small_blocks" else ops.BLOCK_BYTES
         with mock.patch.object(ops, "BLOCK_BYTES", block_bytes):
             if case == "small_blocks":
-                assert len(ops.channel_blocks(48, plane)) == 3
-                assert len(ops.channel_blocks(12, n * plane)) == 12
+                assert len(ops.index_blocks(48, plane)) == 3
+                assert len(ops.index_blocks(16 * 18, 12 * 4)) == 3
+                assert len(ops.index_blocks(12, n * plane)) == 12
             model = harness.Model.build(cfg, seed=2)
             assert harness.eval_chunk(cfg, model.dtype) >= n
             got = harness.predict_batch(model, data)
             want = predict_one_by_one(model, data)
         assert got.shape == (n, cfg.t_out, 1, 16, 16) and got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
+
+    def test_conv_pixel_blocks_depend_on_one_sample(self):
+        # every tap GEMM sum of a batch's forward takes the same column blocks as the
+        # same forward on each of its samples: the blocks depend on one sample's channels
+        partitions, tap_gemms, index_blocks = [], ops._tap_gemms, ops.index_blocks
+
+        def recorded_gemms(*args):
+            partitions[-1].append(None)  # marks the blocks that follow as a GEMM's
+            return tap_gemms(*args)
+
+        def recorded_blocks(count, item_bytes):
+            blocks = index_blocks(count, item_bytes)
+            if partitions[-1] and partitions[-1][-1] is None:
+                partitions[-1][-1] = (count, blocks)
+            return blocks
+
+        data = gen_bouncing(seed=5, num_sequences=3, frames=2, height=16, width=16)
+        model = harness.Model.build(README_MICRO, seed=3)
+        with mock.patch.object(ops, "BLOCK_BYTES", 2048), \
+                mock.patch.object(ops, "_tap_gemms", recorded_gemms), \
+                mock.patch.object(ops, "index_blocks", recorded_blocks):
+            for frames in [[data[:, t] for t in range(2)]] + [[seq[0], seq[1]] for seq in data]:
+                partitions.append([])
+                model.predict(frames)
+        assert len(partitions) == 4 and all(p == partitions[0] for p in partitions)
+        # the decoder's last conv: 16 x 18 columns in blocks of 2048 // (12 * 4) = 42
+        assert max(len(blocks) for _, blocks in partitions[0]) == 7
+
+    def test_eval_chunk_unchanged(self):
+        from test_model import SHAPE_CONFIGS
+
+        # the stride-2 conv's parity planes add no array larger than the GLU's bound
+        assert harness.eval_chunk(README_MICRO, np.float32) == 170
+        assert harness.eval_chunk(README_MICRO, np.float64) == 85
+        assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
 
     def test_last_chunk_shorter(self):
         # 96x96 frames: the GLU's 2E-channel bound, 2 * 48 * 48 * 48, is ~0.9 MB

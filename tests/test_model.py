@@ -389,9 +389,9 @@ class TestBatchAxis:
         settings = ModelConfig(kernels=(3, 5))
         params = gate_block.init_params(ad.ParamStore(), "blk", 4, settings,
                                         stream(0, INIT), np.float64)
-        for fn in (lambda a: ops.group_norm_parts(a, gamma, beta, 2)[0],
+        for fn in (lambda a: ops.group_norm_act(a, gamma, beta, 2)[0],
                    lambda a: ops.glu(a, *glu)[0],
-                   lambda a: ad.group_norm(a, gamma, beta, 2).value,
+                   lambda a: ad.group_norm_act(a, gamma, beta, 2).value,
                    lambda a: ad.glu(a, *glu).value,
                    lambda a: gate_block.forward(ad.Var(a), params, settings).value):
             before, after = fn(x), fn(scaled)

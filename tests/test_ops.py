@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perigate import autodiff as ad
@@ -25,6 +25,7 @@ from naive import (
     freq_descriptor_grad,
     glu as naive_glu,
     glu_grads as naive_glu_grads,
+    group_norm_act as naive_group_norm_act,
     window_variance3,
 )
 
@@ -329,6 +330,53 @@ class TestConv2dFull:
         for a, b_, c in zip(got, want, bound):
             assert_banded(a, b_, c, x.dtype)
 
+    @pytest.mark.parametrize("partition", ["one", "two", "uneven"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_pixel_blocks_match_loop_oracles(self, partition, data):
+        """BLOCK_BYTES cut so that the forward's n output columns (with wrap columns)
+        fall into one block, two equal blocks, or several with a shorter last one."""
+        ci, stride = data.draw(st.sampled_from([1, 2, 3])), data.draw(st.sampled_from([1, 2]))
+        k = data.draw(st.sampled_from([1, 3, 5]))
+        x, w, b, g = data.draw(conv2d_cases(ci, k, stride))
+        n = g.shape[-2] * (g.shape[-1] + (k - 1) // stride)
+        if partition == "one":
+            step = data.draw(st.integers(n, 2 * n))
+        elif partition == "two":
+            assume(n % 2 == 0)
+            step = n // 2
+        else:
+            assume(n >= 3)
+            step = data.draw(st.integers(2, n - 1))
+            assume(n % step)
+        with mock.patch.object(ops, "BLOCK_BYTES", step * ci * x.itemsize):
+            sizes = [sl.stop - sl.start for sl in ops.index_blocks(n, ci * x.itemsize)]
+            with ad.Tape():
+                out = ad.conv2d(x, ad.Var(w), ad.Var(b), stride)
+            got = (out.value,) + tuple(out.vjp(g))
+        assert {"one": sizes == [n], "two": sizes == [step, step],
+                "uneven": len(sizes) > 1 and 0 < sizes[-1] < step}[partition]
+        want = oracle_conv2d(x, w, b, g, stride)
+        bound = oracle_conv2d(np.abs(x), np.abs(w), np.abs(b), np.abs(g), stride)
+        for a, b_, c in zip(got, want, bound):
+            assert_banded(a, b_, c, x.dtype)
+
+    def test_stride2_reads_parity_planes(self):
+        # each tap reads an Ho x (Wo + 1) window of one parity plane: no GEMM is wider
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 3, 16, 12))
+        w = rng.standard_normal((4, 3, 3, 3))
+        widths, matmul = [], np.matmul
+
+        def recorded(a, b, *args, **kwargs):
+            widths.append(b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        with mock.patch.object(np, "matmul", recorded):
+            got = ops.conv2d(x, w, None, stride=2)
+        assert widths == [8 * 7] * 9
+        want = [dense_conv2d(xi, w, None, stride=2) for xi in x]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_matches_loop_oracle_stride1(self):
         rng = np.random.default_rng(5)
@@ -520,7 +568,7 @@ class TestGlu:
         plane = x.shape[-2] * x.shape[-1] * x.itemsize
         e = params[2].shape[0]
         with mock.patch.object(ops, "BLOCK_BYTES", per_block * plane):
-            blocks = ops.channel_blocks(e, plane)
+            blocks = ops.index_blocks(e, plane)
             with ad.Tape():
                 out = ad.glu(x, *[ad.Var(p) for p in params])
             grads = out.vjp(g)
@@ -548,16 +596,16 @@ class TestGlu:
         rng = np.random.default_rng(43)
         x = rng.standard_normal((4, 6, 16, 16)).astype(np.float32)
         params = glu_params(rng, 6, 24, np.float32)
-        partitions, channel_blocks = [], ops.channel_blocks
+        partitions, index_blocks = [], ops.index_blocks
 
         def recorded(channels, channel_bytes):
-            blocks = channel_blocks(channels, channel_bytes)
+            blocks = index_blocks(channels, channel_bytes)
             if channels == 24:  # the hidden channels, not dwconv_2d's within a block
                 partitions.append(blocks)
             return blocks
 
         with mock.patch.object(ops, "BLOCK_BYTES", 10 * 16 * 16 * 4), \
-                mock.patch.object(ops, "channel_blocks", recorded):
+                mock.patch.object(ops, "index_blocks", recorded):
             batched = ops.glu(x, *params)[0]
             for i in range(4):
                 assert batched[i].tobytes() == ops.glu(x[i], *params)[0].tobytes()
@@ -606,9 +654,76 @@ class TestElementwise:
         with pytest.raises(ConfigurationError):
             ops.add(np.zeros((2, 3, 3)), np.zeros((3, 3)))
 
-    def test_leaky_relu(self):
-        x = np.array([-2.0, 0.0, 3.0])
-        np.testing.assert_allclose(ad.leaky_relu(x, 0.2).value, [-0.4, 0.0, 3.0])
+
+
+class TestGroupNormAct:
+    """Group normalization and LeakyReLU as one op, against the composed loop oracle."""
+
+    def test_leaky_slope(self):
+        # gamma = 0: each channel's output is LeakyReLU(beta)
+        beta = np.array([-2.0, 0.0, 3.0, -0.5])
+        x = np.random.default_rng(21).standard_normal((4, 3, 3))
+        y, _ = ops.group_norm_act(x, np.zeros(4), beta, 2, 0.2)
+        np.testing.assert_allclose(y, np.broadcast_to([-0.4, 0.0, 3.0, -0.1], (3, 3, 4)).T)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("lead", [(), (1,), (2,)])
+    def test_matches_loop_oracle(self, lead, dtype):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal(lead + (6, 5, 7)).astype(dtype)
+        gamma, beta = rng.standard_normal(6).astype(dtype), rng.standard_normal(6).astype(dtype)
+        for groups in (1, 2, 3):
+            y, _ = ops.group_norm_act(x, gamma, beta, groups, 0.2)
+            f64 = [a.astype(np.float64) for a in (gamma, beta)]
+            want = np.reshape([naive_group_norm_act(xi, *f64, groups)
+                               for xi in x.reshape((-1, 6, 5, 7)).astype(np.float64)], x.shape)
+            assert_oracle(y, want, dtype)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_max_form_equals_where_form_bitwise(self, dtype):
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-30, -1e-30,
+                            np.finfo(dtype).tiny, -np.finfo(dtype).tiny, 2.5, -2.5], dtype=dtype)
+        a = np.concatenate([special, np.random.default_rng(23).standard_normal(64).astype(dtype)])
+        y = a.copy()
+        np.maximum(y, 0.2 * y, out=y)
+        assert y.tobytes() == np.where(a > 0, a, 0.2 * a).tobytes()
+        # the op against the where form of its own affine (slope 1 leaves it as it is);
+        # one group holds an infinity, so its statistics and outputs are NaN
+        x = np.random.default_rng(24).standard_normal((2, 4, 3, 3)).astype(dtype)
+        x[1, 0, 0, 0] = np.inf
+        x[0, 2] = 0.0
+        gamma, beta = np.array([1.0, -1.0, 0.0, 2.0], dtype), np.array([0.0, 0.5, -0.0, -1.0], dtype)
+        with np.errstate(invalid="ignore"):  # inf - inf in the group's mean
+            affine, _ = ops.group_norm_act(x, gamma, beta, 2, 1.0)
+            y, _ = ops.group_norm_act(x, gamma, beta, 2, 0.2)
+        assert y.tobytes() == np.where(affine > 0, affine, 0.2 * affine).tobytes()
+        assert np.isnan(y[1, :2]).all() and np.isfinite(y[1, 2:]).all()
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_grad_check(self, lead):
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal(lead + (4, 3, 5))
+        point = [x, rng.standard_normal(4), rng.standard_normal(4)]
+        assert ad.grad_check(lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2), point) < 1e-6
+
+    def test_vjp_takes_the_slope_where_the_output_is_not_positive(self):
+        # gamma = 0: the output is beta per channel, so channel c passes slope * g
+        # unless beta_c > 0, at 0 too (where LeakyReLU has no derivative)
+        x = np.random.default_rng(27).standard_normal((4, 3, 3))
+        g = np.random.default_rng(28).standard_normal((4, 3, 3))
+        beta = np.array([0.0, -0.0, 1.0, -1.0])
+        with ad.Tape():
+            out = ad.group_norm_act(x, np.zeros(4), ad.Var(beta), 2, 0.2)
+        _, _, gbeta = out.vjp(g)
+        np.testing.assert_allclose(gbeta, g.sum(axis=(1, 2)) * [0.2, 0.2, 1.0, 0.2], rtol=1e-15)
+
+    def test_saves_only_under_a_tape(self):
+        x = np.random.default_rng(26).standard_normal((4, 3, 3))
+        gamma, beta = np.ones(4), np.zeros(4)
+        assert ops.group_norm_act(x, gamma, beta)[1] is None
+        y, (xhat, inv) = ops.group_norm_act(x, gamma, beta, keep=True)
+        assert xhat.shape == (2, 2, 3, 3) and inv.shape == (2, 1, 1, 1)
+        assert y.tobytes() == ops.group_norm_act(x, gamma, beta)[0].tobytes()
 
 
 class TestGrn:
@@ -730,7 +845,7 @@ class TestBatchAxis:
         x = rng.standard_normal((2, 4, 5, 5))
         gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
         glu = glu_params(rng, 4, 3)
-        for fn in (lambda a: ops.group_norm_parts(a, gamma, beta, 2)[0],
+        for fn in (lambda a: ops.group_norm_act(a, gamma, beta, 2)[0],
                    lambda a: ops.glu(a, *glu)[0],
                    ops.softmax_channels, lambda a: ops.freq_descriptor(a, ops.CUE_NAMES),
                    lambda a: ad.upsample2x(a).value):
