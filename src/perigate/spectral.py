@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Callable, Optional
 
@@ -26,6 +27,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 DEFAULT_SAMPLES = 1024
 MIN_SAMPLES = 64
 _EDGE = 1e-9  # beta domains are open: endpoints are approached this close
+_BLOCK_BYTES = 2**19  # kernel spectra: the four [2, rows, angles] arrays of a row block
 
 
 # ---------------------------------------------------------------------------
@@ -153,31 +155,61 @@ def response_from_kernel(
     theta in [0, pi/2], each angle weighted by its number of mirror images.
     With integer tap offsets -p..p, Re(w) = sum_o a_o cos(o w), where
     a_0 = h_0 and a_o = h_o + h_-o, is summed by Clenshaw's recurrence in
-    cos w: O(n * angles * k) time and O(n * angles) memory.
+    cos w: O(n * angles * k) time.
+
+    The cos w table depends only on (n, num_angles). It is built once and
+    retained for the next call at the same pair (540,672 bytes at n = 1024,
+    64 angles), so the two kernels of a query, or the many kernels of one
+    checkpoint, share it. The recurrence runs over row blocks of the table
+    that keep its working arrays in cache, so a call allocates O(n * angles)
+    bytes for the Re_h * Re_v products and a fixed amount besides.
     """
     if num_angles < 1:
         raise ConfigurationError(f"need at least one angle, got {num_angles}")
     r = grid(n)
+    x, weight = _direction_table(n, num_angles)
     p = (sk.k - 1) // 2
-    theta = np.linspace(0.0, math.pi, num_angles, endpoint=False)[: num_angles // 2 + 1]
-    w1 = r[:, None] * np.cos(theta)[None, :]  # along columns (h)
-    w2 = r[:, None] * np.sin(theta)[None, :]  # along rows (v)
-    x = np.cos(np.stack([w1, w2]))
     taps = np.stack([sk.h, sk.v])
     coeffs = taps[:, p:] + taps[:, p::-1]
     coeffs[:, 0] = taps[:, p]
-    two_x = 2.0 * x
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for j in range(p, -1, -1):  # b_j = a_j + 2 x b_(j+1) - b_(j+2)
-        b0 = two_x * b1
-        b0 -= b2
-        b0 += coeffs[:, j, None, None]
-        b1, b2 = b0, b1
-    re_h, re_v = b1 - x * b2  # sum_j a_j T_j(x) = b_0 - x b_1
+    coeffs = coeffs[:, :, None, None]
+    rows = max(1, _BLOCK_BYTES // (4 * x[:, 0].nbytes))
+    work = np.empty((4, 2, min(rows, n), x.shape[2]))
+    products = np.empty((n, x.shape[2]))
+    for start in range(0, n, rows):
+        x_block = x[:, start : start + rows]
+        two_x, b0, b1, b2 = work[:, :, : x_block.shape[1]]
+        np.multiply(2.0, x_block, out=two_x)
+        b1.fill(0.0)
+        b2.fill(0.0)
+        for j in range(p, -1, -1):  # b_j = a_j + 2 x b_(j+1) - b_(j+2)
+            np.multiply(two_x, b1, out=b0)
+            b0 -= b2
+            b0 += coeffs[:, j]
+            b0, b1, b2 = b2, b0, b1
+        np.multiply(x_block, b2, out=b0)  # sum_j a_j T_j(x) = b_0 - x b_1
+        np.subtract(b1, b0, out=b0)
+        np.multiply(b0[0], b0[1], out=products[start : start + x_block.shape[1]])
+    return FreqResponse(r, products @ weight)
+
+
+@lru_cache(maxsize=1)
+def _direction_table(n: int, num_angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos w along columns (h) and rows (v), [2, n, num_angles // 2 + 1], for
+    theta in [0, pi/2], and each angle's weight in the average. Read-only: every
+    call at (n, num_angles) shares the arrays. Built in place: a retained array
+    among freed temporaries would keep the heap around it resident."""
+    r = grid(n)
+    theta = np.linspace(0.0, math.pi, num_angles, endpoint=False)[: num_angles // 2 + 1]
+    x = np.empty((2, n, theta.size))
+    np.multiply(r[:, None], np.cos(theta), out=x[0])  # w1, along columns (h)
+    np.multiply(r[:, None], np.sin(theta), out=x[1])  # w2, along rows (v)
+    np.cos(x, out=x)
     a = np.arange(theta.size)
     weight = np.where((a == 0) | (2 * a == num_angles), 1.0, 2.0) / num_angles
-    return FreqResponse(r, (re_h * re_v) @ weight)
+    x.flags.writeable = False
+    weight.flags.writeable = False
+    return x, weight
 
 
 def _same_grid(a: FreqResponse, b: FreqResponse):

@@ -517,15 +517,40 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
-def test_import_leaves_the_model_stack_unloaded():
-    """A fresh interpreter importing the CLI, as every ``perigate`` command starts,
-    loads none of the model stack: ``analyze`` never pays for it."""
+def _fresh_interpreter(code, *args):
+    """stdout of ``python -c code args`` on this checkout's perigate."""
     import perigate
 
     src = str(pathlib.Path(perigate.__file__).parent.parent)
-    code = ("import sys, perigate.cli; print([m for m in ('perigate.model', "
-            "'perigate.autodiff', 'perigate.harness') if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_import_leaves_the_model_stack_unloaded():
+    """A fresh interpreter importing the CLI, as every ``perigate`` command starts,
+    loads none of the model stack and builds no kernel-spectrum direction table:
+    ``analyze`` never pays for the first, and closed-form queries not for the second."""
+    code = ("import sys, perigate.cli; print([m for m in ('perigate.model', "
+            "'perigate.autodiff', 'perigate.harness') if m in sys.modules], "
+            "perigate.spectral._direction_table.cache_info().currsize)")
+    assert _fresh_interpreter(code).strip() == "[] 0"
+
+
+def test_kernel_overflow_leaves_later_queries_unchanged(tmp_path, capsys):
+    huge, surround, center = (tmp_path / f"{n}.pfgt" for n in ("huge", "surround", "center"))
+    container.save_tensor(huge, np.full(31, 1e300))
+    container.save_tensor(surround, np.cos(np.linspace(0.0, 3.0, 31)))
+    container.save_tensor(center, np.array([0.25, 0.5, 0.25]))
+    for _ in range(2):
+        err = _exits_2_with_one_error_line(
+            ["analyze", "ring", "--hl", f"kernel:{huge}", "--hs", "gauss:1.0"], capsys)
+        assert err.startswith("error: analysis leaves the float64 range (")
+        assert err.endswith(")\n")
+    argv = ["analyze", "beta-star", "--hl", f"kernel:{surround}", "--hs", f"kernel:{center}",
+            "--ps", "band:0.5,2.5"]
+    assert main(argv) == 0
+    fresh = _fresh_interpreter("import sys; from perigate.cli import main; main(sys.argv[1:])",
+                               *argv)
+    assert capsys.readouterr().out == fresh

@@ -112,6 +112,14 @@ def kernel_pairs(draw):
     return h, v
 
 
+def _block_rows(num_angles):
+    """Rows of the direction table in one block of the recurrence."""
+    return spectral._BLOCK_BYTES // (4 * 2 * (num_angles // 2 + 1) * 8)
+
+
+_WAVE_PAIR = (np.cos(np.arange(31.0)), np.sin(np.arange(31.0)))
+
+
 class TestKernelResponseOracle:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -121,11 +129,18 @@ class TestKernelResponseOracle:
     )
     @example(pair=(np.linspace(-1.0, 1.0, 63), np.linspace(1.0, -1.0, 63)), n=1024, num_angles=64)
     @example(pair=(np.arange(7.0) - 3.0, np.ones(7)), n=64, num_angles=7)
+    @example(pair=(np.array([2.14543505e-159]), np.array([2.14543505e-159])), n=64, num_angles=7)
+    # row blocks: a last block of one row, a ragged last block, one short block
+    @example(pair=_WAVE_PAIR, n=_block_rows(65) + 1, num_angles=65)
+    @example(pair=_WAVE_PAIR, n=333, num_angles=65)
+    @example(pair=_WAVE_PAIR, n=333, num_angles=2)
+    @example(pair=_WAVE_PAIR, n=_block_rows(2) + 1, num_angles=2)
     def test_matches_complex_exponential_oracle(self, pair, n, num_angles):
         h, v = pair
         got = response_from_kernel(SepKernel(h, v), n=n, num_angles=num_angles).values
         want = kernel_radial_dtft(h, v, n, num_angles)
-        scale = np.abs(h).sum() * np.abs(v).sum()
+        # below the smallest normal float64 rounding errors are absolute, not relative
+        scale = max(np.abs(h).sum() * np.abs(v).sum(), np.finfo(np.float64).tiny)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
     def test_no_angle_rejected(self):
@@ -139,10 +154,32 @@ class TestKernelResponseOracle:
         tracemalloc.start()
         try:
             response_from_kernel(sk, n=1024, num_angles=64)
-            _, peak = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            # a repeat call reuses the 0.52 MiB direction table and allocates
+            # ~0.77 MiB of products and row-block buffers; rebuilding the table
+            # would add at least the table itself
+            response_from_kernel(sk, n=1024, num_angles=64)
+            _, repeat_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        assert repeat_peak - retained < 1.1 * 2**20
+
+    def test_retained_table_is_shared_and_unchanged(self):
+        sk = SepKernel(*_WAVE_PAIR)
+        first = response_from_kernel(sk, n=1024, num_angles=64)
+        other = response_from_kernel(sk, n=333, num_angles=65)
+        again = response_from_kernel(sk, n=1024, num_angles=64)
+        assert first.values.tobytes() == again.values.tobytes()
+        assert spectral._direction_table.cache_info().currsize == 1
+        again.values[:] = 0.0
+        other.values[:] = np.nan
+        assert response_from_kernel(sk, n=1024, num_angles=64).values.tobytes() == (
+            first.values.tobytes()
+        )
+        x, weight = spectral._direction_table(1024, 64)
+        assert not x.flags.writeable and not weight.flags.writeable
 
 
 class TestComposite:
