@@ -410,8 +410,8 @@ def freq_descriptor(x, cues):
     def vjp(g):
         wp = xv.shape[-1] + 2
         d = ops.wrap_padded(g / xv.shape[-3], 3)
-
-        def block(sl):
+        gx = np.empty(xv.shape, dtype=xv.dtype)
+        for sl in ops.index_blocks(xv.shape[-3], xv[..., 0, :, :].nbytes):
             f = ops.flat_rows(xv[..., sl, :, :], 3)[..., 0, :, :]
             pad = np.zeros_like(f)
             inner = pad[..., wp + 1 : 1 - 2 * wp]  # where x sits in the padded rows
@@ -433,9 +433,8 @@ def freq_descriptor(x, cues):
                 else:
                     dvar2 = 2 * di * (cue > 0)
                     acc += f[..., wp + 1 : 1 - 2 * wp] * adjoint(dvar2) - adjoint(saved[0] * dvar2)
-            return (acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2],)
-
-        return ops.map_blocks(block, ops.index_blocks(xv.shape[-3], xv[..., 0, :, :].nbytes))
+            gx[..., sl, :, :] = acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2]
+        return (gx,)
 
     return _track(y, (x,), vjp)
 

@@ -218,6 +218,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _analyze(args) -> int:
+    spectral.check_samples(args.samples)
     if args.analysis == "beta-star" and args.coeffs is not None:
         try:
             a, b, c, at, bt, ct = (float(x) for x in args.coeffs.split(","))
@@ -252,7 +253,7 @@ def _analyze(args) -> int:
 
 
 def _beta_star(coeffs: spectral.QuadCoeffs, args) -> int:
-    beta_star, snr_star = spectral.optimal_beta(coeffs, verify=False)
+    beta_star, snr_star = spectral.optimal_beta(coeffs)
     grid_ok, _ = spectral.grid_check(coeffs, snr_star)
     print(f"beta_star {beta_star:.6f}")
     print(f"snr_star {snr_star:.9g}")

@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .ops import BLOCK_BYTES
+from .ops import index_blocks
 
 PSNR_CAP_DB = 100.0  # frames with zero 8-bit error contribute this cap
 SSIM_WINDOW = 11
@@ -96,8 +96,8 @@ def ssim(pred, gt) -> float:
 
     Window 11x11, sigma 1.5, constants for unit dynamic range. Channels are
     scored independently and averaged, then frames are averaged over N*T.
-    Frames are windowed in blocks of ``max(1, ops.BLOCK_BYTES // frame bytes)``
-    per pass, so a pass's temporaries stay in cache; each frame is scored alone.
+    Frames are windowed in :func:`perigate.ops.index_blocks` blocks of frames per
+    pass, so a pass's temporaries stay in cache; each frame is scored alone.
     """
     x, y = _check_pair(pred, gt)
     h, w_ = x.shape[-2:]
@@ -107,6 +107,7 @@ def ssim(pred, gt) -> float:
         )
     win = _gaussian_window()
     x, y = (a.reshape((-1,) + a.shape[2:]) for a in (x, y))
-    step = max(1, BLOCK_BYTES // x[0].nbytes)
-    scores = [_ssim_frames(x[i : i + step], y[i : i + step], win) for i in range(0, len(x), step)]
-    return float(np.concatenate(scores).mean())
+    scores = np.empty(len(x))
+    for sl in index_blocks(len(x), x[0].nbytes):
+        scores[sl] = _ssim_frames(x[sl], y[sl], win)
+    return float(scores.mean())

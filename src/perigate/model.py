@@ -115,6 +115,9 @@ class ModelConfig:
             raise ConfigurationError(f"drop rate must lie in [0,1), got {self.drop_path}")
         if not cues:
             raise ConfigurationError("need at least one frequency cue")
+        unknown = [c for c in cues if c not in CUE_NAMES]
+        if unknown:
+            raise ConfigurationError(f"unknown cues {unknown}; choose from {CUE_NAMES}")
         if len(set(cues)) != len(cues):
             raise ConfigurationError(f"duplicate frequency cues {cues}")
         if not np.isfinite(self.beta_fixed):

@@ -168,32 +168,18 @@ def _tap_sum(windows, product, out: np.ndarray) -> np.ndarray:
 
 # Input bytes one pass of a blocked kernel covers (the channel blocks of dwconv_2d, the
 # descriptor and the GLU, the pixel blocks of conv2d, metrics.ssim's frame blocks), so
-# that its temporaries stay in L2.
+# that its temporaries stay in L2. A partition depends only on the item count and the
+# item bytes, and each block writes only its own slice of its kernel's output.
 BLOCK_BYTES = 256 * 1024
 
 
 def index_blocks(count: int, item_bytes: int) -> list:
     """Slices of ``max(1, BLOCK_BYTES // item_bytes)`` of ``range(count)``: the channel
-    blocks of a map, or the pixel-column blocks of a tap GEMM."""
+    blocks of a map, the pixel-column blocks of a tap GEMM or the frame blocks of SSIM.
+    The partition depends only on ``count`` and ``item_bytes``; a blocked kernel
+    allocates its output once and each block writes only its own slice of it."""
     step = max(1, BLOCK_BYTES // item_bytes)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-def map_blocks(fn, blocks) -> tuple:
-    """``fn(sl)`` for each channel slice of ``blocks``, each call returning a tuple of
-    [..., Cb, H, W] arrays: the tuple of whole [..., C, H, W] arrays. One block's arrays
-    are returned as they are; more blocks' are written into preallocated ones."""
-    first, *rest = blocks
-    parts = fn(first)
-    if not rest:
-        return parts
-    channels = blocks[-1].stop
-    outs = tuple(np.empty(p.shape[:-3] + (channels,) + p.shape[-2:], dtype=p.dtype)
-                 for p in parts)
-    for sl in blocks:
-        for out, part in zip(outs, parts if sl is first else fn(sl)):
-            out[..., sl, :, :] = part
-    return outs
 
 
 def _dw_taps(x: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
@@ -208,15 +194,16 @@ def _dw_taps(x: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
 
 def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Dense depthwise k x k correlation: k*k multiply-adds over the :func:`tap_windows`
-    in :func:`index_blocks` of channels; channels are independent, so blocks leave the
-    result bitwise unchanged. One block's view is copied out contiguous: an elementwise
-    pass over a view with cut rows costs ~3x as much at micro sizes."""
+    in :func:`index_blocks` of channels, each block's cut rows written into its slice of
+    one contiguous output; channels are independent, so blocks leave the result bitwise
+    unchanged."""
     kernel = _per_channel(kernel, x.shape[-3], 2)
     k = kernel.shape[1]
     _check_odd(k, kernel.shape[2])
-    blocks = index_blocks(x.shape[-3], x[..., 0, :, :].nbytes)
-    out = map_blocks(lambda sl: (_dw_taps(x[..., sl, :, :], kernel[sl], k),), blocks)[0]
-    return np.ascontiguousarray(out)
+    out = np.empty(x.shape, dtype=np.result_type(x, kernel))
+    for sl in index_blocks(x.shape[-3], x[..., 0, :, :].nbytes):
+        out[..., sl, :, :] = _dw_taps(x[..., sl, :, :], kernel[sl], k)
+    return out
 
 
 def _tap_gemms(windows, mats: np.ndarray) -> np.ndarray:
@@ -435,8 +422,11 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
             f"GLU weights {w_e.shape}, {w_p.shape} do not fit {c} channels and {e} hidden"
         )
     x2 = x.reshape(lead + (c, hh * ww))
-
-    def block(sl):
+    z = np.empty(lead + (e, hh, ww), dtype=np.result_type(w_e, x, dw))
+    norms = np.empty(lead + (e,), dtype=z.dtype)
+    if keep:
+        sig_all, d_all = np.empty(z.shape, np.result_type(w_e, x)), np.empty_like(z)
+    for sl in index_blocks(e, hh * ww * x.itemsize):
         shape = lead + (sl.stop - sl.start, hh, ww)
         sig = w_e[sl] @ x2
         sig += b_e[sl, None]
@@ -446,17 +436,15 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
         v = w_e[e + sl.start : e + sl.stop] @ x2
         v += b_e[e + sl.start : e + sl.stop, None]
         d = _dw_taps(v.reshape(shape), dw[sl], 3)
-        z = sig.reshape(shape) * d
-        norms = np.sqrt(np.einsum("...hw,...hw->...", z, z))[..., None, None]
-        return (sig.reshape(shape), d, z, norms) if keep else (z, norms)
-
-    *front, z, norms = map_blocks(block, index_blocks(e, hh * ww * x.itemsize))
-    norms = norms[..., 0, 0]
+        zb = np.multiply(sig.reshape(shape), d, out=z[..., sl, :, :])
+        norms[..., sl] = np.sqrt(np.einsum("...hw,...hw->...", zb, zb))
+        if keep:
+            sig_all[..., sl, :, :], d_all[..., sl, :, :] = sig.reshape(shape), d
     denom = norms.mean(axis=-1, keepdims=True) + GRN_EPS
     n = norms / denom
     out = (w_p * (gamma * n + 1)[..., None, :]) @ z.reshape(lead + (e, hh * ww))
     out += (w_p @ beta + b_p)[:, None]
-    return out.reshape(x.shape), (*front, z, norms, denom, n) if keep else None
+    return out.reshape(x.shape), (sig_all, d_all, z, norms, denom, n) if keep else None
 
 
 def group_norm_act(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int = 2,

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .container import write_csv
-from .errors import ConfigurationError, DegeneracyError, InputError, NumericError
+from .errors import ConfigurationError, DegeneracyError, InputError
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -110,8 +110,7 @@ class FreqResponse:
         v = np.asarray(self.values, dtype=np.float64)
         if r.ndim != 1 or r.shape != v.shape:
             raise ConfigurationError("grid and values must be equal-length 1-D arrays")
-        if r.size < MIN_SAMPLES:
-            raise ConfigurationError(f"grid needs at least {MIN_SAMPLES} samples, got {r.size}")
+        check_samples(r.size)
         if not (math.isclose(r[0], 0.0, abs_tol=1e-15) and math.isclose(r[-1], math.pi)):
             raise ConfigurationError("grid must span [0, pi]")
         if np.any(np.diff(r) <= 0):
@@ -122,9 +121,14 @@ class FreqResponse:
         object.__setattr__(self, "values", v)
 
 
-def grid(n: int = DEFAULT_SAMPLES) -> np.ndarray:
+def check_samples(n: int):
+    """Refuse a grid of fewer than MIN_SAMPLES points."""
     if n < MIN_SAMPLES:
         raise ConfigurationError(f"need at least {MIN_SAMPLES} samples, got {n}")
+
+
+def grid(n: int = DEFAULT_SAMPLES) -> np.ndarray:
+    check_samples(n)
     return np.linspace(0.0, math.pi, n)
 
 
@@ -322,6 +326,8 @@ class QuadCoeffs:
         bad = [k for k, v in vars(self).items() if not math.isfinite(v)]
         if bad:
             raise InputError(f"non-finite SNR coefficient(s): {', '.join(bad)}")
+        if self.sigma2 <= 0:
+            raise ConfigurationError(f"noise power must be positive, got {self.sigma2}")
 
 
 def quad_coeffs(
@@ -330,8 +336,6 @@ def quad_coeffs(
     """Trapezoidal quadrature of the six response integrals on a shared grid."""
     _same_grid(h_l, h_s)
     _same_grid(h_l, p_s)
-    if sigma2 <= 0:
-        raise ConfigurationError(f"noise power must be positive, got {sigma2}")
     if np.any(p_s.values < 0):
         raise InputError("signal spectrum has negative samples")
     r = h_l.r
@@ -466,56 +470,34 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
     return real
 
 
-def optimal_beta(
-    coeffs: QuadCoeffs,
-    domain: tuple[float, float] = (-1.0, 1.0),
-    verify: bool = True,
-    grid_points: int = 100_000,
-) -> tuple[float, float]:
-    """SNR-maximizing beta over an open interval (default (-1, 1)).
+def optimal_beta(coeffs: QuadCoeffs) -> tuple[float, float]:
+    """SNR-maximizing beta over the open interval (-1, 1).
 
     Candidates are the in-domain stationary roots plus the endpoints
     approached at a 1e-9 offset. A pole of the SNR (see
-    :func:`stationary_betas`) in the closed domain has no maximizer and raises
+    :func:`stationary_betas`) in [-1, 1] has no maximizer and raises
     :class:`DegeneracyError`; so does a noise energy whose minimum there is
     within 1e-12 of its largest coefficient, a pole at float64 resolution.
-    With ``verify`` the result is cross-checked against a dense grid
-    evaluation.
+    :func:`grid_check` cross-checks the result against a dense grid.
     """
     roots = stationary_betas(coeffs)
-    lo, hi = domain
-    if not lo < hi:
-        raise ConfigurationError(f"empty domain ({lo}, {hi})")
     unit = _unit_scaled(coeffs)
     pole = unit.bt / unit.ct if unit.ct != 0 else None
-    if pole is not None and lo <= pole <= hi and _noise_energy(pole, unit) <= 1e-12:
+    if pole is not None and -1.0 <= pole <= 1.0 and _noise_energy(pole, unit) <= 1e-12:
         raise DegeneracyError(f"noise energy vanishes at beta = {pole:.9g}: the SNR has a pole")
-    candidates = [r for r in roots if lo < r < hi] + [lo + _EDGE, hi - _EDGE]
+    candidates = [r for r in roots if -1.0 < r < 1.0] + [-1.0 + _EDGE, 1.0 - _EDGE]
     values = [snr(b, coeffs) for b in candidates]
     best = int(np.argmax(values))
-    beta_star, snr_star = candidates[best], values[best]
-    if verify:
-        ok, grid_max = grid_check(coeffs, snr_star, domain, grid_points)
-        if not ok:
-            raise NumericError(
-                f"analytic optimum {snr_star} below grid maximum {grid_max}"
-            )
-    return beta_star, snr_star
+    return candidates[best], values[best]
 
 
-def grid_check(
-    coeffs: QuadCoeffs,
-    snr_star: float,
-    domain: tuple[float, float] = (-1.0, 1.0),
-    grid_points: int = 100_000,
-) -> tuple[bool, float]:
+def grid_check(coeffs: QuadCoeffs, snr_star: float) -> tuple[bool, float]:
     """Whether snr_star reaches the SNR maximum on a dense grid, and that maximum.
 
-    The grid spans the open domain 1e-9 in from each end; snr_star may fall
-    short of the grid maximum by at most 1e-9 times max(1, |grid maximum|).
+    The grid's 100,000 points span (-1, 1) 1e-9 in from each end; snr_star may
+    fall short of the grid maximum by at most 1e-9 times max(1, |grid maximum|).
     """
-    lo, hi = domain
-    betas = np.linspace(lo + _EDGE, hi - _EDGE, grid_points)
+    betas = np.linspace(-1.0 + _EDGE, 1.0 - _EDGE, 100_000)
     grid_max = float(np.max(snr(betas, coeffs)))
     return snr_star >= grid_max - 1e-9 * max(1.0, abs(grid_max)), grid_max
 

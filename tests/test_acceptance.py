@@ -283,7 +283,7 @@ def test_criterion_07_cubic_stationarity():
             h = 1e-6
             d = (snr(root + h, q) - snr(root - h, q)) / (2 * h)
             ok &= abs(d) < 1e-8
-        beta_star, snr_star = optimal_beta(q, verify=False)
+        beta_star, snr_star = optimal_beta(q)
         ok &= snr_star >= float(np.max(snr(grid, q))) - 1e-9
     report(7, ok, "golden-ratio fixture roots at 1e-10; 50 random sets match 1e5-point grid")
 

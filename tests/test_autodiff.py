@@ -1,6 +1,7 @@
 """Reverse-mode engine: traced forwards, VJPs, tape mechanics."""
 
 import ast
+import inspect
 import pathlib
 
 import numpy as np
@@ -90,16 +91,17 @@ class TestSoftmaxJacobian:
 NOT_OPS = {"Var", "Tape", "ParamStore", "tape_active", "forward_traced", "backward", "grad_check"}
 
 
-def _autodiff_calls(tree, in_autodiff: bool) -> set:
-    """Names of autodiff functions a module calls, through ``ad.``/``autodiff.``,
-    a ``from .autodiff import``, or (in autodiff itself) by plain name; a call
-    anywhere inside the outermost function of the same name does not count."""
-    modules, imported = {"autodiff"}, set()
+def _module_calls(tree, module: str, in_module: bool) -> set:
+    """Names of ``module``'s functions a module calls, through ``module.`` or its
+    alias (``ad.``), a ``from .module import``, or (in ``module`` itself) by plain
+    name; in ``module`` itself, a call anywhere inside the outermost function of the
+    same name does not count."""
+    modules, imported = {module}, set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+        if isinstance(node, ast.ImportFrom) and node.module == module:
             imported |= {a.asname or a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module is None:
-            modules |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+            modules |= {a.asname or a.name for a in node.names if a.name == module}
     called = set()
 
     def visit(node, owner):
@@ -110,10 +112,10 @@ def _autodiff_calls(tree, in_autodiff: bool) -> set:
             if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
                 name = f.attr if f.value.id in modules else None
             elif isinstance(f, ast.Name):
-                name = f.id if in_autodiff or f.id in imported else None
+                name = f.id if in_module or f.id in imported else None
             else:
                 name = None
-            if name is not None and name != owner:
+            if name is not None and not (in_module and name == owner):
                 called.add(name)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -208,12 +210,19 @@ class TestGradCheckPrimitives:
         assert sorted(set(op_names) - called) == []
 
     def test_every_op_has_a_caller_in_src(self):
-        """Each traced op in ``autodiff.__all__`` is called somewhere in the library
-        other than inside its own definition: no op is kept for the tests alone."""
-        called = set()
-        for path in pathlib.Path(ad.__file__).parent.glob("*.py"):
-            called |= _autodiff_calls(ast.parse(path.read_text()), path.stem == "autodiff")
-        assert sorted(set(ad.__all__) - NOT_OPS - called) == []
+        """Each traced op in ``autodiff.__all__``, and each public function of
+        :mod:`perigate.ops`, is called somewhere in the library other than inside its
+        own definition: no op or kernel is kept for the tests alone."""
+        trees = {path.stem: ast.parse(path.read_text())
+                 for path in pathlib.Path(ad.__file__).parent.glob("*.py")}
+
+        def called(module):
+            return set().union(*(_module_calls(t, module, m == module) for m, t in trees.items()))
+
+        assert sorted(set(ad.__all__) - NOT_OPS - called("autodiff")) == []
+        kernels = {name for name, f in vars(ops).items() if inspect.isfunction(f)
+                   and f.__module__ == ops.__name__ and not name.startswith("_")}
+        assert sorted(kernels - called("ops")) == []
 
     def test_five_random_points_per_op(self):
         for seed in range(5):

@@ -8,6 +8,7 @@ import pathlib
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -232,7 +233,7 @@ class TestAnalyze:
 
         # an "optimum" at beta = 0.9 falls short of the grid maximum near -0.618
         monkeypatch.setattr(spectral, "optimal_beta",
-                            lambda coeffs, verify: (0.9, spectral.snr(0.9, coeffs)))
+                            lambda coeffs: (0.9, spectral.snr(0.9, coeffs)))
         code = main(["analyze", "beta-star", "--coeffs", "2,1,1,1,0,1"])
         assert code == 1
         assert "grid_ok false" in capsys.readouterr().out
@@ -317,6 +318,30 @@ def test_flag_the_analysis_does_not_use_exits_2(case, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+SHORT_SAMPLES = {
+    "ring": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5"],
+    "snr_sweep": ["snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:2.5"],
+    "beta_star": ["beta-star", "--hl", "exp:0.6", "--hs", "gauss:2.5"],
+    "beta_star_coeffs": ["beta-star", "--coeffs", "2,1,3,1,0,1"],
+}
+
+
+@pytest.mark.parametrize("samples", ["-5", "0", "1", "63"])
+@pytest.mark.parametrize("case", sorted(SHORT_SAMPLES))
+def test_too_few_samples_exits_2(case, samples, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["analyze"] + SHORT_SAMPLES[case] + ["--samples", samples, "--out-csv", str(out)]
+    err = _exits_2_with_one_error_line(argv, capsys)
+    assert f"need at least 64 samples, got {samples}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma2", ["0", "-0", "-1"])
+def test_nonpositive_noise_power_exits_2(sigma2, capsys):
+    argv = ["analyze", "beta-star", "--coeffs", "2,1,3,1,0,1", "--sigma2", sigma2]
+    assert "noise power must be positive" in _exits_2_with_one_error_line(argv, capsys)
+
+
 @pytest.mark.parametrize("coeffs", ["2,1,1,1,1,1", "2,1,1,1,-1,1"])
 def test_beta_star_pole_in_domain_exits_2(coeffs, capsys):
     # At*Ct = Bt^2: the noise energy has a double root at beta = +-1
@@ -349,9 +374,13 @@ ANALYZE_FLOATS = st.one_of(
 
 @st.composite
 def analyze_queries(draw):
-    """argv of one ``analyze`` query; every number a drawn float, finite or not.
+    """argv of one ``analyze`` query; every number a drawn float, finite or not, then a
+    drawn ``--samples`` and, maybe, a bare ``--out-csv`` for the test to give a path.
     Values are attached with '=' so that '-inf' or '-1e+308' is never read as a flag."""
     num = lambda: repr(draw(ANALYZE_FLOATS))  # noqa: E731
+    tail = [f"--samples={draw(st.one_of(st.integers(64, 100), st.integers(-8, 63)))}"]
+    if draw(st.booleans()):
+        tail.append("--out-csv")
 
     def spectrum():
         if draw(st.booleans()):
@@ -361,13 +390,13 @@ def analyze_queries(draw):
     kind = draw(st.sampled_from(["ring", "snr-sweep", "beta-star"]))
     argv = ["analyze", kind]
     if kind == "beta-star" and draw(st.booleans()):
-        return argv + ["--coeffs=" + ",".join(num() for _ in range(6)), f"--sigma2={num()}"]
-    argv += [f"--hl={spectrum()}", f"--hs={spectrum()}", "--samples=64"]
+        return argv + ["--coeffs=" + ",".join(num() for _ in range(6)), f"--sigma2={num()}"] + tail
+    argv += [f"--hl={spectrum()}", f"--hs={spectrum()}"]
     if kind == "ring":
-        return argv + [f"--beta={num()}"]
+        return argv + [f"--beta={num()}"] + tail
     if draw(st.booleans()):
         argv.append(f"--ps=band:{num()},{num()}")
-    return argv + [f"--sigma2={num()}"]
+    return argv + [f"--sigma2={num()}"] + tail
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,12 +407,14 @@ def analyze_queries(draw):
                "--sigma2=1e-300"])
 @example(argv=["analyze", "beta-star", "--coeffs=-4.7e16,-3e16,-3e16,0.5,0,1"])
 @example(argv=["analyze", "beta-star", "--coeffs=0,6.6e16,0,5e-324,5e-221,7.1e16"])
+@example(argv=["analyze", "beta-star", "--coeffs=2,1,3,1,0,1", "--samples=-5", "--out-csv"])
 def test_analyze_answers_or_refuses_every_query(argv):
     err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
+    with warnings.catch_warnings(record=True) as caught, tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
-        code = main(argv)
+        out = os.path.join(tmp, "q.csv")
+        code = main([f"--out-csv={out}" if a == "--out-csv" else a for a in argv])
     assert code in (0, 2)
     assert [str(w.message) for w in caught] == []
     text = err.getvalue()

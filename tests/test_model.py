@@ -70,6 +70,8 @@ class TestConfig:
             ModelConfig(latent_c=16, t_in=2).validate()  # 32 channels vs 3 branches
         with pytest.raises(ConfigurationError):
             micro_config(kernels=(4,)).validate()
+        with pytest.raises(ConfigurationError, match=r"unknown cues \['f9'\]"):
+            ModelConfig(cues=("f9",)).validate()
 
 
 class TestEncoder:

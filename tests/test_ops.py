@@ -537,6 +537,23 @@ class TestFreqDescriptor:
             whole = ops.freq_descriptor(x, ops.CUE_NAMES)
         assert blocked.tobytes() == whole.tobytes()
 
+    def test_vjp_channel_blocks_bitwise_equal_to_one_block(self):
+        # 8 KiB channels over the two samples: blocks of 32 channels, 8 of them
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((2, 240, 32, 32)).astype(np.float32)
+        g = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        assert len(ops.index_blocks(240, x[..., 0, :, :].nbytes)) == 8
+
+        def vjp():
+            with ad.Tape():
+                out = ad.freq_descriptor(x, ops.CUE_NAMES)
+            return out.vjp(g)[0]
+
+        blocked = vjp()
+        with mock.patch.object(ops, "BLOCK_BYTES", x.nbytes):
+            whole = vjp()
+        assert blocked.tobytes() == whole.tobytes()
+
 
 # hidden widths and channels per block giving one block, two equal blocks, or a shorter last
 GLU_PARTITIONS = {"one": [(e, e) for e in range(1, 7)], "two": [(2, 1), (4, 2), (6, 3)],
@@ -589,6 +606,20 @@ class TestGlu:
         for got, ref in zip((out.value,) + tuple(grads), [want] + want_grads):
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= rtol * max(1.0, float(np.abs(ref).max()))
+
+    @pytest.mark.parametrize("partition", sorted(GLU_PARTITIONS))
+    def test_keep_leaves_output_bitwise(self, partition):
+        # saving the sigmoid and depthwise maps for the gradient changes no output bit
+        rng = np.random.default_rng(44)
+        for e, per_block in GLU_PARTITIONS[partition]:
+            for dtype in (np.float64, np.float32):
+                x = rng.standard_normal((2, 3, 5, 4)).astype(dtype)
+                params = glu_params(rng, 3, e, dtype)
+                with mock.patch.object(ops, "BLOCK_BYTES", per_block * 5 * 4 * x.itemsize):
+                    plain, none = ops.glu(x, *params)
+                    kept, saved = ops.glu(x, *params, keep=True)
+                assert none is None and plain.tobytes() == kept.tobytes()
+                assert [a.shape for a in saved[:3]] == [(2, e, 5, 4)] * 3
 
     def test_blocks_depend_on_one_sample(self):
         # a batch of 4 takes the same hidden blocks as one sample (dwconv_2d's would

@@ -421,7 +421,7 @@ class TestOptimalBeta:
             )
             ps = spectral.band_spectrum(rng.uniform(0.0, 1.0), rng.uniform(1.5, 3.1), n)
             q = quad_coeffs(h_l, h_s, ps, rng.uniform(0.5, 2.0))
-            beta, value = optimal_beta(q, verify=False)
+            beta, value = optimal_beta(q)
             grid = np.linspace(-1 + 1e-9, 1 - 1e-9, 100_000)
             assert value >= float(np.max(snr(grid, q))) - 1e-9
 
