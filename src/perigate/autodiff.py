@@ -17,7 +17,6 @@ produced for the constant itself).
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import ops
 from .errors import (
@@ -288,7 +287,9 @@ def _band_sums(m: np.ndarray, k: int) -> np.ndarray:
     over the leading axes: ``out[c, t] = sum_j m[..., c, j + t - p, j]``.
 
     The matrices are summed into a buffer with p zero rows above and below,
-    whose diagonals are one strided view (so k > n needs no special case).
+    whose diagonals are one strided view of it (so k > n needs no special
+    case): diagonal t of channel c starts t rows in and steps one row and one
+    column, n + 1 items, at a time.
     """
     c, n = m.shape[-3:-1]
     p = (k - 1) // 2
@@ -296,7 +297,7 @@ def _band_sums(m: np.ndarray, k: int) -> np.ndarray:
     np.sum(m.reshape((-1, c, n, n)), axis=0, out=mp[:, p : p + n])
     # mp[c, j + t, j] lies t*n + j*(n + 1) items into channel c
     step = mp.itemsize
-    diagonals = as_strided(mp, (c, k, n), (mp.strides[0], n * step, (n + 1) * step))
+    diagonals = np.ndarray((c, k, n), mp.dtype, mp, 0, (mp.strides[0], n * step, (n + 1) * step))
     return diagonals.sum(axis=-1)
 
 

@@ -18,40 +18,60 @@ from . import autodiff as ad
 from . import container, metrics
 from .autodiff import Tape, backward
 from .config import TrainConfig, parse_config_text, serialize_config
-from .errors import InputError, NumericError
+from .errors import ConfigurationError, InputError, NumericError
 from .model import Model, ModelConfig, count_flops, per_sample_bytes
 from .rng import DROP, SHUFFLE, counter_uniform, stream
 
 
 class Adam:
-    """Adam with fixed hyperparameters and no schedule."""
+    """Adam with fixed hyperparameters and no schedule.
+
+    The moments ``m`` and ``v`` are one flat vector each, in the store's
+    parameter order and its single dtype. A step gathers every gradient into
+    one vector, runs the update once over the vectors and rebinds each
+    parameter to its slice of the new parameter vector ``params``. The update
+    is elementwise, so it is bitwise the per-parameter rule.
+    """
 
     def __init__(self, store, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
+        variables = store.variables()
+        dtypes = {p.value.dtype for p in variables}
+        if len(dtypes) != 1:
+            raise ConfigurationError(
+                f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}"
+            )
+        (self.dtype,) = dtypes
         self.store = store
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(store.value(name)) for name in store.names()}
-        self.v = {name: np.zeros_like(store.value(name)) for name in store.names()}
+        ends = np.cumsum([p.value.size for p in variables]).tolist()
+        self._layout = [(slice(lo, hi), p.value.shape) for p, lo, hi in
+                        zip(variables, [0] + ends, ends)]
+        self.m = np.zeros(ends[-1], dtype=self.dtype)
+        self.v = np.zeros(ends[-1], dtype=self.dtype)
+        self.params = np.concatenate([p.value for p in variables], axis=None)
 
     def step(self):
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for name in self.store.names():
-            g = self.store.grad(name)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            p = self.store.var(name)
-            p.value = p.value - (self.lr * update).astype(p.value.dtype)
+        variables = self.store.variables()
+        g = np.concatenate([self.store.grad(p.name) for p in variables], axis=None,
+                           dtype=self.dtype)
+        params = np.concatenate([p.value for p in variables], axis=None)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        self.params = params - (self.lr * update).astype(self.dtype, copy=False)
+        for p, (part, shape) in zip(variables, self._layout):
+            p.value = self.params[part].reshape(shape)
 
 
 def _check_sequences(m: ModelConfig, data: np.ndarray, need: int):
@@ -161,10 +181,10 @@ def train(cfg: TrainConfig, data: np.ndarray, log=None) -> tuple[Model, list[Epo
             where = f"epoch {epoch} step {step}"
             loss_value = _loss_and_grads(model, data[batch], drop_draw, where)
             opt.step()
-            bad = _first_nonfinite(model.store)
-            if bad is not None:
+            if not np.isfinite(opt.params).all():
                 raise NumericError(
-                    f"non-finite values in parameter '{bad}' after epoch {epoch} step {step}"
+                    f"non-finite values in parameter '{_first_nonfinite(model.store)}'"
+                    f" after epoch {epoch} step {step}"
                 )
             epoch_loss += loss_value * len(batch)
         record = EpochRecord(epoch, epoch_loss / n)

@@ -31,7 +31,6 @@ Conventions shared by every operation here:
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError
 
@@ -62,17 +61,20 @@ def _toeplitz(kernel: np.ndarray, n: int) -> np.ndarray:
     """Per-channel banded Toeplitz matrices [C, n, n] of [C, k] taps:
     ``T[c, i, j] = kernel[c, i - j + p]`` on the band |i - j| <= p, zero off it.
 
-    The band is clipped to the n x n matrix, so k > n needs no padding. Each
-    matrix is a reversed sliding window over the zero-padded, reversed taps.
+    The band is clipped to the n x n matrix, so k > n needs no padding. The
+    taps sit in the middle of a zero buffer of 2m + 1 items a channel, with
+    m = max(n - 1, p); each matrix is one strided view of that buffer, m items
+    in, stepping +1 item a row and -1 item a column, copied out once.
     """
     c, k = kernel.shape
     p = (k - 1) // 2
     m = max(n - 1, p)
     taps = np.zeros((c, 2 * m + 1), dtype=kernel.dtype)
-    taps[:, m - p : m + p + 1] = kernel[:, ::-1]  # taps[:, m + d] = kernel[:, p - d]
-    # win[:, s, j] = taps[:, m - n + 1 + s + j]; row s = n - 1 - i gives taps[:, m + j - i]
-    win = sliding_window_view(taps[:, m - n + 1 : m + n], n, axis=-1)
-    return np.ascontiguousarray(win[:, ::-1, :])
+    taps[:, m - p : m + p + 1] = kernel  # taps[:, m + d] = kernel[:, p + d]
+    step = taps.itemsize
+    # view[c, i, j] = taps[c, m + i - j]
+    view = np.ndarray((c, n, n), taps.dtype, taps, m * step, (taps.strides[0], step, -step))
+    return view.copy()
 
 
 def _dwconv_1d(x: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:

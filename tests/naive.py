@@ -1,7 +1,9 @@
 """Independent loop-level oracles for the vectorized kernels.
 
 These stay deliberately dumb: explicit Python loops over output elements,
-nothing shared with the library implementations.
+nothing shared with the library implementations. The strided-view Toeplitz
+and band sums and the per-parameter Adam step are earlier forms of library
+code, kept as bitwise references.
 """
 
 import numpy as np
@@ -386,3 +388,51 @@ def ssim(pred, gt):
                 per_channel.append(float((num / den).mean()))
             scores[i, j] = float(np.mean(per_channel))
     return float(scores.mean())
+
+
+def toeplitz(kernel, n):
+    """Per-channel banded Toeplitz matrices [C, n, n] of [C, k] taps, each a
+    reversed sliding window over the zero-padded, reversed taps."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    c, k = kernel.shape
+    p = (k - 1) // 2
+    m = max(n - 1, p)
+    taps = np.zeros((c, 2 * m + 1), dtype=kernel.dtype)
+    taps[:, m - p : m + p + 1] = kernel[:, ::-1]  # taps[:, m + d] = kernel[:, p - d]
+    # win[:, s, j] = taps[:, m - n + 1 + s + j]; row s = n - 1 - i gives taps[:, m + j - i]
+    win = sliding_window_view(taps[:, m - n + 1 : m + n], n, axis=-1)
+    return np.ascontiguousarray(win[:, ::-1, :])
+
+
+def band_sums(m, k):
+    """[C, k] sums of the k central diagonals of [..., C, n, n] matrices over the
+    leading axes, read through ``as_strided`` from a buffer padded by p zero rows."""
+    from numpy.lib.stride_tricks import as_strided
+
+    c, n = m.shape[-3:-1]
+    p = (k - 1) // 2
+    mp = np.zeros((c, n + 2 * p, n), dtype=m.dtype)
+    np.sum(m.reshape((-1, c, n, n)), axis=0, out=mp[:, p : p + n])
+    step = mp.itemsize
+    diagonals = as_strided(mp, (c, k, n), (mp.strides[0], n * step, (n + 1) * step))
+    return diagonals.sum(axis=-1)
+
+
+def adam_step(store, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t (counted from 1), one parameter at a time: the per-name moment
+    arrays in the dicts ``m`` and ``v`` update in place and every parameter of
+    the store is rebound to its new value."""
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for name in store.names():
+        g = store.grad(name)
+        mn = m[name]
+        vn = v[name]
+        mn *= beta1
+        mn += (1.0 - beta1) * g
+        vn *= beta2
+        vn += (1.0 - beta2) * g * g
+        update = (mn / bias1) / (np.sqrt(vn / bias2) + eps)
+        p = store.var(name)
+        p.value = p.value - (lr * update).astype(p.value.dtype)

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perigate import autodiff as ad
 from perigate import harness, ops, spectral
 from perigate.config import TrainConfig, parse_config_text, serialize_config
 from perigate.data import gen_bouncing
-from perigate.errors import ConfigParseError, ConfigurationError, InputError
-from perigate.model import ModelConfig
+from perigate.errors import ConfigParseError, ConfigurationError, InputError, NumericError
+from perigate.model import Model, ModelConfig
 
 from helpers import micro_config
+from naive import adam_step
 
 
 def micro_train_config(**overrides):
@@ -33,7 +35,6 @@ def micro_data():
 class TestTraining:
     def test_zero_lr_leaves_params_bitwise(self, micro_data):
         cfg = micro_train_config(lr=0.0, epochs=1)
-        from perigate.model import Model
 
         init = Model.build(cfg.model, seed=cfg.seed, dtype=np.float32).store.state()
         model, _ = harness.train(cfg, micro_data)
@@ -103,6 +104,55 @@ class TestTraining:
         assert len(lines) == 3
 
 
+ADAM_SHAPES = {"b": (5,), "taps": (5, 9), "w": (4, 5, 3, 3), "unused": (3, 2)}
+
+
+def adam_store(dtype):
+    rng = np.random.default_rng(4)
+    store = ad.ParamStore()
+    for name, shape in ADAM_SHAPES.items():
+        store.add(name, rng.standard_normal(shape).astype(dtype))
+    return store
+
+
+class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_step_bitwise_equal_to_per_parameter_rule(self, dtype):
+        flat, ref = adam_store(dtype), adam_store(dtype)
+        opt = harness.Adam(flat, lr=3e-3)
+        m = {name: np.zeros(shape, dtype=dtype) for name, shape in ADAM_SHAPES.items()}
+        v = {name: np.zeros(shape, dtype=dtype) for name, shape in ADAM_SHAPES.items()}
+        rng = np.random.default_rng(5)
+        for t in range(1, 5):
+            flat.zero_grads()
+            ref.zero_grads()
+            for name in ("b", "taps", "w"):  # "unused" never gets a gradient
+                g = rng.standard_normal(ADAM_SHAPES[name]) * 10.0 ** rng.integers(-6, 3)
+                flat.var(name).grad = g.astype(dtype)
+                ref.var(name).grad = g.astype(dtype)
+            opt.step()
+            adam_step(ref, m, v, t, lr=3e-3)
+            for name in ADAM_SHAPES:
+                got, want = flat.value(name), ref.value(name)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), (t, name)
+            for flat_moment, moments in ((opt.m, m), (opt.v, v)):
+                want = np.concatenate(list(moments.values()), axis=None)
+                assert flat_moment.dtype == dtype
+                assert flat_moment.tobytes() == want.tobytes(), t
+
+    def test_mixed_dtype_store_refused(self):
+        store = ad.ParamStore()
+        store.add("a", np.zeros(3, dtype=np.float32))
+        store.add("b", np.zeros(3, dtype=np.float64))
+        with pytest.raises(ConfigurationError, match="one dtype"):
+            harness.Adam(store, lr=1e-3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_built_model_store_has_one_dtype(self, dtype):
+        assert harness.Adam(Model.build(micro_config(), dtype=dtype).store, 1e-3).dtype == dtype
+
+
 class TestAtomicCsv:
     def test_failed_history_write_keeps_target(self, tmp_path):
         path = tmp_path / "hist.csv"
@@ -163,7 +213,6 @@ class TestEvaluation:
         assert len(lines) == 7
 
     def test_params_counted_on_the_live_model(self, monkeypatch):
-        from perigate.model import Model
 
         cfg = micro_train_config()
         cfg.model.height = cfg.model.width = 16
@@ -345,7 +394,6 @@ class TestDumps:
             assert abs(float(parts[2]) + float(parts[3]) - 1.0) < 1e-6
 
     def test_zero_init_gate_constant_argmax(self, tmp_path):
-        from perigate.model import Model
 
         cfg = micro_train_config()
         model = Model.build(cfg.model, seed=0, dtype=np.float32)
@@ -367,7 +415,6 @@ class TestDumps:
 
     def test_bad_block_index(self, micro_data, tmp_path):
         cfg = micro_train_config(epochs=1)
-        from perigate.model import Model
 
         model = Model.build(cfg.model, seed=0, dtype=np.float32)
         with pytest.raises(InputError):
@@ -536,18 +583,26 @@ class TestDivergenceAbort:
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_loss_aborts_with_diagnostic(self, micro_data):
-        from perigate.errors import NumericError
 
         cfg = micro_train_config(lr=1e12, epochs=2)
         with pytest.raises(NumericError, match="non-finite"):
             harness.train(cfg, micro_data)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nonfinite_parameter_after_step_named(self, micro_data):
+        # lr * update overflows float32 in step 0's update while its loss is finite
+        cfg = micro_train_config(lr=1e39, epochs=1)
+        with pytest.raises(NumericError) as info:
+            harness.train(cfg, micro_data)
+        assert str(info.value) == (
+            "non-finite values in parameter 'encoder/block0/w' after epoch 1 step 0"
+        )
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_nonfinite_input_names_first_op(self, micro_data):
         # train refuses such data up front (below); the graph's own diagnostic
         # is reached by handing it the minibatch directly
-        from perigate.errors import NumericError
-        from perigate.model import Model
 
         data = micro_data.copy()
         data[3, 0, 0, 2, 2] = np.inf

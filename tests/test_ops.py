@@ -15,6 +15,7 @@ from perigate.spectral import SepKernel
 
 from helpers import glu_params
 from naive import (
+    band_sums as naive_band_sums,
     dense_conv2d,
     dense_conv2d_grads,
     dense_dwconv2d,
@@ -26,6 +27,7 @@ from naive import (
     glu as naive_glu,
     glu_grads as naive_glu_grads,
     group_norm_act as naive_group_norm_act,
+    toeplitz as naive_toeplitz,
     window_variance3,
 )
 
@@ -168,6 +170,27 @@ def assert_banded(got, want, bound, dtype):
     assert np.all(np.abs(got - want) <= rtol * bound)
 
 
+@st.composite
+def strided_view_cases(draw):
+    """A square n x n pass with n in 1..70 and odd k in 1..2n + 3 (k > n clips
+    the band), shared [k] or per-channel [C, k] taps, zero or one leading axes."""
+    n = draw(st.integers(1, 70))
+    k = 2 * draw(st.integers(0, n + 1)) + 1
+    c = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (2,)]))
+    shared = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.standard_normal((k,) if shared else (c, k)).astype(dtype)
+    x, g = (rng.standard_normal(lead + (c, n, n)).astype(dtype) for _ in range(2))
+    return kernel, x, g
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestBandedPasses:
     """The 1-D passes run as banded Toeplitz GEMMs; the loop oracles are the reference."""
 
@@ -185,6 +208,25 @@ class TestBandedPasses:
         bound = oracle_sep_conv(np.abs(x), np.abs(h), np.abs(v), np.abs(g))
         for a, b, c in zip(got, want, bound):
             assert_banded(a, b, c, x.dtype)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=strided_view_cases())
+    @example(case=(np.ones(1), np.ones((1, 1, 1)), np.ones((1, 1, 1))))
+    @example(case=(np.ones((2, 7)), np.ones((2, 2, 2, 2)), np.ones((2, 2, 2, 2))))
+    def test_strided_views_bitwise_equal_to_window_views(self, case):
+        kernel, x, g = case
+        c, n = x.shape[-3:-1]
+        per_channel = ops._per_channel(kernel, c, 1)
+        assert_bitwise(ops._toeplitz(per_channel, n), naive_toeplitz(per_channel, n))
+        m = x @ np.swapaxes(g, -1, -2)
+        assert_bitwise(ad._band_sums(m, kernel.shape[-1]), naive_band_sums(m, kernel.shape[-1]))
+        for axis in (-1, -2):
+            got = ad._dwconv_1d_vjp(g, x, kernel, ad.Var(kernel), axis)
+            with mock.patch.object(ops, "_toeplitz", naive_toeplitz), \
+                    mock.patch.object(ad, "_band_sums", naive_band_sums):
+                want = ad._dwconv_1d_vjp(g, x, kernel, ad.Var(kernel), axis)
+            for a, b in zip(got, want):
+                assert_bitwise(a, b)
 
     def test_peak_memory_has_no_window_axis(self):
         # Peak while the horizontal kernel gradient is formed, in input-sized
