@@ -3,11 +3,11 @@
 Each traced function computes its value and, while a tape is active,
 records a node holding the backward closure; without an active tape the same
 functions run as plain forwards. Convolutions, the frequency descriptor, the
-GLU, normalizations, softmax and the broadcasting arithmetic call their
-kernel in :mod:`perigate.ops` (group normalization with its LeakyReLU is one
-op, ``group_norm_act``); the elementwise maths (scaling, tanh, sigmoid,
-upsampling, the loss mean) is one numpy expression here, beside its
-derivative.
+GLU, normalizations, softmax, the broadcasting arithmetic, center suppression
+and the gated sum call their kernel in :mod:`perigate.ops` (group
+normalization with its LeakyReLU is one op, ``group_norm_act``); the
+elementwise maths (scaling, tanh, sigmoid, upsampling, the loss mean) is one
+numpy expression here, beside its derivative.
 
 Kernel arguments may be ``Var`` (gradients flow) or plain arrays (treated as
 constants: gradients flow *through* them to other inputs but none are
@@ -28,7 +28,7 @@ from .errors import (
 
 __all__ = [
     "Var", "Tape", "ParamStore", "tape_active", "forward_traced", "backward",
-    "grad_check", "add", "sub", "mul", "scale", "tanh", "sigmoid",
+    "grad_check", "add", "sub", "mul", "scale", "suppress", "gated_sum", "tanh", "sigmoid",
     "sep_conv", "dwconv_2d", "conv2d", "pwconv", "freq_descriptor",
     "glu", "softmax_channels", "group_norm_act", "upsample2x", "concat_channels",
     "split_channels", "pack_time", "unpack_time", "mean_all", "drop_path",
@@ -267,6 +267,46 @@ def mul(a, b):
     return _track(y, (a, b), vjp)
 
 
+def suppress(p, center, coef):
+    """:func:`perigate.ops.suppress` as one node with the gradients of the composed
+    ``sub(p, mul(center, coef))``: g for p, (-g) coef for the center and (-g) center
+    summed to coef's shape. ``coef`` is a [C] vector (a Var, or a constant array) or a
+    constant float, as ``sub(p, scale(center, coef))``."""
+    pv, cv = _val(p), _val(center)
+    kv = coef.value if isinstance(coef, Var) else coef
+    y = ops.suppress(pv, cv, kv)
+
+    def vjp(g):
+        neg = -g
+        gk = _sum_to_operand(neg * cv, kv) if isinstance(coef, Var) else None
+        return g, neg * (kv if np.ndim(kv) == 0 else ops._broadcast_operand(cv, kv)), gk
+
+    return _track(y, (p, center, coef), vjp)
+
+
+def gated_sum(alpha, ys):
+    """:func:`perigate.ops.gated_sum` as one node with the gradients of the composed
+    chain (alpha's channel slices, ``mul``, ``add``): g alpha_k for ys[k], and for
+    alpha_k the channel sum of g ys[k], plus zero (a -0 reads +0) when there are more
+    maps than one, as the chain's sum of zero-filled slice gradients gives it."""
+    av, yvs = _val(alpha), [_val(y) for y in ys]
+    out = ops.gated_sum(av, yvs)
+
+    def vjp(g):
+        ga = None
+        if isinstance(alpha, Var):
+            ga = np.zeros_like(av)
+            for k, yv in enumerate(yvs):
+                s = _sum_to_operand(g * yv, ga[..., k : k + 1, :, :])
+                if len(yvs) == 1:
+                    ga[...] = s
+                else:
+                    ga[..., k : k + 1, :, :] += s
+        return (ga,) + tuple(g * av[..., k : k + 1, :, :] for k in range(len(yvs)))
+
+    return _track(out, (alpha, *ys), vjp)
+
+
 def scale(x, s: float):
     y = _val(x) * s
     return _track(y, (x,), lambda g: (g * s,))
@@ -399,22 +439,24 @@ def pwconv(x, w, b):
 
 
 def freq_descriptor(x, cues):
-    """:func:`perigate.ops.freq_descriptor` as one node. The filters are constants: the
-    vjp returns the gradient for x only. Per channel block it recomputes the cue maps
-    and writes each adjoint's input, zero in the wrapped columns, into one padded
-    buffer read by the flipped stencil (the box mean is its own adjoint). With d the
-    cue's gradient over C: f1 d sx / mag and d sy / mag, f2 d sign(lap), and f3
-    2x box(d') - box(2 box(x) d') with d' = d [var > 0]."""
+    """:func:`perigate.ops.freq_descriptor` as one node, keeping the maps its vjp reads
+    only while a tape is active. The filters are constants: the vjp returns the
+    gradient for x only. Per channel block it writes each adjoint's input, zero in the
+    wrapped columns, into one padded buffer read by the flipped stencil (the box mean
+    is its own adjoint). With d the cue's gradient over C: f1 d sx / mag and d sy / mag
+    (mag recomputed from sx and sy), f2 d sign(lap), and f3 2x box(d') - box(2 box(x) d')
+    with d' = d [var > 0]."""
     xv = _val(x)
-    y = ops.freq_descriptor(xv, cues)
+    y, saved = ops.freq_descriptor(xv, cues, keep=tape_active() is not None)
 
     def vjp(g):
         wp = xv.shape[-1] + 2
         d = ops.wrap_padded(g / xv.shape[-3], 3)
         gx = np.empty(xv.shape, dtype=xv.dtype)
-        for sl in ops.index_blocks(xv.shape[-3], xv[..., 0, :, :].nbytes):
-            f = ops.flat_rows(xv[..., sl, :, :], 3)[..., 0, :, :]
-            pad = np.zeros_like(f)
+        names = [c for c in ops.CUE_NAMES if c in cues]
+        for sl, kept in zip(ops.index_blocks(xv.shape[-3], xv[..., 0, :, :].nbytes), saved):
+            xb = xv[..., sl, :, :]
+            pad = np.zeros(xb.shape[:-2] + ((xb.shape[-2] + 3) * wp,), dtype=xv.dtype)
             inner = pad[..., wp + 1 : 1 - 2 * wp]  # where x sits in the padded rows
 
             def adjoint(q, kernel=None):  # of the correlation with kernel, or of the box mean
@@ -423,17 +465,19 @@ def freq_descriptor(x, cues):
                     pad, kernel[::-1, ::-1], wp)
 
             acc = np.zeros_like(inner)
-            for i, name in enumerate(c for c in ops.CUE_NAMES if c in cues):
+            for i, (name, maps) in enumerate(zip(names, kept)):
                 di = d[..., i : i + 1, :]
-                cue, saved = ops.cue_maps(f, wp, name)
                 if name == "f1":
-                    acc += adjoint(di / cue * saved[0], ops.SOBEL_X)
-                    acc += adjoint(di / cue * saved[1], ops.SOBEL_Y)
+                    sx, sy = maps
+                    mag = ops.sobel_magnitude(sx, sy)
+                    acc += adjoint(di / mag * sx, ops.SOBEL_X)
+                    acc += adjoint(di / mag * sy, ops.SOBEL_Y)
                 elif name == "f2":
-                    acc += adjoint(di * np.sign(saved[0]), ops.LAPLACIAN)
+                    acc += adjoint(di * np.sign(maps[0]), ops.LAPLACIAN)
                 else:
-                    dvar2 = 2 * di * (cue > 0)
-                    acc += f[..., wp + 1 : 1 - 2 * wp] * adjoint(dvar2) - adjoint(saved[0] * dvar2)
+                    positive, mean = maps
+                    dvar2 = 2 * di * positive
+                    acc += ops.wrap_padded(xb, 3) * adjoint(dvar2) - adjoint(mean * dvar2)
             gx[..., sl, :, :] = acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2]
         return (gx,)
 
@@ -529,8 +573,11 @@ def upsample2x(x):
     y = np.repeat(np.repeat(xv, 2, axis=-2), 2, axis=-1)
 
     def vjp(g):
-        c, h, w = xv.shape[-3:]
-        return (g.reshape(xv.shape[:-3] + (c, h, 2, w, 2)).sum(axis=(-3, -1)),)
+        # the sum over each 2 x 2 cell, in the order numpy sums its reshaped [..., 2, w, 2]
+        # view: pairwise, or left to right where one column's four items are contiguous
+        a, b = g[..., 0::2, 0::2], g[..., 0::2, 1::2]
+        c, d = g[..., 1::2, 0::2], g[..., 1::2, 1::2]
+        return (((a + b) + c) + d if xv.shape[-1] == 1 else (a + b) + (c + d),)
 
     return _track(y, (x,), vjp)
 

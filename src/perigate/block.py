@@ -5,8 +5,9 @@ One block computes, from its input stack:
 1. the frequency descriptor and per-pixel gate weights over the kernel scales
    (softmax fusion) or fixed uniform weights (mean fusion);
 2. per scale, a large separable peripheral response minus an activated,
-   channel-wise multiple of a shared small center response;
-3. the convex per-pixel fusion of those responses;
+   channel-wise (or a fixed) multiple of a shared small center response, the
+   suppression one traced op;
+3. the convex per-pixel fusion of those responses, one traced op;
 4. a gated channel-mixing stage, one traced op run in blocks of hidden
    channels (expand, sigmoid gate x depthwise, global response normalization
    folded into the projection);
@@ -122,18 +123,15 @@ def suppression_coefficient(params: BlockParams, cfg, k: int):
 
 
 def center_suppress(p_k, center_response, coefficient):
-    """Y_k = P_k - coefficient * center_response (coefficient broadcast per channel)."""
-    return ad.sub(p_k, ad.mul(center_response, coefficient))
+    """Y_k = P_k - coefficient * center_response (coefficient broadcast per channel, or
+    the fixed scalar): one traced op, :func:`perigate.autodiff.suppress`."""
+    return ad.suppress(p_k, center_response, coefficient)
 
 
 def fuse(alpha, responses):
-    """Convex per-pixel combination: sum_k alpha_k * Y_k, alpha broadcast over channels."""
-    slices = ad.split_channels(alpha, [1] * len(responses))
-    total = None
-    for a_k, y_k in zip(slices, responses):
-        term = ad.mul(y_k, a_k)
-        total = term if total is None else ad.add(total, term)
-    return total
+    """Convex per-pixel combination: sum_k alpha_k * Y_k, alpha broadcast over channels:
+    one traced op, :func:`perigate.autodiff.gated_sum`."""
+    return ad.gated_sum(alpha, responses)
 
 
 def channel_mix_glu(s, params: BlockParams):
@@ -167,10 +165,10 @@ def forward(
     for k in params.scales:
         p_k = peripheral_response(x, params, k)
         if cfg.beta_mode == "fixed":
-            y_k = ad.sub(p_k, ad.scale(center_response, cfg.beta_fixed))
+            coefficient = cfg.beta_fixed
         else:
-            y_k = center_suppress(p_k, center_response, suppression_coefficient(params, cfg, k))
-        responses.append(y_k)
+            coefficient = suppression_coefficient(params, cfg, k)
+        responses.append(center_suppress(p_k, center_response, coefficient))
     if internals is not None:
         internals.alpha = alpha
     fused = fuse(alpha, responses)

@@ -30,7 +30,10 @@ class Adam:
     parameter order and its single dtype. A step gathers every gradient into
     one vector, runs the update once over the vectors and rebinds each
     parameter to its slice of the new parameter vector ``params``. The update
-    is elementwise, so it is bitwise the per-parameter rule.
+    is elementwise, so it is bitwise the per-parameter rule. While every
+    parameter is still bound to its slice, ``params`` holds their values and
+    the step reads it as it is; after any rebinding (the first step, or a
+    ``load_state``) it gathers the values again.
     """
 
     def __init__(self, store, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -54,6 +57,7 @@ class Adam:
         self.m = np.zeros(ends[-1], dtype=self.dtype)
         self.v = np.zeros(ends[-1], dtype=self.dtype)
         self.params = np.concatenate([p.value for p in variables], axis=None)
+        self._bound = [None] * len(variables)  # the slices of params the parameters hold
 
     def step(self):
         self.t += 1
@@ -62,7 +66,9 @@ class Adam:
         variables = self.store.variables()
         g = np.concatenate([self.store.grad(p.name) for p in variables], axis=None,
                            dtype=self.dtype)
-        params = np.concatenate([p.value for p in variables], axis=None)
+        params = self.params
+        if not all(p.value is b for p, b in zip(variables, self._bound)):
+            params = np.concatenate([p.value for p in variables], axis=None)
         m, v = self.m, self.v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
@@ -70,8 +76,9 @@ class Adam:
         v += (1.0 - self.beta2) * g * g
         update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
         self.params = params - (self.lr * update).astype(self.dtype, copy=False)
-        for p, (part, shape) in zip(variables, self._layout):
-            p.value = self.params[part].reshape(shape)
+        self._bound = [self.params[part].reshape(shape) for part, shape in self._layout]
+        for p, value in zip(variables, self._bound):
+            p.value = value
 
 
 def _check_sequences(m: ModelConfig, data: np.ndarray, need: int):

@@ -1,8 +1,9 @@
 """Forward kernels on numpy arrays: convolutions, the frequency descriptor's
 fixed-filter cues, the gated channel mixing (GLU), group normalization with
-its LeakyReLU, softmax, the broadcasting arithmetic and channel
-concatenation. Elementwise maths with no shape rule of its own sits in
-:mod:`perigate.autodiff`, beside its derivative.
+its LeakyReLU, softmax, the broadcasting arithmetic (with the block's center
+suppression and gated sum) and channel concatenation. Elementwise maths with
+no shape rule of its own sits in :mod:`perigate.autodiff`, beside its
+derivative.
 
 Conventions shared by every operation here:
 
@@ -329,6 +330,11 @@ def box_mean3(f: np.ndarray, wp: int) -> np.ndarray:
     return np.multiply(out, 1.0 / 9.0, out=out)
 
 
+def sobel_magnitude(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """The f1 cue from the two Sobel responses: sqrt(sx^2 + sy^2 + EPS_MAGNITUDE)."""
+    return np.sqrt(sx * sx + sy * sy + sx.dtype.type(EPS_MAGNITUDE))
+
+
 def cue_maps(f: np.ndarray, wp: int, cue: str):
     """One cue's per-channel map of the :func:`flat_rows` ``f``, laid out like
     :func:`stencil3`, and the responses its adjoint reads: f1 the Sobel magnitude
@@ -336,7 +342,7 @@ def cue_maps(f: np.ndarray, wp: int, cue: str):
     f3 the local variance box(x^2) - box(x)^2, clamped at zero (0 * var), with (box(x),)."""
     if cue == "f1":
         sx, sy = stencil3(f, SOBEL_X, wp), stencil3(f, SOBEL_Y, wp)
-        return np.sqrt(sx * sx + sy * sy + f.dtype.type(EPS_MAGNITUDE)), (sx, sy)
+        return sobel_magnitude(sx, sy), (sx, sy)
     if cue == "f2":
         lap = stencil3(f, LAPLACIAN, wp)
         return np.abs(lap), (lap,)
@@ -345,24 +351,33 @@ def cue_maps(f: np.ndarray, wp: int, cue: str):
     return var * (var > 0), (mean,)
 
 
-def freq_descriptor(x: np.ndarray, cues) -> np.ndarray:
+def freq_descriptor(x: np.ndarray, cues, keep: bool = False):
     """The selected cues of :data:`CUE_NAMES`, each averaged over channels, stacked
     in fixed (f1, f2, f3) order: [..., C, H, W] -> [..., len(cues), H, W].
 
     One zero-padded copy per :func:`index_blocks` block. Each channel sum runs from 0
     in ascending channel order (a block's first map adds the sum so far), then is
-    divided by C: bitwise ``mean(axis=-3)``."""
+    divided by C: bitwise ``mean(axis=-3)``. Returns ``(out, saved)``; with ``keep``,
+    ``saved`` holds per block, per selected cue, the maps the gradient reads, laid out
+    like :func:`stencil3`: f1 (sx, sy), f2 (Laplacian,), f3 (var > 0, box(x)); else
+    None."""
     names = [c for c in CUE_NAMES if c in cues]
     hh, ww = x.shape[-2:]
     acc = np.zeros(x.shape[:-3] + (len(names), hh * (ww + 2)), dtype=x.dtype)
+    saved = [] if keep else None
     for sl in index_blocks(x.shape[-3], x[..., 0, :, :].nbytes):
         f = flat_rows(x[..., sl, :, :], 3)[..., 0, :, :]
+        kept = []
         for i, name in enumerate(names):
-            maps = cue_maps(f, ww + 2, name)[0]
+            maps, parts = cue_maps(f, ww + 2, name)
+            if keep:  # before the sum so far lands in the first map
+                kept.append((maps > 0,) + parts if name == "f3" else parts)
             maps[..., 0, :] += acc[..., i, :]
             np.add.reduce(maps, axis=-2, out=acc[..., i, :])
+        if keep:
+            saved.append(kept)
     acc /= x.shape[-3]
-    return np.ascontiguousarray(acc.reshape(acc.shape[:-1] + (hh, -1))[..., :ww])
+    return np.ascontiguousarray(acc.reshape(acc.shape[:-1] + (hh, -1))[..., :ww]), saved
 
 
 def softmax_channels(x: np.ndarray) -> np.ndarray:
@@ -396,6 +411,31 @@ def sub(a, b):
 
 def mul(a, b):
     return a * _broadcast_operand(a, b)
+
+
+def suppress(p, center, coef):
+    """Center suppression p - coef * center, with ``coef`` a per-channel [C] vector or
+    a scalar: the product, then the difference, as ``sub(p, mul(center, coef))``
+    rounds them (a Python float scalar keeps the maps' dtype). The difference is
+    written over the product when it fits there."""
+    scaled = center * coef if np.ndim(coef) == 0 else mul(center, coef)
+    if scaled.shape == p.shape and scaled.dtype == np.result_type(p, scaled):
+        return np.subtract(p, scaled, out=scaled)
+    return sub(p, scaled)
+
+
+def gated_sum(alpha, ys):
+    """Per-pixel gated sum over k of ``alpha[..., k]`` times ``ys[k]``: alpha
+    [..., K, H, W] broadcast over the channels of K maps [..., C, H, W]. The products
+    are added in ascending k, ((y_0 a_0 + y_1 a_1) + y_2 a_2) + ..., into the first."""
+    if alpha.shape[-3] != len(ys):
+        raise ConfigurationError(f"{alpha.shape[-3]} gate maps for {len(ys)} responses")
+    out = mul(ys[0], alpha[..., :1, :, :])
+    for k in range(1, len(ys)):
+        term = mul(ys[k], alpha[..., k : k + 1, :, :])
+        # in place unless the sum widens the dtype
+        out = np.add(out, term, out=out if out.dtype == np.result_type(out, term) else None)
+    return out
 
 
 # Global response normalization's guard: n_c = |z_c|_2 / (mean_c |z_c|_2 + GRN_EPS)

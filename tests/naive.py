@@ -2,11 +2,16 @@
 
 These stay deliberately dumb: explicit Python loops over output elements,
 nothing shared with the library implementations. The strided-view Toeplitz
-and band sums and the per-parameter Adam step are earlier forms of library
-code, kept as bitwise references.
+and band sums, the per-parameter Adam step, the reshape-sum upsampling
+gradient, center suppression and fusion composed from the arithmetic ops, and
+the frequency descriptor's vjp that recomputes its maps are earlier forms of
+library code, kept as bitwise references.
 """
 
 import numpy as np
+
+from perigate import autodiff as ad
+from perigate import ops
 
 
 def dense_dwconv2d(x, kernel):
@@ -436,3 +441,61 @@ def adam_step(store, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         update = (mn / bias1) / (np.sqrt(vn / bias2) + eps)
         p = store.var(name)
         p.value = p.value - (lr * update).astype(p.value.dtype)
+
+
+def upsample2x_grad(g):
+    """Input gradient of nearest 2x upsampling: each 2 x 2 cell of g summed through
+    a reshaped [..., C, H, 2, W, 2] view."""
+    c, h, w = g.shape[-3], g.shape[-2] // 2, g.shape[-1] // 2
+    return g.reshape(g.shape[:-3] + (c, h, 2, w, 2)).sum(axis=(-3, -1))
+
+
+def center_suppress(p_k, center_response, coefficient):
+    """P_k - coefficient * center_response as two traced ops: ``sub`` of a ``mul`` by
+    a [C] coefficient, or of a ``scale`` by a float."""
+    if isinstance(coefficient, float):
+        return ad.sub(p_k, ad.scale(center_response, coefficient))
+    return ad.sub(p_k, ad.mul(center_response, coefficient))
+
+
+def fuse(alpha, responses):
+    """sum_k alpha_k * Y_k as traced ops: alpha split into channel slices, one ``mul``
+    per scale, the products added in ascending k."""
+    slices = ad.split_channels(alpha, [1] * len(responses))
+    total = None
+    for a_k, y_k in zip(slices, responses):
+        term = ad.mul(y_k, a_k)
+        total = term if total is None else ad.add(total, term)
+    return total
+
+
+def freq_descriptor_vjp(xv, cues, g):
+    """Input gradient of ``ops.freq_descriptor`` that recomputes, per channel block,
+    the padded rows and the cue maps the forward built."""
+    wp = xv.shape[-1] + 2
+    d = ops.wrap_padded(g / xv.shape[-3], 3)
+    gx = np.empty(xv.shape, dtype=xv.dtype)
+    for sl in ops.index_blocks(xv.shape[-3], xv[..., 0, :, :].nbytes):
+        f = ops.flat_rows(xv[..., sl, :, :], 3)[..., 0, :, :]
+        pad = np.zeros_like(f)
+        inner = pad[..., wp + 1 : 1 - 2 * wp]
+
+        def adjoint(q, kernel=None):
+            inner[...] = q
+            return ops.box_mean3(pad, wp) if kernel is None else ops.stencil3(
+                pad, kernel[::-1, ::-1], wp)
+
+        acc = np.zeros_like(inner)
+        for i, name in enumerate(c for c in ops.CUE_NAMES if c in cues):
+            di = d[..., i : i + 1, :]
+            cue, saved = ops.cue_maps(f, wp, name)
+            if name == "f1":
+                acc += adjoint(di / cue * saved[0], ops.SOBEL_X)
+                acc += adjoint(di / cue * saved[1], ops.SOBEL_Y)
+            elif name == "f2":
+                acc += adjoint(di * np.sign(saved[0]), ops.LAPLACIAN)
+            else:
+                dvar2 = 2 * di * (cue > 0)
+                acc += f[..., wp + 1 : 1 - 2 * wp] * adjoint(dvar2) - adjoint(saved[0] * dvar2)
+        gx[..., sl, :, :] = acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2]
+    return gx

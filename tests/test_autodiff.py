@@ -134,6 +134,18 @@ def primitive_cases():
         "sub": (lambda a, b: ad.sub(a, b), [x, rng.standard_normal((2, 6, 6))]),
         "mul_chan": (lambda a, b: ad.mul(a, b), [x, rng.standard_normal(2)]),
         "scale": (lambda a: ad.scale(a, -1.7), [x]),
+        "suppress": (
+            lambda a, c, k: ad.suppress(a, c, k),
+            [x, rng.standard_normal((2, 6, 6)), rng.standard_normal(2)],
+        ),
+        "suppress_fixed": (
+            lambda a, c: ad.suppress(a, c, -0.6),
+            [x, rng.standard_normal((2, 6, 6))],
+        ),
+        "gated_sum": (
+            lambda a, y0, y1, y2: ad.gated_sum(a, [y0, y1, y2]),
+            [rng.random((3, 6, 6))] + [rng.standard_normal((2, 6, 6)) for _ in range(3)],
+        ),
         "tanh": (lambda a: ad.tanh(a), [x]),
         "sigmoid": (lambda a: ad.sigmoid(a), [x]),
         "sep_k5": (

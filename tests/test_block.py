@@ -1,14 +1,21 @@
 """Gating block: gate simplex, center suppression, fusion, GLU, residual."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perigate import autodiff as ad
 from perigate import block as gate_block
+from perigate import ops
 from perigate.autodiff import ParamStore, Var
 from perigate.errors import ConfigurationError
 from perigate.model import ModelConfig
 from perigate.rng import INIT, stream
+
+import naive
 
 
 def build(channels=4, scales=(3, 5), seed=0, **kw):
@@ -161,8 +168,8 @@ class TestFusion:
         alpha = ad.Var(rng.random((2, 4, 4)))
         ys = [ad.Var(rng.random((6, 4, 4))) for _ in range(2)]
         out, tape = ad.forward_traced(lambda: gate_block.fuse(alpha, ys), [])
-        # two gate slices, two products, one sum
-        assert len(tape.nodes) == 5
+        # one gated-sum node: no gate slices, products or partial sums on the tape
+        assert len(tape.nodes) == 1
 
 
 class TestChannelMixGlu:
@@ -316,3 +323,128 @@ def test_block_traced_matches_untraced_bitwise():
     )
     assert len(tape.nodes) > 10
     assert np.array_equal(plain, traced.value)
+
+
+def value_and_grads(graph_fn, leaves, g):
+    """The output of ``graph_fn`` over fresh Var ``leaves`` and, after a backward from
+    ``g``, each leaf's gradient (None where it got none)."""
+    leaves = [Var(a) for a in leaves]
+    out, tape = ad.forward_traced(graph_fn, leaves)
+    ad.backward(tape, g)
+    return [out.value] + [leaf.grad for leaf in leaves]
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+LEADS = [(), (2,), (2, 3)]
+DTYPES = [np.float64, np.float32]
+
+
+@st.composite
+def suppress_cases(draw):
+    """P_k, a center response, the output gradient, and a [C] coefficient (learnable
+    suppression) or a float (fixed), with no, one or two leading axes."""
+    c, hh, ww = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lead, dtype = draw(st.sampled_from(LEADS)), draw(st.sampled_from(DTYPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, center, g = (rng.standard_normal(lead + (c, hh, ww)).astype(dtype) for _ in range(3))
+    learnable = draw(st.booleans())
+    coef = rng.standard_normal(c).astype(dtype) if learnable else float(rng.standard_normal())
+    return p, center, coef, g
+
+
+@st.composite
+def gated_sum_cases(draw):
+    """A softmax gate over 1..3 scales, that many responses and the output gradient."""
+    k, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    hh, ww = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lead, dtype = draw(st.sampled_from(LEADS)), draw(st.sampled_from(DTYPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = ops.softmax_channels(rng.standard_normal(lead + (k, hh, ww))).astype(dtype)
+    ys = [rng.standard_normal(lead + (c, hh, ww)).astype(dtype) for _ in range(k)]
+    return alpha, ys, rng.standard_normal(lead + (c, hh, ww)).astype(dtype)
+
+
+class TestFusedOpsMatchComposedChain:
+    """The suppression and gated-sum ops against their composed forms in tests/naive.py,
+    bit for bit in value and in every gradient."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=suppress_cases())
+    # a zero gradient: the coefficient's is a sum of signed zeros, +0 as the chain sums it
+    @example(case=(np.ones((2, 3, 3)), np.ones((2, 3, 3)), np.ones(2), np.zeros((2, 3, 3))))
+    # a float32 product under a float64 P_k: the difference cannot overwrite the product
+    @example(case=(np.full((2, 3, 3), 0.1), np.full((2, 3, 3), 0.3, np.float32),
+                   np.full(2, 0.7, np.float32), np.ones((2, 3, 3))))
+    def test_suppress(self, case):
+        p, center, coef, g = case
+        if isinstance(coef, float):  # fixed: a constant, no gradient of its own
+            got = value_and_grads(lambda a, c: ad.suppress(a, c, coef), [p, center], g)
+            want = value_and_grads(lambda a, c: naive.center_suppress(a, c, coef), [p, center], g)
+        else:
+            got = value_and_grads(ad.suppress, [p, center, coef], g)
+            want = value_and_grads(naive.center_suppress, [p, center, coef], g)
+        assert got[0].dtype == p.dtype
+        assert_same_bits(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=gated_sum_cases())
+    def test_gated_sum(self, case):
+        alpha, ys, g = case
+        got = value_and_grads(lambda a, *y: ad.gated_sum(a, list(y)), [alpha, *ys], g)
+        want = value_and_grads(lambda a, *y: naive.fuse(a, list(y)), [alpha, *ys], g)
+        assert_same_bits(got, want)
+
+    def test_gated_sum_zero_gradient_signs(self):
+        # the composed chain scatters each gate slice's gradient into zeros and sums
+        # them: with two or more scales a -0 reads +0, with one it stays -0 (one channel:
+        # a channel sum is never -0)
+        for k in (1, 2, 3):
+            alpha = np.full((k, 2, 2), 1.0 / k)
+            ys = [np.zeros((1, 2, 2)) for _ in range(k)]
+            g = -np.ones((1, 2, 2))
+            got = value_and_grads(lambda a, *y: ad.gated_sum(a, list(y)), [alpha, *ys], g)
+            want = value_and_grads(lambda a, *y: naive.fuse(a, list(y)), [alpha, *ys], g)
+            assert_same_bits(got, want)
+            assert np.signbit(got[1]).all() == (k == 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_block_forward_and_backward(self, data):
+        # the whole block, every parameter gradient included, under each config choice
+        scales = data.draw(st.lists(st.sampled_from([3, 5, 7]), min_size=1, max_size=3,
+                                    unique=True))
+        cues = data.draw(st.sets(st.sampled_from(ops.CUE_NAMES), min_size=1))
+        beta = data.draw(st.sampled_from(["learnable", "fixed"]))
+        cfg = ModelConfig(kernels=tuple(sorted(scales)), cues=tuple(sorted(cues)),
+                          beta_mode=beta, beta_fixed=0.3 if beta == "fixed" else 0.0,
+                          fusion=data.draw(st.sampled_from(["softmax", "mean"])),
+                          gate_act=data.draw(st.sampled_from(["tanh", "sigmoid"])))
+        lead, dtype = data.draw(st.sampled_from(LEADS)), data.draw(st.sampled_from(DTYPES))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        store = ParamStore()
+        params = gate_block.init_params(store, "blk", 4, cfg, stream(0, INIT), dtype)
+        for var in store.variables():  # off the zero and identity initializations
+            var.value = (0.5 * rng.standard_normal(var.value.shape)).astype(dtype)
+        x, g = (rng.standard_normal(lead + (4, 5, 6)).astype(dtype) for _ in range(2))
+
+        def run():
+            store.zero_grads()
+            leaves = [Var(x)] + store.variables()
+            out, tape = ad.forward_traced(lambda v, *ps: gate_block.forward(v, params, cfg),
+                                          leaves)
+            ad.backward(tape, g)
+            return [out.value] + [leaf.grad for leaf in leaves]
+
+        got = run()
+        with mock.patch.object(gate_block, "center_suppress", naive.center_suppress), \
+                mock.patch.object(gate_block, "fuse", naive.fuse):
+            want = run()
+        assert_same_bits(got, want)

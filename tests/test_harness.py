@@ -141,6 +141,43 @@ class TestAdam:
                 assert flat_moment.dtype == dtype
                 assert flat_moment.tobytes() == want.tobytes(), t
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rebound_parameters_are_gathered_again(self, dtype, monkeypatch):
+        # a step reads the parameter vector as it is while every parameter still holds
+        # its slice of it, and gathers the values again after a load_state rebinds them
+        flat, ref = adam_store(dtype), adam_store(dtype)
+        opt = harness.Adam(flat, lr=3e-3)
+        m = {name: np.zeros(shape, dtype=dtype) for name, shape in ADAM_SHAPES.items()}
+        v = {name: np.zeros(shape, dtype=dtype) for name, shape in ADAM_SHAPES.items()}
+        calls, concatenate = [0], np.concatenate
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counted)
+        rng = np.random.default_rng(6)
+        for t in range(1, 7):
+            if t == 4:
+                state = {name: rng.standard_normal(shape).astype(dtype)
+                         for name, shape in ADAM_SHAPES.items()}
+                flat.load_state(state)
+                ref.load_state(state)
+            flat.zero_grads()
+            ref.zero_grads()
+            for name in ("b", "taps", "w"):
+                g = rng.standard_normal(ADAM_SHAPES[name]).astype(dtype)
+                flat.var(name).grad = g
+                ref.var(name).grad = g.copy()
+            calls[0] = 0
+            opt.step()
+            assert calls[0] == (2 if t in (1, 4) else 1), t  # gradients, then any values
+            adam_step(ref, m, v, t, lr=3e-3)
+            for name in ADAM_SHAPES:
+                assert flat.value(name).tobytes() == ref.value(name).tobytes(), (t, name)
+            assert opt.params.tobytes() == np.concatenate(
+                [flat.value(name) for name in ADAM_SHAPES], axis=None).tobytes()
+
     def test_mixed_dtype_store_refused(self):
         store = ad.ParamStore()
         store.add("a", np.zeros(3, dtype=np.float32))

@@ -24,10 +24,12 @@ from naive import (
     dwconv_1d_grads,
     freq_descriptor as naive_descriptor,
     freq_descriptor_grad,
+    freq_descriptor_vjp as recomputing_descriptor_vjp,
     glu as naive_glu,
     glu_grads as naive_glu_grads,
     group_norm_act as naive_group_norm_act,
     toeplitz as naive_toeplitz,
+    upsample2x_grad as reshape_sum_upsample_grad,
     window_variance3,
 )
 
@@ -492,7 +494,7 @@ class TestPwconv:
 
 def f3(x):
     """The descriptor's local-variance cue alone, [..., 1, H, W]."""
-    return ops.freq_descriptor(x, ("f3",))
+    return ops.freq_descriptor(x, ("f3",))[0]
 
 
 class TestAvgPool:
@@ -520,7 +522,7 @@ class TestAvgPool:
     def test_oracle_cases(self, hw, dtype):
         x = np.random.default_rng(70).standard_normal((3, *hw)).astype(dtype)
         want = naive_descriptor(x.astype(np.float64), ops.CUE_NAMES)
-        assert_oracle(ops.freq_descriptor(x, ops.CUE_NAMES), want, dtype)
+        assert_oracle(ops.freq_descriptor(x, ops.CUE_NAMES)[0], want, dtype)
 
 
 @st.composite
@@ -570,13 +572,32 @@ class TestFreqDescriptor:
         scale = float(np.abs(g).max()) * max(1.0, float(np.abs(x).max()))
         assert np.abs(gx - want_gx).max() <= rtol * scale
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=freq_descriptor_cases())
+    @example(case=(np.ones((2, 3, 2, 1)), ("f1", "f2", "f3"), np.ones((2, 3, 2, 1)), 1))
+    # a flat second channel in a block of its own: its variance is 0 inside, where the sum
+    # so far is not, so a mask read after that sum lands in the block's first map differs
+    @example(case=(np.stack([np.arange(25.0).reshape(5, 5), np.ones((5, 5))]), ("f3",),
+                   np.ones((1, 5, 5)), 1))
+    def test_vjp_of_kept_maps_bitwise_equal_to_recomputing_vjp(self, case):
+        x, cues, g, per_block = case
+        block_bytes = ops.BLOCK_BYTES if per_block is None else per_block * x[..., 0, :, :].nbytes
+        with mock.patch.object(ops, "BLOCK_BYTES", block_bytes):
+            plain, none = ops.freq_descriptor(x, cues)
+            with ad.Tape():
+                out = ad.freq_descriptor(x, cues)
+            (gx,) = out.vjp(g)
+            want = recomputing_descriptor_vjp(x, cues, g)
+        assert none is None and out.value.tobytes() == plain.tobytes()
+        assert gx.dtype == want.dtype and gx.tobytes() == want.tobytes()
+
     def test_channel_blocks_bitwise_equal_to_one_block(self):
         # 32 KiB planes: blocks of 8 channels, 30 of them
         x = np.random.default_rng(42).standard_normal((2, 240, 64, 64)).astype(np.float32)
         assert ops.BLOCK_BYTES // x[:, 0].nbytes == 8
-        blocked = ops.freq_descriptor(x, ops.CUE_NAMES)
+        blocked = ops.freq_descriptor(x, ops.CUE_NAMES)[0]
         with mock.patch.object(ops, "BLOCK_BYTES", x.nbytes):
-            whole = ops.freq_descriptor(x, ops.CUE_NAMES)
+            whole = ops.freq_descriptor(x, ops.CUE_NAMES)[0]
         assert blocked.tobytes() == whole.tobytes()
 
     def test_vjp_channel_blocks_bitwise_equal_to_one_block(self):
@@ -684,6 +705,39 @@ class TestGlu:
                 assert batched[i].tobytes() == ops.glu(x[i], *params)[0].tobytes()
         assert len(partitions) == 5 and all(p == partitions[0] for p in partitions)
         assert [b.stop - b.start for b in partitions[0]] == [10, 10, 4]
+
+
+@st.composite
+def upsample_cases(draw):
+    """An upsample2x input with sides 1..9 (a width of 1 included), 1..3 channels, no,
+    one or two leading axes, and an output gradient whose entries span eight decades,
+    so that the order of each 2 x 2 cell's sum shows in the bits."""
+    c, hh, ww = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    lead = draw(st.sampled_from([(), (2,), (2, 3)]))
+    dtype = draw(st.sampled_from(DTYPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = lead + (c, 2 * hh, 2 * ww)
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+    return np.zeros(lead + (c, hh, ww), dtype=dtype), g.astype(dtype)
+
+
+class TestUpsample:
+    @settings(max_examples=80, deadline=None)
+    @given(case=upsample_cases())
+    @example(case=(np.zeros((8, 6, 8, 8), np.float32),
+                   np.random.default_rng(0).standard_normal((8, 6, 16, 16)).astype(np.float32)))
+    @example(case=(np.zeros((1, 6, 64, 64), np.float32),
+                   np.random.default_rng(1).standard_normal((1, 6, 128, 128)).astype(np.float32)))
+    @example(case=(np.zeros((3, 1, 1)), np.array([[[1e-4, 1.0], [1e4, -1e4]]] * 3)))
+    def test_vjp_bitwise_equal_to_reshape_sum(self, case):
+        x, g = case
+        with ad.Tape():
+            out = ad.upsample2x(x)
+        assert out.value.shape == g.shape
+        (gx,) = out.vjp(g)
+        want = reshape_sum_upsample_grad(g)
+        assert gx.dtype == want.dtype and gx.shape == x.shape
+        assert gx.tobytes() == want.tobytes()
 
 
 class TestSoftmax:
@@ -904,7 +958,7 @@ class TestBatchAxis:
             "dwconv_2d": (lambda a: ops.dwconv_2d(a, k2), lambda a: dense_dwconv2d(a, f64(k2))),
             "sep_conv": (lambda a: sep_conv(a, h, v),
                          lambda a: dense_dwconv2d(a, np.einsum("ci,cj->cij", f64(v), f64(h)))),
-            "freq_descriptor": (lambda a: ops.freq_descriptor(a, ops.CUE_NAMES),
+            "freq_descriptor": (lambda a: ops.freq_descriptor(a, ops.CUE_NAMES)[0],
                                 lambda a: naive_descriptor(a, ops.CUE_NAMES)),
         }
         fn, oracle = kernels[op]
@@ -920,7 +974,7 @@ class TestBatchAxis:
         glu = glu_params(rng, 4, 3)
         for fn in (lambda a: ops.group_norm_act(a, gamma, beta, 2)[0],
                    lambda a: ops.glu(a, *glu)[0],
-                   ops.softmax_channels, lambda a: ops.freq_descriptor(a, ops.CUE_NAMES),
+                   ops.softmax_channels, lambda a: ops.freq_descriptor(a, ops.CUE_NAMES)[0],
                    lambda a: ad.upsample2x(a).value):
             batched = fn(x)
             for i in range(2):

@@ -1,6 +1,7 @@
 """The benchmark's tracer must find every name it wraps, and unwrap them all."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,18 @@ def test_train_step_and_predict_reach_every_layer_span():
     finally:
         assert tracer.restore() == []
     metrics = tracing.layer_metrics(tracer)
-    for name in ("block.gate_ms", "block.peripheral.k9_ms", "block.center_ms", "block.glu_ms",
-                 "model.encoder_ms_per_seq", "autodiff.tape_nodes_per_seq"):
+    for name in ("block.gate_ms", "block.peripheral.k9_ms", "block.center_ms", "block.fuse_ms",
+                 "block.glu_ms", "model.encoder_ms_per_seq", "autodiff.tape_nodes_per_seq"):
         assert metrics[name] > 0, name
+    # every block forward calls each wrapped block function: the gate, per configured
+    # scale the peripheral response, suppression_coefficient and center_suppress (both
+    # block.center spans), then fuse and the GLU
+    kernels = cfg.model.kernels
+    want = {"block.gate": 1, "block.center": 2 * len(kernels), "block.fuse": 1, "block.glu": 1}
+    want.update({f"block.peripheral.k{k}": 1 for k in kernels})
+    forwards = [i for i, span in enumerate(tracer.spans) if span[0] == "block.forward"]
+    assert len(forwards) == 2 * cfg.model.n_t  # in the training step and in the prediction
+    for i in forwards:
+        children = Counter(span[0] for span in tracer.spans
+                           if span[1] == i and span[0].startswith("block."))
+        assert children == want
