@@ -5,9 +5,10 @@ records a node holding the backward closure; without an active tape the same
 functions run as plain forwards. Convolutions, the frequency descriptor, the
 GLU, normalizations, softmax, the broadcasting arithmetic, center suppression
 and the gated sum call their kernel in :mod:`perigate.ops` (group
-normalization with its LeakyReLU is one op, ``group_norm_act``); the
-elementwise maths (scaling, tanh, sigmoid, upsampling, the loss mean) is one
-numpy expression here, beside its derivative.
+normalization with its LeakyReLU is one op, ``group_norm_act``, and the
+decoder's nearest 2x upsampling with the 3 x 3 conv after it is one op,
+``upsample_conv2d``); the elementwise maths (scaling, tanh, sigmoid, the loss
+mean) is one numpy expression here, beside its derivative.
 
 Kernel arguments may be ``Var`` (gradients flow) or plain arrays (treated as
 constants: gradients flow *through* them to other inputs but none are
@@ -30,7 +31,7 @@ __all__ = [
     "Var", "Tape", "ParamStore", "tape_active", "forward_traced", "backward",
     "grad_check", "add", "sub", "mul", "scale", "suppress", "gated_sum", "tanh", "sigmoid",
     "sep_conv", "dwconv_2d", "conv2d", "pwconv", "freq_descriptor",
-    "glu", "softmax_channels", "group_norm_act", "upsample2x", "concat_channels",
+    "glu", "softmax_channels", "group_norm_act", "upsample_conv2d", "concat_channels",
     "split_channels", "pack_time", "unpack_time", "mean_all", "drop_path",
 ]
 
@@ -372,14 +373,14 @@ def sep_conv(x, h, v):
     return _track(y, (x, h, v), vjp)
 
 
-def _dwconv_kernel_grad(g: np.ndarray, xv: np.ndarray, k: int) -> np.ndarray:
-    """[C, k, k] per-channel kernel gradient of a k x k depthwise correlation of
-    ``xv``, summed over the leading axes: tap (u, v) dots ``g``, zero in the wrapped
-    columns, with the forward's window."""
-    lead = (-1,) + xv.shape[-3:]
-    gf = ops.wrap_padded(g.reshape(lead), k)
-    gk = np.empty((xv.shape[-3], k, k), dtype=np.result_type(g, xv))
-    for u, v, win in ops.tap_windows(xv.reshape(lead), k):
+def _dwconv_kernel_grad(g: np.ndarray, windows, k: int) -> np.ndarray:
+    """[C, k, k] per-channel kernel gradient of a k x k depthwise correlation, summed
+    over the leading axes: tap (u, v) dots ``g``, zero in the wrapped columns, with the
+    forward's window, one of the ``(u, v, window)`` ``windows`` [N, C, H (W + k - 1)]
+    (the leading axes flattened)."""
+    gf = ops.wrap_padded(g.reshape((-1,) + g.shape[-3:]), k)
+    gk = np.empty((g.shape[-3], k, k), dtype=np.result_type(g, windows[0][2]))
+    for u, v, win in windows:
         gk[:, u, v] = np.einsum("ncj,ncj->c", gf, win)
     return gk
 
@@ -393,7 +394,9 @@ def dwconv_2d(x, kernel):
         gx = ops.dwconv_2d(g, k2[:, ::-1, ::-1])
         gk = None
         if isinstance(kernel, Var):
-            gk = _dwconv_kernel_grad(g, xv, k2.shape[1])
+            k = k2.shape[1]
+            windows = ops.tap_windows(xv.reshape((-1,) + xv.shape[-3:]), k)
+            gk = _dwconv_kernel_grad(g, windows, k)
             if kv.ndim == 2:  # shared kernel: sum channel contributions
                 gk = gk.sum(axis=0)
         return gx, gk
@@ -489,7 +492,10 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p):
     is active. The vjp takes the projection's gradients from M = g z^T per sample, the
     normalization's from M and n, then per hidden channel block (the forward's) the
     gated map's adjoint (w_p diag(gamma n + 1))^T g + coef z, with coef the adjoint of
-    n through G = |z|_2 as in GRN; the value half is recomputed from x."""
+    n through G = |z|_2 as in GRN; the value half is recomputed from x as the forward
+    computes it, zero-padded by one GEMM against the :func:`perigate.ops.glu_operands`
+    (with the block's last gate row, so that a block of one channel is a matrix product
+    as in the forward, bitwise its value rows)."""
     vals = [_val(a) for a in (x, w_e, b_e, dw, gamma, beta, w_p, b_p)]
     xv, wev, bev, dwv, gav, bv, wpv, _ = vals
     y, saved = ops.glu(*vals, keep=tape_active() is not None)
@@ -513,16 +519,18 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p):
         w_t = np.swapaxes(wpv * scale[..., None, :], -1, -2)  # [..., E, C]
         gx2 = np.zeros(x2.shape, dtype=np.result_type(g, xv))
         gw_e, gb_e, gdw = np.empty_like(wev), np.empty_like(bev), np.empty_like(dwv)
+        xp, wb = ops.glu_operands(xv, wev, bev)
+        xp = xp.reshape((-1,) + xp.shape[-2:])
         for sl in ops.index_blocks(e, hh * ww * xv.itemsize):
-            shape = lead + (sl.stop - sl.start, hh, ww)
-            vsl = slice(e + sl.start, e + sl.stop)
+            eb = sl.stop - sl.start
+            shape, vsl = lead + (eb, hh, ww), slice(e + sl.start, e + sl.stop)
             dz2 = w_t[..., sl, :] @ g2 + coef[..., sl, None] * z2[..., sl, :]
             dz, s_b = dz2.reshape(shape), sig[..., sl, :, :]
             dd = dz * s_b  # the depthwise output's adjoint
             du = (dz * d[..., sl, :, :] * s_b * (1.0 - s_b)).reshape(dz2.shape)
-            v = (wev[vsl] @ x2 + bev[vsl, None]).reshape(shape)
+            v = (wb[:, sl].reshape(2 * eb, -1)[eb - 1 :] @ xp)[:, 1:]
             dv = ops.dwconv_2d(dd, dwv[sl, ::-1, ::-1]).reshape(dz2.shape)
-            gdw[sl] = _dwconv_kernel_grad(dd, v, 3)
+            gdw[sl] = _dwconv_kernel_grad(dd, ops.padded_windows(v, hh, ww), 3)
             gw_e[sl], gw_e[vsl] = _matmul_nt_summed(du, x2), _matmul_nt_summed(dv, x2)
             gb_e[sl], gb_e[vsl] = summed(du.sum(axis=-1)), summed(dv.sum(axis=-1))
             gx2 += wev[sl].T @ du
@@ -567,19 +575,25 @@ def group_norm_act(x, gamma, beta, groups: int = 2, slope: float = 0.2):
     return _track(y, (x, gamma, beta), vjp)
 
 
-def upsample2x(x):
-    """Nearest-neighbour 2x spatial upsampling."""
-    xv = _val(x)
-    y = np.repeat(np.repeat(xv, 2, axis=-2), 2, axis=-1)
+def upsample_conv2d(x, w):
+    """:func:`perigate.ops.upsample_conv2d` as one node. Its vjp works on the output
+    gradient's parity planes: the input gradient through
+    :func:`perigate.ops.upsample_conv2d_input_grad`, and the gradient of each folded tap
+    (i, j), the planes' gradient times the forward's window, folded back onto the nine
+    taps by the transpose of :data:`perigate.ops.UPSAMPLE_FOLD`."""
+    xv, wv = _val(x), _val(w)
+    y = ops.upsample_conv2d(xv, wv)
 
     def vjp(g):
-        # the sum over each 2 x 2 cell, in the order numpy sums its reshaped [..., 2, w, 2]
-        # view: pairwise, or left to right where one column's four items are contiguous
-        a, b = g[..., 0::2, 0::2], g[..., 0::2, 1::2]
-        c, d = g[..., 1::2, 0::2], g[..., 1::2, 1::2]
-        return (((a + b) + c) + d if xv.shape[-1] == 1 else (a + b) + (c + d),)
+        gx, planes = ops.upsample_conv2d_input_grad(g, wv)
+        gw = None
+        if isinstance(w, Var):
+            gt = np.stack([_matmul_nt_summed(planes, win) for _, _, win in
+                           ops.upsample_windows(xv)])  # [(i, j), (a, b, o), Ci]
+            gw = (gt.reshape(16, -1).T @ ops.UPSAMPLE_FOLD.astype(gt.dtype)).reshape(wv.shape)
+        return gx, gw
 
-    return _track(y, (x,), vjp)
+    return _track(y, (x, w), vjp)
 
 
 def concat_channels(xs):

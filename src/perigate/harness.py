@@ -227,7 +227,8 @@ EVAL_CHUNK_BYTES = 4 << 20
 
 
 def eval_chunk(m: ModelConfig, dtype) -> int:
-    """Sequences per eval-mode ``Model.predict`` call: at least one."""
+    """Sequences per eval-mode ``Model.predict`` call of a validated config: at least
+    one."""
     return max(1, EVAL_CHUNK_BYTES // per_sample_bytes(m, dtype))
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -128,7 +127,7 @@ class ModelConfig:
 @dataclass
 class ConvStage:
     """One conv -> group norm -> LeakyReLU stage: an encoder conv may have
-    stride 2, a decoder stage may upsample its input 2x before the conv."""
+    stride 2, a decoder stage may upsample its input 2x (nearest) before the conv."""
 
     w: Var
     gn_gamma: Var
@@ -228,12 +227,11 @@ class Model:
         return x
 
     def decode_frame(self, feat, skip):
-        """Mirror decoder; the last block consumes the encoder skip."""
+        """Mirror decoder; the last block, which never upsamples (encoder block 0 has
+        stride 1), consumes the encoder skip."""
         x = feat
         n = len(self.params.decoder)
         for j, stage in enumerate(self.params.decoder):
-            if stage.upsample:
-                x = ad.upsample2x(x)
             if j == n - 1:
                 x = ad.concat_channels([x, skip])
             x = _conv_norm_act(x, stage)
@@ -290,8 +288,12 @@ class Model:
 
 
 def _conv_norm_act(x, stage: ConvStage):
-    """The encoder/decoder stage: 3x3 conv, 2-group normalization, LeakyReLU(0.2)."""
-    x = ad.conv2d(x, stage.w, stride=stage.stride)
+    """The encoder/decoder stage: 3x3 conv (behind a nearest 2x upsampling, as one op,
+    in an upsampling stage), 2-group normalization, LeakyReLU(0.2)."""
+    if stage.upsample:
+        x = ad.upsample_conv2d(x, stage.w)
+    else:
+        x = ad.conv2d(x, stage.w, stride=stage.stride)
     return ad.group_norm_act(x, stage.gn_gamma, stage.gn_beta, groups=2, slope=0.2)
 
 
@@ -331,6 +333,9 @@ def count_flops(config: ModelConfig) -> int:
 
     Accounts t_in frames through the encoder, one translator pass (including
     the fixed descriptor filters under softmax fusion), and t_out frames through decoder+readout.
+    An upsampling decoder stage counts the paper's 3 x 3 conv over the upsampled
+    map, 9 Ci Co multiply-adds per output pixel: the model's cost, not the 4 Ci Co
+    that ``ops.upsample_conv2d`` spends on its parity planes.
     """
     cfg = config.validate()
     c = cfg.latent
@@ -357,33 +362,40 @@ def count_flops(config: ModelConfig) -> int:
 
 
 def per_sample_bytes(config: ModelConfig, dtype) -> int:
-    """Bytes of the largest single array one sample adds to an eval forward.
+    """Bytes of the largest single array one sample adds to an eval forward of a
+    validated ``config`` (``Model.build`` validates it).
 
-    The candidates are, for each encoder and decoder conv (frames are encoded
-    and decoded one at a time) with output rows Ho and flat rows Wo + r wide
-    (r = 2 at stride 1, 1 at stride 2), its zero-padded input's parity planes
-    Cin x stride^2 x (Ho + r + 1)(Wo + r) (at stride 1 the padded rows
-    Cin x (H + 3)(W + 2)), its output with wrap columns C x Ho (Wo + r) and,
-    with one input channel, its 9 stacked windows 9 x Ho (Wo + r) (the pixel
-    blocks' products are smaller); 2E channels for the GLU,
-    whose largest array is its E-channel gated map (``ops.glu`` builds the
-    rest a block of hidden channels at a time; the 2E term, the width of the
-    expansion before the op was blocked, is kept as a bound); and the
-    zero-padded inputs ``ops.dwconv_2d`` reads, (H + k) x (W + k - 1) per
-    channel (a bound: it pads a block of channels at a time), of the
-    multi-scale init's and the GLU's 3 x 3 and the center kernel. Every
-    other per-sample array of the forward is no larger than one of these; the
-    banded Toeplitz matrices of the separable passes are shared by all samples.
+    The candidates are, for each encoder conv and each decoder conv without
+    upsampling (frames are encoded and decoded one at a time) with output rows Ho
+    and flat rows Wo + r wide (r = 2 at stride 1, 1 at stride 2), its zero-padded
+    input's parity planes Cin x stride^2 x (Ho + r + 1)(Wo + r) (at stride 1 the
+    padded rows Cin x (H + 3)(W + 2)), its output with wrap columns C x Ho (Wo + r)
+    and, with one input channel, its 9 stacked windows 9 x Ho (Wo + r) (the pixel
+    blocks' products are smaller); for each upsampling decoder conv
+    (``ops.upsample_conv2d``) its low-resolution padded input Cin x (h + 3)(w + 2),
+    its four parity planes 4C x ((h + 1)(w + 2) + 1) and its output C x 2h x 2w; 2E
+    channels for the GLU, whose largest array is its E-channel gated map
+    (``ops.glu`` builds the rest a block of hidden channels at a time; the 2E term,
+    the width of the expansion before the op was blocked, is kept as a bound); and
+    the zero-padded inputs ``ops.dwconv_2d`` reads, (H + k) x (W + k - 1) per
+    channel (a bound: it pads a block of channels at a time), of the multi-scale
+    init's and the GLU's 3 x 3 and the center kernel. Every other per-sample array
+    of the forward is no larger than one of these; the banded Toeplitz matrices of
+    the separable passes are shared by all samples.
     """
-    cfg = config.validate()
+    cfg = config
     hp, wp = cfg.latent_hw
     cp, e, kc = cfg.packed_channels, cfg.expansion * cfg.packed_channels, cfg.center_size
-    sizes = []
-    for cin, h, w, s in chain(_encoder_convs(cfg),
-                              ((cin, h, w, 1) for cin, h, w, _ in _decoder_convs(cfg))):
+    c, sizes, convs = cfg.latent, [], list(_encoder_convs(cfg))
+    for cin, h, w, upsample in _decoder_convs(cfg):
+        if upsample:  # ops.upsample_conv2d of the h/2 x w/2 input
+            lh, lw = h // 2, w // 2
+            sizes += [cin * (lh + 3) * (lw + 2), 4 * c * ((lh + 1) * (lw + 2) + 1), c * h * w]
+        else:
+            convs.append((cin, h, w, 1))
+    for cin, h, w, s in convs:
         ho, r = h // s, 2 // s
-        sizes.append(max(cin * s * s * (ho + r + 1), cfg.latent * ho, 9 * ho * (cin == 1))
-                     * (w // s + r))
+        sizes.append(max(cin * s * s * (ho + r + 1), c * ho, 9 * ho * (cin == 1)) * (w // s + r))
     sizes.append(cp * (hp + 3) * (wp + 2))
     if cfg.n_t:
         sizes += [2 * e * hp * wp, e * (hp + 3) * (wp + 2), cp * (hp + kc) * (wp + kc - 1)]

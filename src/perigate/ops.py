@@ -185,13 +185,12 @@ def index_blocks(count: int, item_bytes: int) -> list:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _dw_taps(x: np.ndarray, kernel: np.ndarray, k: int) -> np.ndarray:
-    """The :func:`_tap_sum` of a per-channel k x k ``kernel`` over x's channels: a view
-    that cuts the wrapped columns."""
-    hh, ww = x.shape[-2:]
-    out = np.empty(x.shape[:-2] + (hh * (ww + k - 1),), dtype=np.result_type(x, kernel))
-    _tap_sum(tap_windows(x, k),
-             lambda u, v, win, o: np.multiply(win, kernel[:, u, v, None], out=o), out)
+def _dw_taps(windows, kernel: np.ndarray, hh: int, ww: int) -> np.ndarray:
+    """The :func:`_tap_sum` of a per-channel k x k ``kernel`` over the ``(u, v, window)``
+    tap windows of H x W = (hh, ww) channels: a view that cuts the wrapped columns."""
+    win = windows[0][2]
+    out = np.empty(win.shape, dtype=np.result_type(win, kernel))
+    _tap_sum(windows, lambda u, v, w, o: np.multiply(w, kernel[:, u, v, None], out=o), out)
     return _cut(out, hh, ww)
 
 
@@ -205,7 +204,8 @@ def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     _check_odd(k, kernel.shape[2])
     out = np.empty(x.shape, dtype=np.result_type(x, kernel))
     for sl in index_blocks(x.shape[-3], x[..., 0, :, :].nbytes):
-        out[..., sl, :, :] = _dw_taps(x[..., sl, :, :], kernel[sl], k)
+        out[..., sl, :, :] = _dw_taps(tap_windows(x[..., sl, :, :], k), kernel[sl],
+                                      *x.shape[-2:])
     return out
 
 
@@ -280,6 +280,80 @@ def conv2d_input_grad(g: np.ndarray, w: np.ndarray, hw: tuple, stride: int = 1) 
             gx[..., ri::s, cj::s] = (_cut(_tap_gemms(windows, taps), rows, cols, j0)
                                      if windows else 0)
     return gx
+
+
+# Nearest 2x upsampling then a 3 x 3 tap: along each axis, output 2r + a reads the input
+# at r - 1 + a + i, i = 0, 1, with the taps summed by row (a, i) of this 0/1 matrix:
+# (w0, w1 + w2) for a = 0, (w0 + w1, w2) for a = 1. UPSAMPLE_FOLD is its product over the
+# two axes, row (i, j, a, b) by column (u, v): tap (i, j) of output parity plane (a, b)
+# sums the 3 x 3 taps (u, v) where it is 1.
+_FOLD_1D = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+UPSAMPLE_FOLD = np.einsum("aiu,bjv->ijabuv", _FOLD_1D, _FOLD_1D).reshape(16, 9)
+
+
+def upsample_taps(w: np.ndarray) -> np.ndarray:
+    """[2, 2, 4 Co, Ci]: row (a, b, o) of tap (i, j) is output channel o's tap (i, j)
+    on output parity plane (a, b) of a 3 x 3 ``w`` [Co, Ci, 3, 3] behind a nearest 2x
+    upsampling, one product with :data:`UPSAMPLE_FOLD`."""
+    co, ci = w.shape[:2]
+    fold = UPSAMPLE_FOLD.astype(w.dtype)
+    return (fold @ w.reshape(co * ci, 9).T).reshape(2, 2, 4 * co, ci)
+
+
+def upsample_windows(x: np.ndarray) -> list:
+    """``(i, j, window)`` per tap of the output parity planes: x's stride-1
+    :func:`flat_rows` (rows W + 2 wide), (H + 1)(W + 2) + 1 items from i (W + 2) + j.
+    Plane (a, b) reads its H (W + 2) items a (W + 2) + b further in."""
+    hh, ww = x.shape[-2:]
+    wq, f = ww + 2, flat_rows(x, 3)[..., 0, :, :]
+    n = (hh + 1) * wq + 1
+    return [(i, j, f[..., i * wq + j : i * wq + j + n]) for i in range(2) for j in range(2)]
+
+
+def upsample_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Nearest 2x upsampling, then a same-padded 3 x 3 correlation without bias:
+    [..., Ci, H, W] -> [..., Co, 2H, 2W], without the upsampled map. Output rows 2r + a
+    and columns 2s + b, parity plane (a, b), are a 2 x 2 correlation of x with the
+    :func:`upsample_taps` (the sub-pixel form of Shi et al., CVPR 2016): 16 products of
+    Co x Ci at H x W in place of 9 at 2H x 2W. The four planes' taps (i, j) share one
+    GEMM over the :func:`upsample_windows` (:func:`_tap_gemms`), each plane reading its
+    rows shifted by its parity, cut straight into its strided slice of the output. The
+    summed taps round differently from ``conv2d`` of the upsampled map."""
+    co, ci, k, kw = w.shape
+    if (k, kw) != (3, 3):
+        raise ConfigurationError(f"upsampling conv needs a 3x3 kernel, got {k}x{kw}")
+    if ci != x.shape[-3]:
+        raise ConfigurationError(f"conv expects {ci} input channels, got {x.shape[-3]}")
+    (hh, ww), wq = x.shape[-2:], x.shape[-1] + 2
+    planes = _tap_gemms(upsample_windows(x), upsample_taps(w))  # [..., 4 Co, n]
+    out = np.empty(x.shape[:-3] + (co, 2 * hh, 2 * ww), dtype=planes.dtype)
+    for a in range(2):
+        for b in range(2):
+            rows = planes[..., (2 * a + b) * co : (2 * a + b + 1) * co, a * wq + b :]
+            out[..., a::2, b::2] = _cut(rows[..., : hh * wq], hh, ww)
+    return out
+
+
+def upsample_conv2d_input_grad(g: np.ndarray, w: np.ndarray):
+    """Input gradient [..., Ci, H, W] of :func:`upsample_conv2d` for the output gradient
+    ``g`` [..., Co, 2H, 2W], and the planes' gradient [..., 4 Co, (H + 1)(W + 2) + 1]:
+    g's parity plane (a, b) in rows (a, b, :), zero in the wrapped columns and shifted
+    a (W + 2) + b items in, as the forward read it, which the weight gradient reads.
+    Input item m gathers ``taps[i, j].T`` times the planes' gradient at m plus
+    (1 - i)(W + 2) + 1 - j, through :func:`_tap_gemms`."""
+    co, ci = w.shape[:2]
+    hh, ww = g.shape[-2] // 2, g.shape[-1] // 2
+    wq, lead = ww + 2, g.shape[:-3]
+    n = hh * wq
+    gp = np.zeros(lead + (2, 2, co, n + wq + 1), dtype=g.dtype)
+    for a in range(2):
+        for b in range(2):
+            gp[..., a, b, :, a * wq + b : a * wq + b + n] = wrap_padded(g[..., a::2, b::2], 3)
+    gp = gp.reshape(lead + (4 * co, -1))
+    taps = np.ascontiguousarray(upsample_taps(w).swapaxes(-1, -2))  # [2, 2, Ci, 4 Co]
+    starts = [(i, j, (1 - i) * wq + 1 - j) for i in range(2) for j in range(2)]
+    windows = [(i, j, gp[..., st : st + n]) for i, j, st in starts]
+    return _cut(_tap_gemms(windows, taps), hh, ww), gp
 
 
 def pwconv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -442,6 +516,30 @@ def gated_sum(alpha, ys):
 GRN_EPS = 1e-6
 
 
+def glu_operands(x, w_e, b_e):
+    """The expand GEMM's operands of :func:`glu`: x zero-padded once for 3 x 3 taps with
+    a ones row appended, [..., C + 1, (H + 3)(W + 2)] in stride-1 :func:`flat_rows`
+    layout (the ones row is zero in the padding, so every expanded row is zero there),
+    and ``[w_e | b_e]`` per half, [2, E, C + 1], the gate half negated. The bias is the
+    last term of each dot product, as ``w_e @ x + b_e`` adds it."""
+    lead, (c, hh, ww) = x.shape[:-3], x.shape[-3:]
+    xp = np.zeros(lead + (c + 1, hh + 3, ww + 2), dtype=x.dtype)
+    xp[..., :c, 1 : hh + 1, 1 : ww + 1] = x
+    xp[..., c, 1 : hh + 1, 1 : ww + 1] = 1.0
+    wb = np.empty((2, w_e.shape[0] // 2, c + 1), dtype=np.result_type(w_e, x))
+    wb[..., :c] = w_e.reshape(2, -1, c)
+    wb[..., c] = b_e.reshape(2, -1)
+    np.negative(wb[0], out=wb[0])
+    return xp.reshape(lead + (c + 1, -1)), wb
+
+
+def padded_windows(f: np.ndarray, hh: int, ww: int) -> list:
+    """``(u, v, window)`` per 3 x 3 tap of ``f`` [..., C, (H + 3)(W + 2)], an H x W map
+    already in stride-1 :func:`flat_rows` layout: the H (W + 2) items from u (W + 2) + v."""
+    wq, n = ww + 2, hh * (ww + 2)
+    return [(u, v, f[..., u * wq + v : u * wq + v + n]) for u in range(3) for v in range(3)]
+
+
 def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
     """Gated channel mixing [..., C, H, W] -> [..., C, H, W] through E = ``dw.shape[0]``
     hidden channels: the expand rows [0, E) of ``w_e``/``b_e`` give the gate u, rows
@@ -454,34 +552,37 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
     Everything before the projection runs per :func:`index_blocks` block of the E
     channels, sized from one sample's channel bytes: a batch and each of its samples
     take the same blocks, so each sample's result is bitwise the one it gets alone.
-    Returns ``(out, saved)``; with ``keep``, ``saved`` is (sigmoid(u), the depthwise
-    output, z, G, mean_c G + GRN_EPS, n), which the gradient reads; else None, and each
-    block's temporaries die with the block."""
+    A block's gate and value rows are one GEMM against the :func:`glu_operands`: the
+    value rows come out zero-padded for their taps, and the gate rows as -u, so the
+    sigmoid 1 / (1 + exp(-u)) takes three passes. Returns ``(out, saved)``; with
+    ``keep``, ``saved`` is (sigmoid(u), the depthwise output, z, G, mean_c G + GRN_EPS,
+    n), which the gradient reads; else None, and each block's temporaries die with the
+    block."""
     e = dw.shape[0]
     lead, (c, hh, ww) = x.shape[:-3], x.shape[-3:]
     if w_e.shape != (2 * e, c) or w_p.shape != (c, e):
         raise ConfigurationError(
             f"GLU weights {w_e.shape}, {w_p.shape} do not fit {c} channels and {e} hidden"
         )
-    x2 = x.reshape(lead + (c, hh * ww))
+    xp, wb = glu_operands(x, w_e, b_e)
+    inner = slice(ww + 3, ww + 3 + hh * (ww + 2))  # the pixels' rows, wrapped columns too
     z = np.empty(lead + (e, hh, ww), dtype=np.result_type(w_e, x, dw))
     norms = np.empty(lead + (e,), dtype=z.dtype)
     if keep:
-        sig_all, d_all = np.empty(z.shape, np.result_type(w_e, x)), np.empty_like(z)
+        sig_all, d_all = np.empty(z.shape, wb.dtype), np.empty_like(z)
     for sl in index_blocks(e, hh * ww * x.itemsize):
-        shape = lead + (sl.stop - sl.start, hh, ww)
-        sig = w_e[sl] @ x2
-        sig += b_e[sl, None]
-        np.exp(np.negative(sig, out=sig), out=sig)  # the sigmoid, in place
+        eb = sl.stop - sl.start
+        rows = wb[:, sl].reshape(2 * eb, -1) @ xp  # [..., 2 eb, (H + 3)(W + 2)]
+        sig = rows[..., :eb, inner]
+        np.exp(sig, out=sig)  # the sigmoid of u, in place
         sig += 1.0
         np.divide(1.0, sig, out=sig)
-        v = w_e[e + sl.start : e + sl.stop] @ x2
-        v += b_e[e + sl.start : e + sl.stop, None]
-        d = _dw_taps(v.reshape(shape), dw[sl], 3)
-        zb = np.multiply(sig.reshape(shape), d, out=z[..., sl, :, :])
+        sig = _cut(sig, hh, ww)
+        d = _dw_taps(padded_windows(rows[..., eb:, :], hh, ww), dw[sl], hh, ww)
+        zb = np.multiply(sig, d, out=z[..., sl, :, :])
         norms[..., sl] = np.sqrt(np.einsum("...hw,...hw->...", zb, zb))
         if keep:
-            sig_all[..., sl, :, :], d_all[..., sl, :, :] = sig.reshape(shape), d
+            sig_all[..., sl, :, :], d_all[..., sl, :, :] = sig, d
     denom = norms.mean(axis=-1, keepdims=True) + GRN_EPS
     n = norms / denom
     out = (w_p * (gamma * n + 1)[..., None, :]) @ z.reshape(lead + (e, hh * ww))

@@ -2,9 +2,9 @@
 
 These stay deliberately dumb: explicit Python loops over output elements,
 nothing shared with the library implementations. The strided-view Toeplitz
-and band sums, the per-parameter Adam step, the reshape-sum upsampling
-gradient, center suppression and fusion composed from the arithmetic ops, and
-the frequency descriptor's vjp that recomputes its maps are earlier forms of
+and band sums, the per-parameter Adam step, center suppression and fusion
+composed from the arithmetic ops, the frequency descriptor's vjp that
+recomputes its maps and the GLU with its bias passes are earlier forms of
 library code, kept as bitwise references.
 """
 
@@ -152,6 +152,24 @@ def dense_conv2d_grads(x, weight, g, stride=1):
                                 gx[cc, ii, jj] += weight[o, cc, u, v] * g[o, i, j]
                                 gw[o, cc, u, v] += x[cc, ii, jj] * g[o, i, j]
     return gx, gw, gb
+
+
+def upsample_conv2d(x, weight):
+    """Nearest 2x upsampling of one [Ci, H, W] sample by ``np.repeat``, then the loop
+    conv oracle without bias: [Co, 2H, 2W]."""
+    return dense_conv2d(np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1), weight, None)
+
+
+def upsample_conv2d_grads(x, weight, g):
+    """Input gradient [Ci, H, W] and weight gradient of :func:`upsample_conv2d` for
+    output gradient g: the loop conv oracle's on the upsampled map, each input pixel
+    taking the sum over its 2 x 2 cell."""
+    gu, gw, _ = dense_conv2d_grads(np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1), weight, g)
+    gx = np.zeros(x.shape)
+    for i in range(x.shape[1]):
+        for j in range(x.shape[2]):
+            gx[:, i, j] = gu[:, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].sum(axis=(1, 2))
+    return gx, gw
 
 
 def group_norm_act(x, gamma, beta, groups=2, slope=0.2, eps=1e-5):
@@ -443,13 +461,6 @@ def adam_step(store, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p.value = p.value - (lr * update).astype(p.value.dtype)
 
 
-def upsample2x_grad(g):
-    """Input gradient of nearest 2x upsampling: each 2 x 2 cell of g summed through
-    a reshaped [..., C, H, 2, W, 2] view."""
-    c, h, w = g.shape[-3], g.shape[-2] // 2, g.shape[-1] // 2
-    return g.reshape(g.shape[:-3] + (c, h, 2, w, 2)).sum(axis=(-3, -1))
-
-
 def center_suppress(p_k, center_response, coefficient):
     """P_k - coefficient * center_response as two traced ops: ``sub`` of a ``mul`` by
     a [C] coefficient, or of a ``scale`` by a float."""
@@ -467,6 +478,37 @@ def fuse(alpha, responses):
         term = ad.mul(y_k, a_k)
         total = term if total is None else ad.add(total, term)
     return total
+
+
+def glu_bias_passes(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep=False):
+    """``ops.glu`` as it computed the gated map before the expand GEMM read padded
+    rows: per hidden block the gate rows and the value rows as two GEMMs on x, each
+    bias added in a pass of its own, the sigmoid in four passes and the value rows
+    zero-padded again by ``ops.dwconv_2d``. Returns ``(out, saved)`` as ``ops.glu``."""
+    e = dw.shape[0]
+    lead, (c, hh, ww) = x.shape[:-3], x.shape[-3:]
+    x2 = x.reshape(lead + (c, hh * ww))
+    z = np.empty(lead + (e, hh, ww), dtype=np.result_type(w_e, x, dw))
+    norms = np.empty(lead + (e,), dtype=z.dtype)
+    sig_all, d_all = np.empty(z.shape, np.result_type(w_e, x)), np.empty_like(z)
+    for sl in ops.index_blocks(e, hh * ww * x.itemsize):
+        shape = lead + (sl.stop - sl.start, hh, ww)
+        sig = w_e[sl] @ x2
+        sig += b_e[sl, None]
+        np.exp(np.negative(sig, out=sig), out=sig)
+        sig += 1.0
+        np.divide(1.0, sig, out=sig)
+        v = w_e[e + sl.start : e + sl.stop] @ x2
+        v += b_e[e + sl.start : e + sl.stop, None]
+        d = ops.dwconv_2d(v.reshape(shape), dw[sl])
+        zb = np.multiply(sig.reshape(shape), d, out=z[..., sl, :, :])
+        norms[..., sl] = np.sqrt(np.einsum("...hw,...hw->...", zb, zb))
+        sig_all[..., sl, :, :], d_all[..., sl, :, :] = sig.reshape(shape), d
+    denom = norms.mean(axis=-1, keepdims=True) + ops.GRN_EPS
+    n = norms / denom
+    out = (w_p * (gamma * n + 1)[..., None, :]) @ z.reshape(lead + (e, hh * ww))
+    out += (w_p @ beta + b_p)[:, None]
+    return out.reshape(x.shape), (sig_all, d_all, z, norms, denom, n) if keep else None
 
 
 def freq_descriptor_vjp(xv, cues, g):

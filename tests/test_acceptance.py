@@ -166,7 +166,9 @@ def test_criterion_05_gradient_correctness():
             lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2),
             [x, rng.standard_normal(2), rng.standard_normal(2)],
         ),
-        "upsample2x": (lambda a: ad.upsample2x(a), [x]),
+        "upsample_conv2d": (
+            lambda a, w: ad.upsample_conv2d(a, w), [x, rng.standard_normal((3, 2, 3, 3))]
+        ),
         "mul": (lambda a, b: ad.mul(a, b), [x, rng.standard_normal(2)]),
     }
     worst_prim = 0.0

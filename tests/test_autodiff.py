@@ -177,7 +177,9 @@ def primitive_cases():
             lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2),
             [x, rng.standard_normal(2), rng.standard_normal(2)],
         ),
-        "up": (lambda a: ad.upsample2x(a), [x]),
+        "up_conv": (
+            lambda a, w: ad.upsample_conv2d(a, w), [x, rng.standard_normal((3, 2, 3, 3))]
+        ),
         "concat": (
             lambda a, b: ad.concat_channels([a, b]),
             [x, rng.standard_normal((1, 6, 6))],
@@ -255,7 +257,8 @@ class TestGradCheckPrimitives:
                 (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 2, 3)),
                 (lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2),
                  [x, g2, rng.standard_normal(2)]),
-                (lambda a: ad.upsample2x(a), [x]),
+                (lambda a, k3: ad.upsample_conv2d(a, k3),
+                 [x, rng.standard_normal((3, 2, 3, 3))]),
                 (lambda a: ad.mean_all(a), [x]),
             ]
             for fn, point in cases:
@@ -288,8 +291,8 @@ class TestGradCheckPrimitives:
         assert ad.grad_check(fn, point) < 1e-6
 
     @pytest.mark.parametrize("name", [
-        "conv_s1", "conv_s2", "pw", "dw2", "dw2_shared", "sep", "group_norm_act", "glu",
-        "softmax",
+        "conv_s1", "conv_s2", "up_conv", "pw", "dw2", "dw2_shared", "sep", "group_norm_act",
+        "glu", "softmax",
         "drop_path", "mul_map", "add_chan",
     ])
     def test_batched_vjp(self, name):
@@ -316,6 +319,8 @@ class TestGradCheckPrimitives:
                           [x]),
             "mul_map": (lambda a, m: ad.mul(a, m), [x, rng.standard_normal((2, 1, 5, 6))]),
             "add_chan": (lambda a, b: ad.add(a, b), [x, rng.standard_normal(4)]),
+            "up_conv": (lambda a, w: ad.upsample_conv2d(a, w),
+                        [x, rng.standard_normal((3, 4, 3, 3))]),
         }
         fn, point = cases[name]
         assert ad.grad_check(fn, point) < 1e-6

@@ -368,6 +368,13 @@ class TestBatchedPrediction:
         assert harness.eval_chunk(README_MICRO, np.float64) == 85
         assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
 
+    def test_predict_batch_does_not_validate_again(self):
+        # Model.build validated the config; the chunk rule reads it as it stands
+        model = harness.Model.build(README_MICRO, seed=2)
+        data = gen_bouncing(seed=4, num_sequences=2, frames=2, height=16, width=16)
+        with mock.patch.object(ModelConfig, "validate", side_effect=AssertionError("again")):
+            assert harness.predict_batch(model, data).shape == (2, 2, 1, 16, 16)
+
     def test_last_chunk_shorter(self):
         # 96x96 frames: the GLU's 2E-channel bound, 2 * 48 * 48 * 48, is ~0.9 MB
         cfg = ModelConfig(t_in=2, t_out=3, height=96, width=96, latent_c=6, n_s=2, n_t=1,

@@ -1,5 +1,7 @@
 """Model assembly: shapes, protocol conformance, determinism, accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,18 @@ class TestCounting:
         base = count_flops(micro_config(t_out=1))
         double = count_flops(micro_config(t_out=2))
         assert double > base
+
+    def test_flops_count_the_papers_upsampled_conv(self):
+        # the README micro config and the 128x128 benchmark config (t_out = t_in = 10)
+        micro = ModelConfig(t_in=2, t_out=2, height=16, width=16, latent_c=6, n_s=2, n_t=2)
+        kth = ModelConfig(t_in=10, t_out=10, height=128, width=128, latent_c=6, n_s=2, n_t=2)
+        assert count_flops(micro) == 2_304_768
+        assert count_flops(kth) == 1_326_759_936
+        # a decoded frame: the 3x3 conv over the 2x upsampled map, 9 * 6 * 6 multiply-adds
+        # a pixel (ops.upsample_conv2d spends 4 * 6 * 6 on its parity planes), the last
+        # conv over 12 channels with the skip, and the readout
+        frame = count_flops(replace(kth, t_out=2)) - count_flops(replace(kth, t_out=1))
+        assert frame == 2 * (9 * 6 * 6 + 9 * 12 * 6 + 6) * 128 * 128
 
 
 class TestDtype:

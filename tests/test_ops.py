@@ -1,5 +1,6 @@
 """Forward kernel semantics against hand values and loop oracles."""
 
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -26,10 +27,12 @@ from naive import (
     freq_descriptor_grad,
     freq_descriptor_vjp as recomputing_descriptor_vjp,
     glu as naive_glu,
+    glu_bias_passes,
     glu_grads as naive_glu_grads,
     group_norm_act as naive_group_norm_act,
     toeplitz as naive_toeplitz,
-    upsample2x_grad as reshape_sum_upsample_grad,
+    upsample_conv2d as naive_upsample_conv2d,
+    upsample_conv2d_grads as naive_upsample_conv2d_grads,
     window_variance3,
 )
 
@@ -684,6 +687,57 @@ class TestGlu:
                 assert none is None and plain.tobytes() == kept.tobytes()
                 assert [a.shape for a in saved[:3]] == [(2, e, 5, 4)] * 3
 
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bitwise_equal_to_bias_passes(self, lead, dtype):
+        # one GEMM on the padded rows with a ones row gives the bits of two GEMMs and
+        # their bias passes, in the output and in every saved array, with and without
+        # keep: one block, two equal blocks, a ragged last block of two channels
+        rng = np.random.default_rng(46)
+
+        def digests(result):
+            out, saved = result
+            return [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                    for a in (out,) + (saved or ())]
+
+        for c, e, per_block, hh, ww in [(3, 6, 6, 5, 4), (3, 6, 3, 1, 7), (3, 8, 3, 6, 1),
+                                         (12, 48, 20, 8, 8)]:
+            x = rng.standard_normal(lead + (c, hh, ww)).astype(dtype)
+            params = glu_params(rng, c, e, dtype)
+            with mock.patch.object(ops, "BLOCK_BYTES", per_block * hh * ww * x.itemsize):
+                for keep in (False, True):
+                    assert digests(ops.glu(x, *params, keep=keep)) == \
+                        digests(glu_bias_passes(x, *params, keep=keep))
+
+    @pytest.mark.parametrize("partition", sorted(GLU_PARTITIONS))
+    def test_vjp_recomputes_the_forward_value_rows(self, partition):
+        # the padded value rows the kernel gradient reads are bitwise the ones the
+        # forward's 3 x 3 tap sum read, blocks of one channel included
+        rng = np.random.default_rng(47)
+        dw_taps, kernel_grad = ops._dw_taps, ad._dwconv_kernel_grad
+
+        def recorder(original, into):
+            def wrapper(*args):
+                windows = args[0] if original is dw_taps else args[1]
+                into.append([np.ascontiguousarray(w).tobytes() for _, _, w in windows])
+                return original(*args)
+            return wrapper
+
+        for e, per_block in GLU_PARTITIONS[partition]:
+            for dtype in DTYPES:
+                x = rng.standard_normal((2, 3, 5, 4)).astype(dtype)
+                params = [ad.Var(p) for p in glu_params(rng, 3, e, dtype)]
+                forward, backward = [], []
+                with mock.patch.object(ops, "BLOCK_BYTES", per_block * 5 * 4 * x.itemsize):
+                    blocks = ops.index_blocks(e, 5 * 4 * x.itemsize)
+                    with ad.Tape(), mock.patch.object(ops, "_dw_taps",
+                                                      recorder(dw_taps, forward)):
+                        out = ad.glu(x, *params)
+                    with mock.patch.object(ad, "_dwconv_kernel_grad",
+                                           recorder(kernel_grad, backward)):
+                        out.vjp(np.ones_like(out.value))
+                assert len(forward) == len(blocks) and forward == backward
+
     def test_blocks_depend_on_one_sample(self):
         # a batch of 4 takes the same hidden blocks as one sample (dwconv_2d's would
         # shrink 4-fold), so each sample is bitwise what it gets alone on any BLAS
@@ -708,36 +762,69 @@ class TestGlu:
 
 
 @st.composite
-def upsample_cases(draw):
-    """An upsample2x input with sides 1..9 (a width of 1 included), 1..3 channels, no,
-    one or two leading axes, and an output gradient whose entries span eight decades,
-    so that the order of each 2 x 2 cell's sum shows in the bits."""
-    c, hh, ww = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    lead = draw(st.sampled_from([(), (2,), (2, 3)]))
+def upsample_conv2d_cases(draw):
+    """An ad.upsample_conv2d input with sides 1..4 (non-square, 1 x k included), 1..12
+    input and output channels, no, one or two leading axes, its 3 x 3 weights and an
+    output gradient."""
+    hh, ww = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ci, co = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(), (1,), (2,), (2, 1)]))
     dtype = draw(st.sampled_from(DTYPES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = lead + (c, 2 * hh, 2 * ww)
-    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, size=shape)
-    return np.zeros(lead + (c, hh, ww), dtype=dtype), g.astype(dtype)
+    x = rng.standard_normal(lead + (ci, hh, ww)).astype(dtype)
+    w = rng.standard_normal((co, ci, 3, 3)).astype(dtype)
+    g = rng.standard_normal(lead + (co, 2 * hh, 2 * ww)).astype(dtype)
+    return x, w, g
 
 
-class TestUpsample:
-    @settings(max_examples=80, deadline=None)
-    @given(case=upsample_cases())
-    @example(case=(np.zeros((8, 6, 8, 8), np.float32),
-                   np.random.default_rng(0).standard_normal((8, 6, 16, 16)).astype(np.float32)))
-    @example(case=(np.zeros((1, 6, 64, 64), np.float32),
-                   np.random.default_rng(1).standard_normal((1, 6, 128, 128)).astype(np.float32)))
-    @example(case=(np.zeros((3, 1, 1)), np.array([[[1e-4, 1.0], [1e4, -1e4]]] * 3)))
-    def test_vjp_bitwise_equal_to_reshape_sum(self, case):
-        x, g = case
+def oracle_upsample_conv2d(x, w, g):
+    """(y, gx, gw) of upsample_conv2d from the loop oracles, sample by sample."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    xs, gs = x.reshape((-1,) + x.shape[-3:]), g.reshape((-1,) + g.shape[-3:])
+    ys = [naive_upsample_conv2d(xi, w) for xi in xs]
+    grads = [naive_upsample_conv2d_grads(xi, w, gi) for xi, gi in zip(xs, gs)]
+    return (np.reshape(ys, g.shape), np.reshape([gx for gx, _ in grads], x.shape),
+            sum(gw for _, gw in grads))
+
+
+class TestUpsampleConv2d:
+    @settings(max_examples=40, deadline=None)
+    @given(case=upsample_conv2d_cases())
+    @example(case=(np.ones((1, 1, 1)), np.ones((1, 1, 3, 3)), np.ones((1, 2, 2))))
+    def test_forward_and_vjp_match_loop_oracles(self, case):
+        x, w, g = case
         with ad.Tape():
-            out = ad.upsample2x(x)
-        assert out.value.shape == g.shape
-        (gx,) = out.vjp(g)
-        want = reshape_sum_upsample_grad(g)
-        assert gx.dtype == want.dtype and gx.shape == x.shape
-        assert gx.tobytes() == want.tobytes()
+            out = ad.upsample_conv2d(x, ad.Var(w))
+        got = (out.value,) + tuple(out.vjp(g))
+        want = oracle_upsample_conv2d(x, w, g)
+        bound = oracle_upsample_conv2d(np.abs(x), np.abs(w), np.abs(g))
+        for a, b, c in zip(got, want, bound):
+            assert_banded(a, b, c, x.dtype)
+
+    def test_four_low_resolution_gemms(self):
+        # tap (i, j) of the four output parity planes is one [4 Co, Ci] GEMM over
+        # (H + 1)(W + 2) + 1 columns of the low-resolution input: 16 Co x Ci products
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 3, 6, 5))
+        w = rng.standard_normal((4, 3, 3, 3))
+        shapes, matmul = [], np.matmul
+
+        def recorded(a, b, *args, **kwargs):
+            shapes.append((a.shape, b.shape[-2:]))
+            return matmul(a, b, *args, **kwargs)
+
+        with mock.patch.object(np, "matmul", recorded):
+            got = ops.upsample_conv2d(x, w)
+        assert shapes == [((16, 3), (3, 7 * 7 + 1))] * 4
+        want = [naive_upsample_conv2d(xi, w) for xi in x]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_kernel_and_channels_checked(self):
+        x = np.zeros((2, 4, 4))
+        with pytest.raises(ConfigurationError, match="3x3"):
+            ops.upsample_conv2d(x, np.zeros((1, 2, 5, 5)))
+        with pytest.raises(ConfigurationError, match="input channels"):
+            ops.upsample_conv2d(x, np.zeros((1, 3, 3, 3)))
 
 
 class TestSoftmax:
@@ -972,10 +1059,11 @@ class TestBatchAxis:
         x = rng.standard_normal((2, 4, 5, 5))
         gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
         glu = glu_params(rng, 4, 3)
+        w3 = rng.standard_normal((3, 4, 3, 3))
         for fn in (lambda a: ops.group_norm_act(a, gamma, beta, 2)[0],
                    lambda a: ops.glu(a, *glu)[0],
                    ops.softmax_channels, lambda a: ops.freq_descriptor(a, ops.CUE_NAMES)[0],
-                   lambda a: ad.upsample2x(a).value):
+                   lambda a: ops.upsample_conv2d(a, w3)):
             batched = fn(x)
             for i in range(2):
                 np.testing.assert_allclose(batched[i], fn(x[i]), rtol=1e-14, atol=1e-14)
