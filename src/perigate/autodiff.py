@@ -32,7 +32,8 @@ __all__ = [
     "grad_check", "add", "sub", "mul", "scale", "suppress", "gated_sum", "tanh", "sigmoid",
     "sep_conv", "dwconv_2d", "conv2d", "pwconv", "freq_descriptor",
     "glu", "softmax_channels", "group_norm_act", "upsample_conv2d", "concat_channels",
-    "split_channels", "pack_time", "unpack_time", "mean_all", "drop_path",
+    "stack_frames", "take_frames", "pack_frames", "unpack_frames",
+    "mean_all", "drop_path",
 ]
 
 
@@ -607,36 +608,61 @@ def concat_channels(xs):
     return _track(y, tuple(xs), vjp)
 
 
-def _slice_channels(x, lo: int, hi: int):
+def stack_frames(frames):
+    """Frames [..., C, H, W] stacked along a new leading axis: one frame block
+    [F, ..., C, H, W], a view of a lone frame. Plain arrays stack into a graph input
+    (a leaf, no node), as each would have been; with a Var among them the stack is a
+    node, and each frame's gradient is its slice of g."""
+    vals = [_val(f) for f in frames]
+    y = np.stack(vals) if len(vals) > 1 else vals[0][None]
+    if not any(isinstance(f, Var) for f in frames):
+        return Var(y)
+    return _track(y, tuple(frames), lambda g: tuple(g))
+
+
+def take_frames(x, index):
+    """``x[index]`` of a frame block [F, ..., C, H, W]: one frame for an int, a shorter
+    block for a slice."""
     xv = _val(x)
-    y = xv[..., lo:hi, :, :]
 
     def vjp(g):
         gx = np.zeros_like(xv)
-        gx[..., lo:hi, :, :] = g
+        gx[index] = g
         return (gx,)
 
-    return _track(y, (x,), vjp)
+    return _track(xv[index], (x,), vjp)
 
 
-def split_channels(x, sizes):
-    c_total = _val(x).shape[-3]
-    if sum(sizes) != c_total:
-        raise ConfigurationError(f"split sizes {tuple(sizes)} do not sum to {c_total}")
-    out, lo = [], 0
-    for s in sizes:
-        out.append(_slice_channels(x, lo, lo + s))
-        lo += s
-    return out
+def pack_frames(blocks):
+    """:func:`perigate.ops.pack_frames` of frame blocks as one node; each block's
+    gradient is its frames' channels of g."""
+    vals = [_val(b) for b in blocks]
+    y = ops.pack_frames(vals)
+
+    def vjp(g):
+        ends = np.cumsum([v.shape[0] for v in vals])
+        frames = ops.unpack_frames(g, int(ends[-1]))
+        return tuple(frames[hi - v.shape[0] : hi] for v, hi in zip(vals, ends))
+
+    return _track(y, tuple(blocks), vjp)
 
 
-def pack_time(frames):
-    return concat_channels(frames)
+def unpack_frames(z, t: int, blocks):
+    """The frame blocks [F, ..., C, H, W] of z [..., t C, H, W] that ``blocks``, slices
+    of range(t), select (:func:`perigate.ops.unpack_frames`): one node per block, whose
+    gradient is g in its frames' channels and zero in the others."""
+    zv = _val(z)
+    frames = ops.unpack_frames(zv, t)
 
+    def block(sl):
+        def vjp(g):
+            gz = np.zeros_like(zv)
+            ops.unpack_frames(gz, t)[sl] = g
+            return (gz,)
 
-def unpack_time(z, t: int):
-    c_total = _val(z).shape[-3]
-    return split_channels(z, [c_total // t] * t)
+        return _track(frames[sl], (z,), vjp)
+
+    return [block(sl) for sl in blocks]
 
 
 def mean_all(x):

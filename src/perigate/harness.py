@@ -221,7 +221,7 @@ def load_model(path) -> tuple[TrainConfig, Model]:
 
 # Eval-mode prediction stacks as many sequences into one Model.predict call as keep
 # the largest per-sample intermediate (model.per_sample_bytes) within this many bytes:
-# 170 at the README micro config (25 kB; one call on 16 sequences takes a fifth of
+# 99 at the README micro config (42 kB; one call on 16 sequences takes a fifth of
 # the time of 16), one at the 128x128 kth shape (7.9 MB; chunk 2 saves no time).
 EVAL_CHUNK_BYTES = 4 << 20
 
@@ -247,8 +247,8 @@ def predict_batch(model: Model, data: np.ndarray) -> np.ndarray:
     chunk = eval_chunk(m, model.dtype)
     for lo in range(0, n, chunk):
         frames = [data[lo : lo + chunk, t] for t in range(m.t_in)]
-        # assigned as a whole, so no output of this chunk outlives the call
-        out[lo : lo + chunk] = np.stack([p.value for p in model.predict(frames)], axis=1)
+        # written straight into out, and no output of this chunk outlives the call
+        np.stack([p.value for p in model.predict(frames)], axis=1, out=out[lo : lo + chunk])
     return out
 
 

@@ -22,6 +22,7 @@ from .autodiff import ParamStore, Var
 from .descriptor import CUE_NAMES
 from .errors import ConfigurationError, InputError
 from .multiscale import fan_in_uniform
+from .ops import index_blocks
 from .rng import INIT, stream
 
 
@@ -146,6 +147,15 @@ class ModelParams:
     readout_b: Var
 
 
+def frame_blocks(config: ModelConfig, dtype) -> list[slice]:
+    """The blocks of the t_in frames that the encoder and decoder take in one call:
+    ``ops.index_blocks`` of one sample's full-resolution latent frame, latent x H x W
+    items. All of them in one block at the README micro config (6 kB a frame), one
+    frame a block at 128 x 128 (384 kB)."""
+    item_bytes = config.latent * config.height * config.width * np.dtype(dtype).itemsize
+    return index_blocks(config.t_in, item_bytes)
+
+
 def encoder_strides(n_s: int) -> list[int]:
     """Stride per encoder block: downsampling at blocks 1, 3, ... (0-based)."""
     return [2 if i % 2 == 1 else 1 for i in range(n_s)]
@@ -198,9 +208,10 @@ class Model:
 
     # -- stages --------------------------------------------------------------
 
-    def encode_frame(self, frame):
-        """Shared encoder: returns (latent features, first-block skip)."""
-        x = self._as_var(frame, (self.config.c_in, self.config.height, self.config.width))
+    def encode_frame(self, frames):
+        """Shared encoder over a frame block [F, ..., c_in, H, W] (or one frame): returns
+        (latent features, first-block skip), with the block's leading axes."""
+        x = self._as_var(frames, (self.config.c_in, self.config.height, self.config.width))
         skip = None
         for stage in self.params.encoder:
             x = _conv_norm_act(x, stage)
@@ -227,8 +238,8 @@ class Model:
         return x
 
     def decode_frame(self, feat, skip):
-        """Mirror decoder; the last block, which never upsamples (encoder block 0 has
-        stride 1), consumes the encoder skip."""
+        """Mirror decoder over a frame block (or one frame); the last block, which never
+        upsamples (encoder block 0 has stride 1), consumes the encoder skip."""
         x = feat
         n = len(self.params.decoder)
         for j, stage in enumerate(self.params.decoder):
@@ -247,21 +258,31 @@ class Model:
         the last t_in predictions are fed back as the next pass's inputs. A
         list passed as ``internals`` receives the first pass's block
         internals (see :meth:`translate`).
+
+        The encoder and decoder run on the :func:`frame_blocks`, each one call
+        over a [F, ..., c, H, W] stack of F frames; every op treats the frame
+        axis as more samples, so the frames' values are those of one call per
+        frame. A pass stacks its inputs once, packs the encoded blocks along
+        channels in one copy, and decodes the blocks of the frames still
+        needed; the next pass encodes the decoded blocks as they are.
         """
         cfg = self.config
-        current = list(frames)
-        if len(current) != cfg.t_in:
-            raise InputError(f"expected {cfg.t_in} input frames, got {len(current)}")
+        frames, blocks = self._input_frames(frames), frame_blocks(cfg, self.dtype)
+        current = [ad.stack_frames(frames[sl]) for sl in blocks]
         outputs = []
         for pass_idx in range((cfg.t_out + cfg.t_in - 1) // cfg.t_in):
-            feats, skips = zip(*(self.encode_frame(f) for f in current))
+            feats, skips = zip(*(self.encode_frame(b) for b in current))
             draw = partial(drop_draw, pass_idx) if drop_draw is not None else None
-            z = self.translate(ad.pack_time(list(feats)), mode=mode, drop_draw=draw,
+            z = self.translate(ad.pack_frames(feats), mode=mode, drop_draw=draw,
                                internals=internals if pass_idx == 0 else None)
-            parts = ad.unpack_time(z, cfg.t_in)
             keep = min(cfg.t_in, cfg.t_out - len(outputs))
-            outputs.extend(self.decode_frame(parts[t], skips[t]) for t in range(keep))
-            current = outputs[-cfg.t_in :]
+            needed = [slice(sl.start, min(sl.stop, keep)) for sl in blocks if sl.start < keep]
+            current = []
+            for feat, skip, sl in zip(ad.unpack_frames(z, cfg.t_in, needed), skips, needed):
+                if sl.stop - sl.start < skip.shape[0]:
+                    skip = ad.take_frames(skip, slice(0, sl.stop - sl.start))
+                current.append(self.decode_frame(feat, skip))
+            outputs.extend(ad.take_frames(y, f) for y in current for f in range(y.shape[0]))
         return outputs
 
     def suppression_values(self) -> list[tuple[int, int, int, float]]:
@@ -277,14 +298,29 @@ class Model:
                 rows.extend((b, k, c, float(v)) for c, v in enumerate(values))
         return rows
 
-    def _as_var(self, frame, expected_shape):
-        """A (c_in,H,W) sample or an (N,c_in,H,W) batch as a graph input."""
-        arr = frame.value if isinstance(frame, Var) else np.asarray(frame, dtype=self.dtype)
-        if arr.ndim not in (3, 4) or arr.shape[-3:] != expected_shape:
-            raise InputError(
-                f"frame shape {arr.shape} is neither {expected_shape} nor (N, *{expected_shape})"
-            )
-        return frame if isinstance(frame, Var) else Var(arr)
+    def _input_frames(self, frames) -> list:
+        """The t_in input frames, arrays in the model's dtype (Vars as they are): all one
+        [c_in,H,W] sample or all one [N,c_in,H,W] batch."""
+        cfg = self.config
+        frames = [f if isinstance(f, Var) else np.asarray(f, dtype=self.dtype) for f in frames]
+        if len(frames) != cfg.t_in:
+            raise InputError(f"expected {cfg.t_in} input frames, got {len(frames)}")
+        expected = (cfg.c_in, cfg.height, cfg.width)
+        for f in frames:
+            if len(f.shape) not in (3, 4) or f.shape[-3:] != expected:
+                raise InputError(
+                    f"frame shape {f.shape} is neither {expected} nor (N, *{expected})"
+                )
+        if len({f.shape for f in frames}) > 1:
+            raise InputError(f"input frames differ in shape: {[f.shape for f in frames]}")
+        return frames
+
+    def _as_var(self, frames, expected_shape):
+        """A [..., c_in,H,W] frame block, frame or batch as a graph input."""
+        arr = frames.value if isinstance(frames, Var) else np.asarray(frames, dtype=self.dtype)
+        if arr.ndim < 3 or arr.shape[-3:] != expected_shape:
+            raise InputError(f"frame shape {arr.shape} does not end in {expected_shape}")
+        return frames if isinstance(frames, Var) else Var(arr)
 
 
 def _conv_norm_act(x, stage: ConvStage):
@@ -365,38 +401,42 @@ def per_sample_bytes(config: ModelConfig, dtype) -> int:
     """Bytes of the largest single array one sample adds to an eval forward of a
     validated ``config`` (``Model.build`` validates it).
 
-    The candidates are, for each encoder conv and each decoder conv without
-    upsampling (frames are encoded and decoded one at a time) with output rows Ho
-    and flat rows Wo + r wide (r = 2 at stride 1, 1 at stride 2), its zero-padded
-    input's parity planes Cin x stride^2 x (Ho + r + 1)(Wo + r) (at stride 1 the
-    padded rows Cin x (H + 3)(W + 2)), its output with wrap columns C x Ho (Wo + r)
-    and, with one input channel, its 9 stacked windows 9 x Ho (Wo + r) (the pixel
-    blocks' products are smaller); for each upsampling decoder conv
-    (``ops.upsample_conv2d``) its low-resolution padded input Cin x (h + 3)(w + 2),
-    its four parity planes 4C x ((h + 1)(w + 2) + 1) and its output C x 2h x 2w; 2E
-    channels for the GLU, whose largest array is its E-channel gated map
-    (``ops.glu`` builds the rest a block of hidden channels at a time; the 2E term,
-    the width of the expansion before the op was blocked, is kept as a bound); and
-    the zero-padded inputs ``ops.dwconv_2d`` reads, (H + k) x (W + k - 1) per
-    channel (a bound: it pads a block of channels at a time), of the multi-scale
-    init's and the GLU's 3 x 3 and the center kernel. Every other per-sample array
-    of the forward is no larger than one of these; the banded Toeplitz matrices of
-    the separable passes are shared by all samples.
+    The encoder and decoder run on :func:`frame_blocks`, so their candidates count
+    the F frames of the largest block. They are, for each encoder conv and each
+    decoder conv without upsampling with output rows Ho and flat rows Wo + r wide
+    (r = 2 at stride 1, 1 at stride 2), its zero-padded input's parity planes
+    Cin x stride^2 x (Ho + r + 1)(Wo + r) (at stride 1 the padded rows
+    Cin x (H + 3)(W + 2)), its output with wrap columns C x Ho (Wo + r) and, with one
+    input channel, its 9 stacked windows 9 x Ho (Wo + r) (the pixel blocks' products
+    are smaller); for each upsampling decoder conv (``ops.upsample_conv2d``) its
+    low-resolution padded input Cin x (h + 3)(w + 2), its four parity planes
+    4C x ((h + 1)(w + 2) + 1) and its output C x 2h x 2w; each times F. The
+    translator's, once a sample: 2E channels for the GLU, whose largest map is its
+    E-channel gated map (the 2E term, the width of the expansion before the op was
+    blocked, is kept as a bound); the GEMM output of one of the GLU's blocks of
+    E_b hidden channels (``ops.index_blocks`` of an h x w map), its gate and value
+    rows zero-padded, 2 E_b x (h + 3)(w + 2); and the zero-padded inputs
+    ``ops.dwconv_2d`` reads, (H + k) x (W + k - 1) per channel (a bound: it pads a
+    block of channels at a time), of the multi-scale init's 3 x 3 and the center
+    kernel. Every other per-sample array of the forward is no larger than one of
+    these; the banded Toeplitz matrices of the separable passes are shared by all
+    samples.
     """
-    cfg = config
+    cfg, itemsize = config, np.dtype(dtype).itemsize
     hp, wp = cfg.latent_hw
     cp, e, kc = cfg.packed_channels, cfg.expansion * cfg.packed_channels, cfg.center_size
-    c, sizes, convs = cfg.latent, [], list(_encoder_convs(cfg))
+    c, frame, convs = cfg.latent, [], list(_encoder_convs(cfg))
     for cin, h, w, upsample in _decoder_convs(cfg):
         if upsample:  # ops.upsample_conv2d of the h/2 x w/2 input
             lh, lw = h // 2, w // 2
-            sizes += [cin * (lh + 3) * (lw + 2), 4 * c * ((lh + 1) * (lw + 2) + 1), c * h * w]
+            frame += [cin * (lh + 3) * (lw + 2), 4 * c * ((lh + 1) * (lw + 2) + 1), c * h * w]
         else:
             convs.append((cin, h, w, 1))
     for cin, h, w, s in convs:
         ho, r = h // s, 2 // s
-        sizes.append(max(cin * s * s * (ho + r + 1), c * ho, 9 * ho * (cin == 1)) * (w // s + r))
-    sizes.append(cp * (hp + 3) * (wp + 2))
+        frame.append(max(cin * s * s * (ho + r + 1), c * ho, 9 * ho * (cin == 1)) * (w // s + r))
+    sizes = [frame_blocks(cfg, dtype)[0].stop * max(frame), cp * (hp + 3) * (wp + 2)]
     if cfg.n_t:
-        sizes += [2 * e * hp * wp, e * (hp + 3) * (wp + 2), cp * (hp + kc) * (wp + kc - 1)]
-    return max(sizes) * np.dtype(dtype).itemsize
+        eb = index_blocks(e, hp * wp * itemsize)[0].stop
+        sizes += [2 * e * hp * wp, 2 * eb * (hp + 3) * (wp + 2), cp * (hp + kc) * (wp + kc - 1)]
+    return max(sizes) * itemsize

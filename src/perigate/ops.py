@@ -1,9 +1,9 @@
 """Forward kernels on numpy arrays: convolutions, the frequency descriptor's
 fixed-filter cues, the gated channel mixing (GLU), group normalization with
 its LeakyReLU, softmax, the broadcasting arithmetic (with the block's center
-suppression and gated sum) and channel concatenation. Elementwise maths with
-no shape rule of its own sits in :mod:`perigate.autodiff`, beside its
-derivative.
+suppression and gated sum), channel concatenation and the packing of frame
+blocks along channels. Elementwise maths with no shape rule of its own sits
+in :mod:`perigate.autodiff`, beside its derivative.
 
 Conventions shared by every operation here:
 
@@ -170,9 +170,11 @@ def _tap_sum(windows, product, out: np.ndarray) -> np.ndarray:
 
 
 # Input bytes one pass of a blocked kernel covers (the channel blocks of dwconv_2d, the
-# descriptor and the GLU, the pixel blocks of conv2d, metrics.ssim's frame blocks), so
-# that its temporaries stay in L2. A partition depends only on the item count and the
-# item bytes, and each block writes only its own slice of its kernel's output.
+# descriptor and the GLU, the pixel blocks of conv2d, metrics.ssim's frame blocks, and
+# the frame blocks the model's encoder and decoder run on, sized by one sample's
+# full-resolution latent frame), so that its temporaries stay in L2. A partition depends
+# only on the item count and the item bytes, and each block writes only its own slice
+# of its kernel's output.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -632,3 +634,26 @@ def split_channels(x: np.ndarray, sizes) -> list[np.ndarray]:
         lo += s
     return out
 
+
+def unpack_frames(z: np.ndarray, t: int) -> np.ndarray:
+    """[..., T C, H, W] read as its T = ``t`` frames of C channels, [T, ..., C, H, W]:
+    frame i is channels [i C, (i + 1) C). A view when z's channels reshape as one."""
+    lead, (tc, hh, ww) = z.shape[:-3], z.shape[-3:]
+    if tc % t:
+        raise ConfigurationError(f"{tc} channels do not split into {t} frames")
+    return np.moveaxis(z.reshape(lead + (t, tc // t, hh, ww)), -4, 0)
+
+
+def pack_frames(blocks) -> np.ndarray:
+    """Frame blocks [F_b, ..., C, H, W], frames in order, packed along channels in one
+    copy: [..., T C, H, W] with T = sum F_b, the inverse of :func:`unpack_frames`."""
+    shape = blocks[0].shape[1:]
+    if any(b.shape[1:] != shape for b in blocks):
+        raise ConfigurationError(f"frame blocks {[b.shape for b in blocks]} differ per frame")
+    t = sum(b.shape[0] for b in blocks)
+    out = np.empty(shape[:-3] + (t * shape[-3],) + shape[-2:], dtype=np.result_type(*blocks))
+    frames, lo = unpack_frames(out, t), 0
+    for b in blocks:
+        frames[lo : lo + b.shape[0]] = b
+        lo += b.shape[0]
+    return out

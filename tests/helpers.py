@@ -26,6 +26,11 @@ def micro_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
+# the README's micro training config
+README_MICRO = ModelConfig(t_in=2, t_out=2, height=16, width=16, latent_c=6, n_s=2, n_t=2,
+                           kernels=(9, 15, 31))
+
+
 def sep_scale_params(k: int, channels: int) -> int:
     """Kernel parameters of one separable depthwise scale: 2k per channel."""
     return 2 * k * channels

@@ -4,9 +4,12 @@ These stay deliberately dumb: explicit Python loops over output elements,
 nothing shared with the library implementations. The strided-view Toeplitz
 and band sums, the per-parameter Adam step, center suppression and fusion
 composed from the arithmetic ops, the frequency descriptor's vjp that
-recomputes its maps and the GLU with its bias passes are earlier forms of
-library code, kept as bitwise references.
+recomputes its maps, the GLU with its bias passes and the model's prediction
+with one encoder and one decoder call per frame are earlier forms of library
+code, kept as bitwise references.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -461,6 +464,22 @@ def adam_step(store, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p.value = p.value - (lr * update).astype(p.value.dtype)
 
 
+def split_channels(x, sizes):
+    """Traced channel slices of x, one node each: a slice's gradient is g in its
+    channels and zero in the others."""
+    xv, out, lo = x.value, [], 0
+    for s in sizes:
+
+        def vjp(g, lo=lo, hi=lo + s):
+            gx = np.zeros_like(xv)
+            gx[..., lo:hi, :, :] = g
+            return (gx,)
+
+        out.append(ad._track(xv[..., lo : lo + s, :, :], (x,), vjp))
+        lo += s
+    return out
+
+
 def center_suppress(p_k, center_response, coefficient):
     """P_k - coefficient * center_response as two traced ops: ``sub`` of a ``mul`` by
     a [C] coefficient, or of a ``scale`` by a float."""
@@ -472,7 +491,7 @@ def center_suppress(p_k, center_response, coefficient):
 def fuse(alpha, responses):
     """sum_k alpha_k * Y_k as traced ops: alpha split into channel slices, one ``mul``
     per scale, the products added in ascending k."""
-    slices = ad.split_channels(alpha, [1] * len(responses))
+    slices = split_channels(alpha, [1] * len(responses))
     total = None
     for a_k, y_k in zip(slices, responses):
         term = ad.mul(y_k, a_k)
@@ -541,3 +560,33 @@ def freq_descriptor_vjp(xv, cues, g):
                 acc += f[..., wp + 1 : 1 - 2 * wp] * adjoint(dvar2) - adjoint(saved[0] * dvar2)
         gx[..., sl, :, :] = acc.reshape(acc.shape[:-1] + (-1, wp))[..., :-2]
     return gx
+
+
+def pack_time(frames):
+    """Per-frame features [..., C, h, w] packed along channels in time order."""
+    return ad.concat_channels(frames)
+
+
+def unpack_time(z, t):
+    """The inverse of :func:`pack_time`: t equal channel slices."""
+    c_total = z.value.shape[-3]
+    return split_channels(z, [c_total // t] * t)
+
+
+def model_predict(model, frames, mode="eval", drop_draw=None, internals=None):
+    """``Model.predict`` as one ``encode_frame`` and one ``decode_frame`` call per
+    frame: each pass encodes every input frame, packs the features, translates,
+    unpacks and decodes the frames still needed."""
+    cfg = model.config
+    current = list(frames)
+    outputs = []
+    for pass_idx in range((cfg.t_out + cfg.t_in - 1) // cfg.t_in):
+        feats, skips = zip(*(model.encode_frame(f) for f in current))
+        draw = partial(drop_draw, pass_idx) if drop_draw is not None else None
+        z = model.translate(pack_time(list(feats)), mode=mode, drop_draw=draw,
+                            internals=internals if pass_idx == 0 else None)
+        parts = unpack_time(z, cfg.t_in)
+        keep = min(cfg.t_in, cfg.t_out - len(outputs))
+        outputs.extend(model.decode_frame(parts[t], skips[t]) for t in range(keep))
+        current = outputs[-cfg.t_in :]
+    return outputs

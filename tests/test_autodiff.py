@@ -184,9 +184,21 @@ def primitive_cases():
             lambda a, b: ad.concat_channels([a, b]),
             [x, rng.standard_normal((1, 6, 6))],
         ),
-        "split": (lambda a: ad.split_channels(a, [1, 1])[1], [x]),
-        "pack": (lambda a, b: ad.pack_time([a, b]), [x, rng.standard_normal((2, 6, 6))]),
-        "unpack": (lambda a: ad.unpack_time(a, 2)[1], [x]),
+        "stack_frames": (
+            lambda a, b: ad.stack_frames([a, b]), [x, rng.standard_normal((2, 6, 6))]
+        ),
+        "take_frame": (lambda a: ad.take_frames(a, 1), [rng.standard_normal((3, 2, 2, 4, 4))]),
+        "take_frames": (
+            lambda a: ad.take_frames(a, slice(0, 2)), [rng.standard_normal((3, 2, 2, 4, 4))]
+        ),
+        "pack_frames": (
+            lambda a, b: ad.pack_frames([a, b]),
+            [rng.standard_normal((2, 3, 2, 4, 4)), rng.standard_normal((1, 3, 2, 4, 4))],
+        ),
+        "unpack_frames": (
+            lambda a: ad.add(*ad.unpack_frames(a, 3, [slice(0, 1), slice(2, 3)])),
+            [rng.standard_normal((2, 6, 4, 4))],
+        ),
         "meanall": (lambda a: ad.mean_all(a), [x]),
         "drop_path": (lambda a: ad.drop_path(a, 0.3, "train", 0.9), [x]),
     }

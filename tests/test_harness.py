@@ -15,7 +15,7 @@ from perigate.data import gen_bouncing
 from perigate.errors import ConfigParseError, ConfigurationError, InputError, NumericError
 from perigate.model import Model, ModelConfig
 
-from helpers import micro_config
+from helpers import README_MICRO, micro_config
 from naive import adam_step
 
 
@@ -288,10 +288,6 @@ class TestEvaluation:
         assert report["ssim"] == metrics.ssim(preds, gt)
 
 
-README_MICRO = ModelConfig(t_in=2, t_out=2, height=16, width=16, latent_c=6, n_s=2, n_t=2,
-                           kernels=(9, 15, 31))
-
-
 def predict_one_by_one(model, data):
     """One Model.predict per sequence on unbatched [c_in, H, W] frames."""
     m = model.config
@@ -363,9 +359,10 @@ class TestBatchedPrediction:
     def test_eval_chunk_unchanged(self):
         from test_model import SHAPE_CONFIGS
 
-        # the stride-2 conv's parity planes add no array larger than the GLU's bound
-        assert harness.eval_chunk(README_MICRO, np.float32) == 170
-        assert harness.eval_chunk(README_MICRO, np.float64) == 85
+        # the stride-2 conv's parity planes add no array larger than the GLU's; the
+        # GLU's padded GEMM rows (42,240 B a sample) set the micro chunk
+        assert harness.eval_chunk(README_MICRO, np.float32) == 99
+        assert harness.eval_chunk(README_MICRO, np.float64) == 49
         assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
 
     def test_predict_batch_does_not_validate_again(self):
@@ -394,9 +391,14 @@ class TestBatchedPrediction:
 
         assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
         assert harness.eval_chunk(README_MICRO, np.float32) >= 16
-        # the GLU's 2E-channel bound, 2 * 4 * 12 * 8 * 8, is the largest term; the
-        # last decoder conv's flat rows, 2c * (H + 3) * (W + 2), come next
-        assert per_sample_bytes(README_MICRO, np.float32) == 2 * 48 * 8 * 8 * 4
+        # the GEMM output of the GLU's one block of all 48 hidden channels, gate and
+        # value rows zero-padded, 2 * 48 * (8 + 3) * (8 + 2), is the largest term; the
+        # last decoder conv's flat rows over the block of both frames,
+        # 2 * 2c * (H + 3) * (W + 2), come next, and the 2E-channel bound third
+        assert per_sample_bytes(README_MICRO, np.float32) == 2 * 48 * 11 * 10 * 4
+        # without gating blocks that frame block sets the maximum
+        assert per_sample_bytes(replace(README_MICRO, n_t=0), np.float32) == \
+            2 * 12 * 19 * 18 * 4
         # at 128x128 it is the GLU's 2E-channel bound, 2 * 4 * 60 * 64 * 64
         assert per_sample_bytes(SHAPE_CONFIGS["kth"], np.float32) == 2 * 240 * 64 * 64 * 4
         assert per_sample_bytes(README_MICRO, np.float64) == \

@@ -1,13 +1,17 @@
 """Model assembly: shapes, protocol conformance, determinism, accounting."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perigate import autodiff as ad
 from perigate import block as gate_block
-from perigate import harness, multiscale
+from perigate import harness, multiscale, ops
+from perigate.data import gen_bouncing
 from perigate.errors import ConfigurationError, InputError
 from perigate.model import (
     Model,
@@ -15,9 +19,17 @@ from perigate.model import (
     count_flops,
     count_params,
     encoder_strides,
+    frame_blocks,
 )
 
-from helpers import dense_scale_params, glu_params, micro_config, sep_scale_params
+import naive
+from helpers import (
+    README_MICRO,
+    dense_scale_params,
+    glu_params,
+    micro_config,
+    sep_scale_params,
+)
 
 
 def frames_for(cfg, seed=0):
@@ -210,7 +222,7 @@ def hand_built_alpha(model, frames, block_index):
     encode each frame, pack, multi-scale init, then blocks 0..block_index."""
     settings = model.config
     feats = [model.encode_frame(f)[0] for f in frames]
-    x = multiscale.forward(ad.pack_time(feats), model.params.msinit)
+    x = multiscale.forward(naive.pack_time(feats), model.params.msinit)
     for i in range(block_index):
         x = gate_block.forward(x, model.params.blocks[i], settings, mode="eval")
     internals = gate_block.BlockInternals()
@@ -432,3 +444,101 @@ class TestBatchAxis:
         model = Model.build(cfg, seed=0, dtype=np.float64)
         with pytest.raises(InputError):
             model.predict([np.zeros((1, 2, 1, 8, 8))] * cfg.t_in)
+
+
+class TestFrameBlocks:
+    """The encoder and decoder run on frame blocks, one call per block; every op takes
+    the frame axis as more samples, so the values are those of the per-frame loop
+    (``naive.model_predict``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_eval_bitwise_equal_to_per_frame_loop(self, data):
+        t_in = data.draw(st.integers(2, 3), label="t_in")
+        cfg = micro_config(t_in=t_in, t_out=data.draw(st.integers(1, 3 * t_in), label="t_out"),
+                           n_s=data.draw(st.integers(1, 4), label="n_s"), n_t=2)
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        batch = data.draw(st.sampled_from([None, 1, 2, 3]), label="batch")
+        n_blocks = data.draw(st.sampled_from([1, 2, t_in]), label="blocks")
+        model = Model.build(cfg, seed=data.draw(st.integers(0, 3), label="seed"), dtype=dtype)
+        for blk in model.params.blocks:  # input-dependent gates
+            blk.gate_w.value = np.random.default_rng(1).standard_normal(
+                blk.gate_w.value.shape).astype(dtype)
+        rng = np.random.default_rng(2)
+        shape = (cfg.c_in, cfg.height, cfg.width) if batch is None else \
+            (batch, cfg.c_in, cfg.height, cfg.width)
+        frames = [rng.random(shape).astype(dtype) for _ in range(t_in)]
+        frame_bytes = cfg.latent * cfg.height * cfg.width * np.dtype(dtype).itemsize
+        with mock.patch.object(ops, "BLOCK_BYTES", -(-t_in // n_blocks) * frame_bytes):
+            assert len(frame_blocks(cfg, dtype)) == n_blocks
+            got_internals, want_internals = [], []
+            got = model.predict(frames, internals=got_internals)
+            want = naive.model_predict(model, frames, internals=want_internals)
+        assert len(got) == len(want) == cfg.t_out
+        for g, w in zip(got, want):
+            assert g.value.shape == w.value.shape and g.value.dtype == w.value.dtype
+            assert g.value.tobytes() == w.value.tobytes()
+        assert len(got_internals) == len(want_internals) == cfg.n_t
+        for g, w in zip(got_internals, want_internals):
+            assert g.alpha.value.tobytes() == w.alpha.value.tobytes()
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 2e-6), (np.float64, 1e-12)])
+    def test_minibatch_gradients_match_per_frame_loop(self, dtype, rtol):
+        # weight and affine gradients sum frames and samples in one reduction, so they
+        # move by rounding only; the forward, and so the loss, is bitwise
+        model = Model.build(README_MICRO, seed=7, dtype=dtype)
+        seqs = gen_bouncing(seed=5, num_sequences=8, frames=4, height=16, width=16)
+
+        def loss_and_grads():
+            model.store.zero_grads()
+            out, tape = ad.forward_traced(lambda: harness._batch_loss(model, seqs, None), [])
+            ad.backward(tape, np.asarray(1.0, dtype=dtype))
+            return out.value, {n: model.store.grad(n).copy() for n in model.store.names()}
+
+        loss, grads = loss_and_grads()
+        with mock.patch.object(Model, "predict", naive.model_predict):
+            want_loss, want = loss_and_grads()
+        assert loss.tobytes() == want_loss.tobytes()
+        for name, w in want.items():
+            assert np.abs(grads[name] - w).max() <= rtol * np.abs(w).max(), name
+
+    def test_partitions_of_both_regimes(self):
+        # one block of both frames at the README micro config, and one frame a block at
+        # 128 x 128, where one call per frame is the faster form (ROADMAP)
+        assert frame_blocks(README_MICRO, np.float32) == [slice(0, 2)]
+        assert frame_blocks(README_MICRO, np.float64) == [slice(0, 2)]
+        for cfg in (SHAPE_CONFIGS["kth"], replace(SHAPE_CONFIGS["kth"], t_out=10)):
+            assert frame_blocks(cfg, np.float32) == [slice(t, t + 1) for t in range(10)]
+
+    def test_one_encoder_and_decoder_call_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(Model, name)
+
+            def wrapper(self, block, *rest):
+                calls.append((name, block.shape[0]))
+                return original(self, block, *rest)
+
+            return wrapper
+
+        for name in ("encode_frame", "decode_frame"):
+            monkeypatch.setattr(Model, name, counted(name))
+        model = Model.build(replace(README_MICRO, t_out=3), seed=0)
+        model.predict([np.zeros((4, 1, 16, 16))] * 2)
+        # two passes of two frames each; the second decodes the one frame still needed
+        assert calls == [("encode_frame", 2), ("decode_frame", 2), ("encode_frame", 2),
+                         ("decode_frame", 1)]
+
+    def test_micro_step_tape_nodes(self):
+        # 81 with one encoder and one decoder call per frame
+        model = Model.build(README_MICRO, seed=7)
+        seqs = gen_bouncing(seed=5, num_sequences=8, frames=4, height=16, width=16)
+        _, tape = ad.forward_traced(lambda: harness._batch_loss(model, seqs, None), [])
+        assert len(tape.nodes) == 72
+
+    def test_rejects_frames_of_different_shapes(self):
+        cfg = micro_config()
+        model = Model.build(cfg, seed=0)
+        with pytest.raises(InputError, match="differ in shape"):
+            model.predict([np.zeros((2, 1, 8, 8)), np.zeros((3, 1, 8, 8))])

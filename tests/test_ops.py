@@ -1003,20 +1003,24 @@ class TestLayout:
     def test_pack_unpack(self):
         rng = np.random.default_rng(19)
         frames = [rng.random((2, 3, 3)) for _ in range(4)]
-        z = ad.pack_time(frames).value
+        blocks = [np.stack(frames[:1]), np.stack(frames[1:])]  # frame blocks of 1 and 3
+        z = ad.pack_frames(blocks).value
         assert z.shape == (8, 3, 3)
         assert np.array_equal(z[2:4], frames[1])  # frame t at block [t*C, (t+1)*C)
-        back = ad.unpack_time(z, 4)
-        for a, b in zip(frames, back):
-            assert np.array_equal(a, b.value)
+        back = ad.unpack_frames(z, 4, [slice(0, 2), slice(2, 3), slice(3, 4)])
+        assert [b.shape[0] for b in back] == [2, 1, 1]
+        for a, b in zip(frames, [f for block in back for f in block.value]):
+            assert np.array_equal(a, b)
 
     def test_pack_single_identity(self):
         x = np.random.default_rng(20).random((3, 2, 2))
-        assert np.array_equal(ad.pack_time([x]).value, x)
+        assert np.array_equal(ad.pack_frames([x[None]]).value, x)
 
     def test_unpack_indivisible_rejected(self):
         with pytest.raises(ConfigurationError):
-            ad.unpack_time(np.zeros((5, 2, 2)), 2)
+            ad.unpack_frames(np.zeros((5, 2, 2)), 2, [slice(0, 2)])
+        with pytest.raises(ConfigurationError):  # blocks of unequal frames
+            ad.pack_frames([np.zeros((1, 2, 2, 2)), np.zeros((1, 2, 3, 2))])
 
 
 class TestBatchAxis:
@@ -1071,11 +1075,12 @@ class TestBatchAxis:
     def test_layout_over_batch(self):
         rng = np.random.default_rng(82)
         frames = [rng.random((2, 3, 4, 4)) for _ in range(2)]
-        z = ad.pack_time(frames).value
+        z = ad.pack_frames([ad.stack_frames(frames)]).value
         assert z.shape == (2, 6, 4, 4)
         assert np.array_equal(z[:, 3:6], frames[1])
-        for a, b in zip(frames, ad.unpack_time(z, 2)):
-            assert np.array_equal(a, b.value)
+        (block,) = ad.unpack_frames(z, 2, [slice(0, 2)])
+        for t, a in enumerate(frames):
+            assert np.array_equal(a, ad.take_frames(block, t).value)
 
     def test_gate_map_broadcasts_over_channels(self):
         x = np.random.default_rng(83).random((2, 3, 4, 4))
