@@ -412,7 +412,7 @@ def conv2d(x, w, b=None, stride: int = 1):
     def vjp(g):
         k = wv.shape[-1]
         gb = _sum_to_channels(g) if isinstance(b, Var) else None
-        gx = ops.conv2d_input_grad(g, wv, xv.shape[-2:], stride)
+        gx = ops.conv2d_input_grad(g, wv, xv.shape[-2:], stride) if isinstance(x, Var) else None
         gw = None
         if isinstance(w, Var):
             # tap (u, v): g, zero in wrapped columns, times the forward's window transposed
@@ -610,13 +610,13 @@ def concat_channels(xs):
 
 def stack_frames(frames):
     """Frames [..., C, H, W] stacked along a new leading axis: one frame block
-    [F, ..., C, H, W], a view of a lone frame. Plain arrays stack into a graph input
-    (a leaf, no node), as each would have been; with a Var among them the stack is a
-    node, and each frame's gradient is its slice of g."""
+    [F, ..., C, H, W], a view of a lone frame. Plain arrays stack into a plain array
+    (a constant); with a Var among them the stack is a node, and each frame's gradient
+    is its slice of g."""
     vals = [_val(f) for f in frames]
     y = np.stack(vals) if len(vals) > 1 else vals[0][None]
     if not any(isinstance(f, Var) for f in frames):
-        return Var(y)
+        return y
     return _track(y, tuple(frames), lambda g: tuple(g))
 
 

@@ -220,8 +220,8 @@ def load_model(path) -> tuple[TrainConfig, Model]:
 
 
 # Eval-mode prediction stacks as many sequences into one Model.predict call as keep
-# the largest per-sample intermediate (model.per_sample_bytes) within this many bytes:
-# 99 at the README micro config (42 kB; one call on 16 sequences takes a fifth of
+# the largest per-sample feature map (model.per_sample_bytes) within this many bytes:
+# 170 at the README micro config (24 kB; one call on 16 sequences takes a fifth of
 # the time of 16), one at the 128x128 kth shape (7.9 MB; chunk 2 saves no time).
 EVAL_CHUNK_BYTES = 4 << 20
 

@@ -76,6 +76,9 @@ class ModelConfig:
         for name in ("t_in", "t_out", "c_in", "c_out", "height", "width"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
+        if self.t_out > self.t_in and self.c_out != self.c_in:  # a rollout encodes its outputs
+            raise ConfigurationError(f"a rollout (t_out {self.t_out} > t_in {self.t_in}) needs"
+                                     f" c_out {self.c_out} equal to c_in {self.c_in}")
         if self.latent_c is not None and self.latent_c < 1:
             raise ConfigurationError(f"latent_c must be >= 1, got {self.latent_c}")
         if self.n_s < 1:
@@ -209,14 +212,12 @@ class Model:
     # -- stages --------------------------------------------------------------
 
     def encode_frame(self, frames):
-        """Shared encoder over a frame block [F, ..., c_in, H, W] (or one frame): returns
-        (latent features, first-block skip), with the block's leading axes."""
-        x = self._as_var(frames, (self.config.c_in, self.config.height, self.config.width))
-        skip = None
-        for stage in self.params.encoder:
+        """Shared encoder over a frame block [F, ..., c_in, H, W] (or one frame), taken as
+        it is (:meth:`predict` validates its inputs once): returns (latent features,
+        first-block skip), with the block's leading axes."""
+        x = skip = _conv_norm_act(frames, self.params.encoder[0])
+        for stage in self.params.encoder[1:]:
             x = _conv_norm_act(x, stage)
-            if skip is None:
-                skip = x
         return x, skip
 
     def translate(self, z, mode: str = "eval", drop_draw=None, internals=None):
@@ -315,13 +316,6 @@ class Model:
             raise InputError(f"input frames differ in shape: {[f.shape for f in frames]}")
         return frames
 
-    def _as_var(self, frames, expected_shape):
-        """A [..., c_in,H,W] frame block, frame or batch as a graph input."""
-        arr = frames.value if isinstance(frames, Var) else np.asarray(frames, dtype=self.dtype)
-        if arr.ndim < 3 or arr.shape[-3:] != expected_shape:
-            raise InputError(f"frame shape {arr.shape} does not end in {expected_shape}")
-        return frames if isinstance(frames, Var) else Var(arr)
-
 
 def _conv_norm_act(x, stage: ConvStage):
     """The encoder/decoder stage: 3x3 conv (behind a nearest 2x upsampling, as one op,
@@ -398,45 +392,15 @@ def count_flops(config: ModelConfig) -> int:
 
 
 def per_sample_bytes(config: ModelConfig, dtype) -> int:
-    """Bytes of the largest single array one sample adds to an eval forward of a
-    validated ``config`` (``Model.build`` validates it).
-
-    The encoder and decoder run on :func:`frame_blocks`, so their candidates count
-    the F frames of the largest block. They are, for each encoder conv and each
-    decoder conv without upsampling with output rows Ho and flat rows Wo + r wide
-    (r = 2 at stride 1, 1 at stride 2), its zero-padded input's parity planes
-    Cin x stride^2 x (Ho + r + 1)(Wo + r) (at stride 1 the padded rows
-    Cin x (H + 3)(W + 2)), its output with wrap columns C x Ho (Wo + r) and, with one
-    input channel, its 9 stacked windows 9 x Ho (Wo + r) (the pixel blocks' products
-    are smaller); for each upsampling decoder conv (``ops.upsample_conv2d``) its
-    low-resolution padded input Cin x (h + 3)(w + 2), its four parity planes
-    4C x ((h + 1)(w + 2) + 1) and its output C x 2h x 2w; each times F. The
-    translator's, once a sample: 2E channels for the GLU, whose largest map is its
-    E-channel gated map (the 2E term, the width of the expansion before the op was
-    blocked, is kept as a bound); the GEMM output of one of the GLU's blocks of
-    E_b hidden channels (``ops.index_blocks`` of an h x w map), its gate and value
-    rows zero-padded, 2 E_b x (h + 3)(w + 2); and the zero-padded inputs
-    ``ops.dwconv_2d`` reads, (H + k) x (W + k - 1) per channel (a bound: it pads a
-    block of channels at a time), of the multi-scale init's 3 x 3 and the center
-    kernel. Every other per-sample array of the forward is no larger than one of
-    these; the banded Toeplitz matrices of the separable passes are shared by all
-    samples.
-    """
-    cfg, itemsize = config, np.dtype(dtype).itemsize
-    hp, wp = cfg.latent_hw
-    cp, e, kc = cfg.packed_channels, cfg.expansion * cfg.packed_channels, cfg.center_size
-    c, frame, convs = cfg.latent, [], list(_encoder_convs(cfg))
-    for cin, h, w, upsample in _decoder_convs(cfg):
-        if upsample:  # ops.upsample_conv2d of the h/2 x w/2 input
-            lh, lw = h // 2, w // 2
-            frame += [cin * (lh + 3) * (lw + 2), 4 * c * ((lh + 1) * (lw + 2) + 1), c * h * w]
-        else:
-            convs.append((cin, h, w, 1))
-    for cin, h, w, s in convs:
-        ho, r = h // s, 2 // s
-        frame.append(max(cin * s * s * (ho + r + 1), c * ho, 9 * ho * (cin == 1)) * (w // s + r))
-    sizes = [frame_blocks(cfg, dtype)[0].stop * max(frame), cp * (hp + 3) * (wp + 2)]
+    """Bytes of the largest feature map one sample adds to an eval forward of a
+    validated ``config`` (``Model.build`` validates it): the decoder's last input, the
+    latent map and its skip over the largest :func:`frame_blocks` block, 2 F latent H W;
+    the packed translator map, cp h w; and with gating blocks the GLU's gate and value
+    rows, 2E h w. A kernel's scratch stays within a small factor of the map it reads."""
+    cfg = config
+    hw = cfg.latent_hw[0] * cfg.latent_hw[1]
+    sizes = [2 * frame_blocks(cfg, dtype)[0].stop * cfg.latent * cfg.height * cfg.width,
+             cfg.packed_channels * hw]
     if cfg.n_t:
-        eb = index_blocks(e, hp * wp * itemsize)[0].stop
-        sizes += [2 * e * hp * wp, 2 * eb * (hp + 3) * (wp + 2), cp * (hp + kc) * (wp + kc - 1)]
-    return max(sizes) * itemsize
+        sizes.append(2 * cfg.expansion * cfg.packed_channels * hw)
+    return max(sizes) * np.dtype(dtype).itemsize

@@ -378,10 +378,6 @@ def _is_pole(beta: float, coeffs: QuadCoeffs) -> bool:
     return abs(_noise_energy(beta, coeffs)) <= 1e-12 * size
 
 
-def _snr_derivative(beta: float, coeffs: QuadCoeffs, h: float = 1e-6) -> float:
-    return (snr(beta + h, coeffs) - snr(beta - h, coeffs)) / (2.0 * h)
-
-
 def stationary_polynomial(coeffs: QuadCoeffs) -> np.ndarray:
     """Coefficients (highest degree first) of the stationary equation.
 
@@ -417,13 +413,15 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
 
     Roots come from companion-matrix eigenvalues after stripping degenerate
     leading coefficients, polished by Newton steps on the polynomial, and
-    each verified to zero the central-difference SNR derivative, to
-    ``derivative_tol`` times max(1, |SNR|). When At*Ct = Bt^2 the double root
+    each verified to zero the SNR derivative, to ``derivative_tol`` times
+    max(1, |SNR|). The derivative is the closed form dSNR/dbeta =
+    2 P / (sigma2 Dt^2), P the stationary equation's residual and Dt the noise
+    energy, compared without dividing. When At*Ct = Bt^2 the double root
     Bt/Ct of the noise energy also solves the equation; it is a pole of the
     SNR, not a stationary point, and is dropped. :class:`DegeneracyError` is
     raised for a noise energy that is negative somewhere (At < 0, Ct < 0 or
     Bt^2 > At*Ct), which no pair of real responses gives, and for a root that
-    fails the check (an SNR too sharp for its 1e-6 step).
+    fails the check.
     """
     unit = _unit_scaled(coeffs)
     gram = unit.at * unit.ct
@@ -459,15 +457,16 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
                 break
             x -= p / dp
         real.append(x)
-    real = sorted(set(round(x, 14) for x in real if not _is_pole(x, coeffs)))
-    for x in real:
-        d = _snr_derivative(x, coeffs)
-        if abs(d) >= derivative_tol * max(1.0, abs(snr(x, coeffs))):
-            raise DegeneracyError(
-                f"stationary root {x} fails the derivative check: |dSNR/dbeta| = {abs(d):.3e}"
-                " (the SNR varies on a finer scale than the check's 1e-6 step)"
-            )
-    return real
+    real = [x for x in real if not _is_pole(x, coeffs)]
+    for x in real:  # checked before rounding, which would move a root near 0 onto 0
+        beta, q = float(x), coeffs  # Python floats: an overflow reads inf or nan, unwarned
+        num, den = q.a - 2.0 * beta * q.b + beta * beta * q.c, _noise_energy(beta, q)
+        residual = 2.0 * ((beta * q.c - q.b) * den - (beta * q.ct - q.bt) * num)  # N'Dt - NDt'
+        bound = derivative_tol * max(1.0, abs(snr(x, q))) * q.sigma2 * den * den
+        if not abs(residual) <= bound:
+            raise DegeneracyError(f"stationary root {x} fails the derivative check: |dSNR/dbeta|"
+                                  f" sigma2 Dt^2 = {abs(residual):.3e} exceeds {bound:.3e}")
+    return sorted(set(round(x, 14) for x in real))
 
 
 def optimal_beta(coeffs: QuadCoeffs) -> tuple[float, float]:

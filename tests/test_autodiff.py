@@ -1,6 +1,7 @@
 """Reverse-mode engine: traced forwards, VJPs, tape mechanics."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 
@@ -236,19 +237,23 @@ class TestGradCheckPrimitives:
         assert sorted(set(op_names) - called) == []
 
     def test_every_op_has_a_caller_in_src(self):
-        """Each traced op in ``autodiff.__all__``, and each public function of
-        :mod:`perigate.ops`, is called somewhere in the library other than inside its
-        own definition: no op or kernel is kept for the tests alone."""
-        trees = {path.stem: ast.parse(path.read_text())
-                 for path in pathlib.Path(ad.__file__).parent.glob("*.py")}
-
-        def called(module):
-            return set().union(*(_module_calls(t, module, m == module) for m, t in trees.items()))
-
-        assert sorted(set(ad.__all__) - NOT_OPS - called("autodiff")) == []
-        kernels = {name for name, f in vars(ops).items() if inspect.isfunction(f)
-                   and f.__module__ == ops.__name__ and not name.startswith("_")}
-        assert sorted(kernels - called("ops")) == []
+        """Each public function of every :mod:`perigate` module is called somewhere in the
+        library other than inside its own definition: no op, kernel or helper is kept for
+        the tests alone. The two exceptions are release criteria's own tools."""
+        kept = {("autodiff", "grad_check"),  # criterion 5: gradient checks
+                ("spectral", "snr_advantage")}  # criterion 8: an SNR gain over beta = 0
+        package = pathlib.Path(ad.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+        uncalled = []
+        for module in trees:
+            mod = importlib.import_module(f"perigate.{module}")
+            public = {name for name, f in vars(mod).items() if inspect.isfunction(f)
+                      and f.__module__ == mod.__name__ and not name.startswith("_")}
+            called = set().union(*(_module_calls(t, module, m == module)
+                                   for m, t in trees.items()))
+            uncalled += [(module, name) for name in sorted(public - called)]
+        assert sorted(set(uncalled) - kept) == []
+        assert sorted(kept - set(uncalled)) == []
 
     def test_five_random_points_per_op(self):
         for seed in range(5):

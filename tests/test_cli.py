@@ -355,6 +355,15 @@ def test_beta_star_pole_outside_domain(capsys):
     assert "grid_ok true" in capsys.readouterr().out
 
 
+def test_beta_star_root_on_a_fine_snr_scale(capsys):
+    # a central difference of step 1e-6 reads 1.06e-8 at this stationary root, where the
+    # closed-form derivative is -4.7e-13
+    assert main(["analyze", "beta-star", "--hl", "exp:0.4211", "--hs", "gauss:3.2908",
+                 "--ps", "band:0.6232,2.5683", "--sigma2", "0.5465"]) == 0
+    out = capsys.readouterr().out
+    assert "beta_star 0.937437" in out and "grid_ok true" in out
+
+
 @pytest.mark.parametrize("spectrum", ["exp:1e308", "gauss:1e-320"])
 def test_closed_form_past_float64_is_its_limit(spectrum, capsys):
     # exp(-rate r) and exp(-r^2 / 2 var) past float64 are 0 away from r = 0
@@ -495,6 +504,15 @@ def test_nonpositive_latent_c_exits_2_naming_it(value, workspace, capsys):
     cfg.write_text("\n".join(kept + [f"latent_c = {value}"]) + "\n")
     err = _exits_2_with_one_error_line(["inspect", "params", "--config", str(cfg)], capsys)
     assert "latent_c" in err
+
+
+def test_rollout_with_other_output_channels_exits_2(workspace, capsys):
+    # a rollout feeds its predictions back as inputs
+    tmp_path, cfg, _ = workspace
+    kept = [l for l in MICRO_CONFIG.splitlines() if l.split(" = ")[0] not in ("t_out", "c_out")]
+    cfg.write_text("\n".join(kept + ["t_out = 3", "c_out = 2"]) + "\n")
+    err = _exits_2_with_one_error_line(["inspect", "params", "--config", str(cfg)], capsys)
+    assert "c_out 2" in err and "c_in 1" in err
 
 
 class TestInspect:

@@ -64,6 +64,19 @@ class TestTraining:
         _, history = harness.train(cfg, micro_data)
         assert np.isfinite(history[0].loss)
 
+    def test_input_frames_get_no_input_gradient(self, micro_data):
+        # the stacked input frames are a constant: the encoder's first conv (the one conv
+        # with one input channel) computes no input gradient, and every other conv2d does
+        in_channels, input_grad = [], ops.conv2d_input_grad
+
+        def recorded(g, w, hw, stride=1):
+            in_channels.append(w.shape[1])
+            return input_grad(g, w, hw, stride)
+
+        with mock.patch.object(ops, "conv2d_input_grad", recorded):
+            harness.train(micro_train_config(epochs=1, batch=16), micro_data)  # one step
+        assert sorted(in_channels) == [6, 12]
+
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_stochastic_depth_draws_only_when_used(self, micro_data, monkeypatch, rate):
         calls = []
@@ -359,11 +372,21 @@ class TestBatchedPrediction:
     def test_eval_chunk_unchanged(self):
         from test_model import SHAPE_CONFIGS
 
-        # the stride-2 conv's parity planes add no array larger than the GLU's; the
-        # GLU's padded GEMM rows (42,240 B a sample) set the micro chunk
-        assert harness.eval_chunk(README_MICRO, np.float32) == 99
-        assert harness.eval_chunk(README_MICRO, np.float64) == 49
-        assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
+        # the largest feature map a sample adds: the GLU's gate and value rows at micro,
+        # mmnist, taxibj and both 128 x 128 shapes, the decoder's last input without
+        # gating blocks
+        shapes_96 = ModelConfig(t_in=2, t_out=3, height=96, width=96, latent_c=6, n_s=2,
+                                n_t=1, kernels=(3, 5))
+        shapes_128 = ModelConfig(t_in=2, t_out=1, height=128, width=128, latent_c=12, n_s=2,
+                                 n_t=1, kernels=(3, 5))
+        cases = [(README_MICRO, np.float32, 170), (README_MICRO, np.float64, 85),
+                 (replace(README_MICRO, n_t=0), np.float32, 170),
+                 (SHAPE_CONFIGS["mmnist"], np.float32, 8),
+                 (SHAPE_CONFIGS["taxibj"], np.float32, 21),
+                 (SHAPE_CONFIGS["kth"], np.float32, 1), (SHAPE_CONFIGS["kth"], np.float64, 1),
+                 (shapes_96, np.float32, 4), (shapes_128, np.float32, 1)]
+        assert [harness.eval_chunk(cfg, dtype) for cfg, dtype, _ in cases] == \
+            [chunk for _, _, chunk in cases]
 
     def test_predict_batch_does_not_validate_again(self):
         # Model.build validated the config; the chunk rule reads it as it stands
@@ -391,18 +414,32 @@ class TestBatchedPrediction:
 
         assert harness.eval_chunk(SHAPE_CONFIGS["kth"], np.float32) == 1
         assert harness.eval_chunk(README_MICRO, np.float32) >= 16
-        # the GEMM output of the GLU's one block of all 48 hidden channels, gate and
-        # value rows zero-padded, 2 * 48 * (8 + 3) * (8 + 2), is the largest term; the
-        # last decoder conv's flat rows over the block of both frames,
-        # 2 * 2c * (H + 3) * (W + 2), come next, and the 2E-channel bound third
-        assert per_sample_bytes(README_MICRO, np.float32) == 2 * 48 * 11 * 10 * 4
-        # without gating blocks that frame block sets the maximum
+        # the GLU's gate and value rows, 2E x h x w with E = 4 * 12
+        assert per_sample_bytes(README_MICRO, np.float32) == 2 * 48 * 8 * 8 * 4
+        # without gating blocks the decoder's last input, the latent map and its skip
+        # over the block of both frames, 2 * F * latent * H * W
         assert per_sample_bytes(replace(README_MICRO, n_t=0), np.float32) == \
-            2 * 12 * 19 * 18 * 4
-        # at 128x128 it is the GLU's 2E-channel bound, 2 * 4 * 60 * 64 * 64
+            2 * 2 * 6 * 16 * 16 * 4
+        # at 128 x 128 the GLU's rows, 2 * 4 * 60 * 64 * 64
         assert per_sample_bytes(SHAPE_CONFIGS["kth"], np.float32) == 2 * 240 * 64 * 64 * 4
         assert per_sample_bytes(README_MICRO, np.float64) == \
             2 * per_sample_bytes(README_MICRO, np.float32)
+
+    def test_chunk_ignores_kernel_scratch(self):
+        # one input frame, so each frame block is one frame whatever BLOCK_BYTES is: cutting
+        # it splits the GLU's 24 hidden channels (and every other blocked kernel's scratch)
+        # into more blocks, and the chunk stays where the feature maps put it
+        from perigate.model import frame_blocks
+
+        cfg = replace(README_MICRO, t_in=1, t_out=1)
+        plane = 8 * 8 * 4
+        chunks = []
+        for per_block in (1, 5, 24):
+            with mock.patch.object(ops, "BLOCK_BYTES", per_block * plane):
+                assert len(ops.index_blocks(24, plane)) == -(-24 // per_block)
+                assert frame_blocks(cfg, np.float32) == [slice(0, 1)]
+                chunks.append(harness.eval_chunk(cfg, np.float32))
+        assert chunks == [harness.EVAL_CHUNK_BYTES // (2 * 24 * 8 * 8 * 4)] * 3
 
     def test_memory_of_chunk_one_does_not_grow_with_n(self):
         import tracemalloc

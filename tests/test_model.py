@@ -87,6 +87,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=r"unknown cues \['f9'\]"):
             ModelConfig(cues=("f9",)).validate()
 
+    def test_rollout_needs_c_out_equal_to_c_in(self):
+        # pass 2 would encode c_out-channel predictions with a c_in-channel encoder
+        with pytest.raises(ConfigurationError, match="needs c_out 2 equal to c_in 1"):
+            ModelConfig(t_in=2, t_out=3, c_in=1, c_out=2).validate()
+        ModelConfig(t_in=2, t_out=2, c_in=1, c_out=2).validate()  # one pass: any c_out
+
 
 class TestEncoder:
     def test_taxibj_latent_shape(self):

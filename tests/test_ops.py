@@ -370,7 +370,7 @@ class TestConv2dFull:
     def test_forward_and_vjp_match_loop_oracles(self, ci, k, stride, data):
         x, w, b, g = data.draw(conv2d_cases(ci, k, stride))
         with ad.Tape():
-            out = ad.conv2d(x, ad.Var(w), ad.Var(b), stride)
+            out = ad.conv2d(ad.Var(x), ad.Var(w), ad.Var(b), stride)
         got = (out.value,) + tuple(out.vjp(g))
         want = oracle_conv2d(x, w, b, g, stride)
         bound = oracle_conv2d(np.abs(x), np.abs(w), np.abs(b), np.abs(g), stride)
@@ -399,7 +399,7 @@ class TestConv2dFull:
         with mock.patch.object(ops, "BLOCK_BYTES", step * ci * x.itemsize):
             sizes = [sl.stop - sl.start for sl in ops.index_blocks(n, ci * x.itemsize)]
             with ad.Tape():
-                out = ad.conv2d(x, ad.Var(w), ad.Var(b), stride)
+                out = ad.conv2d(ad.Var(x), ad.Var(w), ad.Var(b), stride)
             got = (out.value,) + tuple(out.vjp(g))
         assert {"one": sizes == [n], "two": sizes == [step, step],
                 "uneven": len(sizes) > 1 and 0 < sizes[-1] < step}[partition]
