@@ -11,6 +11,7 @@ imported inside the commands that use it, so that ``analyze`` starts without it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -28,7 +29,10 @@ from .errors import (
 USAGE_ERRORS = (ConfigurationError, ConfigParseError, InputError, DegeneracyError)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call:
+    parsing leaves it unchanged, so in-process callers of :func:`main` build it once."""
     parser = argparse.ArgumentParser(
         prog="perigate",
         description="Frequency-gated peripheral convolution toolkit",
@@ -242,8 +246,7 @@ def _analyze(args) -> int:
     p_s = _parse_signal(args.ps, args.samples)
     coeffs = spectral.quad_coeffs(h_l, h_s, p_s, args.sigma2)
     if args.analysis == "snr-sweep":
-        # open interval: beta = +-1 can zero the noise energy for dependent spectra
-        betas = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, args.samples)
+        betas = spectral.open_betas(args.samples)
         values = spectral.snr(betas, coeffs)
         if args.out_csv:
             spectral.write_snr_sweep_csv(args.out_csv, betas, values)

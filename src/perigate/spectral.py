@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain
 from typing import Callable, Optional
 
@@ -28,6 +28,10 @@ DEFAULT_SAMPLES = 1024
 MIN_SAMPLES = 64
 _EDGE = 1e-9  # beta domains are open: endpoints are approached this close
 _BLOCK_BYTES = 2**19  # kernel spectra: the four [2, rows, angles] arrays of a row block
+# grid_check's betas per block: snr's float64 temporaries are 125 kB, under glibc's
+# 128 KiB mmap threshold and in cache, and its peak of four stays under 512 KiB. Not
+# ops.index_blocks: importing ops would add 8-12 ms to every analyze start.
+_CHECK_BLOCK = 16_000
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +250,16 @@ class RingBand:
 
 
 def _bisect(fn, lo, hi, lo_positive: bool, iters: int = 80) -> float:
-    """Locate the sign change of fn between lo and hi."""
+    """Locate the sign change of fn between lo and hi.
+
+    Stops once the midpoint rounds onto an end of the bracket: the ends are
+    then adjacent floats, and no later step can move the midpoint."""
     flo_pos = lo_positive
     with np.errstate(over="ignore"):  # closed-form limits, as in response_from_function
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return mid
             if (float(fn(mid)) > 0.0) == flo_pos:
                 lo = mid
             else:
@@ -394,18 +403,47 @@ def stationary_polynomial(coeffs: QuadCoeffs) -> np.ndarray:
     return np.array([c3, c2, c1, c0])
 
 
-def _unit_scaled(coeffs: QuadCoeffs) -> QuadCoeffs:
+def _unit_scaled(coeffs: QuadCoeffs) -> tuple[QuadCoeffs, int]:
     """``coeffs`` with (A, B, C) and (At, Bt, Ct) each scaled by the power of
-    two that brings its largest magnitude into [0.5, 1). The scaling is exact
-    and the stationary equation is bilinear in the two triples, so its roots
-    are unchanged, and its coefficients cannot overflow."""
+    two, 2^-e1 and 2^-e2, that brings its largest magnitude into [0.5, 1), and
+    e1 - e2. The scaling is exact and the stationary equation is bilinear in
+    the two triples, so its roots are unchanged, and its coefficients cannot
+    overflow. The SNR of the scaled triples times 2^(e1 - e2) is the SNR."""
 
-    def scaled(*values):
-        e = math.frexp(max(abs(v) for v in values))[1]
-        return [math.ldexp(v, -e) for v in values]
+    def exponent(*values):
+        return math.frexp(max(abs(v) for v in values))[1]
 
-    return QuadCoeffs(*scaled(coeffs.a, coeffs.b, coeffs.c),
-                      *scaled(coeffs.at, coeffs.bt, coeffs.ct), coeffs.sigma2)
+    e1 = exponent(coeffs.a, coeffs.b, coeffs.c)
+    e2 = exponent(coeffs.at, coeffs.bt, coeffs.ct)
+    return QuadCoeffs(*(math.ldexp(v, -e1) for v in (coeffs.a, coeffs.b, coeffs.c)),
+                      *(math.ldexp(v, -e2) for v in (coeffs.at, coeffs.bt, coeffs.ct)),
+                      coeffs.sigma2), e1 - e2
+
+
+def _check_stationary(beta: float, coeffs: QuadCoeffs, tol: float):
+    """Raise :class:`DegeneracyError` unless |dSNR/dbeta| <= tol * max(1, |SNR|)
+    at beta, up to 8 epsilon of the magnitudes of the derivative's terms.
+
+    dSNR/dbeta = 2 P / (sigma2 Dt^2), P = (beta C - B) Dt - (beta Ct - Bt) N the
+    stationary equation's residual. It is read without dividing, in Python
+    floats (an overflow reads inf or nan, unwarned), on the :func:`_unit_scaled`
+    triples, where N, Dt and P shrink by 2^-e1, 2^-e2 and 2^-(e1 + e2); so the
+    test reads |2P| <= tol * max(sigma2 2^(e2 - e1) Dt^2, |N Dt|) there.
+    """
+    q, shift = _unit_scaled(coeffs)
+    num, den = q.a - 2.0 * beta * q.b + beta * beta * q.c, _noise_energy(beta, q)
+    residual = 2.0 * ((beta * q.c - q.b) * den - (beta * q.ct - q.bt) * num)  # N'Dt - NDt'
+    num_size = abs(q.a) + abs(2.0 * beta * q.b) + abs(beta * beta * q.c)
+    den_size = abs(q.at) + abs(2.0 * beta * q.bt) + abs(beta * beta * q.ct)
+    terms = 2.0 * ((abs(beta * q.c) + abs(q.b)) * den_size
+                   + (abs(beta * q.ct) + abs(q.bt)) * num_size)
+    with np.errstate(over="ignore"):  # sigma2 2^(e2 - e1), held finite so that 0 * it is 0
+        floor = min(float(np.ldexp(q.sigma2, -shift)), np.finfo(float).max)
+    bound = tol * max(floor * den * den, abs(num * den)) + 8.0 * np.finfo(float).eps * terms
+    if not abs(residual) <= bound:
+        raise DegeneracyError(f"stationary root {beta} fails the derivative check: |dSNR/dbeta|"
+                              f" sigma2 Dt^2 = {abs(residual):.3e} exceeds {bound:.3e}"
+                              " on unit-scaled coefficients")
 
 
 def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[float]:
@@ -414,16 +452,14 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
     Roots come from companion-matrix eigenvalues after stripping degenerate
     leading coefficients, polished by Newton steps on the polynomial, and
     each verified to zero the SNR derivative, to ``derivative_tol`` times
-    max(1, |SNR|). The derivative is the closed form dSNR/dbeta =
-    2 P / (sigma2 Dt^2), P the stationary equation's residual and Dt the noise
-    energy, compared without dividing. When At*Ct = Bt^2 the double root
-    Bt/Ct of the noise energy also solves the equation; it is a pole of the
-    SNR, not a stationary point, and is dropped. :class:`DegeneracyError` is
+    max(1, |SNR|), by :func:`_check_stationary`. When At*Ct = Bt^2 the double
+    root Bt/Ct of the noise energy also solves the equation; it is a pole of
+    the SNR, not a stationary point, and is dropped. :class:`DegeneracyError` is
     raised for a noise energy that is negative somewhere (At < 0, Ct < 0 or
     Bt^2 > At*Ct), which no pair of real responses gives, and for a root that
     fails the check.
     """
-    unit = _unit_scaled(coeffs)
+    unit, _ = _unit_scaled(coeffs)
     gram = unit.at * unit.ct
     if unit.at < 0 or unit.ct < 0 or unit.bt * unit.bt - gram > 1e-12 * max(gram, 1e-300):
         raise DegeneracyError(
@@ -459,13 +495,7 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
         real.append(x)
     real = [x for x in real if not _is_pole(x, coeffs)]
     for x in real:  # checked before rounding, which would move a root near 0 onto 0
-        beta, q = float(x), coeffs  # Python floats: an overflow reads inf or nan, unwarned
-        num, den = q.a - 2.0 * beta * q.b + beta * beta * q.c, _noise_energy(beta, q)
-        residual = 2.0 * ((beta * q.c - q.b) * den - (beta * q.ct - q.bt) * num)  # N'Dt - NDt'
-        bound = derivative_tol * max(1.0, abs(snr(x, q))) * q.sigma2 * den * den
-        if not abs(residual) <= bound:
-            raise DegeneracyError(f"stationary root {x} fails the derivative check: |dSNR/dbeta|"
-                                  f" sigma2 Dt^2 = {abs(residual):.3e} exceeds {bound:.3e}")
+        _check_stationary(float(x), coeffs, derivative_tol)
     return sorted(set(round(x, 14) for x in real))
 
 
@@ -480,7 +510,7 @@ def optimal_beta(coeffs: QuadCoeffs) -> tuple[float, float]:
     :func:`grid_check` cross-checks the result against a dense grid.
     """
     roots = stationary_betas(coeffs)
-    unit = _unit_scaled(coeffs)
+    unit, _ = _unit_scaled(coeffs)
     pole = unit.bt / unit.ct if unit.ct != 0 else None
     if pole is not None and -1.0 <= pole <= 1.0 and _noise_energy(pole, unit) <= 1e-12:
         raise DegeneracyError(f"noise energy vanishes at beta = {pole:.9g}: the SNR has a pole")
@@ -490,14 +520,31 @@ def optimal_beta(coeffs: QuadCoeffs) -> tuple[float, float]:
     return candidates[best], values[best]
 
 
+def open_betas(n: int) -> np.ndarray:
+    """n betas evenly spanning the open domain (-1, 1), approached _EDGE in from
+    each end: beta = +-1 can zero the noise energy for dependent spectra."""
+    return np.linspace(-1.0 + _EDGE, 1.0 - _EDGE, n)
+
+
+@cache
+def _check_betas() -> np.ndarray:
+    """grid_check's betas, built once and shared read-only by every call."""
+    betas = open_betas(100_000)
+    betas.flags.writeable = False
+    return betas
+
+
 def grid_check(coeffs: QuadCoeffs, snr_star: float) -> tuple[bool, float]:
     """Whether snr_star reaches the SNR maximum on a dense grid, and that maximum.
 
-    The grid's 100,000 points span (-1, 1) 1e-9 in from each end; snr_star may
-    fall short of the grid maximum by at most 1e-9 times max(1, |grid maximum|).
+    The grid's 100,000 points are :func:`open_betas`; snr_star may fall short of
+    the grid maximum by at most 1e-9 times max(1, |grid maximum|). The maximum
+    is taken over blocks of _CHECK_BLOCK betas and is the dense one bit for
+    bit; np.max over the block maxima keeps a NaN, as the dense maximum does.
     """
-    betas = np.linspace(-1.0 + _EDGE, 1.0 - _EDGE, 100_000)
-    grid_max = float(np.max(snr(betas, coeffs)))
+    betas = _check_betas()
+    grid_max = float(np.max([np.max(snr(betas[i : i + _CHECK_BLOCK], coeffs))
+                             for i in range(0, betas.size, _CHECK_BLOCK)]))
     return snr_star >= grid_max - 1e-9 * max(1.0, abs(grid_max)), grid_max
 
 

@@ -4,9 +4,10 @@ These stay deliberately dumb: explicit Python loops over output elements,
 nothing shared with the library implementations. The strided-view Toeplitz
 and band sums, the per-parameter Adam step, center suppression and fusion
 composed from the arithmetic ops, the frequency descriptor's vjp that
-recomputes its maps, the GLU with its bias passes and the model's prediction
-with one encoder and one decoder call per frame are earlier forms of library
-code, kept as bitwise references.
+recomputes its maps, the GLU with its bias passes, the model's prediction
+with one encoder and one decoder call per frame, the SNR grid maximum over one
+dense array and the ring bisection with all its halvings are earlier forms of
+library code, kept as bitwise references.
 """
 
 from functools import partial
@@ -14,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from perigate import autodiff as ad
-from perigate import ops
+from perigate import ops, spectral
 
 
 def dense_dwconv2d(x, kernel):
@@ -380,6 +381,23 @@ def kernel_radial_dtft(h, v, n, num_angles):
             ev += v[tap] * np.exp(-1j * r * np.sin(theta) * offsets[tap])
         out += (eh * ev).real
     return out / num_angles
+
+
+def grid_snr_max(coeffs):
+    """The SNR maximum on the beta grid check's 100,000 points, in one dense array."""
+    return np.max(spectral.snr(np.linspace(-1 + 1e-9, 1 - 1e-9, 100_000), coeffs))
+
+
+def bisect80(fn, lo, hi, lo_positive):
+    """The sign change of fn between lo and hi after all 80 halvings."""
+    with np.errstate(over="ignore"):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if (float(fn(mid)) > 0.0) == lo_positive:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * (lo + hi)
 
 
 def ssim(pred, gt):

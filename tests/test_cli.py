@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perigate import container, harness
-from perigate.cli import main
+from perigate.cli import build_parser, main
 from perigate.config import TrainConfig
 from perigate.model import Model
 
@@ -364,6 +364,38 @@ def test_beta_star_root_on_a_fine_snr_scale(capsys):
     assert "beta_star 0.937437" in out and "grid_ok true" in out
 
 
+EXTREME_COEFFS = {
+    # the terms of 2P overflow at the caller's scale
+    "overflowing_terms": ["--coeffs=-1.14e-138,2.62e+168,1.45e+85,2.61e+150,-1.4e+142,2.57e+144",
+                          "--sigma2=9.22e-45"],
+    # the bound is below the rounding of 2P's own terms at the caller's scale
+    "rounding_terms": ["--coeffs=-5.75e+15,-8.6e+122,9.42e+183,3.48e+121,3.54e-09,4.27e-56",
+                       "--sigma2=5.55e-15"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_COEFFS))
+def test_beta_star_roots_at_extreme_coeffs(case, capsys):
+    assert main(["analyze", "beta-star"] + EXTREME_COEFFS[case]) == 0
+    out = capsys.readouterr()
+    assert "fails the derivative check" not in out.err
+    assert out.out.startswith("beta_star -1.000000\n") and out.out.endswith("grid_ok true\n")
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    ring = ["analyze", "ring", "--hl", "gauss:0.5,gain=0.5", "--hs", "exp:1.5", "--beta", "0.75"]
+    assert main(ring) == 0
+    assert capsys.readouterr().out == "ring 0.353723718 1.146276282\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "ring", "--sigma2", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: perigate") and "unrecognized arguments: --sigma2 1" in err
+    assert main(ring) == 0
+    assert capsys.readouterr().out == "ring 0.353723718 1.146276282\n"
+    assert build_parser() is build_parser()
+
+
 @pytest.mark.parametrize("spectrum", ["exp:1e308", "gauss:1e-320"])
 def test_closed_form_past_float64_is_its_limit(spectrum, capsys):
     # exp(-rate r) and exp(-r^2 / 2 var) past float64 are 0 away from r = 0
@@ -579,12 +611,15 @@ def _fresh_interpreter(code, *args):
 
 def test_import_leaves_the_model_stack_unloaded():
     """A fresh interpreter importing the CLI, as every ``perigate`` command starts,
-    loads none of the model stack and builds no kernel-spectrum direction table:
-    ``analyze`` never pays for the first, and closed-form queries not for the second."""
+    loads none of the model stack and builds no kernel-spectrum direction table,
+    beta grid or argument parser: ``analyze`` never pays for the first, closed-form
+    queries not for the second, and the last two are built on first use."""
     code = ("import sys, perigate.cli; print([m for m in ('perigate.model', "
             "'perigate.autodiff', 'perigate.harness') if m in sys.modules], "
-            "perigate.spectral._direction_table.cache_info().currsize)")
-    assert _fresh_interpreter(code).strip() == "[] 0"
+            "perigate.spectral._direction_table.cache_info().currsize, "
+            "perigate.spectral._check_betas.cache_info().currsize, "
+            "perigate.cli.build_parser.cache_info().currsize)")
+    assert _fresh_interpreter(code).strip() == "[] 0 0 0"
 
 
 def test_kernel_overflow_leaves_later_queries_unchanged(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Spectral toolkit: responses, ring detection, SNR stationarity/advantage."""
 
 import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from perigate.spectral import (
     stationary_polynomial,
 )
 
+import naive
 from naive import kernel_radial_dtft
 
 
@@ -256,6 +259,35 @@ class TestFindRing:
         assert band.r2 == pytest.approx(oracle[1], abs=1e-6)
 
 
+@st.composite
+def closed_forms(draw):
+    if draw(st.booleans()):
+        return ExpDecay(draw(st.floats(0.05, 3.0)))
+    return GaussianDecay(draw(st.floats(0.05, 4.0)), draw(st.floats(0.1, 3.0)))
+
+
+class TestRingBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(hl=closed_forms(), hs=closed_forms(), beta=st.floats(-1.0, 1.0))
+    @example(hl=GaussianDecay(0.5, 0.5), hs=ExpDecay(1.5), beta=0.75)  # the README ring
+    # the upper edge stops on the bracket's upper end, the lower edge on its lower end
+    @example(hl=GaussianDecay(0.7287, 0.3134), hs=ExpDecay(1.7297), beta=0.6527)
+    def test_bands_match_the_full_bisection(self, hl, hs, beta):
+        # stopping at float resolution returns the band all 80 halvings reach
+        h = composite(response_from_function(hl), response_from_function(hs), beta)
+        band = find_ring(h)
+        with mock.patch.object(spectral, "_bisect", naive.bisect80):
+            assert find_ring(h) == band
+
+    def test_readme_ring_stops_early(self):
+        h = composite(response_from_function(GaussianDecay(0.5, 0.5)),
+                      response_from_function(ExpDecay(1.5)), 0.75)
+        calls = mock.Mock(wraps=h.fn)
+        band = find_ring(FreqResponse(h.r, h.values, fn=calls))
+        assert f"ring {band.r1:.9f} {band.r2:.9f}" == "ring 0.353723718 1.146276282"
+        assert calls.call_count < 2 * 80  # 45 halvings an edge here
+
+
 class TestQuadCoeffs:
     def test_closed_form_integrals(self):
         n = 1024
@@ -315,6 +347,20 @@ class TestQuadCoeffs:
 
 
 FIXTURE = QuadCoeffs(a=2.0, b=1.0, c=1.0, at=1.0, bt=0.0, ct=1.0, sigma2=1.0)
+
+
+def readme_beta_star_coeffs():
+    """The README beta-star pair: exp:0.6 against gauss:2.5 over band:0.5,2.5."""
+    return quad_coeffs(response_from_function(ExpDecay(0.6)),
+                       response_from_function(GaussianDecay(2.5)),
+                       spectral.band_spectrum(0.5, 2.5), 1.0)
+
+
+# raw --coeffs queries whose roots only a check on unit-scaled coefficients accepts
+EXTREME_COEFFS = [
+    QuadCoeffs(-1.14e-138, 2.62e168, 1.45e85, 2.61e150, -1.4e142, 2.57e144, sigma2=9.22e-45),
+    QuadCoeffs(-5.75e15, -8.6e122, 9.42e183, 3.48e121, 3.54e-9, 4.27e-56, sigma2=5.55e-15),
+]
 
 
 class TestSnr:
@@ -378,11 +424,113 @@ class TestStationaryBetas:
         with pytest.raises(DegeneracyError):
             stationary_betas(q)
 
+    @pytest.mark.parametrize("q", EXTREME_COEFFS, ids=["overflowing_terms", "rounding_terms"])
+    def test_extreme_coefficients_keep_their_roots(self, q):
+        # at the caller's scale the terms of 2P overflow, or their rounding
+        # exceeds the bound; on unit-scaled coefficients every root checks.
+        # The check reads each root before it is rounded (-9.1e-62 before -0.0).
+        check = mock.Mock(wraps=spectral._check_stationary)
+        with mock.patch.object(spectral, "_check_stationary", check):
+            roots = stationary_betas(q)
+        assert len(roots) >= 1 and check.call_count >= len(roots)
+        for call in check.call_args_list:
+            assert call.args[1] is q
+
+    def test_check_refuses_a_moved_root(self):
+        q = readme_beta_star_coeffs()
+        for root in stationary_betas(q):
+            spectral._check_stationary(float(root), q, 1e-8)
+            with pytest.raises(DegeneracyError, match="fails the derivative check"):
+                spectral._check_stationary(float(root) * (1 + 1e-6), q, 1e-8)
+
+    @pytest.mark.parametrize("k", [-300, -40, 40, 300])
+    def test_check_reads_the_callers_units(self, k):
+        # scaling (A, B, C) and sigma2 by one power of two leaves the SNR, and so
+        # the verdict, unchanged; so does scaling (At, Bt, Ct) against sigma2
+        q = readme_beta_star_coeffs()
+        scaled = [
+            QuadCoeffs(*(math.ldexp(v, k) for v in (q.a, q.b, q.c)), q.at, q.bt, q.ct,
+                       math.ldexp(q.sigma2, k)),
+            QuadCoeffs(q.a, q.b, q.c, *(math.ldexp(v, k) for v in (q.at, q.bt, q.ct)),
+                       math.ldexp(q.sigma2, -k)),
+        ]
+        for root in stationary_betas(q):
+            for beta in (float(root), float(root) * (1 + 1e-9), float(root) * (1 + 1e-6)):
+                verdicts = []
+                for coeffs in [q] + scaled:
+                    try:
+                        spectral._check_stationary(beta, coeffs, 1e-8)
+                        verdicts.append(True)
+                    except DegeneracyError:
+                        verdicts.append(False)
+                assert verdicts in ([True] * 3, [False] * 3)
+
     def test_noise_pole_is_not_stationary(self):
         # At*Ct = Bt^2: the noise energy (1 - beta/2)^2 has a double root at
         # beta = 2, which solves the stationary equation but is a pole
         q = QuadCoeffs(a=2.0, b=1.0, c=1.0, at=1.0, bt=0.5, ct=0.25, sigma2=1.0)
         assert stationary_betas(q) == [0.0]
+
+
+@st.composite
+def snr_coeffs(draw):
+    """SNR coefficients; half of them keep the noise energy positive on the grid."""
+    value = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324]))
+    a, b, c, at, bt, ct = (draw(value) for _ in range(6))
+    if draw(st.booleans()):
+        at, ct = abs(at), abs(ct)
+        bt = draw(st.floats(-0.999, 0.999)) * math.sqrt(at) * math.sqrt(ct)
+    return QuadCoeffs(a, b, c, at, bt, ct, sigma2=draw(st.floats(1e-3, 1e3)))
+
+
+def _last_block_pole():
+    """A noise energy (beta - r)(beta - 2) that is negative only from the grid's last
+    block on."""
+    betas = spectral.open_betas(100_000)
+    r = float(betas[(betas.size - 1) // spectral._CHECK_BLOCK * spectral._CHECK_BLOCK + 10])
+    return QuadCoeffs(1.0, 0.0, 1.0, 2.0 * r, (r + 2.0) / 2.0, 1.0, sigma2=1.0)
+
+
+class TestGridCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(q=snr_coeffs())
+    @example(q=FIXTURE)
+    # the SNR is inf/inf past beta = 0.9: np.max keeps the nan, Python's max() would not
+    @example(q=QuadCoeffs(0.0, -1e308, 0.0, 1e308, -0.5e308, 0.0, sigma2=1.0))
+    def test_maximum_is_the_dense_one(self, q):
+        with np.errstate(all="ignore"):
+            try:
+                want = naive.grid_snr_max(q)
+            except DegeneracyError as exc:
+                with pytest.raises(DegeneracyError, match=re.escape(str(exc))):
+                    spectral.grid_check(q, 0.0)
+                return
+            _, got = spectral.grid_check(q, 0.0)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_pole_only_in_the_last_block_raises(self):
+        with pytest.raises(DegeneracyError, match="noise energy vanished"):
+            naive.grid_snr_max(_last_block_pole())
+        with pytest.raises(DegeneracyError, match="noise energy vanished"):
+            spectral.grid_check(_last_block_pole(), 0.0)
+
+    def test_peak_memory_is_per_block(self):
+        # 100,000-beta temporaries would peak at ~3 MB; blocks keep each one at 125 kB
+        spectral.grid_check(FIXTURE, 0.0)  # builds the retained grid
+        betas = spectral._check_betas()
+        assert betas is spectral._check_betas() and not betas.flags.writeable
+        tracemalloc.start()
+        try:
+            spectral.grid_check(FIXTURE, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    def test_sweep_and_check_share_the_open_domain(self):
+        betas = spectral.open_betas(1024)
+        assert betas[0] == -1.0 + 1e-9 and betas[-1] == 1.0 - 1e-9
+        assert np.array_equal(spectral._check_betas(), spectral.open_betas(100_000))
 
 
 class TestOptimalBeta:
