@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from collections import OrderedDict
+from functools import cache
 from itertools import chain
 from typing import Callable, Optional
 
@@ -27,7 +28,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 DEFAULT_SAMPLES = 1024
 MIN_SAMPLES = 64
 _EDGE = 1e-9  # beta domains are open: endpoints are approached this close
-_BLOCK_BYTES = 2**19  # kernel spectra: the four [2, rows, angles] arrays of a row block
+_BLOCK_BYTES = 2**20  # kernel spectra: a row block's Chebyshev rows and basis rows
+_TABLE_BYTES = 2**23  # kernel spectra: the retained basis tables together
 # grid_check's betas per block: snr's float64 temporaries are 125 kB, under glibc's
 # 128 KiB mmap threshold and in cache, and its peak of four stays under 512 KiB. Not
 # ops.index_blocks: importing ops would add 8-12 ms to every analyze start.
@@ -161,63 +163,80 @@ def response_from_kernel(
     imaginary part odd, so over a pair the Im_h * Im_v products cancel and
     the Re_h * Re_v products are equal: the average is Re_h * Re_v over
     theta in [0, pi/2], each angle weighted by its number of mirror images.
-    With integer tap offsets -p..p, Re(w) = sum_o a_o cos(o w), where
-    a_0 = h_0 and a_o = h_o + h_-o, is summed by Clenshaw's recurrence in
-    cos w: O(n * angles * k) time.
+    With integer tap offsets -p..p, Re(w) = sum_o a_o T_o(cos w), where
+    a_0 = h_0, a_o = h_o + h_-o and T_o is the Chebyshev polynomial. So the
+    response at radius r is sum_ij a_i b_j M[r, i, j], with a and b the folded
+    h and v taps and M[r, i, j] = sum_theta weight T_i(cos w1) T_j(cos w2):
+    one [n, P^2] @ [P^2] product, P = p + 1, 2 n P^2 flops.
 
-    The cos w table depends only on (n, num_angles). It is built once and
-    retained for the next call at the same pair (540,672 bytes at n = 1024,
-    64 angles), so the two kernels of a query, or the many kernels of one
-    checkpoint, share it. The recurrence runs over row blocks of the table
-    that keep its working arrays in cache, so a call allocates O(n * angles)
-    bytes for the Re_h * Re_v products and a fixed amount besides.
+    M depends only on (n, num_angles, P), so :func:`_basis_blocks` retains it
+    for the next kernel at the same triple (2 MiB for k = 31 at n = 1024): the
+    two kernels of a query, or the many kernels of one checkpoint, share it.
     """
     if num_angles < 1:
         raise ConfigurationError(f"need at least one angle, got {num_angles}")
     r = grid(n)
-    x, weight = _direction_table(n, num_angles)
     p = (sk.k - 1) // 2
     taps = np.stack([sk.h, sk.v])
     coeffs = taps[:, p:] + taps[:, p::-1]
     coeffs[:, 0] = taps[:, p]
-    coeffs = coeffs[:, :, None, None]
-    rows = max(1, _BLOCK_BYTES // (4 * x[:, 0].nbytes))
-    work = np.empty((4, 2, min(rows, n), x.shape[2]))
-    products = np.empty((n, x.shape[2]))
-    for start in range(0, n, rows):
-        x_block = x[:, start : start + rows]
-        two_x, b0, b1, b2 = work[:, :, : x_block.shape[1]]
-        np.multiply(2.0, x_block, out=two_x)
-        b1.fill(0.0)
-        b2.fill(0.0)
-        for j in range(p, -1, -1):  # b_j = a_j + 2 x b_(j+1) - b_(j+2)
-            np.multiply(two_x, b1, out=b0)
-            b0 -= b2
-            b0 += coeffs[:, j]
-            b0, b1, b2 = b2, b0, b1
-        np.multiply(x_block, b2, out=b0)  # sum_j a_j T_j(x) = b_0 - x b_1
-        np.subtract(b1, b0, out=b0)
-        np.multiply(b0[0], b0[1], out=products[start : start + x_block.shape[1]])
-    return FreqResponse(r, products @ weight)
+    products = np.outer(coeffs[0], coeffs[1]).ravel()
+    values = np.empty(n)
+    for rows, block in _basis_blocks(r, num_angles, p + 1):
+        np.matmul(block.reshape(-1, products.size), products, out=values[rows])
+    return FreqResponse(r, values)
 
 
-@lru_cache(maxsize=1)
-def _direction_table(n: int, num_angles: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos w along columns (h) and rows (v), [2, n, num_angles // 2 + 1], for
-    theta in [0, pi/2], and each angle's weight in the average. Read-only: every
-    call at (n, num_angles) shares the arrays. Built in place: a retained array
-    among freed temporaries would keep the heap around it resident."""
-    r = grid(n)
-    theta = np.linspace(0.0, math.pi, num_angles, endpoint=False)[: num_angles // 2 + 1]
-    x = np.empty((2, n, theta.size))
-    np.multiply(r[:, None], np.cos(theta), out=x[0])  # w1, along columns (h)
-    np.multiply(r[:, None], np.sin(theta), out=x[1])  # w2, along rows (v)
-    np.cos(x, out=x)
-    a = np.arange(theta.size)
-    weight = np.where((a == 0) | (2 * a == num_angles), 1.0, 2.0) / num_angles
-    x.flags.writeable = False
-    weight.flags.writeable = False
-    return x, weight
+_tables: OrderedDict = OrderedDict()  # (n, num_angles, P) -> read-only [n, P, P] basis
+
+
+def _basis_blocks(r: np.ndarray, num_angles: int, size: int):
+    """(rows, M[rows]) over the row blocks of the [r.size, size, size] basis.
+
+    Tables are retained, least recently used out first, within _TABLE_BYTES
+    together. A table over that is built one row block at a time, as the caller
+    reaches it, and never retained; its blocks and their contraction are the
+    retained ones, so responses are bitwise the same. A block's Chebyshev rows
+    and basis rows take at most _BLOCK_BYTES. A new table is built in place, in
+    its own array: a retained array among freed temporaries would keep the heap
+    around it resident."""
+    n, angles = r.size, num_angles // 2 + 1
+    step = max(1, _BLOCK_BYTES // (8 * size * (2 * angles + size)))
+    blocks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    key = (n, num_angles, size)
+    table = _tables.pop(key, None)
+    if table is None:
+        theta = np.linspace(0.0, math.pi, num_angles, endpoint=False)[:angles]
+        direction = np.stack([np.cos(theta), np.sin(theta)])  # w1 along h, w2 along v
+        a = np.arange(angles)
+        weight = np.where((a == 0) | (2 * a == num_angles), 1.0, 2.0) / num_angles
+        if 8 * n * size * size > _TABLE_BYTES:
+            return ((rows, _basis_rows(r[rows], direction, weight, size)) for rows in blocks)
+        table = np.empty((n, size, size))
+        for rows in blocks:
+            _basis_rows(r[rows], direction, weight, size, out=table[rows])
+        table.flags.writeable = False
+        while sum(t.nbytes for t in _tables.values()) + table.nbytes > _TABLE_BYTES:
+            _tables.popitem(last=False)
+    _tables[key] = table
+    return [(rows, table[rows]) for rows in blocks]
+
+
+def _basis_rows(r, direction, weight, size, out=None):
+    """M at radii r. The Chebyshev rows T_i(cos w1) and weight * T_j(cos w2),
+    [size, 2, rows, angles], come from T_(j+1) = 2x T_j - T_(j-1), one contiguous
+    pass per degree; then one [size, angles] @ [angles, size] product per radius."""
+    x = np.cos(r[:, None] * direction[:, None, :])  # [2, rows, angles]
+    cheb = np.empty((size, 2, r.size, weight.size))
+    cheb[0, 0] = 1.0
+    cheb[0, 1] = weight
+    if size > 1:
+        np.multiply(cheb[0], x, out=cheb[1])
+        x *= 2.0
+        for j in range(2, size):
+            np.multiply(x, cheb[j - 1], out=cheb[j])
+            cheb[j] -= cheb[j - 2]
+    return np.matmul(cheb[:, 0].transpose(1, 0, 2), cheb[:, 1].transpose(1, 2, 0), out=out)
 
 
 def _same_grid(a: FreqResponse, b: FreqResponse):
@@ -461,7 +480,9 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
     """
     unit, _ = _unit_scaled(coeffs)
     gram = unit.at * unit.ct
-    if unit.at < 0 or unit.ct < 0 or unit.bt * unit.bt - gram > 1e-12 * max(gram, 1e-300):
+    # signs from the raw At and Ct: scaling by their triple's largest magnitude
+    # can flush either to -0
+    if coeffs.at < 0 or coeffs.ct < 0 or unit.bt * unit.bt - gram > 1e-12 * max(gram, 1e-300):
         raise DegeneracyError(
             "noise energy At - 2 beta Bt + beta^2 Ct is negative for some beta"
         )

@@ -1,4 +1,10 @@
-"""Test-only model configurations, parameter-count formulas and GLU parameters."""
+"""Test-only model configurations, parameter-count formulas, GLU parameters and a
+fresh interpreter."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
@@ -48,3 +54,14 @@ def glu_params(rng, channels: int, hidden: int, dtype=np.float64) -> list:
     shapes = [(2 * hidden, channels), (2 * hidden,), (hidden, 3, 3), (hidden,), (hidden,),
               (channels, hidden), (channels,)]
     return [rng.standard_normal(s).astype(dtype) for s in shapes]
+
+
+def fresh_interpreter(code, *args):
+    """stdout of ``python -c code args`` on this checkout's perigate."""
+    import perigate
+
+    src = str(pathlib.Path(perigate.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout

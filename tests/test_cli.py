@@ -4,10 +4,7 @@ import contextlib
 import io
 import math
 import os
-import pathlib
 import struct
-import subprocess
-import sys
 import tempfile
 import warnings
 
@@ -21,7 +18,7 @@ from perigate.cli import build_parser, main
 from perigate.config import TrainConfig
 from perigate.model import Model
 
-from helpers import micro_config
+from helpers import fresh_interpreter, micro_config
 
 MICRO_CONFIG = """
 t_in = 2
@@ -382,6 +379,15 @@ def test_beta_star_roots_at_extreme_coeffs(case, capsys):
     assert out.out.startswith("beta_star -1.000000\n") and out.out.endswith("grid_ok true\n")
 
 
+def test_beta_star_negative_noise_energy_below_unit_scale(capsys):
+    # At < 0 is 1e-367 of Ct, so scaling the noise triple by its largest magnitude
+    # flushes it to -0: the sign is read from the raw coefficient
+    err = _exits_2_with_one_error_line(
+        ["analyze", "beta-star", "--coeffs=-2.63e-97,7.1e-32,7.16e-167,-2.58e-173,-1.48e-199,"
+         "2.86e+194", "--sigma2=8.22e+194"], capsys)
+    assert err == "error: noise energy At - 2 beta Bt + beta^2 Ct is negative for some beta\n"
+
+
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     ring = ["analyze", "ring", "--hl", "gauss:0.5,gain=0.5", "--hs", "exp:1.5", "--beta", "0.75"]
     assert main(ring) == 0
@@ -598,28 +604,17 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
-def _fresh_interpreter(code, *args):
-    """stdout of ``python -c code args`` on this checkout's perigate."""
-    import perigate
-
-    src = str(pathlib.Path(perigate.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    return out.stdout
-
-
 def test_import_leaves_the_model_stack_unloaded():
     """A fresh interpreter importing the CLI, as every ``perigate`` command starts,
-    loads none of the model stack and builds no kernel-spectrum direction table,
+    loads none of the model stack and builds no kernel-spectrum basis table,
     beta grid or argument parser: ``analyze`` never pays for the first, closed-form
     queries not for the second, and the last two are built on first use."""
     code = ("import sys, perigate.cli; print([m for m in ('perigate.model', "
             "'perigate.autodiff', 'perigate.harness') if m in sys.modules], "
-            "perigate.spectral._direction_table.cache_info().currsize, "
+            "len(perigate.spectral._tables), "
             "perigate.spectral._check_betas.cache_info().currsize, "
             "perigate.cli.build_parser.cache_info().currsize)")
-    assert _fresh_interpreter(code).strip() == "[] 0 0 0"
+    assert fresh_interpreter(code).strip() == "[] 0 0 0"
 
 
 def test_kernel_overflow_leaves_later_queries_unchanged(tmp_path, capsys):
@@ -635,6 +630,6 @@ def test_kernel_overflow_leaves_later_queries_unchanged(tmp_path, capsys):
     argv = ["analyze", "beta-star", "--hl", f"kernel:{surround}", "--hs", f"kernel:{center}",
             "--ps", "band:0.5,2.5"]
     assert main(argv) == 0
-    fresh = _fresh_interpreter("import sys; from perigate.cli import main; main(sys.argv[1:])",
+    fresh = fresh_interpreter("import sys; from perigate.cli import main; main(sys.argv[1:])",
                                *argv)
     assert capsys.readouterr().out == fresh

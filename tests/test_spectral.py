@@ -32,6 +32,7 @@ from perigate.spectral import (
 )
 
 import naive
+from helpers import fresh_interpreter
 from naive import kernel_radial_dtft
 
 
@@ -116,8 +117,9 @@ def kernel_pairs(draw):
 
 
 def _block_rows(num_angles):
-    """Rows of the direction table in one block of the recurrence."""
-    return spectral._BLOCK_BYTES // (4 * 2 * (num_angles // 2 + 1) * 8)
+    """Rows of the basis in one row block for a 31-tap kernel (P = 16): a row's
+    Chebyshev rows, [2, P, angles], and basis row, [P, P], in float64."""
+    return spectral._BLOCK_BYTES // (8 * 16 * (2 * (num_angles // 2 + 1) + 16))
 
 
 _WAVE_PAIR = (np.cos(np.arange(31.0)), np.sin(np.arange(31.0)))
@@ -133,10 +135,11 @@ class TestKernelResponseOracle:
     @example(pair=(np.linspace(-1.0, 1.0, 63), np.linspace(1.0, -1.0, 63)), n=1024, num_angles=64)
     @example(pair=(np.arange(7.0) - 3.0, np.ones(7)), n=64, num_angles=7)
     @example(pair=(np.array([2.14543505e-159]), np.array([2.14543505e-159])), n=64, num_angles=7)
-    # row blocks: a last block of one row, a ragged last block, one short block
-    @example(pair=_WAVE_PAIR, n=_block_rows(65) + 1, num_angles=65)
+    # row blocks: a last block of one row, ragged last blocks, one short block
+    @example(pair=_WAVE_PAIR, n=2 * _block_rows(65) + 1, num_angles=65)
     @example(pair=_WAVE_PAIR, n=333, num_angles=65)
     @example(pair=_WAVE_PAIR, n=333, num_angles=2)
+    @example(pair=_WAVE_PAIR, n=_block_rows(2) - 1, num_angles=2)
     @example(pair=_WAVE_PAIR, n=_block_rows(2) + 1, num_angles=2)
     def test_matches_complex_exponential_oracle(self, pair, n, num_angles):
         h, v = pair
@@ -159,30 +162,92 @@ class TestKernelResponseOracle:
             response_from_kernel(sk, n=1024, num_angles=64)
             retained, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            # a repeat call reuses the 0.52 MiB direction table and allocates
-            # ~0.77 MiB of products and row-block buffers; rebuilding the table
-            # would add at least the table itself
+            # a repeat call reads the retained 2 MiB basis and allocates the grid
+            # and the response, 8 KiB each; rebuilding the basis would add at
+            # least the basis itself
             response_from_kernel(sk, n=1024, num_angles=64)
             _, repeat_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        assert repeat_peak - retained < 1.1 * 2**20
+        assert repeat_peak - retained < 0.1 * 2**20
+
+    def test_over_budget_peak_is_per_row_block(self):
+        # k = 31 at n = 8192 is a 16 MiB basis, twice the budget
+        sk = SepKernel(*_WAVE_PAIR)
+        tracemalloc.start()
+        try:
+            response_from_kernel(sk, n=8192, num_angles=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (8192, 64, 16) not in spectral._tables
+        # a row block's arrays, the block list, the grid and the response
+        assert peak < 2 * spectral._BLOCK_BYTES + 4 * 8192 * 8
 
     def test_retained_table_is_shared_and_unchanged(self):
         sk = SepKernel(*_WAVE_PAIR)
         first = response_from_kernel(sk, n=1024, num_angles=64)
+        table = spectral._tables[(1024, 64, 16)]
         other = response_from_kernel(sk, n=333, num_angles=65)
         again = response_from_kernel(sk, n=1024, num_angles=64)
         assert first.values.tobytes() == again.values.tobytes()
-        assert spectral._direction_table.cache_info().currsize == 1
+        assert spectral._tables[(1024, 64, 16)] is table
         again.values[:] = 0.0
         other.values[:] = np.nan
         assert response_from_kernel(sk, n=1024, num_angles=64).values.tobytes() == (
             first.values.tobytes()
         )
-        x, weight = spectral._direction_table(1024, 64)
-        assert not x.flags.writeable and not weight.flags.writeable
+
+    def test_retained_tables_are_read_only(self):
+        for k in (1, 3, 31):
+            response_from_kernel(SepKernel(np.ones(k), np.ones(k)), n=128, num_angles=7)
+        assert spectral._tables
+        for table in spectral._tables.values():
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1.0
+
+    def test_eviction_keeps_retained_bytes_within_budget(self):
+        def retain(k):
+            response_from_kernel(SepKernel(np.ones(k), np.ones(k)), n=1024, num_angles=64)
+            assert sum(t.nbytes for t in spectral._tables.values()) <= spectral._TABLE_BYTES
+            return list(spectral._tables)
+
+        # 2 MiB (k = 31) and 0.5 MiB (k = 15) fit together; a third table does not
+        budget = (16 * 16 + 8 * 8) * 1024 * 8
+        with mock.patch.object(spectral, "_TABLE_BYTES", budget), \
+                mock.patch.dict(spectral._tables, clear=True):
+            assert retain(31) == [(1024, 64, 16)]
+            assert retain(15) == [(1024, 64, 16), (1024, 64, 8)]
+            assert retain(9) == [(1024, 64, 8), (1024, 64, 5)]  # the least recent out
+            assert retain(15) == [(1024, 64, 5), (1024, 64, 8)]
+            assert retain(31) == [(1024, 64, 8), (1024, 64, 16)]
+            # 8 MiB, over the budget: built a block at a time, nothing retained or evicted
+            assert retain(63) == [(1024, 64, 8), (1024, 64, 16)]
+
+    def test_response_is_bitwise_independent_of_history(self):
+        """Each size has its own table, so a response is the same bits whether its
+        table is built first in a fresh interpreter, after tables of other sizes, or
+        a row block at a time over the budget."""
+        sizes = (3, 9, 15, 31)
+        code = ("import numpy as np; from perigate.spectral import SepKernel, "
+                "response_from_kernel as f\n"
+                "for k in (3, 9, 15, 31):\n"
+                "    print(f(SepKernel(np.cos(np.arange(k) + 0.5), np.sin(np.arange(k) + 1.0)))"
+                ".values.tobytes().hex())")
+        fresh = dict(zip(sizes, fresh_interpreter(code).split()))
+
+        def responses():
+            return {k: response_from_kernel(
+                SepKernel(np.cos(np.arange(k) + 0.5), np.sin(np.arange(k) + 1.0))
+            ).values.tobytes().hex() for k in sizes[::-1]}
+
+        assert responses() == fresh
+        with mock.patch.object(spectral, "_TABLE_BYTES", 0), \
+                mock.patch.dict(spectral._tables, clear=True):
+            assert responses() == fresh
+            assert not spectral._tables
 
 
 class TestComposite:
