@@ -171,7 +171,9 @@ def forward(
         responses.append(center_suppress(p_k, center_response, coefficient))
     if internals is not None:
         internals.alpha = alpha
+    del center_response, p_k  # each map is released after its last reader
     fused = fuse(alpha, responses)
+    del responses
     mixed = channel_mix_glu(fused, params)
     branch = ad.mul(mixed, params.layerscale)
     branch = ad.drop_path(branch, cfg.drop_path, mode, drop_u)

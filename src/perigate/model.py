@@ -220,7 +220,7 @@ class Model:
             x = _conv_norm_act(x, stage)
         return x, skip
 
-    def translate(self, z, mode: str = "eval", drop_draw=None, internals=None):
+    def translate(self, x, mode: str = "eval", drop_draw=None, internals=None):
         """Multi-scale init followed by the gating block stack.
 
         Stochastic-depth uniforms are drawn only when the drop rate is
@@ -228,7 +228,7 @@ class Model:
         passed as ``internals`` receives one :class:`BlockInternals` per block.
         """
         draws = drop_draw is not None and self.config.drop_path > 0.0
-        x = multiscale.forward(z, self.params.msinit)
+        x = multiscale.forward(x, self.params.msinit)  # the packed map's last reader
         for i, blk in enumerate(self.params.blocks):
             u = drop_draw(i) if draws else None
             record = None
@@ -266,23 +266,32 @@ class Model:
         frame. A pass stacks its inputs once, packs the encoded blocks along
         channels in one copy, and decodes the blocks of the frames still
         needed; the next pass encodes the decoded blocks as they are.
+
+        Each map is released after its last reader (a tape, when active, keeps every
+        value): at its peak an eval call holds one gating block's input, fused map and
+        mixing-stage arrays, the pass's encoder skips and the outputs so far.
         """
         cfg = self.config
         frames, blocks = self._input_frames(frames), frame_blocks(cfg, self.dtype)
         current = [ad.stack_frames(frames[sl]) for sl in blocks]
+        del frames
         outputs = []
         for pass_idx in range((cfg.t_out + cfg.t_in - 1) // cfg.t_in):
-            feats, skips = zip(*(self.encode_frame(b) for b in current))
+            feats, skips = map(list, zip(*(self.encode_frame(b) for b in current)))
+            current = [ad.pack_frames(feats)]  # popped: translate alone holds the packed map
+            del feats
             draw = partial(drop_draw, pass_idx) if drop_draw is not None else None
-            z = self.translate(ad.pack_frames(feats), mode=mode, drop_draw=draw,
+            z = self.translate(current.pop(), mode=mode, drop_draw=draw,
                                internals=internals if pass_idx == 0 else None)
             keep = min(cfg.t_in, cfg.t_out - len(outputs))
             needed = [slice(sl.start, min(sl.stop, keep)) for sl in blocks if sl.start < keep]
             current = []
-            for feat, skip, sl in zip(ad.unpack_frames(z, cfg.t_in, needed), skips, needed):
+            for feat, sl in zip(ad.unpack_frames(z, cfg.t_in, needed), needed):
+                skip = skips.pop(0)
                 if sl.stop - sl.start < skip.shape[0]:
                     skip = ad.take_frames(skip, slice(0, sl.stop - sl.start))
                 current.append(self.decode_frame(feat, skip))
+            del z, feat, skip
             outputs.extend(ad.take_frames(y, f) for y in current for f in range(y.shape[0]))
         return outputs
 

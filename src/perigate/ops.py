@@ -63,18 +63,19 @@ def _toeplitz(kernel: np.ndarray, n: int) -> np.ndarray:
     ``T[c, i, j] = kernel[c, i - j + p]`` on the band |i - j| <= p, zero off it.
 
     The band is clipped to the n x n matrix, so k > n needs no padding. The
-    taps sit in the middle of a zero buffer of 2m + 1 items a channel, with
-    m = max(n - 1, p); each matrix is one strided view of that buffer, m items
-    in, stepping +1 item a row and -1 item a column, copied out once.
+    reversed taps sit in the middle of a zero buffer of 2m + 1 items a channel,
+    with m = max(n - 1, p); each matrix is one strided view of that buffer, m
+    items in, stepping -1 item a row and +1 item a column, so the copy out reads
+    each row forward.
     """
     c, k = kernel.shape
     p = (k - 1) // 2
     m = max(n - 1, p)
     taps = np.zeros((c, 2 * m + 1), dtype=kernel.dtype)
-    taps[:, m - p : m + p + 1] = kernel  # taps[:, m + d] = kernel[:, p + d]
+    taps[:, m - p : m + p + 1] = kernel[:, ::-1]  # taps[:, m + d] = kernel[:, p - d]
     step = taps.itemsize
-    # view[c, i, j] = taps[c, m + i - j]
-    view = np.ndarray((c, n, n), taps.dtype, taps, m * step, (taps.strides[0], step, -step))
+    # view[c, i, j] = taps[c, m - i + j]
+    view = np.ndarray((c, n, n), taps.dtype, taps, m * step, (taps.strides[0], -step, step))
     return view.copy()
 
 

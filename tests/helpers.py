@@ -1,10 +1,11 @@
-"""Test-only model configurations, parameter-count formulas, GLU parameters and a
-fresh interpreter."""
+"""Test-only model configurations, parameter-count formulas, GLU parameters, a
+traced memory peak and a fresh interpreter."""
 
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -54,6 +55,16 @@ def glu_params(rng, channels: int, hidden: int, dtype=np.float64) -> list:
     shapes = [(2 * hidden, channels), (2 * hidden,), (hidden, 3, 3), (hidden,), (hidden,),
               (channels, hidden), (channels,)]
     return [rng.standard_normal(s).astype(dtype) for s in shapes]
+
+
+def traced_peak(fn):
+    """``fn()``'s result and the peak bytes that ``tracemalloc`` traced during the call:
+    what the call allocated above what was live before it."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fresh_interpreter(code, *args):

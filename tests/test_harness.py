@@ -13,9 +13,10 @@ from perigate import harness, ops, spectral
 from perigate.config import TrainConfig, parse_config_text, serialize_config
 from perigate.data import gen_bouncing
 from perigate.errors import ConfigParseError, ConfigurationError, InputError, NumericError
-from perigate.model import Model, ModelConfig
+from perigate.model import Model, ModelConfig, frame_blocks
 
-from helpers import README_MICRO, micro_config
+import naive
+from helpers import README_MICRO, micro_config, traced_peak
 from naive import adam_step
 
 
@@ -429,8 +430,6 @@ class TestBatchedPrediction:
         # one input frame, so each frame block is one frame whatever BLOCK_BYTES is: cutting
         # it splits the GLU's 24 hidden channels (and every other blocked kernel's scratch)
         # into more blocks, and the chunk stays where the feature maps put it
-        from perigate.model import frame_blocks
-
         cfg = replace(README_MICRO, t_in=1, t_out=1)
         plane = 8 * 8 * 4
         chunks = []
@@ -442,8 +441,6 @@ class TestBatchedPrediction:
         assert chunks == [harness.EVAL_CHUNK_BYTES // (2 * 24 * 8 * 8 * 4)] * 3
 
     def test_memory_of_chunk_one_does_not_grow_with_n(self):
-        import tracemalloc
-
         # the GLU's 2E-channel bound, 2 * 4 * 24 * 64 * 64, is ~3.1 MB per sample
         cfg = ModelConfig(t_in=2, t_out=1, height=128, width=128, latent_c=12, n_s=2, n_t=1,
                           kernels=(3, 5))
@@ -452,13 +449,40 @@ class TestBatchedPrediction:
         data = gen_bouncing(seed=1, num_sequences=8, frames=2, height=128, width=128)
         peaks = {}
         for n in (1, 8):
-            tracemalloc.start()
-            try:
-                out = harness.predict_batch(model, data[:n])
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            out, peaks[n] = traced_peak(lambda: harness.predict_batch(model, data[:n]))
         assert peaks[8] <= peaks[1] + out.nbytes
+
+
+class TestEvalTransient:
+    """An eval forward releases each map after its last reader, so what one call holds
+    at its peak stays within a small multiple of ``per_sample_bytes``."""
+
+    def test_kth_sequence_within_two_samples(self):
+        from test_model import SHAPE_CONFIGS
+
+        from perigate.model import per_sample_bytes
+
+        cfg = replace(SHAPE_CONFIGS["kth"], t_out=10)
+        model = Model.build(cfg, seed=0)
+        data = gen_bouncing(seed=3, num_sequences=1, frames=cfg.t_in, height=128, width=128)
+        _, peak = traced_peak(lambda: harness.predict_batch(model, data))
+        # at the peak, inside a block's GLU: the block input, the fused and the gated
+        # maps, the padded operand, the encoder skips and the output; 2.61 x while the
+        # block's responses, the encoded features and the packed map stayed named
+        assert peak <= 2 * per_sample_bytes(cfg, np.float32)
+
+    @pytest.mark.parametrize("frames_per_block", [1, 2])
+    def test_rollout_equals_per_frame_loop(self, frames_per_block):
+        # two passes; the second encodes the blocks that the first decoded
+        cfg = replace(README_MICRO, t_in=3, t_out=6)
+        model = Model.build(cfg, seed=5)
+        data = gen_bouncing(seed=6, num_sequences=2, frames=cfg.t_in, height=16, width=16)
+        frame_bytes = cfg.latent * cfg.height * cfg.width * 4
+        with mock.patch.object(ops, "BLOCK_BYTES", frames_per_block * frame_bytes):
+            assert len(frame_blocks(cfg, np.float32)) == -(-cfg.t_in // frames_per_block)
+            got = harness.predict_batch(model, data)
+        want = naive.model_predict(model, [data[:, t] for t in range(cfg.t_in)])
+        assert got.tobytes() == np.stack([w.value for w in want], axis=1).tobytes()
 
 
 class TestDumps:

@@ -1,7 +1,6 @@
 """Forward kernel semantics against hand values and loop oracles."""
 
 import hashlib
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +13,7 @@ from perigate import ops
 from perigate.errors import ConfigurationError
 from perigate.spectral import SepKernel
 
-from helpers import glu_params
+from helpers import glu_params, traced_peak
 from naive import (
     band_sums as naive_band_sums,
     dense_conv2d,
@@ -243,14 +242,13 @@ class TestBandedPasses:
         x = rng.standard_normal((1, 60, 64, 64)).astype(np.float32)
         g = rng.standard_normal(x.shape).astype(np.float32)
         h, v = (ad.Var(rng.standard_normal((60, 31)).astype(np.float32)) for _ in range(2))
-        tracemalloc.start()
-        try:
+
+        def forward_and_vjp():
             with ad.Tape():
                 out = ad.sep_conv(x, h, v)
             out.vjp(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(forward_and_vjp)
         assert peak < (6 + 30 / 64) * x.nbytes
 
 

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,7 +31,7 @@ from perigate.spectral import (
 )
 
 import naive
-from helpers import fresh_interpreter
+from helpers import fresh_interpreter, traced_peak
 from naive import kernel_radial_dtft
 
 
@@ -157,30 +156,17 @@ class TestKernelResponseOracle:
         # an [n, angles, k] complex table would take 32 MB here
         rng = np.random.default_rng(31)
         sk = SepKernel(rng.standard_normal(31), rng.standard_normal(31))
-        tracemalloc.start()
-        try:
-            response_from_kernel(sk, n=1024, num_angles=64)
-            retained, peak = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            # a repeat call reads the retained 2 MiB basis and allocates the grid
-            # and the response, 8 KiB each; rebuilding the basis would add at
-            # least the basis itself
-            response_from_kernel(sk, n=1024, num_angles=64)
-            _, repeat_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: response_from_kernel(sk, n=1024, num_angles=64))
+        # a repeat call reads the retained 2 MiB basis and allocates the grid and the
+        # response, 8 KiB each; rebuilding the basis would add at least the basis itself
+        _, repeat_peak = traced_peak(lambda: response_from_kernel(sk, n=1024, num_angles=64))
         assert peak < 16 * 2**20
-        assert repeat_peak - retained < 0.1 * 2**20
+        assert repeat_peak < 0.1 * 2**20
 
     def test_over_budget_peak_is_per_row_block(self):
         # k = 31 at n = 8192 is a 16 MiB basis, twice the budget
         sk = SepKernel(*_WAVE_PAIR)
-        tracemalloc.start()
-        try:
-            response_from_kernel(sk, n=8192, num_angles=64)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: response_from_kernel(sk, n=8192, num_angles=64))
         assert (8192, 64, 16) not in spectral._tables
         # a row block's arrays, the block list, the grid and the response
         assert peak < 2 * spectral._BLOCK_BYTES + 4 * 8192 * 8
@@ -584,12 +570,7 @@ class TestGridCheck:
         spectral.grid_check(FIXTURE, 0.0)  # builds the retained grid
         betas = spectral._check_betas()
         assert betas is spectral._check_betas() and not betas.flags.writeable
-        tracemalloc.start()
-        try:
-            spectral.grid_check(FIXTURE, 0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: spectral.grid_check(FIXTURE, 0.0))
         assert peak < 512 * 1024
 
     def test_sweep_and_check_share_the_open_domain(self):
