@@ -115,9 +115,10 @@ def peripheral_response(x, params: BlockParams, k: int):
 
 
 def suppression_coefficient(params: BlockParams, cfg, k: int):
-    """Activated channel-wise multiplier for the center response."""
+    """Multiplier for the center response: the fixed scalar, or the activated
+    channel-wise coefficients."""
     if cfg.beta_mode == "fixed":
-        return None  # constant scalar handled by caller
+        return cfg.beta_fixed
     raw = params.beta_raw[k]
     return ad.tanh(raw) if cfg.gate_act == "tanh" else ad.sigmoid(raw)
 
@@ -164,10 +165,7 @@ def forward(
     responses = []
     for k in params.scales:
         p_k = peripheral_response(x, params, k)
-        if cfg.beta_mode == "fixed":
-            coefficient = cfg.beta_fixed
-        else:
-            coefficient = suppression_coefficient(params, cfg, k)
+        coefficient = suppression_coefficient(params, cfg, k)
         responses.append(center_suppress(p_k, center_response, coefficient))
     if internals is not None:
         internals.alpha = alpha

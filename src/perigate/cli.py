@@ -117,15 +117,13 @@ def _parse_spectrum(raw: str, samples: int) -> spectral.FreqResponse:
         _check_finite(raw, rate)
         return spectral.response_from_function(spectral.ExpDecay(rate), samples)
     if kind == "gauss":
-        parts = rest.split(",")
+        head, comma, extra = rest.partition(",")
+        key, _, value = extra.partition("=")  # a second gain= is left in value
         try:
-            variance = float(parts[0])
-            gain = 1.0
-            for extra in parts[1:]:
-                key, _, value = extra.partition("=")
-                if key.strip() != "gain":
-                    raise ValueError(extra)
-                gain = float(value)
+            if comma and key.strip() != "gain":
+                raise ValueError(extra)
+            variance = float(head)
+            gain = float(value) if comma else 1.0
         except ValueError:
             raise InputError(
                 f"bad gauss spectrum '{raw}'; expected gauss:VAR[,gain=G]"

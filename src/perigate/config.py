@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .descriptor import CUE_NAMES
+from .descriptor import check_cues
 from .errors import ConfigParseError, ConfigurationError
 from .model import ModelConfig
 
@@ -60,11 +60,7 @@ def _parse_choice(options):
 
 def _parse_cues(raw: str) -> tuple[str, ...]:
     cues = tuple(part.strip() for part in raw.split(",") if part.strip())
-    bad = [c for c in cues if c not in CUE_NAMES]
-    if bad:
-        raise ValueError(f"unknown cues {bad}; choose from {CUE_NAMES}")
-    if not cues:
-        raise ValueError("at least one cue required")
+    check_cues(cues)
     return cues
 
 
@@ -122,7 +118,7 @@ def parse_config_text(text: str) -> TrainConfig:
         parser, owner, attr = _KEYS[key]
         try:
             value = parser(raw_value)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ConfigurationError) as exc:
             raise ConfigParseError(f"line {lineno}: bad value for '{key}': {exc}") from None
         if key == "beta_mode":
             cfg.model.beta_mode, cfg.model.beta_fixed = value

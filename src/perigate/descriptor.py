@@ -12,11 +12,18 @@ from .errors import ConfigurationError
 from .ops import CUE_NAMES, EPS_MAGNITUDE, LAPLACIAN, SOBEL_X, SOBEL_Y  # noqa: F401
 
 
-def frequency_descriptor(x, cues=CUE_NAMES):
-    """Stack the selected cues in fixed (f1, f2, f3) order: -> [..., len(cues),H,W]."""
+def check_cues(cues):
+    """Refuse an empty, unknown or repeated cue selection."""
     if not cues:
-        raise ConfigurationError("descriptor needs at least one cue")
+        raise ConfigurationError("need at least one frequency cue")
     unknown = [c for c in cues if c not in CUE_NAMES]
     if unknown:
         raise ConfigurationError(f"unknown cues {unknown}; choose from {CUE_NAMES}")
+    if len(set(cues)) != len(cues):
+        raise ConfigurationError(f"duplicate frequency cues {tuple(cues)}")
+
+
+def frequency_descriptor(x, cues=CUE_NAMES):
+    """Stack the selected cues in fixed (f1, f2, f3) order: -> [..., len(cues),H,W]."""
+    check_cues(cues)
     return ad.freq_descriptor(x, tuple(cues))

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import block as gate_block
 from . import multiscale
 from .autodiff import ParamStore, Var
-from .descriptor import CUE_NAMES
+from .descriptor import CUE_NAMES, check_cues
 from .errors import ConfigurationError, InputError
 from .multiscale import fan_in_uniform
 from .ops import index_blocks
@@ -97,7 +97,7 @@ class ModelConfig:
                 f"latent width {self.latent} must be even (2-group normalization)"
             )
         multiscale.validate_scales(self.packed_channels, self.msinit_scales)
-        scales, cues = self.kernels, self.cues
+        scales = self.kernels
         if not scales:
             raise ConfigurationError("need at least one kernel scale")
         if len(set(scales)) != len(scales):
@@ -116,13 +116,7 @@ class ModelConfig:
             raise ConfigurationError(f"expansion must be >= 1, got {self.expansion}")
         if not 0.0 <= self.drop_path < 1.0:
             raise ConfigurationError(f"drop rate must lie in [0,1), got {self.drop_path}")
-        if not cues:
-            raise ConfigurationError("need at least one frequency cue")
-        unknown = [c for c in cues if c not in CUE_NAMES]
-        if unknown:
-            raise ConfigurationError(f"unknown cues {unknown}; choose from {CUE_NAMES}")
-        if len(set(cues)) != len(cues):
-            raise ConfigurationError(f"duplicate frequency cues {cues}")
+        check_cues(self.cues)
         if not np.isfinite(self.beta_fixed):
             raise ConfigurationError(f"fixed beta must be finite, got {self.beta_fixed}")
         return self
@@ -301,10 +295,9 @@ class Model:
         for b, blk in enumerate(self.params.blocks):
             for k in blk.scales:
                 coefficient = gate_block.suppression_coefficient(blk, self.config, k)
-                if coefficient is None:
-                    values = np.full(self.config.packed_channels, self.config.beta_fixed)
-                else:
-                    values = coefficient.value
+                if isinstance(coefficient, Var):
+                    coefficient = coefficient.value
+                values = np.broadcast_to(coefficient, self.config.packed_channels)
                 rows.extend((b, k, c, float(v)) for c, v in enumerate(values))
         return rows
 

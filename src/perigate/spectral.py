@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections import OrderedDict
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 from typing import Callable, Optional
 
@@ -100,31 +100,28 @@ class SepKernel:
 
 @dataclass(frozen=True)
 class FreqResponse:
-    """Real-valued radial response sampled on a uniform grid over [0, pi].
+    """Real-valued radial response sampled on :func:`grid` of its sample count.
 
     ``fn`` is the continuous evaluator when one exists (parametric models,
     compositions thereof); kernel-derived responses and the flat and band
     signal spectra are sampled-only.
     """
 
-    r: np.ndarray
     values: np.ndarray
     fn: Optional[Callable] = None
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.float64)
-        if r.ndim != 1 or r.shape != v.shape:
-            raise ConfigurationError("grid and values must be equal-length 1-D arrays")
-        check_samples(r.size)
-        if not (math.isclose(r[0], 0.0, abs_tol=1e-15) and math.isclose(r[-1], math.pi)):
-            raise ConfigurationError("grid must span [0, pi]")
-        if np.any(np.diff(r) <= 0):
-            raise ConfigurationError("grid must be strictly increasing")
+        if v.ndim != 1:
+            raise ConfigurationError(f"response values must be 1-D, got shape {v.shape}")
+        check_samples(v.size)
         if not np.all(np.isfinite(v)):
             raise InputError("response has non-finite samples")
-        object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", v)
+
+    @property
+    def r(self) -> np.ndarray:
+        return grid(self.values.size)
 
 
 def check_samples(n: int):
@@ -133,9 +130,13 @@ def check_samples(n: int):
         raise ConfigurationError(f"need at least {MIN_SAMPLES} samples, got {n}")
 
 
+@lru_cache(maxsize=1)  # a query's responses all share one sample count
 def grid(n: int = DEFAULT_SAMPLES) -> np.ndarray:
+    """n uniform radii over [0, pi], built once and shared read-only."""
     check_samples(n)
-    return np.linspace(0.0, math.pi, n)
+    r = np.linspace(0.0, math.pi, n)
+    r.flags.writeable = False
+    return r
 
 
 def response_from_function(fn: Callable, n: int = DEFAULT_SAMPLES) -> FreqResponse:
@@ -146,7 +147,7 @@ def response_from_function(fn: Callable, n: int = DEFAULT_SAMPLES) -> FreqRespon
     r = grid(n)
     with np.errstate(over="ignore"):
         values = np.asarray(fn(r), dtype=np.float64)
-    return FreqResponse(r, values, fn=fn)
+    return FreqResponse(values, fn=fn)
 
 
 def response_from_kernel(
@@ -184,7 +185,7 @@ def response_from_kernel(
     values = np.empty(n)
     for rows, block in _basis_blocks(r, num_angles, p + 1):
         np.matmul(block.reshape(-1, products.size), products, out=values[rows])
-    return FreqResponse(r, values)
+    return FreqResponse(values)
 
 
 _tables: OrderedDict = OrderedDict()  # (n, num_angles, P) -> read-only [n, P, P] basis
@@ -240,7 +241,7 @@ def _basis_rows(r, direction, weight, size, out=None):
 
 
 def _same_grid(a: FreqResponse, b: FreqResponse):
-    if a.r.shape != b.r.shape or not np.array_equal(a.r, b.r):
+    if a.values.size != b.values.size:
         raise ConfigurationError("frequency responses sampled on different grids")
 
 
@@ -251,7 +252,7 @@ def composite(h_l: FreqResponse, h_s: FreqResponse, beta: float) -> FreqResponse
     if h_l.fn is not None and h_s.fn is not None:
         fl, fs = h_l.fn, h_s.fn
         fn = lambda r: np.asarray(fl(r)) - beta * np.asarray(fs(r))
-    return FreqResponse(h_l.r, h_l.values - beta * h_s.values, fn=fn)
+    return FreqResponse(h_l.values - beta * h_s.values, fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +288,7 @@ def _bisect(fn, lo, hi, lo_positive: bool, iters: int = 80) -> float:
 
 
 def _interp_crossing(r0, v0, r1, v1) -> float:
-    if v1 == v0:
-        return r0
+    """The zero of the chord between a sample <= 0 and a sample > 0."""
     return r0 + (0.0 - v0) * (r1 - r0) / (v1 - v0)
 
 
@@ -299,30 +299,21 @@ def find_ring(h: FreqResponse) -> Optional[RingBand]:
     or trailing non-positive sample). With several qualifying runs the widest
     is returned and flagged.
     """
-    v = h.values
-    n = v.size
-    runs = []
-    i = 0
-    while i < n:
-        if v[i] > 0.0:
-            j = i
-            while j + 1 < n and v[j + 1] > 0.0:
-                j += 1
-            if i > 0 and j < n - 1:
-                runs.append((i, j))
-            i = j + 1
-        else:
-            i += 1
-    if not runs:
+    v, r = h.values, h.r
+    # a run starts where the padded mask rises and ends before it falls
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], v > 0.0, [False]))))
+    starts, ends = edges[::2], edges[1::2] - 1
+    inner = (starts > 0) & (ends < v.size - 1)
+    if not inner.any():
         return None
     bands = []
-    for start, end in runs:
+    for start, end in zip(starts[inner].tolist(), ends[inner].tolist()):
         if h.fn is not None:
-            r1 = _bisect(h.fn, h.r[start - 1], h.r[start], lo_positive=False)
-            r2 = _bisect(h.fn, h.r[end], h.r[end + 1], lo_positive=True)
+            r1 = _bisect(h.fn, r[start - 1], r[start], lo_positive=False)
+            r2 = _bisect(h.fn, r[end], r[end + 1], lo_positive=True)
         else:
-            r1 = _interp_crossing(h.r[start - 1], v[start - 1], h.r[start], v[start])
-            r2 = _interp_crossing(h.r[end], v[end], h.r[end + 1], v[end + 1])
+            r1 = _interp_crossing(r[start - 1], v[start - 1], r[start], v[start])
+            r2 = _interp_crossing(r[end], v[end], r[end + 1], v[end + 1])
         bands.append((r1, r2))
     widths = [b[1] - b[0] for b in bands]
     best = int(np.argmax(widths))
@@ -617,15 +608,14 @@ def snr_advantage(coeffs: QuadCoeffs) -> Optional[float]:
 
 
 def flat_spectrum(n: int = DEFAULT_SAMPLES) -> FreqResponse:
-    r = grid(n)
-    return FreqResponse(r, np.ones_like(r))
+    return FreqResponse(np.ones_like(grid(n)))
 
 
 def band_spectrum(lo: float, hi: float, n: int = DEFAULT_SAMPLES) -> FreqResponse:
     if not 0.0 <= lo < hi:
         raise InputError(f"invalid band [{lo}, {hi}]")
     r = grid(n)
-    return FreqResponse(r, ((r >= lo) & (r <= hi)).astype(np.float64))
+    return FreqResponse(((r >= lo) & (r <= hi)).astype(np.float64))
 
 
 def write_ring_csv(

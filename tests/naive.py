@@ -6,8 +6,9 @@ and band sums, the per-parameter Adam step, center suppression and fusion
 composed from the arithmetic ops, the frequency descriptor's vjp that
 recomputes its maps, the GLU with its bias passes, the model's prediction
 with one encoder and one decoder call per frame, the SNR grid maximum over one
-dense array and the ring bisection with all its halvings are earlier forms of
-library code, kept as bitwise references.
+dense array, the ring bisection with all its halvings and the ring's positive
+runs found by a scan over each sample are earlier forms of library code, kept
+as bitwise references.
 """
 
 from functools import partial
@@ -398,6 +399,22 @@ def bisect80(fn, lo, hi, lo_positive):
             else:
                 hi = mid
     return 0.5 * (lo + hi)
+
+
+def positive_runs(v):
+    """(first, last) index of each run of samples > 0 with a sample on either side."""
+    n, runs, i = len(v), [], 0
+    while i < n:
+        if v[i] > 0.0:
+            j = i
+            while j + 1 < n and v[j + 1] > 0.0:
+                j += 1
+            if i > 0 and j < n - 1:
+                runs.append((i, j))
+            i = j + 1
+        else:
+            i += 1
+    return runs
 
 
 def ssim(pred, gt):

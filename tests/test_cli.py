@@ -242,6 +242,12 @@ class TestAnalyze:
                      "--ps", "band:2"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["gauss:1,gain=2,gain=3", "gauss:1,gain=2,", "gauss:1,"])
+def test_malformed_gauss_exits_2(spec, capsys):
+    err = _exits_2_with_one_error_line(["analyze", "ring", "--hl", spec, "--hs", "exp:1"], capsys)
+    assert "gauss:VAR[,gain=G]" in err
+
+
 def _exits_2_with_one_error_line(argv, capsys):
     # outside pytest, a warning raised here would print to stderr before the error line
     with warnings.catch_warnings(record=True) as caught:

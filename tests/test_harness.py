@@ -520,6 +520,17 @@ class TestDumps:
         values = [float(l.split(",")[-1]) for l in lines[1:]]
         assert all(-1.0 < v < 1.0 for v in values)
 
+    def test_fixed_beta_dump(self, tmp_path):
+        beta_fixed = 0.1234567890123
+        cfg = micro_config(beta_mode="fixed", beta_fixed=beta_fixed)
+        model = Model.build(cfg, seed=0, dtype=np.float32)
+        path = tmp_path / "betas.csv"
+        harness.dump_betas(model, path)
+        lines = path.read_text().strip().splitlines()
+        blocks, scales = cfg.n_t, len(cfg.kernels)
+        assert len(lines) == 1 + blocks * scales * cfg.packed_channels
+        assert {l.split(",")[-1] for l in lines[1:]} == {f"{beta_fixed:.10g}"}
+
     def test_bad_block_index(self, micro_data, tmp_path):
         cfg = micro_train_config(epochs=1)
 
@@ -587,6 +598,10 @@ class TestConfigFile:
 
         with pytest.raises(ConfigParseError):
             parse_config_text("cues = f1,f9\n")
+
+    def test_repeated_cue_refused_at_its_line(self):
+        with pytest.raises(ConfigParseError, match="line 2: .*duplicate frequency cues"):
+            parse_config_text("epochs = 3\ncues = f1,f1\n")
 
     def test_serialized_text_golden(self):
         micro = TrainConfig(model=README_MICRO, epochs=5, lr=0.002, batch=8, seed=7)

@@ -35,26 +35,20 @@ from helpers import fresh_interpreter, traced_peak
 from naive import kernel_radial_dtft
 
 
+def interpolated_bands(r, v):
+    """The chord-interpolated zero on either side of each of naive.positive_runs(v)."""
+
+    def zero(i, j):
+        return r[i] + (0 - v[i]) * (r[j] - r[i]) / (v[j] - v[i])
+
+    return [(zero(i - 1, i), zero(j, j + 1)) for i, j in naive.positive_runs(v)]
+
+
 def scan_ring_oracle(fn, n):
     """Dense sign-scan: presence and interpolated band of the widest run."""
     r = np.linspace(0.0, math.pi, n)
-    v = np.asarray(fn(r), dtype=np.float64)
-    runs, i = [], 0
-    while i < n:
-        if v[i] > 0:
-            j = i
-            while j + 1 < n and v[j + 1] > 0:
-                j += 1
-            if i > 0 and j < n - 1:
-                lo = r[i - 1] + (0 - v[i - 1]) * (r[i] - r[i - 1]) / (v[i] - v[i - 1])
-                hi = r[j] + (0 - v[j]) * (r[j + 1] - r[j]) / (v[j + 1] - v[j])
-                runs.append((lo, hi))
-            i = j + 1
-        else:
-            i += 1
-    if not runs:
-        return None
-    return max(runs, key=lambda b: b[1] - b[0])
+    bands = interpolated_bands(r, np.asarray(fn(r), dtype=np.float64))
+    return max(bands, key=lambda b: b[1] - b[0]) if bands else None
 
 
 class TestResponses:
@@ -98,6 +92,28 @@ class TestResponses:
             spectral.grid(32)  # too few samples
         resp = response_from_function(np.sin, 128)
         assert resp.r[0] == 0.0 and resp.r[-1] == pytest.approx(math.pi)
+
+    def test_responses_share_one_read_only_grid(self):
+        n = 200
+        a = response_from_function(np.sin, n)
+        b = spectral.flat_spectrum(n)
+        c = response_from_kernel(SepKernel(np.ones(3), np.ones(3)), n)
+        for resp in (a, b, c, composite(a, b, 0.5), spectral.band_spectrum(0.5, 2.0, n)):
+            assert resp.r is spectral.grid(n)
+        with pytest.raises(ValueError):
+            a.r[0] = 1.0
+        np.testing.assert_array_equal(a.r, np.linspace(0.0, math.pi, n))
+
+    def test_values_contract(self):
+        with pytest.raises(ConfigurationError):
+            FreqResponse(np.zeros((2, 64)))
+        with pytest.raises(ConfigurationError):
+            FreqResponse(np.zeros(spectral.MIN_SAMPLES - 1))
+        for bad in (np.nan, np.inf, -np.inf):
+            v = np.zeros(spectral.MIN_SAMPLES)
+            v[5] = bad
+            with pytest.raises(InputError):
+                FreqResponse(v)
 
 
 def _mirror(taps, sign):
@@ -296,7 +312,7 @@ class TestFindRing:
 
     def test_empirical_uses_interpolation(self):
         h_l = response_from_function(np.sin, 1024)
-        sampled = FreqResponse(h_l.r, np.sin(h_l.r) - 0.5)  # no fn attached
+        sampled = FreqResponse(np.sin(h_l.r) - 0.5)  # no fn attached
         band = find_ring(sampled)
         assert band is not None
         assert band.r1 == pytest.approx(math.pi / 6, abs=1e-5)
@@ -308,6 +324,41 @@ class TestFindRing:
         oracle = scan_ring_oracle(fn, 16384)
         assert band.r1 == pytest.approx(oracle[0], abs=1e-6)
         assert band.r2 == pytest.approx(oracle[1], abs=1e-6)
+
+
+def _runs_example(n, *runs, base=-1.0):
+    v = np.full(n, base)
+    for start, stop in runs:
+        v[start:stop] = 1.0
+    return v
+
+
+@st.composite
+def sampled_values(draw):
+    n = draw(st.integers(spectral.MIN_SAMPLES, 96))
+    sample = st.one_of(st.sampled_from([-1.0, 0.0, 0.5]),
+                       st.floats(-2.0, 2.0, allow_subnormal=False))
+    return draw(hnp.arrays(np.float64, n, elements=sample))
+
+
+class TestRingRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(v=sampled_values())
+    @example(v=_runs_example(64, (10, 20), (40, 41), base=0.0))  # exact zeros either side
+    @example(v=_runs_example(64, (30, 31)))  # a one-sample run
+    @example(v=_runs_example(64, (1, 2), (62, 63)))  # runs at indices 1 and n - 2
+    @example(v=_runs_example(65, (1, 5), (60, 64)))
+    @example(v=_runs_example(64, (0, 64)))  # all positive
+    @example(v=_runs_example(64))  # no positive sample
+    @example(v=_runs_example(64, base=0.0))
+    def test_sampled_bands_match_the_loop_oracle(self, v):
+        band = find_ring(FreqResponse(v))
+        bands = interpolated_bands(np.linspace(0.0, math.pi, v.size), v)
+        if not bands:
+            assert band is None
+        else:
+            widest = max(bands, key=lambda b: b[1] - b[0])
+            assert band == spectral.RingBand(*widest, multiple=len(bands) > 1)
 
 
 @st.composite
@@ -334,7 +385,7 @@ class TestRingBisection:
         h = composite(response_from_function(GaussianDecay(0.5, 0.5)),
                       response_from_function(ExpDecay(1.5)), 0.75)
         calls = mock.Mock(wraps=h.fn)
-        band = find_ring(FreqResponse(h.r, h.values, fn=calls))
+        band = find_ring(FreqResponse(h.values, fn=calls))
         assert f"ring {band.r1:.9f} {band.r2:.9f}" == "ring 0.353723718 1.146276282"
         assert calls.call_count < 2 * 80  # 45 halvings an edge here
 
@@ -364,7 +415,7 @@ class TestQuadCoeffs:
         h_l = response_from_function(ExpDecay(0.5), n)
         h_s = response_from_function(GaussianDecay(1.5), n)
         ps = spectral.flat_spectrum(n)
-        ps2 = FreqResponse(ps.r, 2.0 * ps.values)
+        ps2 = FreqResponse(2.0 * ps.values)
         q1 = quad_coeffs(h_l, h_s, ps, 1.0)
         q2 = quad_coeffs(h_l, h_s, ps2, 1.0)
         assert q2.a == pytest.approx(2 * q1.a, rel=1e-12)
@@ -387,7 +438,7 @@ class TestQuadCoeffs:
     def test_negative_signal_rejected(self):
         n = 128
         h = spectral.flat_spectrum(n)
-        bad = FreqResponse(h.r, -np.ones(n))
+        bad = FreqResponse(-np.ones(n))
         with pytest.raises(InputError):
             quad_coeffs(h, h, bad, 1.0)
 
@@ -423,7 +474,7 @@ class TestSnr:
         n = 512
         h_l = response_from_function(ExpDecay(0.6), n)
         h_s = response_from_function(GaussianDecay(2.5), n)
-        ps = FreqResponse(h_l.r, np.full(n, 3.0))
+        ps = FreqResponse(np.full(n, 3.0))
         q = quad_coeffs(h_l, h_s, ps, sigma2=2.0)
         base = snr(0.0, q)
         for beta in (-0.9, -0.3, 0.1, 0.5, 0.9):
