@@ -191,7 +191,9 @@ class ParamStore:
         return {k: v.value.copy() for k, v in self._vars.items()}
 
     def load_state(self, state: dict[str, np.ndarray]):
-        """Replace every parameter; entries must match names, shapes and dtypes exactly."""
+        """Overwrite every parameter's value in place, so that a view of it (an
+        optimizer's slice) stays bound; entries must match names, shapes and dtypes
+        exactly."""
         missing = set(self._vars) - set(state)
         if missing:
             raise InputError(f"missing parameters in state: {sorted(missing)}")
@@ -208,7 +210,7 @@ class ParamStore:
                 raise InputError(
                     f"parameter '{k}' dtype {arr.dtype} != expected {v.value.dtype}"
                 )
-            v.value = arr.copy()
+            v.value[...] = arr
 
 
 # ---------------------------------------------------------------------------

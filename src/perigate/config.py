@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .descriptor import check_cues
 from .errors import ConfigParseError, ConfigurationError
-from .model import ModelConfig
+from .model import FUSIONS, GATE_ACTS, ModelConfig
 
 
 @dataclass
@@ -87,9 +87,9 @@ _KEYS = {
     "kernels": (_parse_int_list, "model", "kernels"),
     "expansion": (_parse_int, "model", "expansion"),
     "center_size": (_parse_int, "model", "center_size"),
-    "fusion": (_parse_choice({"softmax", "mean"}), "model", "fusion"),
+    "fusion": (_parse_choice(FUSIONS), "model", "fusion"),
     "beta_mode": (_parse_beta_mode, "model", "beta_mode"),  # also sets beta_fixed
-    "gate_act": (_parse_choice({"tanh", "sigmoid"}), "model", "gate_act"),
+    "gate_act": (_parse_choice(GATE_ACTS), "model", "gate_act"),
     "cues": (_parse_cues, "model", "cues"),
     "drop_path": (_parse_float, "model", "drop_path"),
     "msinit": (_parse_int_list, "model", "msinit_scales"),

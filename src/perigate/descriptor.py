@@ -9,7 +9,7 @@ the input's dtype, so a float32 stack stays float32.
 
 from . import autodiff as ad
 from .errors import ConfigurationError
-from .ops import CUE_NAMES, EPS_MAGNITUDE, LAPLACIAN, SOBEL_X, SOBEL_Y  # noqa: F401
+from .ops import CUE_NAMES
 
 
 def check_cues(cues):

@@ -27,13 +27,11 @@ class Adam:
     """Adam with fixed hyperparameters and no schedule.
 
     The moments ``m`` and ``v`` are one flat vector each, in the store's
-    parameter order and its single dtype. A step gathers every gradient into
-    one vector, runs the update once over the vectors and rebinds each
-    parameter to its slice of the new parameter vector ``params``. The update
-    is elementwise, so it is bitwise the per-parameter rule. While every
-    parameter is still bound to its slice, ``params`` holds their values and
-    the step reads it as it is; after any rebinding (the first step, or a
-    ``load_state``) it gathers the values again.
+    parameter order and its single dtype, and so are the values: each
+    parameter is bound once, here, to its slice of ``params``. A step gathers
+    every gradient into one vector and updates ``params`` in place, once over
+    the vectors. The update is elementwise, so it is bitwise the per-parameter
+    rule. ``ParamStore.load_state`` writes values in place and keeps the binding.
     """
 
     def __init__(self, store, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -51,34 +49,26 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        ends = np.cumsum([p.value.size for p in variables]).tolist()
-        self._layout = [(slice(lo, hi), p.value.shape) for p, lo, hi in
-                        zip(variables, [0] + ends, ends)]
-        self.m = np.zeros(ends[-1], dtype=self.dtype)
-        self.v = np.zeros(ends[-1], dtype=self.dtype)
         self.params = np.concatenate([p.value for p in variables], axis=None)
-        self._bound = [None] * len(variables)  # the slices of params the parameters hold
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        ends = np.cumsum([p.value.size for p in variables]).tolist()
+        for p, lo, hi in zip(variables, [0] + ends, ends):
+            p.value = self.params[lo:hi].reshape(p.value.shape)
 
     def step(self):
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        variables = self.store.variables()
-        g = np.concatenate([self.store.grad(p.name) for p in variables], axis=None,
+        g = np.concatenate([self.store.grad(name) for name in self.store.names()], axis=None,
                            dtype=self.dtype)
-        params = self.params
-        if not all(p.value is b for p, b in zip(variables, self._bound)):
-            params = np.concatenate([p.value for p in variables], axis=None)
         m, v = self.m, self.v
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
         update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-        self.params = params - (self.lr * update).astype(self.dtype, copy=False)
-        self._bound = [self.params[part].reshape(shape) for part, shape in self._layout]
-        for p, value in zip(variables, self._bound):
-            p.value = value
+        self.params -= (self.lr * update).astype(self.dtype, copy=False)
 
 
 def _check_sequences(m: ModelConfig, data: np.ndarray, need: int):

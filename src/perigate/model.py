@@ -25,6 +25,9 @@ from .multiscale import fan_in_uniform
 from .ops import index_blocks
 from .rng import INIT, stream
 
+FUSIONS = ("softmax", "mean")  # the values of ModelConfig.fusion, and of its config key
+GATE_ACTS = ("tanh", "sigmoid")  # the same for gate_act
+
 
 @dataclass
 class ModelConfig:
@@ -104,11 +107,11 @@ class ModelConfig:
             raise ConfigurationError(f"duplicate kernel scales {scales}")
         if any(k % 2 == 0 or k < 1 for k in scales):
             raise ConfigurationError(f"kernel scales must be odd, got {scales}")
-        if self.fusion not in ("softmax", "mean"):
+        if self.fusion not in FUSIONS:
             raise ConfigurationError(f"unknown fusion '{self.fusion}'")
         if self.beta_mode not in ("learnable", "fixed"):
             raise ConfigurationError(f"unknown beta mode '{self.beta_mode}'")
-        if self.gate_act not in ("tanh", "sigmoid"):
+        if self.gate_act not in GATE_ACTS:
             raise ConfigurationError(f"unknown beta activation '{self.gate_act}'")
         if self.center_size not in (3, 5):
             raise ConfigurationError(f"center size must be 3 or 5, got {self.center_size}")
@@ -137,7 +140,7 @@ class ConvStage:
 @dataclass
 class ModelParams:
     encoder: list[ConvStage]
-    msinit: multiscale.MultiScaleInitParams
+    msinit: list[multiscale.BranchParams]
     blocks: list[gate_block.BlockParams]
     decoder: list[ConvStage]
     readout_w: Var

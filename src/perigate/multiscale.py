@@ -19,17 +19,11 @@ from .errors import ConfigurationError
 
 @dataclass
 class BranchParams:
-    size: int
     sep_h: Var  # [C, k]
     sep_v: Var  # [C, k]
     dw: Var  # [C, 3, 3]
     proj_w: Var  # [C/M, C]
     proj_b: Var  # [C/M]
-
-
-@dataclass
-class MultiScaleInitParams:
-    branches: list[BranchParams]
 
 
 def validate_scales(channels: int, scales):
@@ -62,8 +56,8 @@ def fan_in_uniform(shape, fan_in: int, rng, dtype):
 
 def init_params(
     store: ParamStore, prefix: str, channels: int, scales, rng, dtype
-) -> MultiScaleInitParams:
-    """Register branch parameters; separable/depthwise kernels start near identity."""
+) -> list[BranchParams]:
+    """Register each branch's parameters; separable/depthwise kernels start near identity."""
     sizes = validate_scales(channels, scales)
     out_c = channels // len(sizes)
     branches = []
@@ -71,7 +65,6 @@ def init_params(
         name = f"{prefix}/branch{i}"
         branches.append(
             BranchParams(
-                size=k,
                 sep_h=store.add(
                     f"{name}/sep_h", near_identity((channels, k), (k // 2,), rng).astype(dtype)
                 ),
@@ -87,7 +80,7 @@ def init_params(
                 proj_b=store.add(f"{name}/proj_b", np.zeros(out_c, dtype=dtype)),
             )
         )
-    return MultiScaleInitParams(branches=branches)
+    return branches
 
 
 def branch_forward(z, branch: BranchParams):
@@ -97,7 +90,7 @@ def branch_forward(z, branch: BranchParams):
     return ad.add(ad.add(sep, mid), z)
 
 
-def forward(z, params: MultiScaleInitParams):
+def forward(z, branches: list[BranchParams]):
     """Project every branch to C'/M channels and concatenate in branch order."""
-    outs = [ad.pwconv(branch_forward(z, b), b.proj_w, b.proj_b) for b in params.branches]
+    outs = [ad.pwconv(branch_forward(z, b), b.proj_w, b.proj_b) for b in branches]
     return ad.concat_channels(outs)

@@ -397,20 +397,16 @@ def _is_pole(beta: float, coeffs: QuadCoeffs) -> bool:
     return abs(_noise_energy(beta, coeffs)) <= 1e-12 * size
 
 
-def stationary_polynomial(coeffs: QuadCoeffs) -> np.ndarray:
-    """Coefficients (highest degree first) of the stationary equation.
+def stationary_polynomial(coeffs: QuadCoeffs) -> tuple[float, float, float]:
+    """Coefficients (c2, c1, c0) of the stationary equation, a quadratic.
 
     Expanding (-B + beta C) * Dt(beta) = (-Bt + beta Ct) * N(beta) and
-    collecting powers gives degree at most 3; the cubic term C*Ct - Ct*C
-    cancels identically, leaving a quadratic in the generic case.
+    collecting powers gives degree at most 3, but the cubic term C*Ct - Ct*C
+    is exactly zero, in floating point too: multiplication commutes.
     """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     at, bt, ct = coeffs.at, coeffs.bt, coeffs.ct
-    c3 = c * ct - ct * c
-    c2 = b * ct - c * bt
-    c1 = c * at - a * ct
-    c0 = a * bt - at * b
-    return np.array([c3, c2, c1, c0])
+    return b * ct - c * bt, c * at - a * ct, a * bt - at * b
 
 
 def _unit_scaled(coeffs: QuadCoeffs) -> tuple[QuadCoeffs, int]:
@@ -459,15 +455,17 @@ def _check_stationary(beta: float, coeffs: QuadCoeffs, tol: float):
 def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[float]:
     """All real roots of the stationary equation, ascending.
 
-    Roots come from companion-matrix eigenvalues after stripping degenerate
-    leading coefficients, polished by Newton steps on the polynomial, and
-    each verified to zero the SNR derivative, to ``derivative_tol`` times
-    max(1, |SNR|), by :func:`_check_stationary`. When At*Ct = Bt^2 the double
-    root Bt/Ct of the noise energy also solves the equation; it is a pole of
-    the SNR, not a stationary point, and is dropped. :class:`DegeneracyError` is
-    raised for a noise energy that is negative somewhere (At < 0, Ct < 0 or
-    Bt^2 > At*Ct), which no pair of real responses gives, and for a root that
-    fails the check.
+    Coefficients within 1e-12 of the largest product in them read as zero; a
+    vanishing c2 leaves the root -c0/c1, if any. Otherwise the roots are q/c2
+    and c0/q, q = -(c1 + sign(c1) sqrt(disc))/2, free of cancellation; a pair
+    complex only through rounding (imaginary part at most 1e-9 max(1, |real
+    part|)) is kept as its real part. A zero root is +0.0. Each root is verified
+    to zero the SNR derivative, to ``derivative_tol`` times max(1, |SNR|), by
+    :func:`_check_stationary`. When At*Ct = Bt^2 the double root Bt/Ct of the
+    noise energy also solves the equation; it is a pole of the SNR, not a
+    stationary point, and is dropped. :class:`DegeneracyError` is raised for a
+    noise energy that is negative somewhere (At < 0, Ct < 0 or Bt^2 > At*Ct),
+    which no pair of real responses gives, and for a root that fails the check.
     """
     unit, _ = _unit_scaled(coeffs)
     gram = unit.at * unit.ct
@@ -477,37 +475,28 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
         raise DegeneracyError(
             "noise energy At - 2 beta Bt + beta^2 Ct is negative for some beta"
         )
-    poly = stationary_polynomial(unit)
+    c2, c1, c0 = stationary_polynomial(unit)
     magnitude = max(
         abs(unit.a * unit.bt), abs(unit.at * unit.b),
         abs(unit.c * unit.at), abs(unit.a * unit.ct),
         abs(unit.b * unit.ct), abs(unit.c * unit.bt), 1e-300,
     )
     tol = 1e-12 * magnitude
-    if np.all(np.abs(poly) <= tol):
+    if max(abs(c2), abs(c1), abs(c0)) <= tol:
         raise DegeneracyError("stationary equation vanishes identically; SNR is constant")
-    lead = 0
-    while abs(poly[lead]) <= tol:
-        lead += 1
-    trimmed = poly[lead:]
-    if trimmed.size == 1:
-        return []
-    roots = np.roots(trimmed)
-    real = []
-    for z in roots:
-        if abs(z.imag) > 1e-9 * max(1.0, abs(z.real)):
-            continue
-        x = float(z.real)
-        for _ in range(3):  # Newton polish on the polynomial itself
-            p = np.polyval(trimmed, x)
-            dp = np.polyval(np.polyder(trimmed), x)
-            if dp == 0:
-                break
-            x -= p / dp
-        real.append(x)
-    real = [x for x in real if not _is_pole(x, coeffs)]
+    if abs(c2) <= tol:
+        real = [] if abs(c1) <= tol else [-c0 / c1]
+    else:  # scaled exactly to unit size, so that disc cannot underflow
+        c2, c1, c0 = (math.ldexp(v, -math.frexp(magnitude)[1]) for v in (c2, c1, c0))
+        disc = c1 * c1 - 4.0 * c2 * c0
+        q = -0.5 * (c1 + math.copysign(math.sqrt(max(disc, 0.0)), c1))
+        if disc < 0.0 and math.sqrt(-disc) > 2e-9 * max(abs(c2), abs(q)):
+            real = []  # a complex pair, its imaginary part over 1e-9 max(1, |real part|)
+        else:
+            real = [q / c2, c0 / q] if q != 0.0 else [0.0]
+    real = [x + 0.0 for x in real if not _is_pole(x, coeffs)]  # x + 0.0: a zero root is +0.0
     for x in real:  # checked before rounding, which would move a root near 0 onto 0
-        _check_stationary(float(x), coeffs, derivative_tol)
+        _check_stationary(x, coeffs, derivative_tol)
     return sorted(set(round(x, 14) for x in real))
 
 
@@ -612,7 +601,7 @@ def flat_spectrum(n: int = DEFAULT_SAMPLES) -> FreqResponse:
 
 
 def band_spectrum(lo: float, hi: float, n: int = DEFAULT_SAMPLES) -> FreqResponse:
-    if not 0.0 <= lo < hi:
+    if not (0.0 <= lo < hi and math.isfinite(hi)):
         raise InputError(f"invalid band [{lo}, {hi}]")
     r = grid(n)
     return FreqResponse(((r >= lo) & (r <= hi)).astype(np.float64))

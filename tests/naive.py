@@ -17,6 +17,7 @@ import numpy as np
 
 from perigate import autodiff as ad
 from perigate import ops, spectral
+from perigate.errors import DegeneracyError
 
 
 def dense_dwconv2d(x, kernel):
@@ -387,6 +388,48 @@ def kernel_radial_dtft(h, v, n, num_angles):
 def grid_snr_max(coeffs):
     """The SNR maximum on the beta grid check's 100,000 points, in one dense array."""
     return np.max(spectral.snr(np.linspace(-1 + 1e-9, 1 - 1e-9, 100_000), coeffs))
+
+
+def companion_stationary_betas(coeffs, derivative_tol=1e-8):
+    """spectral.stationary_betas by way of a companion-matrix eigensolve: the cubic
+    (C Ct - Ct C, c2, c1, c0) of the unit-scaled coefficients, leading entries at most
+    1e-12 of the largest product stripped, np.roots, the roots real to 1e-9 polished by
+    three Newton steps; then the same noise-energy, constant-SNR, pole and derivative
+    checks and 14-decimal rounding."""
+    unit, _ = spectral._unit_scaled(coeffs)
+    gram = unit.at * unit.ct
+    if coeffs.at < 0 or coeffs.ct < 0 or unit.bt * unit.bt - gram > 1e-12 * max(gram, 1e-300):
+        raise DegeneracyError(
+            "noise energy At - 2 beta Bt + beta^2 Ct is negative for some beta")
+    a, b, c, at, bt, ct = unit.a, unit.b, unit.c, unit.at, unit.bt, unit.ct
+    poly = np.array([c * ct - ct * c, b * ct - c * bt, c * at - a * ct, a * bt - at * b])
+    magnitude = max(abs(a * bt), abs(at * b), abs(c * at), abs(a * ct), abs(b * ct),
+                    abs(c * bt), 1e-300)
+    tol = 1e-12 * magnitude
+    if np.all(np.abs(poly) <= tol):
+        raise DegeneracyError(
+            "stationary equation vanishes identically; SNR is constant")
+    lead = 0
+    while abs(poly[lead]) <= tol:
+        lead += 1
+    trimmed = poly[lead:]
+    if trimmed.size == 1:
+        return []
+    real = []
+    for z in np.roots(trimmed):
+        if abs(z.imag) > 1e-9 * max(1.0, abs(z.real)):
+            continue
+        x = float(z.real)
+        for _ in range(3):
+            dp = np.polyval(np.polyder(trimmed), x)
+            if dp == 0:
+                break
+            x -= np.polyval(trimmed, x) / dp
+        real.append(x)
+    real = [x for x in real if not spectral._is_pole(x, coeffs)]
+    for x in real:
+        spectral._check_stationary(float(x), coeffs, derivative_tol)
+    return sorted(set(round(x, 14) for x in real))
 
 
 def bisect80(fn, lo, hi, lo_positive):

@@ -275,6 +275,8 @@ NONFINITE_ANALYZE = {
     "beta_nan": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--beta", "nan"],
     "sigma2_nan": ["snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--sigma2", "nan"],
     "sigma2_inf": ["beta-star", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--sigma2", "inf"],
+    "band_edge_inf": ["snr-sweep", "--hl", "exp:1", "--hs", "gauss:2", "--ps", "band:1,1e400"],
+    "band_edge_nan": ["beta-star", "--hl", "exp:1", "--hs", "gauss:2", "--ps", "band:nan,2"],
 }
 
 
@@ -365,6 +367,20 @@ def test_beta_star_root_on_a_fine_snr_scale(capsys):
                  "--ps", "band:0.6232,2.5683", "--sigma2", "0.5465"]) == 0
     out = capsys.readouterr().out
     assert "beta_star 0.937437" in out and "grid_ok true" in out
+
+
+@pytest.mark.parametrize("query", [
+    ["--hl", "exp:0.6", "--hs", "gauss:2.5", "--ps", "band:0.5,2.5", "--sigma2", "1"],
+    ["--coeffs", "2,1,1,1,0,1"],
+])
+def test_beta_star_solves_its_quadratic_without_an_eigensolve(query, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stationary equation went to an eigensolver")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    assert main(["analyze", "beta-star"] + query) == 0
+    assert "grid_ok true" in capsys.readouterr().out
 
 
 EXTREME_COEFFS = {

@@ -20,7 +20,7 @@ def build(channels=6, scales=(3, 5, 7), seed=0):
 
 def test_zero_kernels_identity_branch():
     store, params = build()
-    b = params.branches[0]
+    b = params[0]
     b.sep_h.value = np.zeros_like(b.sep_h.value)
     b.sep_v.value = np.zeros_like(b.sep_v.value)
     b.dw.value = np.zeros_like(b.dw.value)
@@ -31,7 +31,7 @@ def test_zero_kernels_identity_branch():
 
 def test_identity_separable_doubles():
     store, params = build(scales=(3,), channels=3)
-    b = params.branches[0]
+    b = params[0]
     ident = np.zeros_like(b.sep_h.value)
     ident[:, 1] = 1.0
     b.sep_h.value = ident.copy()
@@ -46,7 +46,7 @@ def test_branch_matches_composed_primitives():
     from perigate import ops
 
     store, params = build(channels=4, scales=(3, 5))
-    b = params.branches[1]
+    b = params[1]
     z = np.random.default_rng(2).standard_normal((4, 6, 6))
     got = multiscale.branch_forward(ad.Var(z), b).value
     sep = ops.sep_conv_parts(z, b.sep_h.value, b.sep_v.value)[0]
@@ -63,7 +63,7 @@ def test_forward_shapes_and_blocks():
 
 def test_single_branch_identity_projection():
     store, params = build(channels=3, scales=(3,))
-    b = params.branches[0]
+    b = params[0]
     b.sep_h.value = np.zeros_like(b.sep_h.value)
     b.sep_v.value = np.zeros_like(b.sep_v.value)
     b.dw.value = np.zeros_like(b.dw.value)
@@ -78,7 +78,7 @@ def test_output_block_depends_only_on_its_branch():
     store, params = build(channels=6, scales=(3, 5, 7))
     z = np.random.default_rng(5).random((6, 5, 5))
     base = multiscale.forward(ad.Var(z), params).value.copy()
-    params.branches[1].proj_w.value = params.branches[1].proj_w.value + 0.5
+    params[1].proj_w.value = params[1].proj_w.value + 0.5
     perturbed = multiscale.forward(ad.Var(z), params).value
     out_c = 2  # 6 channels over 3 branches
     assert np.array_equal(base[:out_c], perturbed[:out_c])
@@ -93,13 +93,13 @@ def test_cross_branch_gradients_zero():
     seed = np.zeros(out.value.shape)
     seed[:2] = 1.0  # only branch 0's output block
     ad.backward(tape, seed)
-    assert params.branches[0].sep_h.grad is not None
-    assert params.branches[1].sep_h.grad is None or np.all(params.branches[1].sep_h.grad == 0)
+    assert params[0].sep_h.grad is not None
+    assert params[1].sep_h.grad is None or np.all(params[1].sep_h.grad == 0)
 
 
 def test_all_zero_learnables_zero_output():
     store, params = build(channels=4, scales=(3, 5))
-    for b in params.branches:
+    for b in params:
         for v in (b.sep_h, b.sep_v, b.dw, b.proj_w, b.proj_b):
             v.value = np.zeros_like(v.value)
         # identity term survives inside the branch, but zero projection kills it

@@ -499,9 +499,8 @@ class TestSnr:
 
 class TestStationaryBetas:
     def test_cubic_term_cancels(self):
-        poly = stationary_polynomial(FIXTURE)
-        assert poly[0] == 0.0
-        np.testing.assert_allclose(poly[1:], [1.0, -1.0, -1.0])  # beta^2 - beta - 1
+        # (c2, c1, c0): the cubic term C*Ct - Ct*C is exactly zero and not returned
+        assert stationary_polynomial(FIXTURE) == (1.0, -1.0, -1.0)  # beta^2 - beta - 1
 
     def test_golden_ratio_fixture(self):
         roots = stationary_betas(FIXTURE)
@@ -520,6 +519,12 @@ class TestStationaryBetas:
         q = QuadCoeffs(a=2.0, b=0.0, c=1.0, at=1.0, bt=0.0, ct=2.0, sigma2=1.0)
         roots = stationary_betas(q)
         assert any(abs(r) < 1e-12 for r in roots)
+
+    def test_zero_root_is_positive_zero(self):
+        # c2 = c0 = 0: the one root -c0/c1 is -0.0 before it is normalized
+        q = QuadCoeffs(a=1.0, b=0.0, c=3.0, at=2.0, bt=0.0, ct=1.0, sigma2=1.0)
+        (root,) = stationary_betas(q)
+        assert root == 0.0 and math.copysign(1.0, root) == 1.0
 
     def test_proportional_degenerate(self):
         q = QuadCoeffs(a=2.0, b=1.0, c=0.5, at=4.0, bt=2.0, ct=1.0, sigma2=1.0)
@@ -583,6 +588,39 @@ def snr_coeffs(draw):
         at, ct = abs(at), abs(ct)
         bt = draw(st.floats(-0.999, 0.999)) * math.sqrt(at) * math.sqrt(ct)
     return QuadCoeffs(a, b, c, at, bt, ct, sigma2=draw(st.floats(1e-3, 1e3)))
+
+
+@st.composite
+def near_pole_coeffs(draw):
+    """SNR coefficients whose noise Gram matrix At*Ct - Bt^2 is singular or nearly so."""
+    scale = st.floats(1e-6, 1e6)
+    a, b, c = (draw(st.floats(-1.0, 1.0)) * draw(scale) for _ in range(3))
+    at, ct = draw(scale), draw(scale)
+    gap = draw(st.one_of(st.just(0.0), st.floats(1e-16, 1e-3)))
+    bt = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - gap) * math.sqrt(at * ct)
+    return QuadCoeffs(a, b, c, at, bt, ct, sigma2=draw(st.floats(1e-3, 1e3)))
+
+
+class TestClosedFormRoots:
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.one_of(snr_coeffs(), near_pole_coeffs()))
+    @example(q=FIXTURE)
+    @example(q=QuadCoeffs(a=2.0, b=1.0, c=1.0, at=1.0, bt=0.5, ct=0.25, sigma2=1.0))  # a pole
+    def test_matches_the_companion_matrix_roots(self, q):
+        # same refusals, same root count, roots within 1e-11 relative or 1e-14 absolute
+        def solve(method):
+            with np.errstate(all="ignore"):
+                try:
+                    return method(q), None
+                except DegeneracyError as exc:
+                    return None, re.sub(r"\S*\d\S*", "#", str(exc))
+
+        got, got_error = solve(stationary_betas)
+        want, want_error = solve(naive.companion_stationary_betas)
+        assert got_error == want_error
+        if want is not None:
+            assert len(got) == len(want)
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-14)
 
 
 def _last_block_pole():
