@@ -119,21 +119,14 @@ def backward(tape: Tape, seed_grad: np.ndarray):
         node.grad = None  # free intermediate adjoints
 
 
-def forward_traced(graph_fn, inputs, params=None):
-    """Run ``graph_fn`` under a fresh tape.
-
-    ``inputs`` is a sequence of arrays or Vars; arrays are wrapped as leaves.
-    ``params`` (a :class:`ParamStore` or anything graph_fn closes over) is
-    passed through as the trailing argument when given.
-    """
+def forward_traced(graph_fn, inputs):
+    """Run ``graph_fn`` under a fresh tape on ``inputs``, arrays or Vars (arrays are
+    wrapped as leaves); parameters reach ``graph_fn`` through its closure."""
     wrapped = [x if isinstance(x, Var) else Var(x) for x in inputs]
     tape = Tape()
     with tape:
         try:
-            if params is None:
-                out = graph_fn(*wrapped)
-            else:
-                out = graph_fn(*wrapped, params)
+            out = graph_fn(*wrapped)
         except TypeError as exc:
             # e.g. applying python/numpy operators directly to Var
             raise UnsupportedOperationError(
@@ -161,9 +154,6 @@ class ParamStore:
         self._vars[name] = v
         return v
 
-    def var(self, name: str) -> Var:
-        return self._vars[name]
-
     def value(self, name: str) -> np.ndarray:
         return self._vars[name].value
 
@@ -186,9 +176,6 @@ class ParamStore:
 
     def num_scalars(self) -> int:
         return sum(v.value.size for v in self._vars.values())
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {k: v.value.copy() for k, v in self._vars.items()}
 
     def load_state(self, state: dict[str, np.ndarray]):
         """Overwrite every parameter's value in place, so that a view of it (an
@@ -233,8 +220,6 @@ def _sum_to_operand(grad_full: np.ndarray, operand_value: np.ndarray) -> np.ndar
     """Reduce a full-shape gradient back to a broadcast operand's shape."""
     if operand_value.shape == grad_full.shape:
         return grad_full
-    if operand_value.ndim == 0:
-        return grad_full.sum()
     if operand_value.ndim == 1:  # per-channel [C] broadcast over [..., C, H, W]
         return _sum_to_channels(grad_full)
     return grad_full.sum(axis=-3, keepdims=True)  # [..., 1, H, W] map over channels
@@ -356,9 +341,7 @@ def _dwconv_1d_vjp(g, xv, kv, kernel, axis: int):
     if isinstance(kernel, Var):  # first, so M and the gx pass are never held together
         xr, gr = (xv, g) if axis == -2 else (np.swapaxes(xv, -1, -2), np.swapaxes(g, -1, -2))
         gk = _band_sums(xr @ np.swapaxes(gr, -1, -2), kv.shape[-1])
-        if kv.ndim == 1:  # shared kernel: sum channels
-            gk = gk.sum(axis=0)
-    gx = ops._dwconv_1d(g, ops._per_channel(kv, g.shape[-3], 1)[:, ::-1], axis)
+    gx = ops._dwconv_1d(g, kv[:, ::-1], axis)
     return gx, gk
 
 
@@ -393,27 +376,23 @@ def dwconv_2d(x, kernel):
     y = ops.dwconv_2d(xv, kv)
 
     def vjp(g):
-        k2 = ops._per_channel(kv, xv.shape[-3], 2)
-        gx = ops.dwconv_2d(g, k2[:, ::-1, ::-1])
+        gx = ops.dwconv_2d(g, kv[:, ::-1, ::-1])
         gk = None
         if isinstance(kernel, Var):
-            k = k2.shape[1]
+            k = kv.shape[1]
             windows = ops.tap_windows(xv.reshape((-1,) + xv.shape[-3:]), k)
             gk = _dwconv_kernel_grad(g, windows, k)
-            if kv.ndim == 2:  # shared kernel: sum channel contributions
-                gk = gk.sum(axis=0)
         return gx, gk
 
     return _track(y, (x, kernel), vjp)
 
 
-def conv2d(x, w, b=None, stride: int = 1):
+def conv2d(x, w, stride: int = 1):
     xv, wv = _val(x), _val(w)
-    y = ops.conv2d(xv, wv, None if b is None else _val(b), stride)
+    y = ops.conv2d(xv, wv, stride)
 
     def vjp(g):
         k = wv.shape[-1]
-        gb = _sum_to_channels(g) if isinstance(b, Var) else None
         gx = ops.conv2d_input_grad(g, wv, xv.shape[-2:], stride) if isinstance(x, Var) else None
         gw = None
         if isinstance(w, Var):
@@ -422,9 +401,9 @@ def conv2d(x, w, b=None, stride: int = 1):
             gw = np.empty(wv.shape, dtype=np.result_type(g, xv))
             for u, v, win in ops.tap_windows(xv, k, stride):
                 gw[:, :, u, v] = _matmul_nt_summed(gf, win)
-        return gx, gw, gb
+        return gx, gw
 
-    return _track(y, (x, w, b), vjp)
+    return _track(y, (x, w), vjp)
 
 
 def pwconv(x, w, b):
@@ -554,17 +533,16 @@ def softmax_channels(x):
     return _track(y, (x,), vjp)
 
 
-def group_norm_act(x, gamma, beta, groups: int = 2, slope: float = 0.2):
+def group_norm_act(x, gamma, beta):
     """:func:`perigate.ops.group_norm_act` as one node, saving xhat and 1 / std only
     while a tape is active. The vjp passes g through the LeakyReLU by the sign of the
-    output (slope where it is not positive), then through the group normalization."""
+    output (the slope where it is not positive), then through the group normalization."""
     xv, gav = _val(x), _val(gamma)
-    y, saved = ops.group_norm_act(xv, gav, _val(beta), groups, slope,
-                                  keep=tape_active() is not None)
+    y, saved = ops.group_norm_act(xv, gav, _val(beta), keep=tape_active() is not None)
 
     def vjp(g):
         xhat_g, inv = saved
-        g = np.where(y > 0, g, slope * g)
+        g = np.where(y > 0, g, ops.LEAKY_SLOPE * g)
         dgamma = (
             _sum_to_channels(g * xhat_g.reshape(xv.shape)) if isinstance(gamma, Var) else None
         )

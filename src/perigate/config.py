@@ -46,7 +46,7 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part.strip(), 10) for part in raw.split(",") if part.strip())
+    return tuple(int(part, 10) for part in raw.split(","))  # int() strips; "" is refused
 
 
 def _parse_choice(options):
@@ -59,7 +59,7 @@ def _parse_choice(options):
 
 
 def _parse_cues(raw: str) -> tuple[str, ...]:
-    cues = tuple(part.strip() for part in raw.split(",") if part.strip())
+    cues = tuple(part.strip() for part in raw.split(",")) if raw else ()
     check_cues(cues)
     return cues
 

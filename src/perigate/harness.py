@@ -23,8 +23,11 @@ from .model import Model, ModelConfig, count_flops, per_sample_bytes
 from .rng import DROP, SHUFFLE, counter_uniform, stream
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and guard
+
+
 class Adam:
-    """Adam with fixed hyperparameters and no schedule.
+    """Adam with fixed hyperparameters (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) and no schedule.
 
     The moments ``m`` and ``v`` are one flat vector each, in the store's
     parameter order and its single dtype, and so are the values: each
@@ -34,8 +37,7 @@ class Adam:
     rule. ``ParamStore.load_state`` writes values in place and keeps the binding.
     """
 
-    def __init__(self, store, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, store, lr: float):
         variables = store.variables()
         dtypes = {p.value.dtype for p in variables}
         if len(dtypes) != 1:
@@ -45,9 +47,6 @@ class Adam:
         (self.dtype,) = dtypes
         self.store = store
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.params = np.concatenate([p.value for p in variables], axis=None)
         self.m = np.zeros_like(self.params)
@@ -58,16 +57,16 @@ class Adam:
 
     def step(self):
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        bias1 = 1.0 - ADAM_BETA1**self.t
+        bias2 = 1.0 - ADAM_BETA2**self.t
         g = np.concatenate([self.store.grad(name) for name in self.store.names()], axis=None,
                            dtype=self.dtype)
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         self.params -= (self.lr * update).astype(self.dtype, copy=False)
 
 

@@ -66,9 +66,9 @@ def psnr(pred, gt) -> float:
     return float(out.mean())
 
 
-def _gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    offsets = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    w = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
+def _gaussian_window() -> np.ndarray:
+    offsets = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
+    w = np.exp(-(offsets**2) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     return w / w.sum()
 
 

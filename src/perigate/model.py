@@ -22,7 +22,7 @@ from .autodiff import ParamStore, Var
 from .descriptor import CUE_NAMES, check_cues
 from .errors import ConfigurationError, InputError
 from .multiscale import fan_in_uniform
-from .ops import index_blocks
+from .ops import GN_GROUPS, index_blocks
 from .rng import INIT, stream
 
 FUSIONS = ("softmax", "mean")  # the values of ModelConfig.fusion, and of its config key
@@ -54,13 +54,13 @@ class ModelConfig:
     @property
     def latent(self) -> int:
         """``latent_c``, or by default 16 for <=32x32 inputs and 32 otherwise,
-        rounded up to the next even width whose t_in frames split over the
+        rounded up to the next multiple of GN_GROUPS whose t_in frames split over the
         multi-scale init branches."""
         if self.latent_c is not None:
             return self.latent_c
         width = 16 if max(self.height, self.width) <= 32 else 32
         while self.t_in * width % max(len(self.msinit_scales), 1):
-            width += 2
+            width += GN_GROUPS
         return width
 
     @property
@@ -95,10 +95,9 @@ class ModelConfig:
             raise ConfigurationError(
                 f"resolution {self.height}x{self.width} not divisible by downsample factor {ds}"
             )
-        if self.latent % 2 != 0:
+        if self.latent % GN_GROUPS != 0:
             raise ConfigurationError(
-                f"latent width {self.latent} must be even (2-group normalization)"
-            )
+                f"latent width {self.latent} not divisible into {GN_GROUPS} groups")
         multiscale.validate_scales(self.packed_channels, self.msinit_scales)
         scales = self.kernels
         if not scales:
@@ -324,12 +323,12 @@ class Model:
 
 def _conv_norm_act(x, stage: ConvStage):
     """The encoder/decoder stage: 3x3 conv (behind a nearest 2x upsampling, as one op,
-    in an upsampling stage), 2-group normalization, LeakyReLU(0.2)."""
+    in an upsampling stage), group normalization, LeakyReLU (:func:`ad.group_norm_act`)."""
     if stage.upsample:
         x = ad.upsample_conv2d(x, stage.w)
     else:
         x = ad.conv2d(x, stage.w, stride=stage.stride)
-    return ad.group_norm_act(x, stage.gn_gamma, stage.gn_beta, groups=2, slope=0.2)
+    return ad.group_norm_act(x, stage.gn_gamma, stage.gn_beta)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Var
 from .errors import ConfigurationError
 
+NEAR_IDENTITY_NOISE = 0.02  # standard deviation of the noise on a near-identity kernel
+
 
 @dataclass
 class BranchParams:
@@ -41,11 +43,11 @@ def validate_scales(channels: int, scales):
     return sizes
 
 
-def near_identity(shape, center_index, rng, noise=0.02):
+def near_identity(shape, center_index, rng):
     """Zeros with a one at ``center_index`` of every channel, plus Gaussian noise."""
     arr = np.zeros(shape)
     arr[(slice(None),) + center_index] = 1.0
-    return arr + noise * rng.standard_normal(shape)
+    return arr + NEAR_IDENTITY_NOISE * rng.standard_normal(shape)
 
 
 def fan_in_uniform(shape, fan_in: int, rng, dtype):

@@ -15,8 +15,7 @@ Conventions shared by every operation here:
 * convolutions are cross-correlations (no kernel flip) with zero
   same-padding, so spatial shape is preserved (halved, rounding up, by a
   stride-2 dense convolution);
-* depthwise kernels may be per-channel (``[C, k]`` / ``[C, k, k]``) or shared
-  (``[k]`` / ``[k, k]``);
+* depthwise kernels are per-channel, ``[C, k]`` / ``[C, k, k]``;
 * k x k convolutions, dense and depthwise, sum one product per tap, each
   reading a contiguous slice of the padded input's rows, or at stride 2 of
   one of its row/column parity planes (:func:`tap_windows`);
@@ -45,17 +44,15 @@ def _check_odd(k: int, kw: int | None = None):
 
 
 def _per_channel(kernel: np.ndarray, channels: int, spatial_rank: int) -> np.ndarray:
-    """Broadcast a shared kernel to per-channel form; validate channel count."""
+    """``kernel`` as an array, checked: per-channel [C, k] / [C, k, k], odd, square."""
     kernel = np.asarray(kernel)
-    if kernel.ndim == spatial_rank:
-        return np.broadcast_to(kernel, (channels,) + kernel.shape)
-    if kernel.ndim == spatial_rank + 1:
-        if kernel.shape[0] != channels:
-            raise ConfigurationError(
-                f"kernel has {kernel.shape[0]} channels, input has {channels}"
-            )
-        return kernel
-    raise ConfigurationError(f"bad depthwise kernel shape {kernel.shape}")
+    if kernel.ndim != spatial_rank + 1:
+        raise ConfigurationError(f"depthwise kernel must be [C{', k' * spatial_rank}],"
+                                 f" got shape {kernel.shape}")
+    if kernel.shape[0] != channels:
+        raise ConfigurationError(f"kernel has {kernel.shape[0]} channels, input has {channels}")
+    _check_odd(*kernel.shape[1:])
+    return kernel
 
 
 def _toeplitz(kernel: np.ndarray, n: int) -> np.ndarray:
@@ -86,7 +83,6 @@ def _dwconv_1d(x: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     ``x @ T_c`` along the width, ``T_c^T @ x`` along the height.
     """
     kernel = _per_channel(kernel, x.shape[-3], 1)
-    _check_odd(kernel.shape[1])
     t = _toeplitz(kernel, x.shape[axis])
     return x @ t if axis == -1 else np.swapaxes(t, -1, -2) @ x
 
@@ -204,7 +200,6 @@ def dwconv_2d(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     unchanged."""
     kernel = _per_channel(kernel, x.shape[-3], 2)
     k = kernel.shape[1]
-    _check_odd(k, kernel.shape[2])
     out = np.empty(x.shape, dtype=np.result_type(x, kernel))
     for sl in index_blocks(x.shape[-3], x[..., 0, :, :].nbytes):
         out[..., sl, :, :] = _dw_taps(tap_windows(x[..., sl, :, :], k), kernel[sl],
@@ -228,15 +223,14 @@ def _tap_gemms(windows, mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1) -> np.ndarray:
-    """Full k x k correlation [..., Cin,H,W] -> [..., Cout,Ho,Wo] with zero same-padding.
+def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Full k x k correlation [..., Cin,H,W] -> [..., Cout,Ho,Wo] with zero same-padding
+    and no bias (every conv feeds a normalization).
 
     The sum over the :func:`tap_windows` of ``w[:, :, u, v] @ window`` (:func:`_tap_gemms`),
     or with one input channel one product with the k*k stacked windows (an inner size
     of 1 is slow). Stride 2 reads each tap from the input's row/column parity planes,
-    so it computes only the Ho x Wo outputs, Ho = ceil(H / 2). ``b=None`` skips the
-    bias (convs feeding a normalization layer).
-    """
+    so it computes only the Ho x Wo outputs, Ho = ceil(H / 2)."""
     co, ci, k, kw = w.shape
     _check_odd(k, kw)
     if ci != x.shape[-3]:
@@ -250,7 +244,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, stride: int = 1) 
         taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # [k, k, Co, Ci]
         out = _tap_gemms(windows, taps)
     out = _cut(out, _extent(x.shape[-2], stride), _extent(x.shape[-1], stride))
-    return np.ascontiguousarray(out) if b is None else out + b[:, None, None]
+    return np.ascontiguousarray(out)
 
 
 def conv2d_input_grad(g: np.ndarray, w: np.ndarray, hw: tuple, stride: int = 1) -> np.ndarray:
@@ -465,10 +459,10 @@ def softmax_channels(x: np.ndarray) -> np.ndarray:
 
 
 def _broadcast_operand(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``b`` shaped to combine with ``a``: equal shape, a scalar, a per-channel
-    ``[C]`` vector, or a ``[..., 1, H, W]`` map broadcast over channels."""
+    """``b`` shaped to combine with ``a``: equal shape, a per-channel ``[C]`` vector,
+    or a ``[..., 1, H, W]`` map broadcast over channels."""
     b = np.asarray(b)
-    if b.shape == a.shape or b.ndim == 0:
+    if b.shape == a.shape:
         return b
     if a.ndim >= 3:
         if b.shape == (a.shape[-3],):
@@ -492,8 +486,8 @@ def mul(a, b):
 
 def suppress(p, center, coef):
     """Center suppression p - coef * center, with ``coef`` a per-channel [C] vector or
-    a scalar: the product, then the difference, as ``sub(p, mul(center, coef))``
-    rounds them (a Python float scalar keeps the maps' dtype). The difference is
+    a fixed scalar (a Python float keeps the maps' dtype): the product, then the
+    difference, as ``sub(p, mul(center, coef))`` rounds them. The difference is
     written over the product when it fits there."""
     scaled = center * coef if np.ndim(coef) == 0 else mul(center, coef)
     if scaled.shape == p.shape and scaled.dtype == np.result_type(p, scaled):
@@ -593,27 +587,30 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
     return out.reshape(x.shape), (sig_all, d_all, z, norms, denom, n) if keep else None
 
 
-def group_norm_act(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, groups: int = 2,
-                   slope: float = 0.2, eps: float = 1e-5, keep: bool = False):
-    """Group normalization over (channels-in-group, H, W) of each sample with a
-    per-channel affine, then LeakyReLU: y = max(a, slope * a) with
-    a = gamma * xhat + beta, in place (for 0 <= slope < 1 this is bitwise
-    ``where(a > 0, a, slope * a)``, at signed zeros, infinities and NaN too). Returns
-    ``(y, saved)``; with ``keep``, ``saved`` is (xhat, 1 / std) in grouped shape
-    [..., G, C/G, H, W], which the gradient reads, else None and the affine runs
-    over xhat in place."""
+GN_GROUPS = 2  # group normalization: groups per sample
+GN_EPS = 1e-5  # group normalization: variance guard
+LEAKY_SLOPE = 0.2  # the LeakyReLU after it
+
+
+def group_norm_act(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, keep: bool = False):
+    """Group normalization over (channels-in-group, H, W) of each sample in GN_GROUPS
+    groups, with a per-channel affine, then LeakyReLU: y = max(a, LEAKY_SLOPE * a) with
+    a = gamma * xhat + beta, in place (bitwise ``where(a > 0, a, LEAKY_SLOPE * a)``, at
+    signed zeros, infinities and NaN too). Returns ``(y, saved)``; with ``keep``,
+    ``saved`` is (xhat, 1 / std) in grouped shape [..., G, C/G, H, W], which the
+    gradient reads, else None and the affine runs over xhat in place."""
     c = x.shape[-3]
-    if c % groups != 0:
-        raise ConfigurationError(f"{c} channels not divisible into {groups} groups")
-    xg = x.reshape(x.shape[:-3] + (groups, c // groups) + x.shape[-2:])
+    if c % GN_GROUPS != 0:
+        raise ConfigurationError(f"{c} channels not divisible into {GN_GROUPS} groups")
+    xg = x.reshape(x.shape[:-3] + (GN_GROUPS, c // GN_GROUPS) + x.shape[-2:])
     axes = (-3, -2, -1)
     xhat = xg - xg.mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=axes, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=axes, keepdims=True) + GN_EPS)
     xhat *= inv
     y = np.multiply(xhat.reshape(x.shape), gamma[:, None, None],
                     out=None if keep else xhat.reshape(x.shape))
     y += beta[:, None, None]
-    np.maximum(y, slope * y, out=y)
+    np.maximum(y, LEAKY_SLOPE * y, out=y)
     return y, (xhat, inv) if keep else None
 
 

@@ -30,6 +30,9 @@ MIN_SAMPLES = 64
 _EDGE = 1e-9  # beta domains are open: endpoints are approached this close
 _BLOCK_BYTES = 2**20  # kernel spectra: a row block's Chebyshev rows and basis rows
 _TABLE_BYTES = 2**23  # kernel spectra: the retained basis tables together
+NUM_ANGLES = 64  # kernel spectra: directions over [0, pi) in the radial average
+_BISECT_ITERS = 80  # ring edges on closed forms: halvings of a bracket at most
+DERIVATIVE_TOL = 1e-8  # stationary roots: |dSNR/dbeta| over max(1, |SNR|) at most
 # grid_check's betas per block: snr's float64 temporaries are 125 kB, under glibc's
 # 128 KiB mmap threshold and in cache, and its peak of four stays under 512 KiB. Not
 # ops.index_blocks: importing ops would add 8-12 ms to every analyze start.
@@ -150,10 +153,9 @@ def response_from_function(fn: Callable, n: int = DEFAULT_SAMPLES) -> FreqRespon
     return FreqResponse(values, fn=fn)
 
 
-def response_from_kernel(
-    sk: SepKernel, n: int = DEFAULT_SAMPLES, num_angles: int = 64
-) -> FreqResponse:
-    """Radially averaged real part of the centered 2-D DTFT of v (x) h.
+def response_from_kernel(sk: SepKernel, n: int = DEFAULT_SAMPLES) -> FreqResponse:
+    """Radially averaged real part of the centered 2-D DTFT of v (x) h, over
+    :data:`NUM_ANGLES` directions.
 
     The real part keeps sign information (magnitude spectra cannot certify a
     ring). Radial symmetry of the real part under omega -> -omega lets the
@@ -170,12 +172,10 @@ def response_from_kernel(
     h and v taps and M[r, i, j] = sum_theta weight T_i(cos w1) T_j(cos w2):
     one [n, P^2] @ [P^2] product, P = p + 1, 2 n P^2 flops.
 
-    M depends only on (n, num_angles, P), so :func:`_basis_blocks` retains it
-    for the next kernel at the same triple (2 MiB for k = 31 at n = 1024): the
-    two kernels of a query, or the many kernels of one checkpoint, share it.
+    M depends only on (n, P), so :func:`_basis_blocks` retains it for the next
+    kernel at the same pair (2 MiB for k = 31 at n = 1024): the two kernels of a
+    query, or the many kernels of one checkpoint, share it.
     """
-    if num_angles < 1:
-        raise ConfigurationError(f"need at least one angle, got {num_angles}")
     r = grid(n)
     p = (sk.k - 1) // 2
     taps = np.stack([sk.h, sk.v])
@@ -183,15 +183,15 @@ def response_from_kernel(
     coeffs[:, 0] = taps[:, p]
     products = np.outer(coeffs[0], coeffs[1]).ravel()
     values = np.empty(n)
-    for rows, block in _basis_blocks(r, num_angles, p + 1):
+    for rows, block in _basis_blocks(r, p + 1):
         np.matmul(block.reshape(-1, products.size), products, out=values[rows])
     return FreqResponse(values)
 
 
-_tables: OrderedDict = OrderedDict()  # (n, num_angles, P) -> read-only [n, P, P] basis
+_tables: OrderedDict = OrderedDict()  # (n, P) -> read-only [n, P, P] basis
 
 
-def _basis_blocks(r: np.ndarray, num_angles: int, size: int):
+def _basis_blocks(r: np.ndarray, size: int):
     """(rows, M[rows]) over the row blocks of the [r.size, size, size] basis.
 
     Tables are retained, least recently used out first, within _TABLE_BYTES
@@ -201,16 +201,15 @@ def _basis_blocks(r: np.ndarray, num_angles: int, size: int):
     and basis rows take at most _BLOCK_BYTES. A new table is built in place, in
     its own array: a retained array among freed temporaries would keep the heap
     around it resident."""
-    n, angles = r.size, num_angles // 2 + 1
+    n, angles = r.size, NUM_ANGLES // 2 + 1
     step = max(1, _BLOCK_BYTES // (8 * size * (2 * angles + size)))
     blocks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
-    key = (n, num_angles, size)
+    key = (n, size)
     table = _tables.pop(key, None)
     if table is None:
-        theta = np.linspace(0.0, math.pi, num_angles, endpoint=False)[:angles]
+        theta = np.linspace(0.0, math.pi, NUM_ANGLES, endpoint=False)[:angles]
         direction = np.stack([np.cos(theta), np.sin(theta)])  # w1 along h, w2 along v
-        a = np.arange(angles)
-        weight = np.where((a == 0) | (2 * a == num_angles), 1.0, 2.0) / num_angles
+        weight = np.r_[1.0, np.full(angles - 2, 2.0), 1.0] / NUM_ANGLES  # 0, pi/2: no mirror
         if 8 * n * size * size > _TABLE_BYTES:
             return ((rows, _basis_rows(r[rows], direction, weight, size)) for rows in blocks)
         table = np.empty((n, size, size))
@@ -269,14 +268,14 @@ class RingBand:
     multiple: bool = False  # more than one positive interval; this is the widest
 
 
-def _bisect(fn, lo, hi, lo_positive: bool, iters: int = 80) -> float:
+def _bisect(fn, lo, hi, lo_positive: bool) -> float:
     """Locate the sign change of fn between lo and hi.
 
     Stops once the midpoint rounds onto an end of the bracket: the ends are
     then adjacent floats, and no later step can move the midpoint."""
     flo_pos = lo_positive
     with np.errstate(over="ignore"):  # closed-form limits, as in response_from_function
-        for _ in range(iters):
+        for _ in range(_BISECT_ITERS):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 return mid
@@ -426,15 +425,15 @@ def _unit_scaled(coeffs: QuadCoeffs) -> tuple[QuadCoeffs, int]:
                       coeffs.sigma2), e1 - e2
 
 
-def _check_stationary(beta: float, coeffs: QuadCoeffs, tol: float):
-    """Raise :class:`DegeneracyError` unless |dSNR/dbeta| <= tol * max(1, |SNR|)
+def _check_stationary(beta: float, coeffs: QuadCoeffs):
+    """Raise :class:`DegeneracyError` unless |dSNR/dbeta| <= DERIVATIVE_TOL max(1, |SNR|)
     at beta, up to 8 epsilon of the magnitudes of the derivative's terms.
 
     dSNR/dbeta = 2 P / (sigma2 Dt^2), P = (beta C - B) Dt - (beta Ct - Bt) N the
     stationary equation's residual. It is read without dividing, in Python
     floats (an overflow reads inf or nan, unwarned), on the :func:`_unit_scaled`
     triples, where N, Dt and P shrink by 2^-e1, 2^-e2 and 2^-(e1 + e2); so the
-    test reads |2P| <= tol * max(sigma2 2^(e2 - e1) Dt^2, |N Dt|) there.
+    test reads |2P| <= DERIVATIVE_TOL max(sigma2 2^(e2 - e1) Dt^2, |N Dt|) there.
     """
     q, shift = _unit_scaled(coeffs)
     num, den = q.a - 2.0 * beta * q.b + beta * beta * q.c, _noise_energy(beta, q)
@@ -445,14 +444,15 @@ def _check_stationary(beta: float, coeffs: QuadCoeffs, tol: float):
                    + (abs(beta * q.ct) + abs(q.bt)) * num_size)
     with np.errstate(over="ignore"):  # sigma2 2^(e2 - e1), held finite so that 0 * it is 0
         floor = min(float(np.ldexp(q.sigma2, -shift)), np.finfo(float).max)
-    bound = tol * max(floor * den * den, abs(num * den)) + 8.0 * np.finfo(float).eps * terms
+    bound = (DERIVATIVE_TOL * max(floor * den * den, abs(num * den))
+             + 8.0 * np.finfo(float).eps * terms)
     if not abs(residual) <= bound:
         raise DegeneracyError(f"stationary root {beta} fails the derivative check: |dSNR/dbeta|"
                               f" sigma2 Dt^2 = {abs(residual):.3e} exceeds {bound:.3e}"
                               " on unit-scaled coefficients")
 
 
-def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[float]:
+def stationary_betas(coeffs: QuadCoeffs) -> list[float]:
     """All real roots of the stationary equation, ascending.
 
     Coefficients within 1e-12 of the largest product in them read as zero; a
@@ -460,7 +460,7 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
     and c0/q, q = -(c1 + sign(c1) sqrt(disc))/2, free of cancellation; a pair
     complex only through rounding (imaginary part at most 1e-9 max(1, |real
     part|)) is kept as its real part. A zero root is +0.0. Each root is verified
-    to zero the SNR derivative, to ``derivative_tol`` times max(1, |SNR|), by
+    to zero the SNR derivative, to :data:`DERIVATIVE_TOL` times max(1, |SNR|), by
     :func:`_check_stationary`. When At*Ct = Bt^2 the double root Bt/Ct of the
     noise energy also solves the equation; it is a pole of the SNR, not a
     stationary point, and is dropped. :class:`DegeneracyError` is raised for a
@@ -496,7 +496,7 @@ def stationary_betas(coeffs: QuadCoeffs, derivative_tol: float = 1e-8) -> list[f
             real = [q / c2, c0 / q] if q != 0.0 else [0.0]
     real = [x + 0.0 for x in real if not _is_pole(x, coeffs)]  # x + 0.0: a zero root is +0.0
     for x in real:  # checked before rounding, which would move a root near 0 onto 0
-        _check_stationary(x, coeffs, derivative_tol)
+        _check_stationary(x, coeffs)
     return sorted(set(round(x, 14) for x in real))
 
 
@@ -557,16 +557,18 @@ def snr_advantage(coeffs: QuadCoeffs) -> Optional[float]:
     composite beats the plain large-kernel filter. Proportional responses
     (tiny Gram determinant At*Ct - Bt^2) have Delta identically zero. When
     p = 0 and q < 0, Delta is never positive: no advantage exists even
-    though the responses are independent, and None is returned.
+    though the responses are independent, and None is returned. All of it is
+    read on the :func:`_unit_scaled` triples: the answer does not depend on units.
     """
-    gram = coeffs.at * coeffs.ct - coeffs.bt * coeffs.bt
+    unit, _ = _unit_scaled(coeffs)
+    gram = unit.at * unit.ct - unit.bt * unit.bt
     if gram <= 1e-12:
         return None
-    p = coeffs.b * coeffs.at - coeffs.a * coeffs.bt
-    q = coeffs.c * coeffs.at - coeffs.a * coeffs.ct
+    p = unit.b * unit.at - unit.a * unit.bt
+    q = unit.c * unit.at - unit.a * unit.ct
     magnitude = max(
-        abs(coeffs.b * coeffs.at), abs(coeffs.a * coeffs.bt),
-        abs(coeffs.c * coeffs.at), abs(coeffs.a * coeffs.ct), 1e-300,
+        abs(unit.b * unit.at), abs(unit.a * unit.bt),
+        abs(unit.c * unit.at), abs(unit.a * unit.ct), 1e-300,
     )
     tol = 1e-12 * magnitude
     p = 0.0 if abs(p) <= tol else p
@@ -580,13 +582,13 @@ def snr_advantage(coeffs: QuadCoeffs) -> Optional[float]:
         candidate = max(0.0, r1) + max(1.0, abs(r1))
     else:  # q < 0, p != 0: positive strictly between the roots 0 and 2p/q
         candidate = p / q
-    base = snr(0.0, coeffs)
-    if snr(candidate, coeffs) > base:
+    base = snr(0.0, unit)
+    if snr(candidate, unit) > base:
         return candidate
     # fallback sweep for near-degenerate scaling
     for t in (1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0):
         for s in (-1.0, 1.0):
-            if snr(s * t, coeffs) > base:
+            if snr(s * t, unit) > base:
                 return s * t
     return None
 

@@ -1,0 +1,169 @@
+"""Golden outputs: sha256 digests of the README CLI tour and one paper-scale prediction.
+
+The tour (gen-data, train, eval, predict, the four analyze queries, inspect params,
+gates and betas) runs in process through ``cli.main`` in a temporary directory; each
+command's exit code and stdout, and every file it writes, is one artifact. The
+prediction is one seeded kth 10→10 ``harness.predict_batch`` call (128×128, a model
+built at seed 7, the ``gen_bouncing(0, 1, 10, 128, 128)`` input).
+
+Outputs are bitwise functions of the flags only on one Python, numpy and BLAS build
+and one machine, so the manifest records that fingerprint beside the digests.
+
+    python tests/golden.py            # compare with tests/golden_micro.json
+    python tests/golden.py --record   # rewrite it from this tree
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import ctypes
+import glob
+import hashlib
+import io
+import json
+import os
+import pathlib
+import platform
+import sys
+import tempfile
+
+import numpy as np
+
+MANIFEST = pathlib.Path(__file__).with_name("golden_micro.json")
+
+MICRO_CFG = """t_in = 2
+t_out = 2
+height = 16
+width = 16
+latent_c = 6
+n_s = 2
+n_t = 2
+kernels = 9,15,31
+epochs = 5
+lr = 0.002
+batch = 8
+seed = 7
+"""
+
+TOUR = [
+    ["gen-data", "--out", "train.pfgt", "--seed", "7", "--num", "48", "--frames", "4",
+     "--size", "16"],
+    ["train", "--config", "micro.cfg", "--data", "train.pfgt", "--out", "model.pfgc"],
+    ["eval", "--ckpt", "model.pfgc", "--data", "train.pfgt", "--out-csv", "metrics.csv"],
+    ["predict", "--ckpt", "model.pfgc", "--input", "train.pfgt", "--output", "pred.pfgt"],
+    ["analyze", "ring", "--hl", "gauss:0.5,gain=0.5", "--hs", "exp:1.5", "--beta", "0.75",
+     "--out-csv", "ring.csv"],
+    ["analyze", "snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--ps", "band:0.5,2.5",
+     "--sigma2", "1", "--out-csv", "sweep.csv"],
+    ["analyze", "beta-star", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--ps", "band:0.5,2.5",
+     "--sigma2", "1"],
+    ["analyze", "beta-star", "--coeffs", "2,1,1,1,0,1"],
+    ["inspect", "params", "--config", "micro.cfg"],
+    ["inspect", "gates", "--ckpt", "model.pfgc", "--input", "train.pfgt", "--block", "0",
+     "--out-prefix", "gates"],
+    ["inspect", "betas", "--ckpt", "model.pfgc", "--out-csv", "betas.csv"],
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _openblas_core() -> dict:
+    """The core OpenBLAS picked at run time, when numpy bundles it. Its thread count is
+    left out: one and two threads give the same digests on an x86_64 SkylakeX build."""
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                               ("openblas_", "64_"), ("openblas_", "")):
+            corename = getattr(lib, f"{prefix}get_corename{suffix}", None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return {"core": corename().decode()}
+    return {}
+
+
+def fingerprint() -> dict:
+    """What the digests depend on besides the code: Python, numpy, BLAS and machine."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "configuration": blas.get("openblas configuration"),
+                 **_openblas_core()},
+        "machine": f"{platform.system()} {platform.machine()}",
+    }
+
+
+def _tour(workdir: pathlib.Path) -> dict[str, str]:
+    from perigate.cli import main
+
+    digests = {}
+    (workdir / "micro.cfg").write_text(MICRO_CFG)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for i, argv in enumerate(TOUR):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            key = f"stdout:{i:02d} {argv[0]} {argv[1]}"
+            digests[key] = _sha(f"{code}\n{out.getvalue()}".encode())
+    finally:
+        os.chdir(cwd)
+    for path in sorted(workdir.iterdir()):
+        if path.name != "micro.cfg":
+            digests["file:" + path.name] = _sha(path.read_bytes())
+    return digests
+
+
+def _kth_prediction() -> str:
+    from perigate import data, harness
+    from perigate.model import Model, ModelConfig
+
+    cfg = ModelConfig(t_in=10, t_out=10, height=128, width=128, latent_c=6, n_s=2, n_t=2,
+                      kernels=(9, 15, 31))
+    preds = harness.predict_batch(Model.build(cfg, seed=7), data.gen_bouncing(0, 1, 10, 128, 128))
+    return _sha(f"{preds.dtype} {preds.shape}\n".encode() + preds.tobytes())
+
+
+def compute() -> dict[str, str]:
+    """Every artifact's sha256, computed on this tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = _tour(pathlib.Path(tmp))
+    digests["predict_batch:kth 10->10"] = _kth_prediction()
+    return digests
+
+
+def differences(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The artifacts whose digests differ, or that only one side has."""
+    return sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--record", action="store_true", help="rewrite the manifest")
+    args = parser.parse_args(argv)
+    digests = compute()
+    if args.record:
+        MANIFEST.write_text(json.dumps({"fingerprint": fingerprint(), "digests": digests},
+                                       indent=2, sort_keys=True) + "\n")
+        print(f"recorded {len(digests)} digests in {MANIFEST.name}")
+        return 0
+    manifest = json.loads(MANIFEST.read_text())
+    if manifest["fingerprint"] != fingerprint():
+        print(f"fingerprint differs: recorded {manifest['fingerprint']}, here {fingerprint()}")
+        return 1
+    diff = differences(manifest["digests"], digests)
+    for name in diff:
+        print(f"differs: {name}")
+    print(f"{len(digests) - len(diff)} of {len(manifest['digests'])} artifacts match")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    sys.exit(main())

@@ -1,5 +1,5 @@
 """Test-only model configurations, parameter-count formulas, GLU parameters, a
-traced memory peak and a fresh interpreter."""
+store's parameter by name, a traced memory peak and a fresh interpreter."""
 
 import os
 import pathlib
@@ -55,6 +55,12 @@ def glu_params(rng, channels: int, hidden: int, dtype=np.float64) -> list:
     shapes = [(2 * hidden, channels), (2 * hidden,), (hidden, 3, 3), (hidden,), (hidden,),
               (channels, hidden), (channels,)]
     return [rng.standard_normal(s).astype(dtype) for s in shapes]
+
+
+def param(store, name: str):
+    """The parameter ``Var`` of ``store`` named ``name``."""
+    (var,) = [v for v in store.variables() if v.name == name]
+    return var
 
 
 def traced_peak(fn):

@@ -390,7 +390,7 @@ def grid_snr_max(coeffs):
     return np.max(spectral.snr(np.linspace(-1 + 1e-9, 1 - 1e-9, 100_000), coeffs))
 
 
-def companion_stationary_betas(coeffs, derivative_tol=1e-8):
+def companion_stationary_betas(coeffs):
     """spectral.stationary_betas by way of a companion-matrix eigensolve: the cubic
     (C Ct - Ct C, c2, c1, c0) of the unit-scaled coefficients, leading entries at most
     1e-12 of the largest product stripped, np.roots, the roots real to 1e-9 polished by
@@ -428,7 +428,7 @@ def companion_stationary_betas(coeffs, derivative_tol=1e-8):
         real.append(x)
     real = [x for x in real if not spectral._is_pole(x, coeffs)]
     for x in real:
-        spectral._check_stationary(float(x), coeffs, derivative_tol)
+        spectral._check_stationary(float(x), coeffs)
     return sorted(set(round(x, 14) for x in real))
 
 
@@ -529,16 +529,15 @@ def adam_step(store, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     the store is rebound to its new value."""
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
-    for name in store.names():
-        g = store.grad(name)
-        mn = m[name]
-        vn = v[name]
+    for p in store.variables():
+        g = store.grad(p.name)
+        mn = m[p.name]
+        vn = v[p.name]
         mn *= beta1
         mn += (1.0 - beta1) * g
         vn *= beta2
         vn += (1.0 - beta2) * g * g
         update = (mn / bias1) / (np.sqrt(vn / bias2) + eps)
-        p = store.var(name)
         p.value = p.value - (lr * update).astype(p.value.dtype)
 
 

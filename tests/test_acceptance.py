@@ -140,19 +140,12 @@ def test_criterion_05_gradient_correctness():
             lambda a, b, c: ad.sep_conv(a, b, c),
             [x, rng.standard_normal((2, 5)), rng.standard_normal((2, 5))],
         ),
-        "sep_conv_k5_shared": (
-            lambda a, b, c: ad.sep_conv(a, b, c),
-            [x, rng.standard_normal(5), rng.standard_normal(5)],
-        ),
         "sep_conv": (
             lambda a, b, c: ad.sep_conv(a, b, c),
             [x, rng.standard_normal((2, 3)), rng.standard_normal((2, 3))],
         ),
         "dwconv_2d": (lambda a, b: ad.dwconv_2d(a, b), [x, rng.standard_normal((2, 3, 3))]),
-        "conv2d": (
-            lambda a, w, b: ad.conv2d(a, w, b, 1),
-            [x, rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)],
-        ),
+        "conv2d": (lambda a, w: ad.conv2d(a, w, 1), [x, rng.standard_normal((3, 2, 3, 3))]),
         "pwconv": (
             lambda a, w, b: ad.pwconv(a, w, b),
             [x, rng.standard_normal((3, 2)), rng.standard_normal(3)],
@@ -163,7 +156,7 @@ def test_criterion_05_gradient_correctness():
         "sigmoid": (lambda a: ad.sigmoid(a), [x]),
         "glu": (lambda a, *ps: ad.glu(a, *ps), [x] + glu_params(rng, 2, 3)),
         "group_norm_act": (
-            lambda a, g, b: ad.group_norm_act(a, g, b, 2, 0.2),
+            lambda a, g, b: ad.group_norm_act(a, g, b),
             [x, rng.standard_normal(2), rng.standard_normal(2)],
         ),
         "upsample_conv2d": (

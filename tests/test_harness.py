@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from perigate import autodiff as ad
 from perigate import harness, ops, spectral
+from perigate.cli import main
 from perigate.config import TrainConfig, parse_config_text, serialize_config
 from perigate.data import gen_bouncing
 from perigate.errors import ConfigParseError, ConfigurationError, InputError, NumericError
 from perigate.model import FUSIONS, GATE_ACTS, Model, ModelConfig, frame_blocks
 
 import naive
-from helpers import README_MICRO, micro_config, traced_peak
+from helpers import README_MICRO, micro_config, param, traced_peak
 from naive import adam_step
 
 
@@ -37,7 +38,7 @@ class TestTraining:
     def test_zero_lr_leaves_params_bitwise(self, micro_data):
         cfg = micro_train_config(lr=0.0, epochs=1)
 
-        init = Model.build(cfg.model, seed=cfg.seed, dtype=np.float32).store.state()
+        init = dict(Model.build(cfg.model, seed=cfg.seed, dtype=np.float32).store.items())
         model, _ = harness.train(cfg, micro_data)
         for name, arr in model.store.items():
             assert arr.tobytes() == init[name].tobytes(), name
@@ -142,8 +143,8 @@ class TestAdam:
             ref.zero_grads()
             for name in ("b", "taps", "w"):  # "unused" never gets a gradient
                 g = rng.standard_normal(ADAM_SHAPES[name]) * 10.0 ** rng.integers(-6, 3)
-                flat.var(name).grad = g.astype(dtype)
-                ref.var(name).grad = g.astype(dtype)
+                param(flat, name).grad = g.astype(dtype)
+                param(ref, name).grad = g.astype(dtype)
             opt.step()
             adam_step(ref, m, v, t, lr=3e-3)
             for name in ADAM_SHAPES:
@@ -175,8 +176,8 @@ class TestAdam:
             ref.zero_grads()
             for name in ("b", "taps", "w"):
                 g = rng.standard_normal(ADAM_SHAPES[name]).astype(dtype)
-                flat.var(name).grad = g
-                ref.var(name).grad = g.copy()
+                param(flat, name).grad = g
+                param(ref, name).grad = g.copy()
             opt.step()
             adam_step(ref, m, v, t, lr=3e-3)
             for name in ADAM_SHAPES:
@@ -691,6 +692,17 @@ class TestConfigValues:
         except (ConfigParseError, ConfigurationError):
             return
         assert isinstance(cfg, TrainConfig)
+
+    @pytest.mark.parametrize("line", ["kernels = 9,,15", "kernels = 9,15,", "kernels =",
+                                      "cues = f1,,f2", "cues = f1,", "msinit = ,3,5,7"])
+    def test_empty_list_item_refused_with_line(self, line, tmp_path, capsys):
+        # an empty item is an error, not dropped: 9,,15 does not read as 9,15
+        with pytest.raises(ConfigParseError, match="line 2: bad value for"):
+            parse_config_text(f"t_in = 2\n{line}\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"t_in = 2\n{line}\n")
+        assert main(["inspect", "params", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: bad value for")
 
 
 class TestRolloutTraining:

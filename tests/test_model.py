@@ -113,9 +113,7 @@ class TestEncoder:
         model = Model.build(cfg)
         x = np.random.default_rng(0).random((1, 8, 8)).astype(np.float32)
         a, _ = model.encode_frame(x)
-        model.store.var("encoder/block0/w").value = (
-            model.store.value("encoder/block0/w") + 1.0
-        )
+        model.params.encoder[0].w.value = model.params.encoder[0].w.value + 1.0
         b, _ = model.encode_frame(x)
         assert not np.array_equal(a.value, b.value)  # one weight set drives every frame
 
@@ -214,10 +212,8 @@ class TestDecoder:
     def test_zero_readout_gives_constant_bias(self):
         cfg = micro_config()
         model = Model.build(cfg)
-        model.store.var("decoder/readout/w").value = np.zeros_like(
-            model.store.value("decoder/readout/w")
-        )
-        model.store.var("decoder/readout/b").value = np.full(1, 0.25, dtype=np.float32)
+        model.params.readout_w.value = np.zeros_like(model.params.readout_w.value)
+        model.params.readout_b.value = np.full(1, 0.25, dtype=np.float32)
         preds = model.predict(frames_for(cfg, seed=11))
         for p in preds:
             assert np.all(p.value == np.float32(0.25))
@@ -423,9 +419,9 @@ class TestBatchAxis:
         settings = ModelConfig(kernels=(3, 5))
         params = gate_block.init_params(ad.ParamStore(), "blk", 4, settings,
                                         stream(0, INIT), np.float64)
-        for fn in (lambda a: ops.group_norm_act(a, gamma, beta, 2)[0],
+        for fn in (lambda a: ops.group_norm_act(a, gamma, beta)[0],
                    lambda a: ops.glu(a, *glu)[0],
-                   lambda a: ad.group_norm_act(a, gamma, beta, 2).value,
+                   lambda a: ad.group_norm_act(a, gamma, beta).value,
                    lambda a: ad.glu(a, *glu).value,
                    lambda a: gate_block.forward(ad.Var(a), params, settings).value):
             before, after = fn(x), fn(scaled)

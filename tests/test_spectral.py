@@ -66,9 +66,9 @@ class TestResponses:
     def test_box_matches_direct_dtft(self):
         # independent evaluation: sum over taps of cos(w . offset), averaged
         sk = SepKernel(np.ones(3), np.ones(3))
-        resp = response_from_kernel(sk, n=128, num_angles=64)
+        resp = response_from_kernel(sk, n=128)
         r = resp.r
-        theta = np.linspace(0.0, math.pi, 64, endpoint=False)
+        theta = np.linspace(0.0, math.pi, spectral.NUM_ANGLES, endpoint=False)
         want = np.zeros_like(r)
         offs = np.array([-1.0, 0.0, 1.0])
         for ti, th in enumerate(theta):
@@ -131,10 +131,10 @@ def kernel_pairs(draw):
     return h, v
 
 
-def _block_rows(num_angles):
+def _block_rows():
     """Rows of the basis in one row block for a 31-tap kernel (P = 16): a row's
     Chebyshev rows, [2, P, angles], and basis row, [P, P], in float64."""
-    return spectral._BLOCK_BYTES // (8 * 16 * (2 * (num_angles // 2 + 1) + 16))
+    return spectral._BLOCK_BYTES // (8 * 16 * (2 * (spectral.NUM_ANGLES // 2 + 1) + 16))
 
 
 _WAVE_PAIR = (np.cos(np.arange(31.0)), np.sin(np.arange(31.0)))
@@ -142,68 +142,59 @@ _WAVE_PAIR = (np.cos(np.arange(31.0)), np.sin(np.arange(31.0)))
 
 class TestKernelResponseOracle:
     @settings(max_examples=60, deadline=None)
-    @given(
-        pair=kernel_pairs(),
-        n=st.sampled_from([64, 1024]),
-        num_angles=st.sampled_from([1, 7, 64]),
-    )
-    @example(pair=(np.linspace(-1.0, 1.0, 63), np.linspace(1.0, -1.0, 63)), n=1024, num_angles=64)
-    @example(pair=(np.arange(7.0) - 3.0, np.ones(7)), n=64, num_angles=7)
-    @example(pair=(np.array([2.14543505e-159]), np.array([2.14543505e-159])), n=64, num_angles=7)
-    # row blocks: a last block of one row, ragged last blocks, one short block
-    @example(pair=_WAVE_PAIR, n=2 * _block_rows(65) + 1, num_angles=65)
-    @example(pair=_WAVE_PAIR, n=333, num_angles=65)
-    @example(pair=_WAVE_PAIR, n=333, num_angles=2)
-    @example(pair=_WAVE_PAIR, n=_block_rows(2) - 1, num_angles=2)
-    @example(pair=_WAVE_PAIR, n=_block_rows(2) + 1, num_angles=2)
-    def test_matches_complex_exponential_oracle(self, pair, n, num_angles):
+    @given(pair=kernel_pairs(), n=st.sampled_from([64, 1024]))
+    @example(pair=(np.linspace(-1.0, 1.0, 63), np.linspace(1.0, -1.0, 63)), n=1024)
+    @example(pair=(np.arange(7.0) - 3.0, np.ones(7)), n=64)
+    @example(pair=(np.array([2.14543505e-159]), np.array([2.14543505e-159])), n=64)
+    # row blocks: a last block of one row, a ragged last block, one short block
+    @example(pair=_WAVE_PAIR, n=2 * _block_rows() + 1)
+    @example(pair=_WAVE_PAIR, n=333)
+    @example(pair=_WAVE_PAIR, n=_block_rows() - 1)
+    @example(pair=_WAVE_PAIR, n=_block_rows() + 1)
+    def test_matches_complex_exponential_oracle(self, pair, n):
         h, v = pair
-        got = response_from_kernel(SepKernel(h, v), n=n, num_angles=num_angles).values
-        want = kernel_radial_dtft(h, v, n, num_angles)
+        got = response_from_kernel(SepKernel(h, v), n=n).values
+        want = kernel_radial_dtft(h, v, n, spectral.NUM_ANGLES)
         # below the smallest normal float64 rounding errors are absolute, not relative
         scale = max(np.abs(h).sum() * np.abs(v).sum(), np.finfo(np.float64).tiny)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
-
-    def test_no_angle_rejected(self):
-        with pytest.raises(ConfigurationError):
-            response_from_kernel(SepKernel(np.ones(3), np.ones(3)), n=64, num_angles=0)
 
     def test_peak_memory_is_per_grid_point(self):
         # an [n, angles, k] complex table would take 32 MB here
         rng = np.random.default_rng(31)
         sk = SepKernel(rng.standard_normal(31), rng.standard_normal(31))
-        _, peak = traced_peak(lambda: response_from_kernel(sk, n=1024, num_angles=64))
+        _, peak = traced_peak(lambda: response_from_kernel(sk, n=1024))
         # a repeat call reads the retained 2 MiB basis and allocates the grid and the
         # response, 8 KiB each; rebuilding the basis would add at least the basis itself
-        _, repeat_peak = traced_peak(lambda: response_from_kernel(sk, n=1024, num_angles=64))
+        _, repeat_peak = traced_peak(lambda: response_from_kernel(sk, n=1024))
         assert peak < 16 * 2**20
         assert repeat_peak < 0.1 * 2**20
 
     def test_over_budget_peak_is_per_row_block(self):
         # k = 31 at n = 8192 is a 16 MiB basis, twice the budget
         sk = SepKernel(*_WAVE_PAIR)
-        _, peak = traced_peak(lambda: response_from_kernel(sk, n=8192, num_angles=64))
-        assert (8192, 64, 16) not in spectral._tables
+        _, peak = traced_peak(lambda: response_from_kernel(sk, n=8192))
+        assert (8192, 16) not in spectral._tables
         # a row block's arrays, the block list, the grid and the response
         assert peak < 2 * spectral._BLOCK_BYTES + 4 * 8192 * 8
 
     def test_retained_table_is_shared_and_unchanged(self):
         sk = SepKernel(*_WAVE_PAIR)
-        first = response_from_kernel(sk, n=1024, num_angles=64)
-        table = spectral._tables[(1024, 64, 16)]
-        other = response_from_kernel(sk, n=333, num_angles=65)
-        again = response_from_kernel(sk, n=1024, num_angles=64)
+        first = response_from_kernel(sk, n=1024)
+        table = spectral._tables[(1024, 16)]
+        other = response_from_kernel(sk, n=333)
+        again = response_from_kernel(sk, n=1024)
         assert first.values.tobytes() == again.values.tobytes()
-        assert spectral._tables[(1024, 64, 16)] is table
+        assert spectral._tables[(1024, 16)] is table
         again.values[:] = 0.0
         other.values[:] = np.nan
-        assert response_from_kernel(sk, n=1024, num_angles=64).values.tobytes() == (
+        assert response_from_kernel(sk, n=1024).values.tobytes() == (
             first.values.tobytes()
         )
 
     def test_retained_tables_are_read_only(self):
         for k in (1, 3, 31):
-            response_from_kernel(SepKernel(np.ones(k), np.ones(k)), n=128, num_angles=7)
+            response_from_kernel(SepKernel(np.ones(k), np.ones(k)), n=128)
         assert spectral._tables
         for table in spectral._tables.values():
             assert not table.flags.writeable
@@ -212,7 +203,7 @@ class TestKernelResponseOracle:
 
     def test_eviction_keeps_retained_bytes_within_budget(self):
         def retain(k):
-            response_from_kernel(SepKernel(np.ones(k), np.ones(k)), n=1024, num_angles=64)
+            response_from_kernel(SepKernel(np.ones(k), np.ones(k)), n=1024)
             assert sum(t.nbytes for t in spectral._tables.values()) <= spectral._TABLE_BYTES
             return list(spectral._tables)
 
@@ -220,13 +211,13 @@ class TestKernelResponseOracle:
         budget = (16 * 16 + 8 * 8) * 1024 * 8
         with mock.patch.object(spectral, "_TABLE_BYTES", budget), \
                 mock.patch.dict(spectral._tables, clear=True):
-            assert retain(31) == [(1024, 64, 16)]
-            assert retain(15) == [(1024, 64, 16), (1024, 64, 8)]
-            assert retain(9) == [(1024, 64, 8), (1024, 64, 5)]  # the least recent out
-            assert retain(15) == [(1024, 64, 5), (1024, 64, 8)]
-            assert retain(31) == [(1024, 64, 8), (1024, 64, 16)]
+            assert retain(31) == [(1024, 16)]
+            assert retain(15) == [(1024, 16), (1024, 8)]
+            assert retain(9) == [(1024, 8), (1024, 5)]  # the least recent out
+            assert retain(15) == [(1024, 5), (1024, 8)]
+            assert retain(31) == [(1024, 8), (1024, 16)]
             # 8 MiB, over the budget: built a block at a time, nothing retained or evicted
-            assert retain(63) == [(1024, 64, 8), (1024, 64, 16)]
+            assert retain(63) == [(1024, 8), (1024, 16)]
 
     def test_response_is_bitwise_independent_of_history(self):
         """Each size has its own table, so a response is the same bits whether its
@@ -546,9 +537,9 @@ class TestStationaryBetas:
     def test_check_refuses_a_moved_root(self):
         q = readme_beta_star_coeffs()
         for root in stationary_betas(q):
-            spectral._check_stationary(float(root), q, 1e-8)
+            spectral._check_stationary(float(root), q)
             with pytest.raises(DegeneracyError, match="fails the derivative check"):
-                spectral._check_stationary(float(root) * (1 + 1e-6), q, 1e-8)
+                spectral._check_stationary(float(root) * (1 + 1e-6), q)
 
     @pytest.mark.parametrize("k", [-300, -40, 40, 300])
     def test_check_reads_the_callers_units(self, k):
@@ -566,7 +557,7 @@ class TestStationaryBetas:
                 verdicts = []
                 for coeffs in [q] + scaled:
                     try:
-                        spectral._check_stationary(beta, coeffs, 1e-8)
+                        spectral._check_stationary(beta, coeffs)
                         verdicts.append(True)
                     except DegeneracyError:
                         verdicts.append(False)
@@ -734,6 +725,22 @@ class TestSnrAdvantage:
         beta = snr_advantage(q)
         assert beta is not None
         assert snr(beta, q) > snr(0.0, q)
+
+    def test_answer_does_not_depend_on_units(self):
+        # the README beta-star pair with one triple scaled by 1e-7 (rounded, so the
+        # same beta to rounding), or all six coefficients by 2^+-40 (exact, so bitwise)
+        q = readme_beta_star_coeffs()
+        beta = snr_advantage(q)
+        assert beta == pytest.approx(1.7729, abs=5e-5)
+        signal, noise = (q.a, q.b, q.c), (q.at, q.bt, q.ct)
+        for scaled in (QuadCoeffs(*(v * 1e-7 for v in signal), *noise, q.sigma2),
+                       QuadCoeffs(*signal, *(v * 1e-7 for v in noise), q.sigma2)):
+            got = snr_advantage(scaled)
+            assert got == pytest.approx(beta, rel=1e-12)
+            assert snr(got, scaled) > snr(0.0, scaled)
+        for e in (40, -40):
+            scaled = QuadCoeffs(*(math.ldexp(v, e) for v in signal + noise), q.sigma2)
+            assert snr_advantage(scaled) == beta
 
     def test_no_gain_possible_returns_absent(self):
         # independent responses but q < 0 and p = 0: beta = 0 is optimal
