@@ -102,7 +102,8 @@ def _accumulate(parent, grad):
 
 
 def backward(tape: Tape, seed_grad: np.ndarray):
-    """Propagate ``seed_grad`` from the tape's single output back to all leaves."""
+    """Propagate ``seed_grad`` from the tape's single output back to all leaves. Each
+    node but the output drops its vjp and value, and the maps they held, once run."""
     if len(tape.outputs) != 1:
         raise InputError(f"backward needs exactly one recorded output, got {len(tape.outputs)}")
     out = tape.outputs[0]
@@ -117,6 +118,8 @@ def backward(tape: Tape, seed_grad: np.ndarray):
         for parent, g in zip(node.parents, grads):
             _accumulate(parent, g)
         node.grad = None  # free intermediate adjoints
+        if node is not out:
+            node.vjp = node.value = None
 
 
 def forward_traced(graph_fn, inputs):
@@ -542,7 +545,7 @@ def group_norm_act(x, gamma, beta):
 
     def vjp(g):
         xhat_g, inv = saved
-        g = np.where(y > 0, g, ops.LEAKY_SLOPE * g)
+        g = g * np.maximum(y > 0, g.dtype.type(ops.LEAKY_SLOPE))  # 1 or the slope
         dgamma = (
             _sum_to_channels(g * xhat_g.reshape(xv.shape)) if isinstance(gamma, Var) else None
         )

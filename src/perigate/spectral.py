@@ -51,7 +51,7 @@ class ExpDecay:
     rate: float
 
     def __call__(self, r):
-        return np.exp(-self.rate * np.asarray(r, dtype=np.float64))
+        return np.exp(-self.rate * np.float64(r))
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class GaussianDecay:
             raise InputError(f"gaussian variance must be positive, got {self.variance}")
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=np.float64)
+        r = np.float64(r)
         return self.dc_gain * np.exp(-(r * r) / (2.0 * self.variance))
 
 
@@ -247,10 +247,12 @@ def _same_grid(a: FreqResponse, b: FreqResponse):
 def composite(h_l: FreqResponse, h_s: FreqResponse, beta: float) -> FreqResponse:
     """Pointwise H_L - beta * H_S on a shared grid."""
     _same_grid(h_l, h_s)
+    if not math.isfinite(beta):
+        raise InputError(f"beta must be finite, got {beta}")
     fn = None
     if h_l.fn is not None and h_s.fn is not None:
         fl, fs = h_l.fn, h_s.fn
-        fn = lambda r: np.asarray(fl(r)) - beta * np.asarray(fs(r))
+        fn = lambda r: fl(r) - beta * fs(r)
     return FreqResponse(h_l.values - beta * h_s.values, fn=fn)
 
 
@@ -374,8 +376,8 @@ def quad_coeffs(
 
 
 def snr(beta, coeffs: QuadCoeffs):
-    """SNR(beta); accepts a scalar or an array of beta values."""
-    beta = np.asarray(beta, dtype=np.float64)
+    """SNR(beta); accepts a scalar, computed on numpy scalars, or an array of beta values."""
+    beta = np.float64(beta)
     num = coeffs.a - 2.0 * beta * coeffs.b + beta * beta * coeffs.c
     den = coeffs.sigma2 * _noise_energy(beta, coeffs)
     if np.any(den <= 0):
@@ -427,7 +429,8 @@ def _unit_scaled(coeffs: QuadCoeffs) -> tuple[QuadCoeffs, int]:
 
 def _check_stationary(beta: float, coeffs: QuadCoeffs):
     """Raise :class:`DegeneracyError` unless |dSNR/dbeta| <= DERIVATIVE_TOL max(1, |SNR|)
-    at beta, up to 8 epsilon of the magnitudes of the derivative's terms.
+    at beta, up to 8 epsilon of the magnitudes of the derivative's terms and 8
+    subnormal units, the rounding of products that underflow.
 
     dSNR/dbeta = 2 P / (sigma2 Dt^2), P = (beta C - B) Dt - (beta Ct - Bt) N the
     stationary equation's residual. It is read without dividing, in Python
@@ -445,7 +448,7 @@ def _check_stationary(beta: float, coeffs: QuadCoeffs):
     with np.errstate(over="ignore"):  # sigma2 2^(e2 - e1), held finite so that 0 * it is 0
         floor = min(float(np.ldexp(q.sigma2, -shift)), np.finfo(float).max)
     bound = (DERIVATIVE_TOL * max(floor * den * den, abs(num * den))
-             + 8.0 * np.finfo(float).eps * terms)
+             + 8.0 * (np.finfo(float).eps * terms + np.finfo(float).smallest_subnormal))
     if not abs(residual) <= bound:
         raise DegeneracyError(f"stationary root {beta} fails the derivative check: |dSNR/dbeta|"
                               f" sigma2 Dt^2 = {abs(residual):.3e} exceeds {bound:.3e}"

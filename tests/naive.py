@@ -6,9 +6,10 @@ and band sums, the per-parameter Adam step, center suppression and fusion
 composed from the arithmetic ops, the frequency descriptor's vjp that
 recomputes its maps, the GLU with its bias passes, the model's prediction
 with one encoder and one decoder call per frame, the SNR grid maximum over one
-dense array, the ring bisection with all its halvings and the ring's positive
-runs found by a scan over each sample are earlier forms of library code, kept
-as bitwise references.
+dense array, the ring bisection with all its halvings, the ring's positive
+runs found by a scan over each sample and the closed forms and their composite
+evaluated on 0-d arrays are earlier forms of library code, kept as bitwise
+references.
 """
 
 from functools import partial
@@ -442,6 +443,24 @@ def bisect80(fn, lo, hi, lo_positive):
             else:
                 hi = mid
     return 0.5 * (lo + hi)
+
+
+def closed_form_0d(form):
+    """An ExpDecay or GaussianDecay evaluated on a 0-d float64 array, as the closed
+    forms once evaluated a scalar radius."""
+
+    def fn(r):
+        r = np.asarray(r, dtype=np.float64)
+        if isinstance(form, spectral.ExpDecay):
+            return np.exp(-form.rate * r)
+        return form.dc_gain * np.exp(-(r * r) / (2.0 * form.variance))
+
+    return fn
+
+
+def composite_0d(fl, fs, beta):
+    """spectral.composite's closed form H_L - beta * H_S on 0-d arrays, as it once was."""
+    return lambda r: np.asarray(fl(r)) - beta * np.asarray(fs(r))
 
 
 def positive_runs(v):

@@ -76,6 +76,21 @@ class TestBackward:
         ad.backward(tape, np.ones_like(xv))
         np.testing.assert_allclose(x.grad, 5.0 * np.ones_like(xv))
 
+    def test_nodes_drop_vjp_and_value_once_run(self):
+        xv = np.random.default_rng(5).standard_normal((2, 3, 3))
+        x = ad.Var(xv.copy())
+        out, tape = ad.forward_traced(
+            lambda v: ad.mean_all(ad.mul(ad.tanh(ad.scale(v, 2.0)), ad.sigmoid(v))), [x])
+        parents = [node.parents for node in tape.nodes]
+        ad.backward(tape, np.ones(()))
+        assert [node.parents for node in tape.nodes] == parents
+        for node in tape.nodes[:-1]:
+            assert node.vjp is None and node.value is None
+        assert tape.nodes[-1] is out and out.vjp is not None and out.value is not None
+        t, s = np.tanh(2.0 * xv), 1.0 / (1.0 + np.exp(-xv))
+        want = (2.0 * (1.0 - t * t) * s + t * s * (1.0 - s)) / xv.size
+        np.testing.assert_allclose(x.grad, want, rtol=1e-12)
+
 
 class TestSoftmaxJacobian:
     def test_rows_sum_to_zero(self):

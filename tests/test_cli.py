@@ -273,6 +273,8 @@ NONFINITE_ANALYZE = {
     "hs_gauss_negative": ["snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:-1"],
     "gain_nan": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5,gain=nan"],
     "beta_nan": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--beta", "nan"],
+    "beta_inf": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--beta", "inf"],
+    "beta_neg_inf": ["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--beta=-inf"],
     "sigma2_nan": ["snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--sigma2", "nan"],
     "sigma2_inf": ["beta-star", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--sigma2", "inf"],
     "band_edge_inf": ["snr-sweep", "--hl", "exp:1", "--hs", "gauss:2", "--ps", "band:1,1e400"],

@@ -945,6 +945,29 @@ class TestGroupNormAct:
         _, _, gbeta = out.vjp(g)
         np.testing.assert_allclose(gbeta, g.sum(axis=(1, 2)) * [0.2, 0.2, 1.0, 0.2], rtol=1e-15)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_vjp_factor_form_equals_where_form_bitwise(self, dtype):
+        # the vjp's LeakyReLU pass against the where form, fed to the same vjp at slope 1
+        # (which leaves g as it is). The outputs hold +-0 (beta +-0 at gamma 0) and NaN
+        # (an infinity in a group); g holds +-0 and denormals in a finite group, and
+        # +-inf and NaN in another
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.random.default_rng(29).standard_normal((2, 4, 2, 5)).astype(dtype)
+        x[1, 2, 0, 0] = np.inf
+        g = np.random.default_rng(30).standard_normal(x.shape).astype(dtype)
+        g[0, :2, 0] = [[0.0, -0.0, tiny, -tiny, 5 * tiny], [-3 * tiny, 0.0, -0.0, tiny, 2.5]]
+        g[0, 2:, 0] = [[np.nan, -np.nan, np.inf, -np.inf, tiny], [0.0, -0.0, np.inf, 1.0, -1.0]]
+        gamma, beta = np.array([0.0, 0.0, 1.0, -1.0], dtype), np.array([0.0, -0.0, 0.5, 0.0], dtype)
+        with np.errstate(invalid="ignore"), ad.Tape():  # inf - inf in the group's mean
+            node = ad.group_norm_act(x, ad.Var(gamma), ad.Var(beta))
+            y = node.value
+            got = node.vjp(g)
+            with mock.patch.object(ops, "LEAKY_SLOPE", 1.0):
+                want = node.vjp(np.where(y > 0, g, 0.2 * g))
+        assert (y == 0).any() and np.signbit(y[y == 0]).any() and np.isnan(y).any()
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and a.tobytes() == b.tobytes()
+
     def test_saves_only_under_a_tape(self):
         x = np.random.default_rng(26).standard_normal((4, 3, 3))
         gamma, beta = np.ones(4), np.zeros(4)

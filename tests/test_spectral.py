@@ -259,12 +259,48 @@ class TestComposite:
         with pytest.raises(ConfigurationError):
             composite(a, b, 0.5)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_beta_refused(self, beta):
+        h = response_from_function(ExpDecay(1.0), 128)
+        with pytest.raises(InputError, match=f"beta must be finite, got {beta}"):
+            composite(h, h, beta)
+
     def test_parametric_pointwise(self):
         h_l = response_from_function(ExpDecay(0.6), 256)
         h_s = response_from_function(GaussianDecay(2.5, dc_gain=1.6), 256)
         c = composite(h_l, h_s, 0.75)
         want = np.exp(-0.6 * c.r) - 0.75 * 1.6 * np.exp(-(c.r**2) / 5.0)
         np.testing.assert_allclose(c.values, want, atol=1e-14)
+
+
+@st.composite
+def extreme_forms(draw):
+    """Closed forms with exponents that can leave the float64 range (exp:1e308 and
+    gauss:1e-320 stand for their limits)."""
+    if draw(st.booleans()):
+        return ExpDecay(draw(st.one_of(st.floats(0.0, 5.0), st.just(1e308))))
+    variance = st.one_of(st.floats(0.05, 4.0), st.sampled_from([1e-320, 5e-324, 1e308]))
+    return GaussianDecay(draw(variance), draw(st.floats(0.1, 3.0)))
+
+
+class TestScalarEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(hl=extreme_forms(), hs=extreme_forms(), beta=st.floats(-1.0, 1.0),
+           r=hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(0.0, math.pi)))
+    @example(hl=ExpDecay(1e308), hs=GaussianDecay(1e-320), beta=0.5,
+             r=np.array([0.0, 5e-324, 1e-160, 0.5, math.pi]))
+    def test_scalars_and_array_points_agree_bitwise(self, hl, hs, beta, r):
+        # a Python float, an np.float64 and each point of an array give the same bytes;
+        # a scalar gives a numpy scalar
+        blank = np.zeros(spectral.MIN_SAMPLES)  # the forms are read, not sampled
+        fn = composite(FreqResponse(blank, fn=hl), FreqResponse(blank, fn=hs), beta).fn
+        with np.errstate(over="ignore"):  # as response_from_function and _bisect
+            for f in (hl, hs, fn):
+                points = f(r)
+                for i, x in enumerate(r.tolist()):
+                    value = f(x)
+                    assert type(value) is np.float64
+                    assert value.tobytes() == f(np.float64(x)).tobytes() == points[i].tobytes()
 
 
 class TestFindRing:
@@ -352,11 +388,24 @@ class TestRingRuns:
             assert band == spectral.RingBand(*widest, multiple=len(bands) > 1)
 
 
+def band_bytes(band):
+    """A RingBand as its edges' float64 bytes and its flag, so that == is bitwise."""
+    return None if band is None else (np.float64([band.r1, band.r2]).tobytes(), band.multiple)
+
+
 @st.composite
 def closed_forms(draw):
     if draw(st.booleans()):
         return ExpDecay(draw(st.floats(0.05, 3.0)))
     return GaussianDecay(draw(st.floats(0.05, 4.0)), draw(st.floats(0.1, 3.0)))
+
+
+@st.composite
+def ring_pairs(draw):
+    """(gauss, exp, beta) with H(0) = gain - beta <= 0; about two in three have a ring."""
+    beta = draw(st.floats(0.3, 0.95))
+    gain = beta * draw(st.one_of(st.floats(0.4, 1.0), st.just(1.0)))
+    return GaussianDecay(draw(st.floats(0.2, 1.0)), gain), ExpDecay(draw(st.floats(1.0, 3.0))), beta
 
 
 class TestRingBisection:
@@ -371,6 +420,33 @@ class TestRingBisection:
         band = find_ring(h)
         with mock.patch.object(spectral, "_bisect", naive.bisect80):
             assert find_ring(h) == band
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.one_of(ring_pairs(), st.tuples(closed_forms(), closed_forms(),
+                                                  st.floats(-1.0, 1.0))),
+           n=st.sampled_from([spectral.MIN_SAMPLES, 1024, 4097]))
+    @example(case=(GaussianDecay(0.5, 0.5), ExpDecay(1.5), 0.75), n=1024)  # the README ring
+    def test_closed_form_bands_match_the_0d_oracle(self, case, n):
+        hl, hs, beta = case
+        h = composite(response_from_function(hl, n), response_from_function(hs, n), beta)
+        fn = naive.composite_0d(naive.closed_form_0d(hl), naive.closed_form_0d(hs), beta)
+        assert band_bytes(find_ring(h)) == band_bytes(find_ring(FreqResponse(h.values, fn=fn)))
+
+    def test_band_in_the_first_cell_matches_the_0d_oracle(self):
+        # H(0) = 0.75 - 0.75 = 0 and H > 0 just after it
+        hl, hs = GaussianDecay(0.5, 0.75), ExpDecay(1.5)
+        h = composite(response_from_function(hl), response_from_function(hs), 0.75)
+        fn = naive.composite_0d(naive.closed_form_0d(hl), naive.closed_form_0d(hs), 0.75)
+        band = find_ring(h)
+        assert band is not None and 0.0 < band.r1 < h.r[1]
+        assert band_bytes(band) == band_bytes(find_ring(FreqResponse(h.values, fn=fn)))
+
+    def test_multiple_bands_match_the_0d_oracle(self):
+        h = response_from_function(lambda r: np.sin(3.0 * r) - 0.2, 2048)
+        band = find_ring(h)
+        assert band.multiple
+        fn = lambda r: np.sin(3.0 * np.asarray(r, dtype=np.float64)) - 0.2
+        assert band_bytes(band) == band_bytes(find_ring(FreqResponse(h.values, fn=fn)))
 
     def test_readme_ring_stops_early(self):
         h = composite(response_from_function(GaussianDecay(0.5, 0.5)),
@@ -592,11 +668,34 @@ def near_pole_coeffs(draw):
     return QuadCoeffs(a, b, c, at, bt, ct, sigma2=draw(st.floats(1e-3, 1e3)))
 
 
+class TestSnrForms:
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.one_of(snr_coeffs(), near_pole_coeffs()),
+           betas=hnp.arrays(np.float64, st.integers(1, 12), elements=st.one_of(
+               st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 1e308, -np.inf, 5e-324]))))
+    @example(q=FIXTURE, betas=spectral.open_betas(64))
+    def test_array_equals_each_element(self, q, betas):
+        betas.flags.writeable = False  # snr must not write its input
+        with np.errstate(all="ignore"):
+            try:
+                got = snr(betas, q)
+            except DegeneracyError:
+                with pytest.raises(DegeneracyError):
+                    for b in betas.tolist():
+                        snr(b, q)
+                return
+            want = [snr(b, q) for b in betas.tolist()]
+        assert all(type(w) is float for w in want)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+
 class TestClosedFormRoots:
     @settings(max_examples=300, deadline=None)
     @given(q=st.one_of(snr_coeffs(), near_pole_coeffs()))
     @example(q=FIXTURE)
     @example(q=QuadCoeffs(a=2.0, b=1.0, c=1.0, at=1.0, bt=0.5, ct=0.25, sigma2=1.0))  # a pole
+    @example(q=QuadCoeffs(a=0.0, b=1e308, c=0.0, at=0.125, bt=1.1048543456039806e153,
+                          ct=1e308, sigma2=1.0))  # a residual of two subnormal units
     def test_matches_the_companion_matrix_roots(self, q):
         # same refusals, same root count, roots within 1e-11 relative or 1e-14 absolute
         def solve(method):
