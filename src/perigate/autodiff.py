@@ -10,9 +10,10 @@ decoder's nearest 2x upsampling with the 3 x 3 conv after it is one op,
 ``upsample_conv2d``); the elementwise maths (scaling, tanh, sigmoid, the loss
 mean) is one numpy expression here, beside its derivative.
 
-Kernel arguments may be ``Var`` (gradients flow) or plain arrays (treated as
-constants: gradients flow *through* them to other inputs but none are
-produced for the constant itself).
+Every vjp returns a gradient for each operand, and ``_accumulate`` alone drops those
+of constants, plain arrays or floats (gradients flow *through* them to the other
+operands). Two vjps skip a gradient no caller keeps: ``conv2d``'s for a constant
+input (the input frames) and ``suppress``'s for a float (a fixed coefficient).
 """
 
 from __future__ import annotations
@@ -285,15 +286,13 @@ def gated_sum(alpha, ys):
     out = ops.gated_sum(av, yvs)
 
     def vjp(g):
-        ga = None
-        if isinstance(alpha, Var):
-            ga = np.zeros_like(av)
-            for k, yv in enumerate(yvs):
-                s = _sum_to_operand(g * yv, ga[..., k : k + 1, :, :])
-                if len(yvs) == 1:
-                    ga[...] = s
-                else:
-                    ga[..., k : k + 1, :, :] += s
+        ga = np.zeros_like(av)
+        for k, yv in enumerate(yvs):
+            s = _sum_to_operand(g * yv, ga[..., k : k + 1, :, :])
+            if len(yvs) == 1:
+                ga[...] = s
+            else:
+                ga[..., k : k + 1, :, :] += s
         return (ga,) + tuple(g * av[..., k : k + 1, :, :] for k in range(len(yvs)))
 
     return _track(out, (alpha, *ys), vjp)
@@ -333,17 +332,15 @@ def _band_sums(m: np.ndarray, k: int) -> np.ndarray:
     return diagonals.sum(axis=-1)
 
 
-def _dwconv_1d_vjp(g, xv, kv, kernel, axis: int):
+def _dwconv_1d_vjp(g, xv, kv, axis: int):
     """Input and kernel gradients of one 1-D depthwise pass along ``axis``;
     the kernel gradient sums over the leading axes.
 
     The input gradient is the same pass with the flipped kernel. Tap t of the
     kernel gradient sums the diagonal at offset t - p of ``M_c = x_c g_c^T``,
     whose rows and columns index the pass axis."""
-    gk = None
-    if isinstance(kernel, Var):  # first, so M and the gx pass are never held together
-        xr, gr = (xv, g) if axis == -2 else (np.swapaxes(xv, -1, -2), np.swapaxes(g, -1, -2))
-        gk = _band_sums(xr @ np.swapaxes(gr, -1, -2), kv.shape[-1])
+    xr, gr = (xv, g) if axis == -2 else (np.swapaxes(xv, -1, -2), np.swapaxes(g, -1, -2))
+    gk = _band_sums(xr @ np.swapaxes(gr, -1, -2), kv.shape[-1])  # first: M dies before gx
     gx = ops._dwconv_1d(g, kv[:, ::-1], axis)
     return gx, gk
 
@@ -355,8 +352,8 @@ def sep_conv(x, h, v):
     y, mid = ops.sep_conv_parts(xv, hv, vv)
 
     def vjp(g):
-        g_mid, gv = _dwconv_1d_vjp(g, mid, vv, v, -2)
-        gx, gh = _dwconv_1d_vjp(g_mid, xv, hv, h, -1)
+        g_mid, gv = _dwconv_1d_vjp(g, mid, vv, -2)
+        gx, gh = _dwconv_1d_vjp(g_mid, xv, hv, -1)
         return gx, gh, gv
 
     return _track(y, (x, h, v), vjp)
@@ -380,12 +377,9 @@ def dwconv_2d(x, kernel):
 
     def vjp(g):
         gx = ops.dwconv_2d(g, kv[:, ::-1, ::-1])
-        gk = None
-        if isinstance(kernel, Var):
-            k = kv.shape[1]
-            windows = ops.tap_windows(xv.reshape((-1,) + xv.shape[-3:]), k)
-            gk = _dwconv_kernel_grad(g, windows, k)
-        return gx, gk
+        k = kv.shape[1]
+        windows = ops.tap_windows(xv.reshape((-1,) + xv.shape[-3:]), k)
+        return gx, _dwconv_kernel_grad(g, windows, k)
 
     return _track(y, (x, kernel), vjp)
 
@@ -397,13 +391,11 @@ def conv2d(x, w, stride: int = 1):
     def vjp(g):
         k = wv.shape[-1]
         gx = ops.conv2d_input_grad(g, wv, xv.shape[-2:], stride) if isinstance(x, Var) else None
-        gw = None
-        if isinstance(w, Var):
-            # tap (u, v): g, zero in wrapped columns, times the forward's window transposed
-            gf = ops.wrap_padded(g, k, stride)
-            gw = np.empty(wv.shape, dtype=np.result_type(g, xv))
-            for u, v, win in ops.tap_windows(xv, k, stride):
-                gw[:, :, u, v] = _matmul_nt_summed(gf, win)
+        # tap (u, v): g, zero in wrapped columns, times the forward's window transposed
+        gf = ops.wrap_padded(g, k, stride)
+        gw = np.empty(wv.shape, dtype=np.result_type(g, xv))
+        for u, v, win in ops.tap_windows(xv, k, stride):
+            gw[:, :, u, v] = _matmul_nt_summed(gf, win)
         return gx, gw
 
     return _track(y, (x, w), vjp)
@@ -417,11 +409,8 @@ def pwconv(x, w, b):
         lead, (c, hh, ww) = xv.shape[:-3], xv.shape[-3:]
         g2 = g.reshape(lead + (g.shape[-3], hh * ww))
         gx = (wv.T @ g2).reshape(xv.shape)
-        gw = None
-        if isinstance(w, Var):
-            gw = _matmul_nt_summed(g2, xv.reshape(lead + (c, hh * ww)))
-        gb = _sum_to_channels(g) if isinstance(b, Var) else None
-        return gx, gw, gb
+        gw = _matmul_nt_summed(g2, xv.reshape(lead + (c, hh * ww)))
+        return gx, gw, _sum_to_channels(g)
 
     return _track(y, (x, w, b), vjp)
 
@@ -546,10 +535,7 @@ def group_norm_act(x, gamma, beta):
     def vjp(g):
         xhat_g, inv = saved
         g = g * np.maximum(y > 0, g.dtype.type(ops.LEAKY_SLOPE))  # 1 or the slope
-        dgamma = (
-            _sum_to_channels(g * xhat_g.reshape(xv.shape)) if isinstance(gamma, Var) else None
-        )
-        dbeta = _sum_to_channels(g) if isinstance(beta, Var) else None
+        dgamma, dbeta = _sum_to_channels(g * xhat_g.reshape(xv.shape)), _sum_to_channels(g)
         gh = (g * gav[:, None, None]).reshape(xhat_g.shape)
         m1 = gh.mean(axis=(-3, -2, -1), keepdims=True)
         m2 = (gh * xhat_g).mean(axis=(-3, -2, -1), keepdims=True)
@@ -570,12 +556,9 @@ def upsample_conv2d(x, w):
 
     def vjp(g):
         gx, planes = ops.upsample_conv2d_input_grad(g, wv)
-        gw = None
-        if isinstance(w, Var):
-            gt = np.stack([_matmul_nt_summed(planes, win) for _, _, win in
-                           ops.upsample_windows(xv)])  # [(i, j), (a, b, o), Ci]
-            gw = (gt.reshape(16, -1).T @ ops.UPSAMPLE_FOLD.astype(gt.dtype)).reshape(wv.shape)
-        return gx, gw
+        gt = np.stack([_matmul_nt_summed(planes, win) for _, _, win in
+                       ops.upsample_windows(xv)])  # [(i, j), (a, b, o), Ci]
+        return gx, (gt.reshape(16, -1).T @ ops.UPSAMPLE_FOLD.astype(gt.dtype)).reshape(wv.shape)
 
     return _track(y, (x, w), vjp)
 
@@ -669,8 +652,6 @@ def drop_path(x, rate: float, mode: str, keep_u=None):
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"drop_path rate must lie in [0,1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ConfigurationError(f"unknown mode '{mode}'")
     if mode == "eval" or rate == 0.0:
         return x
     if keep_u is None:

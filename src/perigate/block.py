@@ -50,13 +50,6 @@ class BlockParams:
     layerscale: Var  # [C]
 
 
-@dataclass
-class BlockInternals:
-    """Optional introspection payload from a forward pass: the gate weights."""
-
-    alpha: Var | None = None
-
-
 def init_params(store: ParamStore, prefix: str, channels: int, cfg, rng, dtype) -> BlockParams:
     k_count = len(cfg.kernels)
     hidden = cfg.expansion * channels
@@ -148,13 +141,13 @@ def forward(
     cfg,
     mode: str = "eval",
     drop_u=None,
-    internals: BlockInternals | None = None,
+    internals: list | None = None,
 ):
     """Full block: gated multi-scale suppression, channel mixing, residual.
 
     ``x`` is one [C,H,W] sample or a batch [..., C,H,W]; in train mode
     ``drop_u`` holds one stochastic-depth uniform per sample (see
-    :func:`perigate.autodiff.drop_path`).
+    :func:`perigate.autodiff.drop_path`); a list ``internals`` receives α, a [..., K, H, W] Var.
     """
     if cfg.fusion == "softmax":
         freq = descriptor.frequency_descriptor(x, cfg.cues)
@@ -168,7 +161,7 @@ def forward(
         coefficient = suppression_coefficient(params, cfg, k)
         responses.append(center_suppress(p_k, center_response, coefficient))
     if internals is not None:
-        internals.alpha = alpha
+        internals.append(alpha)
     del center_response, p_k  # each map is released after its last reader
     fused = fuse(alpha, responses)
     del responses

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -303,13 +304,18 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # '--beta -1e-3' as '--beta=-1e-3' (argparse reads '-1e-3', '-inf', '-2,1' as flags)
+    words = []
+    for w in sys.argv[1:] if argv is None else argv:
+        if (w[:1] == "-" != w[1:2] and words and re.fullmatch(r"--[^=]+", words[-1])
+                and re.match(r"-[\d.]|-inf|-nan", w, re.I)):
+            words[-1] += "=" + w
+        else:
+            words.append(w)
+    args = parser.parse_args(words)
     try:
         return _COMMANDS[args.command](args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, MemoryError) as exc:  # MemoryError: a size flag too large to allocate
+    except (*USAGE_ERRORS, OSError, MemoryError) as exc:  # MemoryError: a size flag too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, PerigateError) as exc:

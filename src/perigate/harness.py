@@ -133,10 +133,7 @@ def _loss_and_grads(model: Model, seqs: np.ndarray, drop_draw, where: str) -> fl
     The graph dies on return, so it never overlaps the next step's.
     """
     model.store.zero_grads()
-    tape = Tape()
-    with tape:
-        total = _batch_loss(model, seqs, drop_draw)
-    tape.outputs = (total,)
+    total, tape = ad.forward_traced(lambda: _batch_loss(model, seqs, drop_draw), [])
     loss_value = float(total.value)
     if not np.isfinite(loss_value):
         culprit = _first_nonfinite(model.store)
@@ -300,7 +297,7 @@ def dump_gates(model: Model, input_sequence: np.ndarray, block_index: int, out_p
     _check_sequences(m, input_sequence[None], m.t_in)
     internals = []
     model.predict([input_sequence[t] for t in range(m.t_in)], internals=internals)
-    alpha = internals[block_index].alpha.value
+    alpha = internals[block_index].value
     k = alpha.shape[0]
     argmax = alpha.argmax(axis=0)
     levels = (

@@ -221,17 +221,13 @@ class Model:
 
         Stochastic-depth uniforms are drawn only when the drop rate is
         positive; at rate 0 every branch is kept and nothing is drawn. A list
-        passed as ``internals`` receives one :class:`BlockInternals` per block.
+        passed as ``internals`` receives each block's gate weights α, in block order.
         """
         draws = drop_draw is not None and self.config.drop_path > 0.0
         x = multiscale.forward(x, self.params.msinit)  # the packed map's last reader
         for i, blk in enumerate(self.params.blocks):
             u = drop_draw(i) if draws else None
-            record = None
-            if internals is not None:
-                record = gate_block.BlockInternals()
-                internals.append(record)
-            x = gate_block.forward(x, blk, self.config, mode=mode, drop_u=u, internals=record)
+            x = gate_block.forward(x, blk, self.config, mode=mode, drop_u=u, internals=internals)
         return x
 
     def decode_frame(self, feat, skip):
@@ -253,8 +249,8 @@ class Model:
         stochastic-depth uniforms in train mode, one per sample. Each pass
         decodes min(t_in, frames still needed) frames; while more are needed,
         the last t_in predictions are fed back as the next pass's inputs. A
-        list passed as ``internals`` receives the first pass's block
-        internals (see :meth:`translate`).
+        list passed as ``internals`` receives the first pass's gate weights (see
+        :meth:`translate`). ``mode`` is "train" or "eval".
 
         The encoder and decoder run on the :func:`frame_blocks`, each one call
         over a [F, ..., c, H, W] stack of F frames; every op treats the frame
@@ -267,6 +263,8 @@ class Model:
         value): at its peak an eval call holds one gating block's input, fused map and
         mixing-stage arrays, the pass's encoder skips and the outputs so far.
         """
+        if mode not in ("train", "eval"):
+            raise ConfigurationError(f"unknown mode '{mode}'")
         cfg = self.config
         frames, blocks = self._input_frames(frames), frame_blocks(cfg, self.dtype)
         current = [ad.stack_frames(frames[sl]) for sl in blocks]

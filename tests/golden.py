@@ -1,10 +1,14 @@
-"""Golden outputs: sha256 digests of the README CLI tour and one paper-scale prediction.
+"""Golden outputs: sha256 digests of the README CLI tour, two predictions and one
+training step's gradients.
 
 The tour (gen-data, train, eval, predict, the four analyze queries, inspect params,
 gates and betas) runs in process through ``cli.main`` in a temporary directory; each
 command's exit code and stdout, and every file it writes, is one artifact. The
-prediction is one seeded kth 10→10 ``harness.predict_batch`` call (128×128, a model
-built at seed 7, the ``gen_bouncing(0, 1, 10, 128, 128)`` input).
+predictions are one seeded kth 10→10 ``harness.predict_batch`` call (128×128, a model
+built at seed 7, the ``gen_bouncing(0, 1, 10, 128, 128)`` input) and one micro 2→5
+rollout. The gradients are those of one ``harness._loss_and_grads`` step at micro on
+the paths the tour never trains: mean fusion, a fixed β, a 2→5 rollout and
+stochastic depth.
 
 Outputs are bitwise functions of the flags only on one Python, numpy and BLAS build
 and one machine, so the manifest records that fingerprint beside the digests.
@@ -130,11 +134,39 @@ def _kth_prediction() -> str:
     return _sha(f"{preds.dtype} {preds.shape}\n".encode() + preds.tobytes())
 
 
+def _micro_rollout() -> str:
+    from perigate import data, harness
+    from perigate.model import Model, ModelConfig
+
+    cfg = ModelConfig(t_in=2, t_out=5, height=16, width=16, latent_c=6, n_s=2, n_t=2,
+                      kernels=(9, 15, 31))
+    preds = harness.predict_batch(Model.build(cfg, seed=7), data.gen_bouncing(7, 4, 2, 16, 16))
+    return _sha(f"{preds.dtype} {preds.shape}\n".encode() + preds.tobytes())
+
+
+def _step_gradients() -> str:
+    """Every parameter's gradient after one step on 8 sequences, in store order."""
+    from perigate import data, harness
+    from perigate.model import Model, ModelConfig
+    from perigate.rng import DROP, stream
+
+    cfg = ModelConfig(t_in=2, t_out=5, height=16, width=16, latent_c=6, n_s=2, n_t=2,
+                      kernels=(9, 15, 31), fusion="mean", beta_mode="fixed", beta_fixed=0.3,
+                      drop_path=0.2)
+    model = Model.build(cfg, seed=7)
+    harness._loss_and_grads(model, data.gen_bouncing(7, 8, 7, 16, 16),
+                            lambda p, b: stream(7, DROP, p * 4096 + b).random(8), "golden")
+    return _sha(b"".join(f"{name} {model.store.grad(name).shape}\n".encode()
+                         + model.store.grad(name).tobytes() for name in model.store.names()))
+
+
 def compute() -> dict[str, str]:
     """Every artifact's sha256, computed on this tree."""
     with tempfile.TemporaryDirectory() as tmp:
         digests = _tour(pathlib.Path(tmp))
     digests["predict_batch:kth 10->10"] = _kth_prediction()
+    digests["predict_batch:micro 2->5"] = _micro_rollout()
+    digests["gradients:micro step, mean fusion, fixed beta, 2->5, drop path"] = _step_gradients()
     return digests
 
 

@@ -88,19 +88,19 @@ def test_criterion_03_gating_simplex():
         params.gate_w.value = 0.5 * rng.standard_normal(params.gate_w.value.shape)
         params.gate_b.value = 0.5 * rng.standard_normal(params.gate_b.value.shape)
         x = rng.standard_normal((6, 6, 6))
-        internals = gate_block.BlockInternals()
+        internals = []
         gate_block.forward(Var(x), params, settings, internals=internals)
-        alpha = internals.alpha.value
+        alpha = internals[0].value
         ok &= bool(np.all(alpha >= 0.0) and np.all(alpha <= 1.0))
         ok &= bool(np.abs(alpha.sum(axis=0) - 1.0).max() < 1e-6)
     # zero-initialized gate: exactly uniform
     store = ParamStore()
     params = gate_block.init_params(store, "z", 6, settings, stream(0, INIT), np.float64)
-    internals = gate_block.BlockInternals()
+    internals = []
     gate_block.forward(Var(np.random.default_rng(0).standard_normal((6, 6, 6))),
                        params, settings, internals=internals)
     uniform = np.float64(1.0) / 3.0
-    ok &= bool(np.all(internals.alpha.value == uniform))
+    ok &= bool(np.all(internals[0].value == uniform))
     report(3, ok, "alpha simplex on 100 random forwards; zero-init gate exactly 1/K")
 
 

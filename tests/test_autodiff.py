@@ -404,14 +404,47 @@ class TestUnsupportedOperations:
             ad.forward_traced(lambda v: v + v, [np.ones((2, 2))])
 
 
+def operand_ops(rng):
+    """(name, op, operands) of every op taking a kernel, weight, bias, affine, gate or
+    coefficient operand, run as ``op(x, *operands)`` on a [2, 4, 6, 6] input x."""
+    r = rng.standard_normal
+    return [
+        ("sep_conv", ad.sep_conv, [r((4, 5)), r((4, 3))]),
+        ("dwconv_2d", ad.dwconv_2d, [np.stack([ops.LAPLACIAN] * 4)]),
+        ("conv2d", lambda x, w: ad.conv2d(x, w, stride=2), [r((3, 4, 3, 3))]),
+        ("pwconv", ad.pwconv, [r((3, 4)), r(3)]),
+        ("group_norm_act", ad.group_norm_act, [r(4), r(4)]),
+        ("upsample_conv2d", ad.upsample_conv2d, [r((3, 4, 3, 3))]),
+        ("glu", ad.glu, glu_params(rng, 4, 8)),
+        ("mul", ad.mul, [r(4)]),
+        ("suppress", lambda x, coef: ad.suppress(x, ad.tanh(x), coef), [r(4)]),
+        ("gated_sum", lambda x, alpha: ad.gated_sum(alpha, [x, ad.tanh(x)]), [r((2, 2, 6, 6))]),
+    ]
+
+
 class TestConstantsGetNoGradients:
     def test_fixed_kernel_passes_gradient_through(self):
+        # each vjp returns every operand's gradient; backward keeps none for a constant
         rng = np.random.default_rng(8)
-        x = ad.Var(rng.standard_normal((2, 4, 4)))
-        const_kernel = np.stack([ops.LAPLACIAN] * 2)
-        out, tape = ad.forward_traced(lambda v: ad.dwconv_2d(v, const_kernel), [x])
-        ad.backward(tape, np.ones(out.value.shape))
-        assert x.grad is not None  # input gradient flows through the constant
+        x = rng.standard_normal((2, 4, 6, 6))
+        for name, op, operands in operand_ops(rng):
+
+            def run(constant):
+                leaf = ad.Var(x)
+                args = [a if i == constant else ad.Var(a) for i, a in enumerate(operands)]
+                out, tape = ad.forward_traced(lambda v: op(v, *args), [leaf])
+                ad.backward(tape, np.cos(np.arange(out.value.size)).reshape(out.value.shape))
+                return [leaf] + args
+
+            want = run(None)
+            for i, operand in enumerate(operands):
+                kept = operand.copy()
+                got = run(i)
+                assert got[1 + i] is operand and not hasattr(operand, "grad"), name
+                assert np.array_equal(operand, kept), name
+                for j, (g, w) in enumerate(zip(got, want)):
+                    if j != 1 + i:  # the input's and the other operands' gradients
+                        assert g.grad.tobytes() == w.grad.tobytes(), (name, i, j)
 
 
 class TestDropPath:

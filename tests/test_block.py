@@ -53,9 +53,9 @@ class TestGateWeights:
         store, params, settings = build()
         for seed in range(20):
             x = np.random.default_rng(seed).standard_normal((4, 6, 6))
-            internals = gate_block.BlockInternals()
+            internals = []
             gate_block.forward(Var(x), params, settings, internals=internals)
-            alpha = internals.alpha.value
+            alpha = internals[0].value
             assert np.all(alpha >= 0.0) and np.all(alpha <= 1.0)
             np.testing.assert_allclose(alpha.sum(axis=0), 1.0, atol=1e-6)
 

@@ -290,6 +290,26 @@ def test_nonfinite_analyze_input_exits_2(case, tmp_path, capsys):
     _exits_2_with_one_error_line(["analyze"] + argv, capsys)
 
 
+# a value that starts with '-' after a flag, which argparse alone reads as a flag unless
+# it is a plain negative decimal: each query answers as its '--flag=value' form
+DASHED_VALUES = {
+    "beta_exponent": (["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--beta", "-1e-3"], 0),
+    "beta_neg_inf": (["ring", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--beta", "-inf"], 2),
+    "coeffs_list": (["beta-star", "--coeffs", "-2,1,1,1,0,1"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DASHED_VALUES))
+def test_dashed_value_after_a_flag_is_its_value(case, capsys):
+    spaced, code = DASHED_VALUES[case]
+    attached = spaced[:-2] + [f"{spaced[-2]}={spaced[-1]}"]
+    assert main(["analyze"] + attached) == code
+    want = capsys.readouterr()
+    assert main(["analyze"] + spaced) == code
+    assert capsys.readouterr() == want
+    assert want.err == ("error: beta must be finite, got -inf\n" if code else "")
+
+
 # Sizes numpy refuses to allocate before touching any memory: 373 TiB and 284 PiB
 # of frames, and 728 TiB of float64 samples (beyond a 47-bit address space).
 TOO_LARGE = {

@@ -207,6 +207,15 @@ class TestPredictProtocol:
         preds = model.predict(frames_for(cfg, seed=8))
         assert len(preds) == 3
 
+    @pytest.mark.parametrize("n_t", [0, 2])
+    def test_unknown_mode_is_refused_before_any_op(self, n_t):
+        # with no gating block no drop_path runs, so the check must not rest on one
+        cfg = micro_config(n_t=n_t)
+        model = Model.build(cfg)
+        with mock.patch.object(ad, "stack_frames", side_effect=AssertionError("op ran")), \
+                pytest.raises(ConfigurationError, match="unknown mode 'bogus'"):
+            model.predict(frames_for(cfg), mode="bogus")
+
 
 class TestDecoder:
     def test_zero_readout_gives_constant_bias(self):
@@ -227,10 +236,10 @@ def hand_built_alpha(model, frames, block_index):
     x = multiscale.forward(naive.pack_time(feats), model.params.msinit)
     for i in range(block_index):
         x = gate_block.forward(x, model.params.blocks[i], settings, mode="eval")
-    internals = gate_block.BlockInternals()
+    internals = []
     gate_block.forward(x, model.params.blocks[block_index], settings, mode="eval",
                        internals=internals)
-    return internals.alpha.value
+    return internals[0].value
 
 
 def rollout_model():
@@ -249,7 +258,7 @@ class TestGateMap:
         model = Model.build(cfg)
         internals = []
         model.predict(frames_for(cfg, seed=9), internals=internals)
-        alpha = internals[1].alpha.value
+        alpha = internals[1].value
         assert alpha.shape == (2, 4, 4)
         np.testing.assert_allclose(alpha.sum(axis=0), 1.0, atol=1e-6)
 
@@ -259,12 +268,12 @@ class TestGateMap:
         internals = []
         preds = model.predict(frames, internals=internals)
         assert len(preds) == 5
-        assert len(internals) == cfg.n_t  # one record per block, from pass 0 only
+        assert len(internals) == cfg.n_t  # one map per block, from pass 0 only
         for b in range(cfg.n_t):
             want = hand_built_alpha(model, frames, b)
-            assert internals[b].alpha.value.dtype == want.dtype
-            assert np.array_equal(internals[b].alpha.value, want)
-        assert not np.array_equal(internals[0].alpha.value, internals[1].alpha.value)
+            assert internals[b].value.dtype == want.dtype
+            assert np.array_equal(internals[b].value, want)
+        assert not np.array_equal(internals[0].value, internals[1].value)
 
     def test_dump_gates_writes_first_pass_alpha(self, tmp_path):
         cfg, model = rollout_model()
@@ -482,7 +491,7 @@ class TestFrameBlocks:
             assert g.value.tobytes() == w.value.tobytes()
         assert len(got_internals) == len(want_internals) == cfg.n_t
         for g, w in zip(got_internals, want_internals):
-            assert g.alpha.value.tobytes() == w.alpha.value.tobytes()
+            assert g.value.tobytes() == w.value.tobytes()
 
     @pytest.mark.parametrize("dtype, rtol", [(np.float32, 2e-6), (np.float64, 1e-12)])
     def test_minibatch_gradients_match_per_frame_loop(self, dtype, rtol):
