@@ -38,10 +38,38 @@ __all__ = [
 ]
 
 
+def _unsupported(symbol: str):
+    def refuse(self, *args, **kwargs):
+        raise UnsupportedOperationError(
+            f"operator {symbol} on a Var is outside the traced vocabulary; use the autodiff ops")
+    return refuse
+
+
 class Var:
-    """A value in the computation graph; leaves carry parameters or inputs."""
+    """A value in the computation graph; leaves carry parameters or inputs.
+
+    Python's operators and numpy's ufuncs would act on a Var without recording it,
+    so each one raises :class:`UnsupportedOperationError` naming itself.
+    """
 
     __slots__ = ("value", "grad", "parents", "vjp", "name")
+
+    __add__ = __radd__ = _unsupported("+")
+    __sub__ = __rsub__ = _unsupported("-")
+    __mul__ = __rmul__ = _unsupported("*")
+    __truediv__ = __rtruediv__ = _unsupported("/")
+    __floordiv__ = __rfloordiv__ = _unsupported("//")
+    __mod__ = __rmod__ = _unsupported("%")
+    __pow__ = __rpow__ = _unsupported("**")
+    __matmul__ = __rmatmul__ = _unsupported("@")
+    __neg__ = _unsupported("unary -")
+    __pos__ = _unsupported("unary +")
+    __abs__ = _unsupported("abs()")
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        raise UnsupportedOperationError(
+            f"numpy ufunc {ufunc.__name__} on a Var is outside the traced vocabulary;"
+            " use the autodiff ops")
 
     def __init__(self, value, name: str = ""):
         self.value = np.asarray(value)
@@ -129,13 +157,7 @@ def forward_traced(graph_fn, inputs):
     wrapped = [x if isinstance(x, Var) else Var(x) for x in inputs]
     tape = Tape()
     with tape:
-        try:
-            out = graph_fn(*wrapped)
-        except TypeError as exc:
-            # e.g. applying python/numpy operators directly to Var
-            raise UnsupportedOperationError(
-                f"graph_fn used an operation outside the traced vocabulary: {exc}"
-            ) from exc
+        out = graph_fn(*wrapped)
     tape.outputs = tuple(out) if isinstance(out, (tuple, list)) else (out,)
     return out, tape
 

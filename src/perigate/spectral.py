@@ -33,8 +33,8 @@ _TABLE_BYTES = 2**23  # kernel spectra: the retained basis tables together
 NUM_ANGLES = 64  # kernel spectra: directions over [0, pi) in the radial average
 _BISECT_ITERS = 80  # ring edges on closed forms: halvings of a bracket at most
 DERIVATIVE_TOL = 1e-8  # stationary roots: |dSNR/dbeta| over max(1, |SNR|) at most
-# grid_check's betas per block: snr's float64 temporaries are 125 kB, under glibc's
-# 128 KiB mmap threshold and in cache, and its peak of four stays under 512 KiB. Not
+# grid_check's betas per block: each of its three float64 buffers is 128 kB, under
+# glibc's 128 KiB mmap threshold and in cache, and a call peaks under 400 KiB. Not
 # ops.index_blocks: importing ops would add 8-12 ms to every analyze start.
 _CHECK_BLOCK = 16_000
 
@@ -375,17 +375,45 @@ def quad_coeffs(
     )
 
 
+_VANISHED = "noise energy vanished; responses are linearly dependent at some beta"
+
+
 def snr(beta, coeffs: QuadCoeffs):
-    """SNR(beta); accepts a scalar, computed on numpy scalars, or an array of beta values."""
+    """SNR(beta); accepts a scalar, computed on numpy scalars, or an array of beta
+    values, computed by :func:`_snr_into` op for op as the scalar expression."""
     beta = np.float64(beta)
+    if beta.ndim:
+        num, den, tmp = (np.empty(beta.shape) for _ in range(3))
+        return _snr_into(coeffs, 2.0 * beta, None, num, den, tmp, beta=beta)
     num = coeffs.a - 2.0 * beta * coeffs.b + beta * beta * coeffs.c
     den = coeffs.sigma2 * _noise_energy(beta, coeffs)
+    if den <= 0:
+        raise DegeneracyError(_VANISHED)
+    return float(num / den)
+
+
+def _snr_into(coeffs: QuadCoeffs, two_beta, beta_sq, num, den, tmp, beta=None):
+    """SNR at a block of betas, written into ``num`` and returned.
+
+    N = (a - (2 beta) b) + (beta^2) c, then D = sigma2 ((at - (2 beta) bt) +
+    (beta^2) ct), the refusal of D <= 0 and N / D: the ops of :func:`snr`'s
+    scalar expression in its order, each in place, so every value keeps its bits
+    and an error is raised at the same op with the same text. ``den`` and ``tmp``
+    are scratch of ``num``'s size. Given ``beta``, beta^2 is taken into ``tmp``
+    where the scalar expression squares beta, and ``beta_sq`` is not read.
+    """
+    np.multiply(two_beta, coeffs.b, out=num)
+    np.subtract(coeffs.a, num, out=num)
+    if beta is not None:
+        beta_sq = np.multiply(beta, beta, out=tmp)
+    np.add(num, np.multiply(beta_sq, coeffs.c, out=den), out=num)
+    np.multiply(two_beta, coeffs.bt, out=den)
+    np.subtract(coeffs.at, den, out=den)
+    np.add(den, np.multiply(beta_sq, coeffs.ct, out=tmp), out=den)
+    np.multiply(coeffs.sigma2, den, out=den)
     if np.any(den <= 0):
-        raise DegeneracyError(
-            "noise energy vanished; responses are linearly dependent at some beta"
-        )
-    out = num / den
-    return float(out) if out.ndim == 0 else out
+        raise DegeneracyError(_VANISHED)
+    return np.divide(num, den, out=num)
 
 
 def _noise_energy(beta, coeffs: QuadCoeffs):
@@ -531,11 +559,14 @@ def open_betas(n: int) -> np.ndarray:
 
 
 @cache
-def _check_betas() -> np.ndarray:
-    """grid_check's betas, built once and shared read-only by every call."""
+def _check_tables() -> tuple[np.ndarray, np.ndarray]:
+    """2 beta and beta^2 over grid_check's betas, built once and shared read-only
+    by every call: the values :func:`snr` would form from each beta, bit for bit."""
     betas = open_betas(100_000)
-    betas.flags.writeable = False
-    return betas
+    tables = 2.0 * betas, betas * betas
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def grid_check(coeffs: QuadCoeffs, snr_star: float) -> tuple[bool, float]:
@@ -543,12 +574,19 @@ def grid_check(coeffs: QuadCoeffs, snr_star: float) -> tuple[bool, float]:
 
     The grid's 100,000 points are :func:`open_betas`; snr_star may fall short of
     the grid maximum by at most 1e-9 times max(1, |grid maximum|). The maximum
-    is taken over blocks of _CHECK_BLOCK betas and is the dense one bit for
-    bit; np.max over the block maxima keeps a NaN, as the dense maximum does.
+    is taken over blocks of _CHECK_BLOCK betas, each computed by :func:`_snr_into`
+    from the retained :func:`_check_tables` into three buffers of the call, and is
+    the dense one bit for bit; np.max over the block maxima keeps a NaN, as the
+    dense maximum does.
     """
-    betas = _check_betas()
-    grid_max = float(np.max([np.max(snr(betas[i : i + _CHECK_BLOCK], coeffs))
-                             for i in range(0, betas.size, _CHECK_BLOCK)]))
+    two_beta, beta_sq = _check_tables()
+    buffers = [np.empty(_CHECK_BLOCK) for _ in range(3)]
+    maxima = []
+    for i in range(0, two_beta.size, _CHECK_BLOCK):
+        rows = slice(i, i + _CHECK_BLOCK)
+        num, den, tmp = (b[: two_beta[rows].size] for b in buffers)
+        maxima.append(np.max(_snr_into(coeffs, two_beta[rows], beta_sq[rows], num, den, tmp)))
+    grid_max = float(np.max(maxima))
     return snr_star >= grid_max - 1e-9 * max(1.0, abs(grid_max)), grid_max
 
 

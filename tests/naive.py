@@ -5,11 +5,11 @@ nothing shared with the library implementations. The strided-view Toeplitz
 and band sums, the per-parameter Adam step, center suppression and fusion
 composed from the arithmetic ops, the frequency descriptor's vjp that
 recomputes its maps, the GLU with its bias passes, the model's prediction
-with one encoder and one decoder call per frame, the SNR grid maximum over one
-dense array, the ring bisection with all its halvings, the ring's positive
-runs found by a scan over each sample and the closed forms and their composite
-evaluated on 0-d arrays are earlier forms of library code, kept as bitwise
-references.
+with one encoder and one decoder call per frame, the SNR as one allocating
+expression and its grid maximum, the ring bisection with all its halvings, the
+ring's positive runs found by a scan over each sample and the closed forms and
+their composite evaluated on 0-d arrays are earlier forms of library code, kept
+as bitwise references.
 """
 
 from functools import partial
@@ -386,9 +386,25 @@ def kernel_radial_dtft(h, v, n, num_angles):
     return out / num_angles
 
 
-def grid_snr_max(coeffs):
-    """The SNR maximum on the beta grid check's 100,000 points, in one dense array."""
-    return np.max(spectral.snr(np.linspace(-1 + 1e-9, 1 - 1e-9, 100_000), coeffs))
+def snr_expression(beta, coeffs):
+    """SNR(beta) over an array of betas as one numpy expression, each temporary
+    allocated: (A - 2 beta B + beta^2 C) / (sigma2 (At - 2 beta Bt + beta^2 Ct)),
+    refusing a noise energy <= 0 anywhere."""
+    num = coeffs.a - 2.0 * beta * coeffs.b + beta * beta * coeffs.c
+    den = coeffs.sigma2 * (coeffs.at - 2.0 * beta * coeffs.bt + beta * beta * coeffs.ct)
+    if np.any(den <= 0):
+        raise DegeneracyError(
+            "noise energy vanished; responses are linearly dependent at some beta")
+    return num / den
+
+
+def grid_snr_max(coeffs, block=100_000):
+    """The SNR maximum on the beta grid check's 100,000 points: :func:`snr_expression`
+    on each run of ``block`` betas in turn (by default one dense array), then the
+    largest block maximum."""
+    betas = np.linspace(-1 + 1e-9, 1 - 1e-9, 100_000)
+    return np.max([np.max(snr_expression(betas[i : i + block], coeffs))
+                   for i in range(0, betas.size, block)])
 
 
 def companion_stationary_betas(coeffs):

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -402,6 +403,20 @@ class TestUnsupportedOperations:
 
         with pytest.raises(UnsupportedOperationError):
             ad.forward_traced(lambda v: v + v, [np.ones((2, 2))])
+
+    OPERATORS = {
+        "operator -": lambda v: v - 1.0, "operator *": lambda v: 2.0 * v,
+        "operator @": lambda v: v @ v, "operator unary -": lambda v: -v,
+        "operator abs()": abs, "ufunc add": lambda v: np.ones((2, 2)) + v,
+        "ufunc exp": np.exp,
+    }
+
+    @pytest.mark.parametrize("name", OPERATORS)
+    def test_each_operator_names_itself(self, name):
+        from perigate.errors import UnsupportedOperationError
+
+        with pytest.raises(UnsupportedOperationError, match=re.escape(name)):
+            ad.forward_traced(self.OPERATORS[name], [np.ones((2, 2))])
 
 
 def operand_ops(rng):

@@ -656,7 +656,7 @@ def test_import_leaves_the_model_stack_unloaded():
     code = ("import sys, perigate.cli; print([m for m in ('perigate.model', "
             "'perigate.autodiff', 'perigate.harness') if m in sys.modules], "
             "len(perigate.spectral._tables), "
-            "perigate.spectral._check_betas.cache_info().currsize, "
+            "perigate.spectral._check_tables.cache_info().currsize, "
             "perigate.cli.build_parser.cache_info().currsize)")
     assert fresh_interpreter(code).strip() == "[] 0 0 0"
 

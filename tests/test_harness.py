@@ -79,6 +79,14 @@ class TestTraining:
             harness.train(micro_train_config(epochs=1, batch=16), micro_data)  # one step
         assert sorted(in_channels) == [6, 12]
 
+    def test_wrong_arity_drop_draw_raises_its_own_type_error(self, micro_data):
+        # a TypeError inside a training step is the caller's, not an operator on a Var
+        cfg = micro_train_config()
+        cfg.model.drop_path = 0.2
+        model = Model.build(cfg.model, seed=0)
+        with pytest.raises(TypeError, match="positional argument"):
+            harness._loss_and_grads(model, micro_data[:2], lambda p: np.ones(2), "step 0")
+
     @pytest.mark.parametrize("rate", [0.0, 0.2])
     def test_stochastic_depth_draws_only_when_used(self, micro_data, monkeypatch, rate):
         calls = []

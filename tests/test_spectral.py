@@ -668,6 +668,30 @@ def near_pole_coeffs(draw):
     return QuadCoeffs(a, b, c, at, bt, ct, sigma2=draw(st.floats(1e-3, 1e3)))
 
 
+@st.composite
+def extreme_coeffs(draw):
+    """SNR coefficients of any sign and magnitudes from 1e-300 to 1e300; half of
+    them keep the noise energy positive on the grid."""
+    magnitude = st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-300, 300))
+    value = st.one_of(magnitude, st.sampled_from([0.0, 1e300, -1e300, 1e-300]))
+    a, b, c, at, bt, ct = (draw(value) for _ in range(6))
+    if draw(st.booleans()):
+        at, ct = abs(at), abs(ct)
+        bt = draw(st.floats(-0.999, 0.999)) * math.sqrt(at) * math.sqrt(ct)
+    sigma2 = draw(st.floats(0.1, 1.0)) * 10.0 ** draw(st.integers(-300, 300))
+    return QuadCoeffs(a, b, c, at, bt, ct, sigma2=sigma2)
+
+
+def under_cli_errstate(fn):
+    """The bytes of fn()'s float64 result, or the type and text of the
+    FloatingPointError or DegeneracyError it raises, under the CLI's errstate."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            return np.float64(fn()).tobytes()
+        except (FloatingPointError, DegeneracyError) as exc:
+            return type(exc), str(exc)
+
+
 class TestSnrForms:
     @settings(max_examples=200, deadline=None)
     @given(q=st.one_of(snr_coeffs(), near_pole_coeffs()),
@@ -687,6 +711,18 @@ class TestSnrForms:
             want = [snr(b, q) for b in betas.tolist()]
         assert all(type(w) is float for w in want)
         assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=st.one_of(snr_coeffs(), extreme_coeffs()),
+           betas=hnp.arrays(np.float64, st.integers(1, 12), elements=st.one_of(
+               st.floats(-2.0, 2.0), st.floats(-1e200, 1e200),
+               st.sampled_from([0.0, 1e-200, 1e308, -np.inf, 5e-324]))))
+    @example(q=QuadCoeffs(1e308, -1.0, 0.0, 1.0, 0.0, 1.0, sigma2=1.0),
+             betas=np.array([1e155]))  # A - 2 beta B overflows before beta^2 does
+    def test_array_raises_as_the_expression_does(self, q, betas):
+        # the same exception at the same op with the same text, or the same bytes
+        assert (under_cli_errstate(lambda: snr(betas, q))
+                == under_cli_errstate(lambda: naive.snr_expression(betas, q)))
 
 
 class TestClosedFormRoots:
@@ -745,17 +781,36 @@ class TestGridCheck:
             spectral.grid_check(_last_block_pole(), 0.0)
 
     def test_peak_memory_is_per_block(self):
-        # 100,000-beta temporaries would peak at ~3 MB; blocks keep each one at 125 kB
-        spectral.grid_check(FIXTURE, 0.0)  # builds the retained grid
-        betas = spectral._check_betas()
-        assert betas is spectral._check_betas() and not betas.flags.writeable
+        # 100,000-beta temporaries would peak at ~3 MB; a call holds three 128 kB
+        # block buffers and the 16 kB mask of the D <= 0 refusal
+        spectral.grid_check(FIXTURE, 0.0)  # builds the retained tables
+        tables = spectral._check_tables()
+        assert tables is spectral._check_tables()
+        assert not any(table.flags.writeable for table in tables)
         _, peak = traced_peak(lambda: spectral.grid_check(FIXTURE, 0.0))
-        assert peak < 512 * 1024
+        assert peak < 400 * 1024
 
     def test_sweep_and_check_share_the_open_domain(self):
         betas = spectral.open_betas(1024)
         assert betas[0] == -1.0 + 1e-9 and betas[-1] == 1.0 - 1e-9
-        assert np.array_equal(spectral._check_betas(), spectral.open_betas(100_000))
+        two_beta, beta_sq = spectral._check_tables()
+        grid = spectral.open_betas(100_000)
+        assert np.array_equal(two_beta / 2, grid)
+        assert beta_sq.tobytes() == (grid * grid).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=extreme_coeffs())
+    @example(q=FIXTURE)
+    @example(q=QuadCoeffs(0.0, -1e308, 0.0, 1e308, -0.5e308, 0.0, sigma2=1.0))  # inf/inf
+    @example(q=QuadCoeffs(1.0, 1e308, 1.0, 1.0, 0.0, 1.0, sigma2=1.0))  # 2 beta B overflows
+    @example(q=QuadCoeffs(1e300, 1e-300, 1e300, 1e-300, 0.0, 1e-300, sigma2=1.0))  # N/D
+    @example(q=QuadCoeffs(1e-300, 1e-300, 1e300, 1e300, 1e-300, 1e-300, sigma2=1e300))
+    @example(q=_last_block_pole())
+    def test_errors_are_the_blocked_expressions(self, q):
+        # the same exception at the same op with the same text, or the same maximum,
+        # as the expression run on each block in turn
+        assert (under_cli_errstate(lambda: spectral.grid_check(q, 0.0)[1])
+                == under_cli_errstate(lambda: naive.grid_snr_max(q, spectral._CHECK_BLOCK)))
 
 
 class TestOptimalBeta:
