@@ -379,33 +379,27 @@ _VANISHED = "noise energy vanished; responses are linearly dependent at some bet
 
 
 def snr(beta, coeffs: QuadCoeffs):
-    """SNR(beta); accepts a scalar, computed on numpy scalars, or an array of beta
-    values, computed by :func:`_snr_into` op for op as the scalar expression."""
+    """SNR(beta); accepts a scalar, computed on numpy scalars, or an array of beta values."""
     beta = np.float64(beta)
-    if beta.ndim:
-        num, den, tmp = (np.empty(beta.shape) for _ in range(3))
-        return _snr_into(coeffs, 2.0 * beta, None, num, den, tmp, beta=beta)
     num = coeffs.a - 2.0 * beta * coeffs.b + beta * beta * coeffs.c
     den = coeffs.sigma2 * _noise_energy(beta, coeffs)
-    if den <= 0:
+    if np.any(den <= 0):
         raise DegeneracyError(_VANISHED)
-    return float(num / den)
+    out = num / den
+    return float(out) if out.ndim == 0 else out
 
 
-def _snr_into(coeffs: QuadCoeffs, two_beta, beta_sq, num, den, tmp, beta=None):
-    """SNR at a block of betas, written into ``num`` and returned.
+def _snr_into(coeffs: QuadCoeffs, two_beta, beta_sq, num, den, tmp):
+    """SNR at a block of betas from their 2 beta and beta^2, written into ``num``
+    and returned; ``den`` and ``tmp`` are scratch of ``num``'s size.
 
     N = (a - (2 beta) b) + (beta^2) c, then D = sigma2 ((at - (2 beta) bt) +
     (beta^2) ct), the refusal of D <= 0 and N / D: the ops of :func:`snr`'s
-    scalar expression in its order, each in place, so every value keeps its bits
-    and an error is raised at the same op with the same text. ``den`` and ``tmp``
-    are scratch of ``num``'s size. Given ``beta``, beta^2 is taken into ``tmp``
-    where the scalar expression squares beta, and ``beta_sq`` is not read.
+    expression in its order, each in place, so every value keeps its bits and
+    an error is raised at the same op with the same text.
     """
     np.multiply(two_beta, coeffs.b, out=num)
     np.subtract(coeffs.a, num, out=num)
-    if beta is not None:
-        beta_sq = np.multiply(beta, beta, out=tmp)
     np.add(num, np.multiply(beta_sq, coeffs.c, out=den), out=num)
     np.multiply(two_beta, coeffs.bt, out=den)
     np.subtract(coeffs.at, den, out=den)

@@ -1,14 +1,15 @@
 """Golden outputs: sha256 digests of the README CLI tour, two predictions and one
 training step's gradients.
 
-The tour (gen-data, train, eval, predict, the four analyze queries, inspect params,
-gates and betas), then nine snr-sweep and beta-star queries with their CSV tables,
-runs in process through ``cli.main`` in a temporary directory; each command's exit
-code and stdout, and every file it writes, is one artifact. The predictions are one
-seeded kth 10→10 ``harness.predict_batch`` call (128×128, a model built at seed 7,
-the ``gen_bouncing(0, 1, 10, 128, 128)`` input) and one micro 2→5 rollout. The gradients are those of one ``harness._loss_and_grads`` step at micro on
-the paths the tour never trains: mean fusion, a fixed β, a 2→5 rollout and
-stochastic depth.
+The tour (gen-data, train, eval, predict, the four analyze queries with their CSV
+tables, inspect params, gates and betas), then six snr-sweep and beta-star queries
+with theirs, runs in process through ``cli.main`` in a temporary directory; each
+command's exit code and stdout, and every file it writes, is one artifact. The
+predictions are one seeded kth 10→10 ``harness.predict_batch`` call (128×128, a
+model built at seed 7, the ``gen_bouncing(0, 1, 10, 128, 128)`` input) and one
+micro 2→5 rollout. The gradients are those of one ``harness._loss_and_grads`` step
+at micro on the paths the tour never trains: mean fusion, a fixed β, a 2→5 rollout
+and stochastic depth.
 
 Outputs are bitwise functions of the flags only on one Python, numpy and BLAS build
 and one machine, so the manifest records that fingerprint beside the digests.
@@ -61,15 +62,14 @@ TOUR = [
     ["analyze", "snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--ps", "band:0.5,2.5",
      "--sigma2", "1", "--out-csv", "sweep.csv"],
     ["analyze", "beta-star", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--ps", "band:0.5,2.5",
-     "--sigma2", "1"],
-    ["analyze", "beta-star", "--coeffs", "2,1,1,1,0,1"],
+     "--sigma2", "1", "--out-csv", "beta_star_readme.csv"],
+    ["analyze", "beta-star", "--coeffs", "2,1,1,1,0,1", "--out-csv", "beta_star_coeffs.csv"],
     ["inspect", "params", "--config", "micro.cfg"],
     ["inspect", "gates", "--ckpt", "model.pfgc", "--input", "train.pfgt", "--block", "0",
      "--out-prefix", "gates"],
     ["inspect", "betas", "--ckpt", "model.pfgc", "--out-csv", "betas.csv"],
 ]
 
-README_PAIR = ["--hl", "exp:0.6", "--hs", "gauss:2.5", "--ps", "band:0.5,2.5", "--sigma2", "1"]
 # the seed-1 beta-star pairs of perfbench's analyze-analytic cycle
 SEEDED_PAIRS = [
     ["--hl", "exp:0.5893", "--hs", "gauss:2.9622", "--ps", "band:0.3674,2.3862",
@@ -78,17 +78,13 @@ SEEDED_PAIRS = [
      "--sigma2", "1.5405"],
 ]
 
-# snr-sweep and beta-star with their SNR tables, which the dense grid check's
-# arithmetic also writes: the README pair, the README --coeffs query, the seeded
-# pairs, a 4,097-sample sweep and coefficients at 1e±300
+# snr-sweep and beta-star with their SNR tables beyond the tour's: the seeded pairs,
+# a 4,097-sample sweep and coefficients at 1e±300
 SNR_QUERIES = [
-    ["analyze", "snr-sweep", *README_PAIR, "--out-csv", "sweep_readme.csv"],
-    ["analyze", "beta-star", *README_PAIR, "--out-csv", "beta_star_readme.csv"],
-    ["analyze", "beta-star", "--coeffs", "2,1,1,1,0,1", "--out-csv", "beta_star_coeffs.csv"],
     *(["analyze", kind, *pair, "--out-csv", f"{kind}_seeded{i}.csv"]
       for i, pair in enumerate(SEEDED_PAIRS) for kind in ("snr-sweep", "beta-star")),
-    ["analyze", "snr-sweep", *README_PAIR, "--samples", "4097", "--out-csv",
-     "sweep_4097.csv"],
+    ["analyze", "snr-sweep", "--hl", "exp:0.6", "--hs", "gauss:2.5", "--ps", "band:0.5,2.5",
+     "--sigma2", "1", "--samples", "4097", "--out-csv", "sweep_4097.csv"],
     ["analyze", "beta-star", "--coeffs=1e-300,1e-300,1e300,1e300,1e-300,1e-300",
      "--out-csv", "beta_star_extreme.csv"],
 ]
