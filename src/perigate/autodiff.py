@@ -411,8 +411,13 @@ def conv2d(x, w, stride: int = 1):
     y = ops.conv2d(xv, wv, stride)
 
     def vjp(g):
-        k = wv.shape[-1]
-        gx = ops.conv2d_input_grad(g, wv, xv.shape[-2:], stride) if isinstance(x, Var) else None
+        k, gx = wv.shape[-1], None
+        if isinstance(x, Var):  # conv2d of g, zero-interleaved at stride 2, on the flipped kernel
+            gs = g
+            if stride == 2:
+                gs = np.zeros(g.shape[:-2] + xv.shape[-2:], dtype=g.dtype)
+                gs[..., ::2, ::2] = g
+            gx = ops.conv2d(gs, wv[:, :, ::-1, ::-1].swapaxes(0, 1))
         # tap (u, v): g, zero in wrapped columns, times the forward's window transposed
         gf = ops.wrap_padded(g, k, stride)
         gw = np.empty(wv.shape, dtype=np.result_type(g, xv))
@@ -591,7 +596,7 @@ def concat_channels(xs):
     sizes = [v.shape[-3] for v in vals]
 
     def vjp(g):
-        return tuple(ops.split_channels(g, sizes))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=-3))
 
     return _track(y, tuple(xs), vjp)
 

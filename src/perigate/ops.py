@@ -100,13 +100,6 @@ def _extent(n: int, stride: int) -> int:
     return (n - 1) // stride + 1
 
 
-def _phase(a: int, p: int, stride: int) -> tuple[int, int]:
-    """(first plane index i, first input index) of parity plane ``a`` of an input
-    padded by p: plane index i holds input index stride * i + a - p."""
-    i0 = -((a - p) // stride)
-    return i0, stride * i0 + a - p
-
-
 def flat_rows(x: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
     """x zero-padded for a k x k window and split into its stride x stride row and
     column parity planes, each read as one flat run of rows of width Wo + r:
@@ -245,38 +238,6 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
         out = _tap_gemms(windows, taps)
     out = _cut(out, _extent(x.shape[-2], stride), _extent(x.shape[-1], stride))
     return np.ascontiguousarray(out)
-
-
-def conv2d_input_grad(g: np.ndarray, w: np.ndarray, hw: tuple, stride: int = 1) -> np.ndarray:
-    """Input gradient [..., Cin, H, W] of :func:`conv2d` over H x W = ``hw`` for the output
-    gradient ``g`` [..., Cout, Ho, Wo]: the adjoint of its tap windows, read where the
-    input sits in each :func:`flat_rows` plane. Plane item m gathers
-    ``w[:, :, u, v].T @ g`` at m minus tap (u, v)'s window start over the plane's taps,
-    in reverse row-major order (a correlation with the flipped kernel), through
-    :func:`_tap_gemms`; at stride 2 each plane is a quarter of the input."""
-    co, ci, k, _ = w.shape
-    (hh, ww), (ho, wo) = hw, g.shape[-2:]
-    s, p, r = stride, (k - 1) // 2, (k - 1) // stride
-    wq, lead = wo + r, g.shape[:-3]
-    d = r * wq + r  # the last tap's window start
-    gext = np.zeros(lead + (co, d + (ho + r + 1) * wq), dtype=g.dtype)
-    gext[..., d : d + ho * wq] = wrap_padded(g, k, s)
-    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # [k, k, Ci, Co]
-    gx = np.empty(lead + (ci, hh, ww), dtype=np.result_type(g, w))
-    for a in range(s):
-        for b in range(s):
-            (i0, ri), (j0, cj) = _phase(a, p, s), _phase(b, p, s)
-            rows, cols = len(range(ri, hh, s)), len(range(cj, ww, s))
-            if not rows * cols:
-                continue
-            starts = [(u, v, d - (u // s) * wq - v // s + i0 * wq)
-                      for u in range(k - 1, -1, -1) for v in range(k - 1, -1, -1)
-                      if u % s == a and v % s == b]
-            windows = [(u, v, gext[..., st : st + rows * wq]) for u, v, st in starts]
-            # a plane no tap reads (k = 1 at stride 2) gets a zero gradient
-            gx[..., ri::s, cj::s] = (_cut(_tap_gemms(windows, taps), rows, cols, j0)
-                                     if windows else 0)
-    return gx
 
 
 # Nearest 2x upsampling then a 3 x 3 tap: along each axis, output 2r + a reads the input
@@ -621,16 +582,6 @@ def concat_channels(xs) -> np.ndarray:
         if x.ndim != len(ref) or x.shape[:-3] + x.shape[-2:] != ref[:-3] + ref[-2:]:
             raise ConfigurationError(f"spatial mismatch: {x.shape} vs {ref}")
     return np.concatenate(xs, axis=-3)
-
-
-def split_channels(x: np.ndarray, sizes) -> list[np.ndarray]:
-    if sum(sizes) != x.shape[-3]:
-        raise ConfigurationError(f"split sizes {tuple(sizes)} do not sum to {x.shape[-3]}")
-    out, lo = [], 0
-    for s in sizes:
-        out.append(x[..., lo : lo + s, :, :])
-        lo += s
-    return out
 
 
 def unpack_frames(z: np.ndarray, t: int) -> np.ndarray:

@@ -35,7 +35,8 @@ _BISECT_ITERS = 80  # ring edges on closed forms: halvings of a bracket at most
 DERIVATIVE_TOL = 1e-8  # stationary roots: |dSNR/dbeta| over max(1, |SNR|) at most
 # grid_check's betas per block: each of its three float64 buffers is 128 kB, under
 # glibc's 128 KiB mmap threshold and in cache, and a call peaks under 400 KiB. Not
-# ops.index_blocks: importing ops would add 8-12 ms to every analyze start.
+# ops.index_blocks: importing ops costs an analyze start 0.4-0.6 ms from bytecode,
+# and 8-12 ms where ops.py is compiled from source at each start (no __pycache__).
 _CHECK_BLOCK = 16_000
 
 

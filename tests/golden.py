@@ -7,9 +7,10 @@ with theirs, runs in process through ``cli.main`` in a temporary directory; each
 command's exit code and stdout, and every file it writes, is one artifact. The
 predictions are one seeded kth 10→10 ``harness.predict_batch`` call (128×128, a
 model built at seed 7, the ``gen_bouncing(0, 1, 10, 128, 128)`` input) and one
-micro 2→5 rollout. The gradients are those of one ``harness._loss_and_grads`` step
-at micro on the paths the tour never trains: mean fusion, a fixed β, a 2→5 rollout
-and stochastic depth.
+micro 2→5 rollout. The gradients are those of two ``harness._loss_and_grads`` steps:
+one at micro on the paths the tour never trains (mean fusion, a fixed β, a 2→5
+rollout and stochastic depth), and one at 32×32 with n_s = 4, whose encoder has two
+stride-2 convs and whose decoder has two upsampling stages.
 
 Outputs are bitwise functions of the flags only on one Python, numpy and BLAS build
 and one machine, so the manifest records that fingerprint beside the digests.
@@ -164,20 +165,40 @@ def _micro_rollout() -> str:
     return _sha(f"{preds.dtype} {preds.shape}\n".encode() + preds.tobytes())
 
 
-def _step_gradients() -> str:
-    """Every parameter's gradient after one step on 8 sequences, in store order."""
-    from perigate import data, harness
-    from perigate.model import Model, ModelConfig
+def _gradients(cfg, seqs) -> str:
+    """Every parameter's gradient after one ``harness._loss_and_grads`` step on ``seqs``,
+    in store order."""
+    from perigate import harness
+    from perigate.model import Model
     from perigate.rng import DROP, stream
+
+    model = Model.build(cfg, seed=7)
+    n = seqs.shape[0]
+    harness._loss_and_grads(model, seqs, lambda p, b: stream(7, DROP, p * 4096 + b).random(n),
+                            "golden")
+    return _sha(b"".join(f"{name} {model.store.grad(name).shape}\n".encode()
+                         + model.store.grad(name).tobytes() for name in model.store.names()))
+
+
+def _step_gradients() -> str:
+    """Micro, 8 sequences: mean fusion, a fixed β, a 2→5 rollout and stochastic depth."""
+    from perigate import data
+    from perigate.model import ModelConfig
 
     cfg = ModelConfig(t_in=2, t_out=5, height=16, width=16, latent_c=6, n_s=2, n_t=2,
                       kernels=(9, 15, 31), fusion="mean", beta_mode="fixed", beta_fixed=0.3,
                       drop_path=0.2)
-    model = Model.build(cfg, seed=7)
-    harness._loss_and_grads(model, data.gen_bouncing(7, 8, 7, 16, 16),
-                            lambda p, b: stream(7, DROP, p * 4096 + b).random(8), "golden")
-    return _sha(b"".join(f"{name} {model.store.grad(name).shape}\n".encode()
-                         + model.store.grad(name).tobytes() for name in model.store.names()))
+    return _gradients(cfg, data.gen_bouncing(7, 8, 7, 16, 16))
+
+
+def _deep_step_gradients() -> str:
+    """32×32, 4 sequences, n_s = 4: two stride-2 encoder convs, two upsampling stages."""
+    from perigate import data
+    from perigate.model import ModelConfig
+
+    cfg = ModelConfig(t_in=2, t_out=2, height=32, width=32, latent_c=6, n_s=4, n_t=1,
+                      kernels=(9, 15, 31))
+    return _gradients(cfg, data.gen_bouncing(7, 4, 4, 32, 32))
 
 
 def compute() -> dict[str, str]:
@@ -187,6 +208,7 @@ def compute() -> dict[str, str]:
     digests["predict_batch:kth 10->10"] = _kth_prediction()
     digests["predict_batch:micro 2->5"] = _micro_rollout()
     digests["gradients:micro step, mean fusion, fixed beta, 2->5, drop path"] = _step_gradients()
+    digests["gradients:32x32 step, n_s 4"] = _deep_step_gradients()
     return digests
 
 

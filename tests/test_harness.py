@@ -68,14 +68,25 @@ class TestTraining:
 
     def test_input_frames_get_no_input_gradient(self, micro_data):
         # the stacked input frames are a constant: the encoder's first conv (the one conv
-        # with one input channel) computes no input gradient, and every other conv2d does
-        in_channels, input_grad = [], ops.conv2d_input_grad
+        # with one input channel) computes no input gradient, and every other conv2d does.
+        # An input gradient is ops.conv2d with a [Ci, Co, k, k] kernel, run by backward.
+        in_channels, conv2d, backward = [], ops.conv2d, harness.backward
+        in_backward = []
 
-        def recorded(g, w, hw, stride=1):
-            in_channels.append(w.shape[1])
-            return input_grad(g, w, hw, stride)
+        def recorded_conv2d(x, w, stride=1):
+            if in_backward:
+                in_channels.append(w.shape[0])
+            return conv2d(x, w, stride)
 
-        with mock.patch.object(ops, "conv2d_input_grad", recorded):
+        def recorded_backward(*args):
+            in_backward.append(True)
+            try:
+                return backward(*args)
+            finally:
+                in_backward.clear()
+
+        with mock.patch.object(ops, "conv2d", recorded_conv2d), \
+                mock.patch.object(harness, "backward", recorded_backward):
             harness.train(micro_train_config(epochs=1, batch=16), micro_data)  # one step
         assert sorted(in_channels) == [6, 12]
 

@@ -1021,17 +1021,15 @@ class TestLayout:
         assert np.array_equal(ops.concat_channels([x]), x)
 
     def test_concat_split_roundtrip(self):
+        # the vjp of a concatenation hands each part its own channels of the stacked map
         rng = np.random.default_rng(17)
         xs = [rng.random((c, 4, 4)) for c in (1, 3, 2)]
-        stacked = ops.concat_channels(xs)
-        parts = ops.split_channels(stacked, [1, 3, 2])
+        with ad.Tape():
+            out = ad.concat_channels([ad.Var(x) for x in xs])
+        parts = out.vjp(out.value)
+        assert len(parts) == len(xs)
         for a, b in zip(xs, parts):
-            assert np.array_equal(a, b)
-
-    def test_even_split(self):
-        x = np.random.default_rng(18).random((6, 2, 2))
-        a, b = ops.split_channels(x, [3, 3])
-        assert np.array_equal(np.concatenate([a, b]), x)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_spatial_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
