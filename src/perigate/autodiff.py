@@ -412,12 +412,11 @@ def conv2d(x, w, stride: int = 1):
 
     def vjp(g):
         k, gx = wv.shape[-1], None
-        if isinstance(x, Var):  # conv2d of g, zero-interleaved at stride 2, on the flipped kernel
-            gs = g
-            if stride == 2:
-                gs = np.zeros(g.shape[:-2] + xv.shape[-2:], dtype=g.dtype)
-                gs[..., ::2, ::2] = g
-            gx = ops.conv2d(gs, wv[:, :, ::-1, ::-1].swapaxes(0, 1))
+        if stride == 1 and isinstance(x, Var):  # conv2d of g on the flipped kernel
+            gx = ops.conv2d(g, wv[:, :, ::-1, ::-1].swapaxes(0, 1))
+        elif isinstance(x, Var):  # the sub-pixel conv of g, cropped to x's H x W
+            gx = ops.upsample_conv2d(g, wv.swapaxes(0, 1), ops.stride2_adjoint_fold(k))
+            gx = gx[..., : xv.shape[-2], : xv.shape[-1]]
         # tap (u, v): g, zero in wrapped columns, times the forward's window transposed
         gf = ops.wrap_padded(g, k, stride)
         gw = np.empty(wv.shape, dtype=np.result_type(g, xv))
@@ -573,19 +572,26 @@ def group_norm_act(x, gamma, beta):
 
 
 def upsample_conv2d(x, w):
-    """:func:`perigate.ops.upsample_conv2d` as one node. Its vjp works on the output
-    gradient's parity planes: the input gradient through
-    :func:`perigate.ops.upsample_conv2d_input_grad`, and the gradient of each folded tap
-    (i, j), the planes' gradient times the forward's window, folded back onto the nine
-    taps by the transpose of :data:`perigate.ops.UPSAMPLE_FOLD`."""
+    """:func:`perigate.ops.upsample_conv2d` as one node. Its vjp stacks g's parity planes
+    (a, b) from g's stride-2 :func:`perigate.ops.flat_rows` (rows W + 1 wide): each meets
+    input pixel m = r (W + 1) + s through folded tap (i, j) at m + (1 - i)(W + 1) + 1 - j.
+    The input gradient is the tap GEMMs of those windows with the transposed
+    :func:`perigate.ops.upsample_taps`, as a stride-2 ``conv2d`` reads its input; each
+    folded tap's gradient, its window dotted with x, folds back by UPSAMPLE_FOLD^T."""
     xv, wv = _val(x), _val(w)
     y = ops.upsample_conv2d(xv, wv)
 
     def vjp(g):
-        gx, planes = ops.upsample_conv2d_input_grad(g, wv)
-        gt = np.stack([_matmul_nt_summed(planes, win) for _, _, win in
-                       ops.upsample_windows(xv)])  # [(i, j), (a, b, o), Ci]
-        return gx, (gt.reshape(16, -1).T @ ops.UPSAMPLE_FOLD.astype(gt.dtype)).reshape(wv.shape)
+        (hh, ww), wq = xv.shape[-2:], xv.shape[-1] + 1
+        planes = ops.flat_rows(g, 3, 2)[..., ::-1, :, :]  # plane (a, b) is 3 - 2a - b
+        planes = planes.reshape(xv.shape[:-3] + (-1, planes.shape[-1]))  # [..., (a, b, o), m]
+        windows = [(i, j, planes[..., (1 - i) * wq + 1 - j :][..., : hh * wq])
+                   for i in range(2) for j in range(2)]
+        taps = np.ascontiguousarray(ops.upsample_taps(wv).swapaxes(-1, -2))  # [2, 2, Ci, 4 Co]
+        xf, fold = ops.wrap_padded(xv, 2), ops.UPSAMPLE_FOLD.reshape(16, 9)
+        gt = np.stack([_matmul_nt_summed(win, xf) for _, _, win in windows])  # [4, 4 Co, Ci]
+        gw = (gt.reshape(16, -1).T @ fold.astype(gt.dtype)).reshape(wv.shape)
+        return ops._cut(ops._tap_gemms(windows, taps), hh, ww), gw
 
     return _track(y, (x, w), vjp)
 

@@ -18,7 +18,9 @@ Conventions shared by every operation here:
 * depthwise kernels are per-channel, ``[C, k]`` / ``[C, k, k]``;
 * k x k convolutions, dense and depthwise, sum one product per tap, each
   reading a contiguous slice of the padded input's rows, or at stride 2 of
-  one of its row/column parity planes (:func:`tap_windows`);
+  one of its row/column parity planes (:func:`tap_windows`); the upsampling
+  conv writes its output's parity planes, and the two are an adjoint pair,
+  each one's input gradient laid out as the other's forward;
 * dense and point-wise convolutions, the GLU's expand and projection, and
   the 1 x k / k x 1 passes of the separable convolution (products with
   banded Toeplitz matrices), are matrix products handed to BLAS, whose
@@ -223,7 +225,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
     The sum over the :func:`tap_windows` of ``w[:, :, u, v] @ window`` (:func:`_tap_gemms`),
     or with one input channel one product with the k*k stacked windows (an inner size
     of 1 is slow). Stride 2 reads each tap from the input's row/column parity planes,
-    so it computes only the Ho x Wo outputs, Ho = ceil(H / 2)."""
+    so it computes only the Ho x Wo outputs, Ho = ceil(H / 2), and is the adjoint of
+    :func:`upsample_conv2d` (Dumoulin & Visin, arXiv:1603.07285)."""
     co, ci, k, kw = w.shape
     _check_odd(k, kw)
     if ci != x.shape[-3]:
@@ -242,76 +245,62 @@ def conv2d(x: np.ndarray, w: np.ndarray, stride: int = 1) -> np.ndarray:
 
 # Nearest 2x upsampling then a 3 x 3 tap: along each axis, output 2r + a reads the input
 # at r - 1 + a + i, i = 0, 1, with the taps summed by row (a, i) of this 0/1 matrix:
-# (w0, w1 + w2) for a = 0, (w0 + w1, w2) for a = 1. UPSAMPLE_FOLD is its product over the
-# two axes, row (i, j, a, b) by column (u, v): tap (i, j) of output parity plane (a, b)
-# sums the 3 x 3 taps (u, v) where it is 1.
+# (w0, w1 + w2) for a = 0, (w0 + w1, w2) for a = 1. Over both axes, [i, j, a, b, u, v]:
+# tap (i, j) of output parity plane (a, b) sums the 3 x 3 taps (u, v) where it is 1.
 _FOLD_1D = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
-UPSAMPLE_FOLD = np.einsum("aiu,bjv->ijabuv", _FOLD_1D, _FOLD_1D).reshape(16, 9)
+UPSAMPLE_FOLD = np.einsum("aiu,bjv->ijabuv", _FOLD_1D, _FOLD_1D)
 
 
-def upsample_taps(w: np.ndarray) -> np.ndarray:
-    """[2, 2, 4 Co, Ci]: row (a, b, o) of tap (i, j) is output channel o's tap (i, j)
-    on output parity plane (a, b) of a 3 x 3 ``w`` [Co, Ci, 3, 3] behind a nearest 2x
-    upsampling, one product with :data:`UPSAMPLE_FOLD`."""
-    co, ci = w.shape[:2]
-    fold = UPSAMPLE_FOLD.astype(w.dtype)
-    return (fold @ w.reshape(co * ci, 9).T).reshape(2, 2, 4 * co, ci)
+def stride2_adjoint_fold(k: int) -> np.ndarray:
+    """The [t, t, 2, 2, k, k] fold under which :func:`upsample_conv2d` of g with [Ci, Co,
+    k, k] weights is the stride-2 k x k :func:`conv2d`'s input gradient, uncropped: input
+    2r + a takes tap u of g at r + d, 2d = a + p - u, as tap i = d - a + t // 2 (at k = 3,
+    plane 0 takes tap 1 at offset 0, plane 1 tap 2 at 0 and tap 0 at +1)."""
+    p, t = (k - 1) // 2, max(k + 1, 4) // 2
+    a, i, u = np.ogrid[:2, :t, :k]
+    f1d = (2 * (i + a - t // 2) == a + p - u).astype(float)
+    return np.einsum("aiu,bjv->ijabuv", f1d, f1d)
 
 
-def upsample_windows(x: np.ndarray) -> list:
-    """``(i, j, window)`` per tap of the output parity planes: x's stride-1
-    :func:`flat_rows` (rows W + 2 wide), (H + 1)(W + 2) + 1 items from i (W + 2) + j.
-    Plane (a, b) reads its H (W + 2) items a (W + 2) + b further in."""
-    hh, ww = x.shape[-2:]
-    wq, f = ww + 2, flat_rows(x, 3)[..., 0, :, :]
-    n = (hh + 1) * wq + 1
-    return [(i, j, f[..., i * wq + j : i * wq + j + n]) for i in range(2) for j in range(2)]
+def upsample_taps(w: np.ndarray, fold: np.ndarray = UPSAMPLE_FOLD) -> np.ndarray:
+    """[t, t, 4 Co, Ci]: row (a, b, o) of tap (i, j) is output channel o's tap (i, j) on
+    output parity plane (a, b) of a k x k ``w`` [Co, Ci, k, k] under a [t, t, 2, 2, k, k]
+    ``fold``, one product with it."""
+    t, (ci, k) = len(fold), w.shape[1:3]
+    return (fold.reshape(-1, k * k).astype(w.dtype) @ w.reshape(-1, k * k).T).reshape(t, t, -1, ci)
 
 
-def upsample_conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def upsample_conv2d(x: np.ndarray, w: np.ndarray, fold: np.ndarray = UPSAMPLE_FOLD) -> np.ndarray:
     """Nearest 2x upsampling, then a same-padded 3 x 3 correlation without bias:
     [..., Ci, H, W] -> [..., Co, 2H, 2W], without the upsampled map. Output rows 2r + a
     and columns 2s + b, parity plane (a, b), are a 2 x 2 correlation of x with the
     :func:`upsample_taps` (the sub-pixel form of Shi et al., CVPR 2016): 16 products of
     Co x Ci at H x W in place of 9 at 2H x 2W. The four planes' taps (i, j) share one
-    GEMM over the :func:`upsample_windows` (:func:`_tap_gemms`), each plane reading its
-    rows shifted by its parity, cut straight into its strided slice of the output. The
-    summed taps round differently from ``conv2d`` of the upsampled map."""
+    GEMM (:func:`_tap_gemms`) over x's stride-1 :func:`flat_rows`, (H + 1)(W + 2) + 1
+    items from i (W + 2) + j, each plane reading them a (W + 2) + b items further in,
+    cut straight into its strided slice of the output. The summed taps round
+    differently from ``conv2d`` of the upsampled map.
+
+    Under another ``fold`` [t, t, 2, 2, k, k] (t >= 2) tap (i, j) of plane (a, b) reads x
+    at (r + a + i - t // 2, s + b + j - t // 2): under :func:`stride2_adjoint_fold` it is
+    the input gradient of a stride-2 :func:`conv2d`, this op's adjoint pair."""
     co, ci, k, kw = w.shape
-    if (k, kw) != (3, 3):
-        raise ConfigurationError(f"upsampling conv needs a 3x3 kernel, got {k}x{kw}")
+    t, kf = len(fold), fold.shape[-1]
+    if (k, kw) != (kf, kf):
+        raise ConfigurationError(f"upsampling conv needs a {kf}x{kf} kernel, got {k}x{kw}")
     if ci != x.shape[-3]:
         raise ConfigurationError(f"conv expects {ci} input channels, got {x.shape[-3]}")
-    (hh, ww), wq = x.shape[-2:], x.shape[-1] + 2
-    planes = _tap_gemms(upsample_windows(x), upsample_taps(w))  # [..., 4 Co, n]
+    (hh, ww), wq, lo = x.shape[-2:], x.shape[-1] + 2 * t - 2, t - 1 - t // 2
+    f, n = flat_rows(x, 2 * t - 1)[..., 0, :, :], (hh + 1) * wq + 1
+    windows = [(i, j, f[..., (i + lo) * wq + j + lo :][..., :n])
+               for i in range(t) for j in range(t)]
+    planes = _tap_gemms(windows, upsample_taps(w, fold))  # [..., 4 Co, n]
     out = np.empty(x.shape[:-3] + (co, 2 * hh, 2 * ww), dtype=planes.dtype)
     for a in range(2):
         for b in range(2):
             rows = planes[..., (2 * a + b) * co : (2 * a + b + 1) * co, a * wq + b :]
             out[..., a::2, b::2] = _cut(rows[..., : hh * wq], hh, ww)
     return out
-
-
-def upsample_conv2d_input_grad(g: np.ndarray, w: np.ndarray):
-    """Input gradient [..., Ci, H, W] of :func:`upsample_conv2d` for the output gradient
-    ``g`` [..., Co, 2H, 2W], and the planes' gradient [..., 4 Co, (H + 1)(W + 2) + 1]:
-    g's parity plane (a, b) in rows (a, b, :), zero in the wrapped columns and shifted
-    a (W + 2) + b items in, as the forward read it, which the weight gradient reads.
-    Input item m gathers ``taps[i, j].T`` times the planes' gradient at m plus
-    (1 - i)(W + 2) + 1 - j, through :func:`_tap_gemms`."""
-    co, ci = w.shape[:2]
-    hh, ww = g.shape[-2] // 2, g.shape[-1] // 2
-    wq, lead = ww + 2, g.shape[:-3]
-    n = hh * wq
-    gp = np.zeros(lead + (2, 2, co, n + wq + 1), dtype=g.dtype)
-    for a in range(2):
-        for b in range(2):
-            gp[..., a, b, :, a * wq + b : a * wq + b + n] = wrap_padded(g[..., a::2, b::2], 3)
-    gp = gp.reshape(lead + (4 * co, -1))
-    taps = np.ascontiguousarray(upsample_taps(w).swapaxes(-1, -2))  # [2, 2, Ci, 4 Co]
-    starts = [(i, j, (1 - i) * wq + 1 - j) for i in range(2) for j in range(2)]
-    windows = [(i, j, gp[..., st : st + n]) for i, j, st in starts]
-    return _cut(_tap_gemms(windows, taps), hh, ww), gp
 
 
 def pwconv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -514,8 +503,8 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
     value rows come out zero-padded for their taps, and the gate rows as -u, so the
     sigmoid 1 / (1 + exp(-u)) takes three passes. Returns ``(out, saved)``; with
     ``keep``, ``saved`` is (sigmoid(u), the depthwise output, z, G, mean_c G + GRN_EPS,
-    n), which the gradient reads; else None, and each block's temporaries die with the
-    block."""
+    n), which the gradient reads; else None, each block's temporaries die with the
+    block, and the projection is written into the padded operand's buffer."""
     e = dw.shape[0]
     lead, (c, hh, ww) = x.shape[:-3], x.shape[-3:]
     if w_e.shape != (2 * e, c) or w_p.shape != (c, e):
@@ -543,7 +532,10 @@ def glu(x, w_e, b_e, dw, gamma, beta, w_p, b_p, keep: bool = False):
             sig_all[..., sl, :, :], d_all[..., sl, :, :] = sig, d
     denom = norms.mean(axis=-1, keepdims=True) + GRN_EPS
     n = norms / denom
-    out = (w_p * (gamma * n + 1)[..., None, :]) @ z.reshape(lead + (e, hh * ww))
+    proj, z2 = w_p * (gamma * n + 1)[..., None, :], z.reshape(lead + (e, hh * ww))
+    buf = xp.reshape(-1)[: x.size].reshape(lead + (c, -1))  # xp is dead after the blocks
+    reuse = not keep and buf.dtype == np.result_type(proj, z2)  # a kept out holds all of xp
+    out = np.matmul(proj, z2, out=buf if reuse else None)
     out += (w_p @ beta + b_p)[:, None]
     return out.reshape(x.shape), (sig_all, d_all, z, norms, denom, n) if keep else None
 

@@ -13,10 +13,15 @@ rollout and stochastic depth), and one at 32×32 with n_s = 4, whose encoder has
 stride-2 convs and whose decoder has two upsampling stages.
 
 Outputs are bitwise functions of the flags only on one Python, numpy and BLAS build
-and one machine, so the manifest records that fingerprint beside the digests.
+and one machine, so the manifest records that fingerprint beside the digests. A change
+that moves a digest states how far its artifacts moved: dump them from both trees, then
+compare, which prints max |Δ| / max |x| for each artifact, x the first tree's values
+(a text's numbers, a checkpoint's tensors), or "bytes differ" where its text does.
 
-    python tests/golden.py            # compare with tests/golden_micro.json
-    python tests/golden.py --record   # rewrite it from this tree
+    python tests/golden.py                 # compare with tests/golden_micro.json
+    python tests/golden.py --record        # rewrite it from this tree
+    python tests/golden.py --dump DIR      # save each artifact's arrays in DIR
+    python tests/golden.py --compare A B   # how far the artifacts dumped in B moved from A
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import json
 import os
 import pathlib
 import platform
+import re
 import sys
 import tempfile
 
@@ -123,10 +129,10 @@ def fingerprint() -> dict:
     }
 
 
-def _tour(workdir: pathlib.Path) -> dict[str, str]:
+def _tour(workdir: pathlib.Path) -> dict[str, bytes]:
     from perigate.cli import main
 
-    digests = {}
+    artifacts = {}
     (workdir / "micro.cfg").write_text(MICRO_CFG)
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -136,36 +142,34 @@ def _tour(workdir: pathlib.Path) -> dict[str, str]:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
             key = f"stdout:{i:02d} {argv[0]} {argv[1]}"
-            digests[key] = _sha(f"{code}\n{out.getvalue()}".encode())
+            artifacts[key] = f"{code}\n{out.getvalue()}".encode()
     finally:
         os.chdir(cwd)
     for path in sorted(workdir.iterdir()):
         if path.name != "micro.cfg":
-            digests["file:" + path.name] = _sha(path.read_bytes())
-    return digests
+            artifacts["file:" + path.name] = path.read_bytes()
+    return artifacts
 
 
-def _kth_prediction() -> str:
+def _kth_prediction() -> np.ndarray:
     from perigate import data, harness
     from perigate.model import Model, ModelConfig
 
     cfg = ModelConfig(t_in=10, t_out=10, height=128, width=128, latent_c=6, n_s=2, n_t=2,
                       kernels=(9, 15, 31))
-    preds = harness.predict_batch(Model.build(cfg, seed=7), data.gen_bouncing(0, 1, 10, 128, 128))
-    return _sha(f"{preds.dtype} {preds.shape}\n".encode() + preds.tobytes())
+    return harness.predict_batch(Model.build(cfg, seed=7), data.gen_bouncing(0, 1, 10, 128, 128))
 
 
-def _micro_rollout() -> str:
+def _micro_rollout() -> np.ndarray:
     from perigate import data, harness
     from perigate.model import Model, ModelConfig
 
     cfg = ModelConfig(t_in=2, t_out=5, height=16, width=16, latent_c=6, n_s=2, n_t=2,
                       kernels=(9, 15, 31))
-    preds = harness.predict_batch(Model.build(cfg, seed=7), data.gen_bouncing(7, 4, 2, 16, 16))
-    return _sha(f"{preds.dtype} {preds.shape}\n".encode() + preds.tobytes())
+    return harness.predict_batch(Model.build(cfg, seed=7), data.gen_bouncing(7, 4, 2, 16, 16))
 
 
-def _gradients(cfg, seqs) -> str:
+def _gradients(cfg, seqs) -> dict[str, np.ndarray]:
     """Every parameter's gradient after one ``harness._loss_and_grads`` step on ``seqs``,
     in store order."""
     from perigate import harness
@@ -176,11 +180,10 @@ def _gradients(cfg, seqs) -> str:
     n = seqs.shape[0]
     harness._loss_and_grads(model, seqs, lambda p, b: stream(7, DROP, p * 4096 + b).random(n),
                             "golden")
-    return _sha(b"".join(f"{name} {model.store.grad(name).shape}\n".encode()
-                         + model.store.grad(name).tobytes() for name in model.store.names()))
+    return {name: model.store.grad(name) for name in model.store.names()}
 
 
-def _step_gradients() -> str:
+def _step_gradients() -> dict[str, np.ndarray]:
     """Micro, 8 sequences: mean fusion, a fixed β, a 2→5 rollout and stochastic depth."""
     from perigate import data
     from perigate.model import ModelConfig
@@ -191,7 +194,7 @@ def _step_gradients() -> str:
     return _gradients(cfg, data.gen_bouncing(7, 8, 7, 16, 16))
 
 
-def _deep_step_gradients() -> str:
+def _deep_step_gradients() -> dict[str, np.ndarray]:
     """32×32, 4 sequences, n_s = 4: two stride-2 encoder convs, two upsampling stages."""
     from perigate import data
     from perigate.model import ModelConfig
@@ -201,15 +204,93 @@ def _deep_step_gradients() -> str:
     return _gradients(cfg, data.gen_bouncing(7, 4, 4, 32, 32))
 
 
+def artifacts() -> dict:
+    """Every artifact, computed on this tree: the tour's bytes, each prediction's array
+    and each step's gradients by parameter name, in store order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        arts = _tour(pathlib.Path(tmp))
+    arts["predict_batch:kth 10->10"] = _kth_prediction()
+    arts["predict_batch:micro 2->5"] = _micro_rollout()
+    arts["gradients:micro step, mean fusion, fixed beta, 2->5, drop path"] = _step_gradients()
+    arts["gradients:32x32 step, n_s 4"] = _deep_step_gradients()
+    return arts
+
+
+def _digest(art) -> str:
+    if isinstance(art, bytes):
+        return _sha(art)
+    if isinstance(art, np.ndarray):
+        return _sha(f"{art.dtype} {art.shape}\n".encode() + art.tobytes())
+    return _sha(b"".join(f"{name} {g.shape}\n".encode() + g.tobytes() for name, g in art.items()))
+
+
 def compute() -> dict[str, str]:
     """Every artifact's sha256, computed on this tree."""
+    return {name: _digest(art) for name, art in artifacts().items()}
+
+
+# a number in a text artifact: CSV cells, printed metrics and the like
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _arrays(name: str, art, tmp: pathlib.Path) -> dict[str, np.ndarray]:
+    """An artifact as named arrays: a step's gradients by parameter name; a prediction
+    or a tensor file as ``value``; a checkpoint's tensors by name; a text's numbers as
+    ``numbers`` beside the rest of it as ``text`` (uint8); other bytes as ``bytes``."""
+    from perigate import container
+
+    if isinstance(art, dict):
+        return art
+    if isinstance(art, np.ndarray):
+        return {"value": art}
+    if name.endswith((".pfgc", ".pfgt")):
+        path = tmp / "artifact"
+        path.write_bytes(art)
+        if name.endswith(".pfgc"):
+            return container.load_checkpoint(path)[1]
+        return {"value": container.load_tensor(path)}
+    try:
+        art.decode()
+    except UnicodeDecodeError:
+        return {"bytes": np.frombuffer(art, dtype=np.uint8)}
+    return {"numbers": np.array([float(m) for m in NUMBER.findall(art)]),
+            "text": np.frombuffer(NUMBER.sub(b"#", art), dtype=np.uint8)}
+
+
+def dump(arts: dict, directory: pathlib.Path) -> None:
+    """One ``.npz`` per artifact in ``directory``, named after it, of its
+    :func:`_arrays`."""
+    directory.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        digests = _tour(pathlib.Path(tmp))
-    digests["predict_batch:kth 10->10"] = _kth_prediction()
-    digests["predict_batch:micro 2->5"] = _micro_rollout()
-    digests["gradients:micro step, mean fusion, fixed beta, 2->5, drop path"] = _step_gradients()
-    digests["gradients:32x32 step, n_s 4"] = _deep_step_gradients()
-    return digests
+        for name, art in arts.items():
+            np.savez(directory / (re.sub(r"[^\w.-]+", "_", name) + ".npz"),
+                     **_arrays(name, art, pathlib.Path(tmp)))
+
+
+def moved(a: pathlib.Path, b: pathlib.Path) -> list[str]:
+    """One line per artifact dumped in ``a`` or ``b``: max |Δ| / max |x| over its
+    numeric arrays, x those in ``a``, or why no such figure holds: its arrays' names or
+    shapes differ ("layout differs"), or its text or other bytes do ("bytes differ")."""
+    lines = []
+    for name in sorted({p.name for p in a.glob("*.npz")} | {p.name for p in b.glob("*.npz")}):
+        if not (a / name).exists() or not (b / name).exists():
+            lines.append(f"only in {a if (a / name).exists() else b}: {name[:-4]}")
+            continue
+        with np.load(a / name) as fa, np.load(b / name) as fb:
+            xs, ys = dict(fa), dict(fb)
+        exact = [k for k in xs if xs[k].dtype == np.uint8]
+        if list(xs) != list(ys) or any(xs[k].shape != ys[k].shape for k in xs):
+            verdict = "layout differs"
+        elif any(not np.array_equal(xs[k], ys[k]) for k in exact):
+            verdict = "bytes differ"
+        else:
+            x64 = {k: xs[k].astype(np.float64) for k in xs if k not in exact}
+            delta = max((np.abs(x - ys[k]).max(initial=0.0) for k, x in x64.items()),
+                        default=0.0)
+            scale = max((np.abs(x).max(initial=0.0) for x in x64.values()), default=0.0)
+            verdict = f"{delta / scale if scale else delta:.3g}"
+        lines.append(f"{verdict}: {name[:-4]}")
+    return lines
 
 
 def differences(want: dict[str, str], got: dict[str, str]) -> list[str]:
@@ -220,8 +301,20 @@ def differences(want: dict[str, str], got: dict[str, str]) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", action="store_true", help="rewrite the manifest")
+    parser.add_argument("--dump", metavar="DIR", type=pathlib.Path,
+                        help="save each artifact's arrays in DIR")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), type=pathlib.Path,
+                        help="max |Δ| / max |x| of each artifact dumped in B against A")
     args = parser.parse_args(argv)
-    digests = compute()
+    if args.compare:
+        print("\n".join(moved(*args.compare)))
+        return 0
+    arts = artifacts()
+    if args.dump:
+        dump(arts, args.dump)
+        print(f"dumped {len(arts)} artifacts in {args.dump}")
+        return 0
+    digests = {name: _digest(art) for name, art in arts.items()}
     if args.record:
         MANIFEST.write_text(json.dumps({"fingerprint": fingerprint(), "digests": digests},
                                        indent=2, sort_keys=True) + "\n")

@@ -7,9 +7,10 @@ composed from the arithmetic ops, the frequency descriptor's vjp that
 recomputes its maps, the GLU with its bias passes, the model's prediction
 with one encoder and one decoder call per frame, the SNR as one allocating
 expression and its grid maximum, the ring bisection with all its halvings, the
-ring's positive runs found by a scan over each sample and the closed forms and
-their composite evaluated on 0-d arrays are earlier forms of library code, kept
-as bitwise references.
+ring's positive runs found by a scan over each sample, the closed forms and
+their composite evaluated on 0-d arrays and the stride-2 conv's input gradient
+through a zero-interleaved map are earlier forms of library code, kept as bitwise
+references.
 """
 
 from functools import partial
@@ -159,6 +160,15 @@ def dense_conv2d_grads(x, weight, g, stride=1):
                                 gx[cc, ii, jj] += weight[o, cc, u, v] * g[o, i, j]
                                 gw[o, cc, u, v] += x[cc, ii, jj] * g[o, i, j]
     return gx, gw, gb
+
+
+def conv2d_stride2_input_grad(g, weight, hh, ww):
+    """Input gradient [..., Ci, H, W] of a stride-2 ``ops.conv2d`` of an H x W map for
+    the output gradient g [..., Co, Ho, Wo]: g interleaved with zeros over H x W
+    (``gs[..., ::2, ::2] = g``), then ``ops.conv2d`` on the flipped [Ci, Co, k, k] kernel."""
+    gs = np.zeros(g.shape[:-2] + (hh, ww), dtype=g.dtype)
+    gs[..., ::2, ::2] = g
+    return ops.conv2d(gs, weight[:, :, ::-1, ::-1].swapaxes(0, 1))
 
 
 def upsample_conv2d(x, weight):

@@ -69,14 +69,20 @@ class TestTraining:
     def test_input_frames_get_no_input_gradient(self, micro_data):
         # the stacked input frames are a constant: the encoder's first conv (the one conv
         # with one input channel) computes no input gradient, and every other conv2d does.
-        # An input gradient is ops.conv2d with a [Ci, Co, k, k] kernel, run by backward.
-        in_channels, conv2d, backward = [], ops.conv2d, harness.backward
-        in_backward = []
+        # An input gradient is, run by backward with a [Ci, Co, k, k] kernel, ops.conv2d
+        # at stride 1 and ops.upsample_conv2d at stride 2 (the micro encoder's second conv)
+        in_channels, in_backward, backward = [], [], harness.backward
+        conv2d, upsample_conv2d = ops.conv2d, ops.upsample_conv2d
 
         def recorded_conv2d(x, w, stride=1):
             if in_backward:
-                in_channels.append(w.shape[0])
+                in_channels.append(("conv2d", w.shape[0]))
             return conv2d(x, w, stride)
+
+        def recorded_upsample_conv2d(x, w, *fold):
+            if in_backward:
+                in_channels.append(("upsample_conv2d", w.shape[0]))
+            return upsample_conv2d(x, w, *fold)
 
         def recorded_backward(*args):
             in_backward.append(True)
@@ -86,9 +92,10 @@ class TestTraining:
                 in_backward.clear()
 
         with mock.patch.object(ops, "conv2d", recorded_conv2d), \
+                mock.patch.object(ops, "upsample_conv2d", recorded_upsample_conv2d), \
                 mock.patch.object(harness, "backward", recorded_backward):
             harness.train(micro_train_config(epochs=1, batch=16), micro_data)  # one step
-        assert sorted(in_channels) == [6, 12]
+        assert sorted(in_channels) == [("conv2d", 12), ("upsample_conv2d", 6)]
 
     def test_wrong_arity_drop_draw_raises_its_own_type_error(self, micro_data):
         # a TypeError inside a training step is the caller's, not an operator on a Var

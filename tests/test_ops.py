@@ -1,6 +1,7 @@
 """Forward kernel semantics against hand values and loop oracles."""
 
 import hashlib
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from perigate.spectral import SepKernel
 from helpers import glu_params, traced_peak
 from naive import (
     band_sums as naive_band_sums,
+    conv2d_stride2_input_grad as zero_interleaved_input_grad,
     dense_conv2d,
     dense_conv2d_grads,
     dense_dwconv2d,
@@ -460,6 +462,98 @@ class TestConv2dFull:
         assert_oracle(ops.conv2d(x, w, stride=stride), want, dtype)
 
 
+def stride2_case(rng, lead, ci, co, hh, ww, dtype):
+    """x [..., Ci, H, W], a 3 x 3 w [Co, Ci, 3, 3] and the output gradient of their
+    stride-2 conv2d."""
+    x = rng.standard_normal(lead + (ci, hh, ww)).astype(dtype)
+    w = rng.standard_normal((co, ci, 3, 3)).astype(dtype)
+    g = rng.standard_normal(lead + (co, (hh + 1) // 2, (ww + 1) // 2)).astype(dtype)
+    return x, w, g
+
+
+def stride2_input_grad(x, w, g):
+    """The input gradient of ad.conv2d at stride 2: its vjp's first item."""
+    with ad.Tape():
+        out = ad.conv2d(ad.Var(x), ad.Var(w), 2)
+    return out.vjp(g)[0]
+
+
+STRIDE2_SIDES = [(8, 8), (7, 9), (6, 5), (1, 3), (2, 1)]
+
+
+class TestStride2InputGradient:
+    """The stride-2 conv2d's input gradient, ops.upsample_conv2d of g under
+    ops.stride2_adjoint_fold, against its earlier form through a zero-interleaved map."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 1)])
+    def test_bitwise_the_zero_interleaved_adjoint(self, lead, dtype):
+        rng = np.random.default_rng(90)
+        for ci, co in itertools.product([2, 6, 12], repeat=2):
+            for hh, ww in STRIDE2_SIDES:
+                x, w, g = stride2_case(rng, lead, ci, co, hh, ww, dtype)
+                got = stride2_input_grad(x, w, g)
+                want = zero_interleaved_input_grad(g, w, hh, ww)
+                assert got.shape == x.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (ci, co, hh, ww)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("lead", [(), (2,), (2, 1)])
+    def test_one_channel_within_rounding(self, lead, dtype):
+        # with one channel the earlier form took conv2d's one-channel route (Co = 1) or
+        # matrix-vector products (Ci = 1), which sum the same terms in another order:
+        # within 4 eps of the sum of |terms|
+        rng, eps = np.random.default_rng(91), np.finfo(dtype).eps
+        for ci, co in [(1, 1), (1, 2), (1, 12), (2, 1), (12, 1)]:
+            for hh, ww in STRIDE2_SIDES:
+                x, w, g = stride2_case(rng, lead, ci, co, hh, ww, dtype)
+                got = stride2_input_grad(x, w, g)
+                want = zero_interleaved_input_grad(g, w, hh, ww)
+                bound = zero_interleaved_input_grad(np.abs(g).astype(np.float64),
+                                                    np.abs(w).astype(np.float64), hh, ww)
+                assert got.shape == x.shape and got.dtype == want.dtype
+                assert np.all(np.abs(got - want) <= 4 * eps * bound), (ci, co, hh, ww)
+
+    def test_four_low_resolution_gemms(self):
+        # tap (i, j) of x's four parity planes is one [4 Ci, Co] GEMM over
+        # (Ho + 1)(Wo + 2) + 1 columns of g, and no zero map of g's channels is made at
+        # x's 16 x 12
+        rng = np.random.default_rng(92)
+        x, w, g = stride2_case(rng, (2,), 3, 4, 16, 12, np.float64)
+        with ad.Tape():
+            out = ad.conv2d(ad.Var(x), ad.Var(w), 2)
+        gemms, zeros, matmul, np_zeros = [], [], np.matmul, np.zeros
+
+        def recorded_matmul(a, b, *args, **kwargs):
+            gemms.append((a.shape, b.shape[-2:]))
+            return matmul(a, b, *args, **kwargs)
+
+        def recorded_zeros(shape, *args, **kwargs):
+            zeros.append(tuple(shape))
+            return np_zeros(shape, *args, **kwargs)
+
+        with mock.patch.object(np, "matmul", recorded_matmul), \
+                mock.patch.object(np, "zeros", recorded_zeros):
+            gx = out.vjp(g)[0]
+        assert gemms == [((12, 4), (4, 9 * 8 + 1))] * 4
+        assert (2, 4, 8 + 3, 6 + 2) in zeros  # g padded for the 2 x 2 taps
+        assert [s for s in zeros if s[-3] == 4 and s[-2] >= 16] == []
+        assert gx.tobytes() == zero_interleaved_input_grad(g, w, 16, 12).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+    def test_fold_of_any_kernel_size(self, k):
+        # every odd k x k kernel at stride 2, odd and even sides, float64: equal to the
+        # zero-interleaved adjoint to rounding
+        rng = np.random.default_rng(93 + k)
+        for hh, ww in STRIDE2_SIDES + [(11, 4)]:
+            x = rng.standard_normal((2, hh, ww))
+            w, g = rng.standard_normal((3, 2, k, k)), rng.standard_normal((3,) + (
+                (hh + 1) // 2, (ww + 1) // 2))
+            np.testing.assert_allclose(stride2_input_grad(x, w, g),
+                                       zero_interleaved_input_grad(g, w, hh, ww),
+                                       rtol=0, atol=1e-12)
+
+
 class TestPwconv:
     def test_identity(self):
         x = np.random.default_rng(7).random((3, 4, 4))
@@ -690,6 +784,23 @@ class TestGlu:
                     kept, saved = ops.glu(x, *params, keep=True)
                 assert none is None and plain.tobytes() == kept.tobytes()
                 assert [a.shape for a in saved[:3]] == [(2, e, 5, 4)] * 3
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_projection_written_into_the_padded_operand_without_keep(self, dtype):
+        # the padded input is dead once the blocks are done, so the projection takes its
+        # buffer; a kept output lives on the tape and would hold the whole padded buffer
+        rng, operands, glu_operands = np.random.default_rng(45), [], ops.glu_operands
+
+        def recorded(*args):
+            xp, wb = glu_operands(*args)
+            operands.append(xp)
+            return xp, wb
+
+        x = rng.standard_normal((2, 3, 5, 4)).astype(dtype)
+        params = glu_params(rng, 3, 6, dtype)
+        with mock.patch.object(ops, "glu_operands", recorded):
+            plain, kept = ops.glu(x, *params)[0], ops.glu(x, *params, keep=True)[0]
+        assert np.shares_memory(plain, operands[0]) and not np.shares_memory(kept, operands[1])
 
     @pytest.mark.parametrize("lead", [(), (1,), (3,)])
     @pytest.mark.parametrize("dtype", DTYPES)
