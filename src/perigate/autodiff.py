@@ -3,12 +3,13 @@
 Each traced function computes its value and, while a tape is active,
 records a node holding the backward closure; without an active tape the same
 functions run as plain forwards. Convolutions, the frequency descriptor, the
-GLU, normalizations, softmax, the broadcasting arithmetic, center suppression
-and the gated sum call their kernel in :mod:`perigate.ops` (group
-normalization with its LeakyReLU is one op, ``group_norm_act``, and the
-decoder's nearest 2x upsampling with the 3 x 3 conv after it is one op,
-``upsample_conv2d``); the elementwise maths (scaling, tanh, sigmoid, the loss
-mean) is one numpy expression here, beside its derivative.
+GLU, normalizations, softmax, center suppression and the gated sum call their
+kernel in :mod:`perigate.ops` (group normalization with its LeakyReLU is one
+op, ``group_norm_act``, and the decoder's nearest 2x upsampling with the 3 x 3
+conv after it is one op, ``upsample_conv2d``); the elementwise maths (scaling,
+tanh, sigmoid, the loss mean, and the broadcasting arithmetic on the operand
+``ops.broadcast_operand`` shapes) is one numpy expression here, beside its
+derivative.
 
 Every vjp returns a gradient for each operand, and ``_accumulate`` alone drops those
 of constants, plain arrays or floats (gradients flow *through* them to the other
@@ -253,33 +254,20 @@ def _sum_to_operand(grad_full: np.ndarray, operand_value: np.ndarray) -> np.ndar
 
 def add(a, b):
     av, bv = _val(a), _val(b)
-    y = ops.add(av, bv)
-
-    def vjp(g):
-        return g, _sum_to_operand(g, bv)
-
-    return _track(y, (a, b), vjp)
+    y = av + ops.broadcast_operand(av, bv)
+    return _track(y, (a, b), lambda g: (g, _sum_to_operand(g, bv)))
 
 
 def sub(a, b):
     av, bv = _val(a), _val(b)
-    y = ops.sub(av, bv)
-
-    def vjp(g):
-        return g, -_sum_to_operand(g, bv)
-
-    return _track(y, (a, b), vjp)
+    y = av - ops.broadcast_operand(av, bv)
+    return _track(y, (a, b), lambda g: (g, -_sum_to_operand(g, bv)))
 
 
 def mul(a, b):
     av, bv = _val(a), _val(b)
-    y = ops.mul(av, bv)
-
-    def vjp(g):
-        bb = ops._broadcast_operand(av, bv)
-        return g * bb, _sum_to_operand(g * av, bv)
-
-    return _track(y, (a, b), vjp)
+    bb = ops.broadcast_operand(av, bv)
+    return _track(av * bb, (a, b), lambda g: (g * bb, _sum_to_operand(g * av, bv)))
 
 
 def suppress(p, center, coef):
@@ -294,7 +282,7 @@ def suppress(p, center, coef):
     def vjp(g):
         neg = -g
         gk = _sum_to_operand(neg * cv, kv) if isinstance(coef, Var) else None
-        return g, neg * (kv if np.ndim(kv) == 0 else ops._broadcast_operand(cv, kv)), gk
+        return g, neg * (kv if np.ndim(kv) == 0 else ops.broadcast_operand(cv, kv)), gk
 
     return _track(y, (p, center, coef), vjp)
 
@@ -621,8 +609,11 @@ def stack_frames(frames):
 
 def take_frames(x, index):
     """``x[index]`` of a frame block [F, ..., C, H, W]: one frame for an int, a shorter
-    block for a slice."""
+    block for a slice, and x itself, no node, for a slice of every frame. A node's
+    gradient is g in its frames and zero in the others."""
     xv = _val(x)
+    if isinstance(index, slice) and range(len(xv))[index] == range(len(xv)):
+        return x
 
     def vjp(g):
         gx = np.zeros_like(xv)
@@ -646,22 +637,11 @@ def pack_frames(blocks):
     return _track(y, tuple(blocks), vjp)
 
 
-def unpack_frames(z, t: int, blocks):
-    """The frame blocks [F, ..., C, H, W] of z [..., t C, H, W] that ``blocks``, slices
-    of range(t), select (:func:`perigate.ops.unpack_frames`): one node per block, whose
-    gradient is g in its frames' channels and zero in the others."""
-    zv = _val(z)
-    frames = ops.unpack_frames(zv, t)
-
-    def block(sl):
-        def vjp(g):
-            gz = np.zeros_like(zv)
-            ops.unpack_frames(gz, t)[sl] = g
-            return (gz,)
-
-        return _track(frames[sl], (z,), vjp)
-
-    return [block(sl) for sl in blocks]
+def unpack_frames(z, t: int):
+    """:func:`perigate.ops.unpack_frames` of z [..., t C, H, W] as one node, the view
+    [t, ..., C, H, W] that :func:`take_frames` cuts into frame blocks; its gradient is
+    g packed back along channels."""
+    return _track(ops.unpack_frames(_val(z), t), (z,), lambda g: (ops.pack_frames([g]),))
 
 
 def mean_all(x):

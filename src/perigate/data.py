@@ -42,12 +42,10 @@ def gen_bouncing(
     side = height // 8
     if side < 1:
         raise ConfigurationError(f"height {height} too small for a visible square")
-    if side >= height or side >= width:
+    if side >= width:  # side = height // 8 is always below height
         raise ConfigurationError(f"square side {side} must be smaller than {height}x{width}")
     limit_y = height - side
     limit_x = width - side
-    if limit_y < 1 or limit_x < 1:
-        raise ConfigurationError("no room for motion; enlarge the frame")
     out = np.zeros((num_sequences, frames, 1, height, width), dtype=np.float32)
     for i in range(num_sequences):
         gen = stream(seed, DATA, i)

@@ -257,7 +257,8 @@ class Model:
         axis as more samples, so the frames' values are those of one call per
         frame. A pass stacks its inputs once, packs the encoded blocks along
         channels in one copy, and decodes the blocks of the frames still
-        needed; the next pass encodes the decoded blocks as they are.
+        needed, each cut with its skip by ``take_frames`` from the translated
+        map's frame view; the next pass encodes the decoded blocks as they are.
 
         Each map is released after its last reader (a tape, when active, keeps every
         value): at its peak an eval call holds one gating block's input, fused map and
@@ -277,15 +278,13 @@ class Model:
             draw = partial(drop_draw, pass_idx) if drop_draw is not None else None
             z = self.translate(current.pop(), mode=mode, drop_draw=draw,
                                internals=internals if pass_idx == 0 else None)
+            z = ad.unpack_frames(z, cfg.t_in)
             keep = min(cfg.t_in, cfg.t_out - len(outputs))
             needed = [slice(sl.start, min(sl.stop, keep)) for sl in blocks if sl.start < keep]
-            current = []
-            for feat, sl in zip(ad.unpack_frames(z, cfg.t_in, needed), needed):
-                skip = skips.pop(0)
-                if sl.stop - sl.start < skip.shape[0]:
-                    skip = ad.take_frames(skip, slice(0, sl.stop - sl.start))
-                current.append(self.decode_frame(feat, skip))
-            del z, feat, skip
+            current = [self.decode_frame(ad.take_frames(z, sl),
+                                         ad.take_frames(skips.pop(0), slice(sl.stop - sl.start)))
+                       for sl in needed]
+            del z
             outputs.extend(ad.take_frames(y, f) for y in current for f in range(y.shape[0]))
         return outputs
 

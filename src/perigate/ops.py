@@ -1,9 +1,9 @@
 """Forward kernels on numpy arrays: convolutions, the frequency descriptor's
 fixed-filter cues, the gated channel mixing (GLU), group normalization with
-its LeakyReLU, softmax, the broadcasting arithmetic (with the block's center
-suppression and gated sum), channel concatenation and the packing of frame
-blocks along channels. Elementwise maths with no shape rule of its own sits
-in :mod:`perigate.autodiff`, beside its derivative.
+its LeakyReLU, softmax, the arithmetic's broadcast rule (with the block's
+center suppression and gated sum), channel concatenation and the packing of
+frame blocks along channels. Elementwise maths with no shape rule of its own
+sits in :mod:`perigate.autodiff`, beside its derivative.
 
 Conventions shared by every operation here:
 
@@ -143,9 +143,9 @@ def wrap_padded(g: np.ndarray, k: int, stride: int = 1) -> np.ndarray:
     return gp.reshape(g.shape[:-2] + (-1,))
 
 
-def _cut(flat: np.ndarray, rows: int, cols: int, lo: int = 0) -> np.ndarray:
-    """[..., C, rows * width] read as rows, columns [lo, lo + cols) kept: a view."""
-    return flat.reshape(flat.shape[:-1] + (rows, -1))[..., lo : lo + cols]
+def _cut(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """[..., C, rows * width] read as rows, the first ``cols`` columns kept: a view."""
+    return flat.reshape(flat.shape[:-1] + (rows, -1))[..., :cols]
 
 
 def _tap_sum(windows, product, out: np.ndarray) -> np.ndarray:
@@ -408,7 +408,7 @@ def softmax_channels(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-3, keepdims=True)
 
 
-def _broadcast_operand(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def broadcast_operand(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``b`` shaped to combine with ``a``: equal shape, a per-channel ``[C]`` vector,
     or a ``[..., 1, H, W]`` map broadcast over channels."""
     b = np.asarray(b)
@@ -422,27 +422,15 @@ def _broadcast_operand(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"cannot broadcast {b.shape} onto {a.shape}")
 
 
-def add(a, b):
-    return a + _broadcast_operand(a, b)
-
-
-def sub(a, b):
-    return a - _broadcast_operand(a, b)
-
-
-def mul(a, b):
-    return a * _broadcast_operand(a, b)
-
-
 def suppress(p, center, coef):
     """Center suppression p - coef * center, with ``coef`` a per-channel [C] vector or
     a fixed scalar (a Python float keeps the maps' dtype): the product, then the
-    difference, as ``sub(p, mul(center, coef))`` rounds them. The difference is
-    written over the product when it fits there."""
-    scaled = center * coef if np.ndim(coef) == 0 else mul(center, coef)
+    difference, as ``autodiff.sub(p, autodiff.mul(center, coef))`` rounds them. The
+    difference is written over the product when it fits there."""
+    scaled = center * (coef if np.ndim(coef) == 0 else broadcast_operand(center, coef))
     if scaled.shape == p.shape and scaled.dtype == np.result_type(p, scaled):
         return np.subtract(p, scaled, out=scaled)
-    return sub(p, scaled)
+    return p - broadcast_operand(p, scaled)
 
 
 def gated_sum(alpha, ys):
@@ -451,9 +439,9 @@ def gated_sum(alpha, ys):
     are added in ascending k, ((y_0 a_0 + y_1 a_1) + y_2 a_2) + ..., into the first."""
     if alpha.shape[-3] != len(ys):
         raise ConfigurationError(f"{alpha.shape[-3]} gate maps for {len(ys)} responses")
-    out = mul(ys[0], alpha[..., :1, :, :])
+    out = ys[0] * alpha[..., :1, :, :]
     for k in range(1, len(ys)):
-        term = mul(ys[k], alpha[..., k : k + 1, :, :])
+        term = ys[k] * alpha[..., k : k + 1, :, :]
         # in place unless the sum widens the dtype
         out = np.add(out, term, out=out if out.dtype == np.result_type(out, term) else None)
     return out

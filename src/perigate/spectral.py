@@ -589,7 +589,8 @@ def snr_advantage(coeffs: QuadCoeffs) -> Optional[float]:
     """A beta with SNR(beta) strictly above SNR(0), or None when no gain exists.
 
     The improvement margin Delta(beta) = -2 beta p + beta^2 q with
-    p = B*At - A*Bt and q = C*At - A*Ct is positive exactly where the
+    p = B*At - A*Bt = -c0 and q = C*At - A*Ct = c1, of the
+    :func:`stationary_polynomial`, is positive exactly where the
     composite beats the plain large-kernel filter. Proportional responses
     (tiny Gram determinant At*Ct - Bt^2) have Delta identically zero. When
     p = 0 and q < 0, Delta is never positive: no advantage exists even
@@ -600,8 +601,8 @@ def snr_advantage(coeffs: QuadCoeffs) -> Optional[float]:
     gram = unit.at * unit.ct - unit.bt * unit.bt
     if gram <= 1e-12:
         return None
-    p = unit.b * unit.at - unit.a * unit.bt
-    q = unit.c * unit.at - unit.a * unit.ct
+    _, q, c0 = stationary_polynomial(unit)
+    p = -c0
     magnitude = max(
         abs(unit.b * unit.at), abs(unit.a * unit.bt),
         abs(unit.c * unit.at), abs(unit.a * unit.ct), 1e-300,

@@ -16,7 +16,8 @@ Outputs are bitwise functions of the flags only on one Python, numpy and BLAS bu
 and one machine, so the manifest records that fingerprint beside the digests. A change
 that moves a digest states how far its artifacts moved: dump them from both trees, then
 compare, which prints max |Δ| / max |x| for each artifact, x the first tree's values
-(a text's numbers, a checkpoint's tensors), or "bytes differ" where its text does.
+(a text's numbers, a checkpoint's tensors), and the worst move of one number against
+itself, max |Δ_i| / |x_i|, or "bytes differ" where its text does.
 
     python tests/golden.py                 # compare with tests/golden_micro.json
     python tests/golden.py --record        # rewrite it from this tree
@@ -267,10 +268,19 @@ def dump(arts: dict, directory: pathlib.Path) -> None:
                      **_arrays(name, art, pathlib.Path(tmp)))
 
 
+def _worst_relative(x: np.ndarray, y: np.ndarray) -> float:
+    """max over i of |y_i - x_i| / |x_i|: 0 where both are 0, inf where only x_i is."""
+    d = np.abs(y - x)
+    return np.divide(d, np.abs(x), out=np.where(d > 0, np.inf, 0.0), where=x != 0).max(
+        initial=0.0)
+
+
 def moved(a: pathlib.Path, b: pathlib.Path) -> list[str]:
     """One line per artifact dumped in ``a`` or ``b``: max |Δ| / max |x| over its
-    numeric arrays, x those in ``a``, or why no such figure holds: its arrays' names or
-    shapes differ ("layout differs"), or its text or other bytes do ("bytes differ")."""
+    numeric arrays, x those in ``a``, then "each" and max |Δ_i| / |x_i|, so that a move
+    small beside the largest number (a flop count) still shows; or why no such figure
+    holds: its arrays' names or shapes differ ("layout differs"), or its text or other
+    bytes do ("bytes differ")."""
     lines = []
     for name in sorted({p.name for p in a.glob("*.npz")} | {p.name for p in b.glob("*.npz")}):
         if not (a / name).exists() or not (b / name).exists():
@@ -288,7 +298,8 @@ def moved(a: pathlib.Path, b: pathlib.Path) -> list[str]:
             delta = max((np.abs(x - ys[k]).max(initial=0.0) for k, x in x64.items()),
                         default=0.0)
             scale = max((np.abs(x).max(initial=0.0) for x in x64.values()), default=0.0)
-            verdict = f"{delta / scale if scale else delta:.3g}"
+            each = max((_worst_relative(x, ys[k]) for k, x in x64.items()), default=0.0)
+            verdict = f"{delta / scale if scale else delta:.3g}, each {each:.3g}"
         lines.append(f"{verdict}: {name[:-4]}")
     return lines
 
@@ -304,7 +315,8 @@ def main(argv=None) -> int:
     parser.add_argument("--dump", metavar="DIR", type=pathlib.Path,
                         help="save each artifact's arrays in DIR")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), type=pathlib.Path,
-                        help="max |Δ| / max |x| of each artifact dumped in B against A")
+                        help="max |Δ| / max |x| and max |Δ_i| / |x_i| of each artifact"
+                        " dumped in B against A")
     args = parser.parse_args(argv)
     if args.compare:
         print("\n".join(moved(*args.compare)))

@@ -8,9 +8,10 @@ recomputes its maps, the GLU with its bias passes, the model's prediction
 with one encoder and one decoder call per frame, the SNR as one allocating
 expression and its grid maximum, the ring bisection with all its halvings, the
 ring's positive runs found by a scan over each sample, the closed forms and
-their composite evaluated on 0-d arrays and the stride-2 conv's input gradient
-through a zero-interleaved map are earlier forms of library code, kept as bitwise
-references.
+their composite evaluated on 0-d arrays, the stride-2 conv's input gradient
+through a zero-interleaved map and the prediction whose frame blocks are one
+node each, with a zero-filled gradient, are earlier forms of library code, kept
+as bitwise references.
 """
 
 from functools import partial
@@ -20,6 +21,7 @@ import numpy as np
 from perigate import autodiff as ad
 from perigate import ops, spectral
 from perigate.errors import DegeneracyError
+from perigate.model import frame_blocks
 
 
 def dense_dwconv2d(x, kernel):
@@ -711,4 +713,45 @@ def model_predict(model, frames, mode="eval", drop_draw=None, internals=None):
         keep = min(cfg.t_in, cfg.t_out - len(outputs))
         outputs.extend(model.decode_frame(parts[t], skips[t]) for t in range(keep))
         current = outputs[-cfg.t_in :]
+    return outputs
+
+
+def unpack_frames(z, t, blocks):
+    """The frame blocks of z [..., t C, H, W] that ``blocks``, slices of range(t), select:
+    one node per block, whose gradient is g in its frames' channels and zero in the
+    others."""
+    zv = z.value
+    frames = ops.unpack_frames(zv, t)
+
+    def block(sl):
+        def vjp(g):
+            gz = np.zeros_like(zv)
+            ops.unpack_frames(gz, t)[sl] = g
+            return (gz,)
+
+        return ad._track(frames[sl], (z,), vjp)
+
+    return [block(sl) for sl in blocks]
+
+
+def blocked_predict(model, frames, mode="eval", drop_draw=None, internals=None):
+    """``Model.predict`` with each pass's decoder blocks cut by :func:`unpack_frames`
+    and a skip cut only when its block is shorter."""
+    cfg, blocks = model.config, frame_blocks(model.config, model.dtype)
+    frames = model._input_frames(frames)
+    current = [ad.stack_frames(frames[sl]) for sl in blocks]
+    outputs = []
+    for pass_idx in range((cfg.t_out + cfg.t_in - 1) // cfg.t_in):
+        feats, skips = zip(*(model.encode_frame(b) for b in current))
+        draw = partial(drop_draw, pass_idx) if drop_draw is not None else None
+        z = model.translate(ad.pack_frames(list(feats)), mode=mode, drop_draw=draw,
+                            internals=internals if pass_idx == 0 else None)
+        keep = min(cfg.t_in, cfg.t_out - len(outputs))
+        needed = [slice(sl.start, min(sl.stop, keep)) for sl in blocks if sl.start < keep]
+        current = []
+        for feat, sl, skip in zip(unpack_frames(z, cfg.t_in, needed), needed, skips):
+            if sl.stop - sl.start < skip.shape[0]:
+                skip = ad.take_frames(skip, slice(0, sl.stop - sl.start))
+            current.append(model.decode_frame(feat, skip))
+        outputs.extend(ad.take_frames(y, f) for y in current for f in range(y.shape[0]))
     return outputs

@@ -77,3 +77,21 @@ class TestGenerator:
             gen_bouncing(seed=0, num_sequences=1, frames=1, height=16, width=2)
         with pytest.raises(ConfigurationError):
             gen_bouncing(seed=0, num_sequences=0, frames=1, height=8, width=8)
+
+    def test_refused_sizes_and_their_messages(self):
+        # gen-data's --size sets height = width, so only height < 8 is refused there
+        for height in range(1, 33):
+            for width in range(1, 9):
+                side = height // 8
+                if height < 8:
+                    match = f"height {height} too small for a visible square"
+                elif width <= side:
+                    match = f"square side {side} must be smaller than {height}x{width}"
+                else:
+                    data = gen_bouncing(seed=0, num_sequences=1, frames=3, height=height,
+                                        width=width, num_objects=1)
+                    assert data.shape == (1, 3, 1, height, width)
+                    assert np.all(data.sum(axis=(2, 3, 4)) == side * side)
+                    continue
+                with pytest.raises(ConfigurationError, match=match):
+                    gen_bouncing(seed=0, num_sequences=1, frames=3, height=height, width=width)

@@ -32,6 +32,14 @@ from helpers import (
 )
 
 
+def loss_and_grads(model, seqs):
+    """One traced training-step loss and every parameter's gradient, copied."""
+    model.store.zero_grads()
+    out, tape = ad.forward_traced(lambda: harness._batch_loss(model, seqs, None), [])
+    ad.backward(tape, np.asarray(1.0, dtype=model.dtype))
+    return out.value, {n: model.store.grad(n).copy() for n in model.store.names()}
+
+
 def frames_for(cfg, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.random((cfg.c_in, cfg.height, cfg.width)).astype(np.float32)
@@ -499,19 +507,31 @@ class TestFrameBlocks:
         # move by rounding only; the forward, and so the loss, is bitwise
         model = Model.build(README_MICRO, seed=7, dtype=dtype)
         seqs = gen_bouncing(seed=5, num_sequences=8, frames=4, height=16, width=16)
-
-        def loss_and_grads():
-            model.store.zero_grads()
-            out, tape = ad.forward_traced(lambda: harness._batch_loss(model, seqs, None), [])
-            ad.backward(tape, np.asarray(1.0, dtype=dtype))
-            return out.value, {n: model.store.grad(n).copy() for n in model.store.names()}
-
-        loss, grads = loss_and_grads()
+        loss, grads = loss_and_grads(model, seqs)
         with mock.patch.object(Model, "predict", naive.model_predict):
-            want_loss, want = loss_and_grads()
+            want_loss, want = loss_and_grads(model, seqs)
         assert loss.tobytes() == want_loss.tobytes()
         for name, w in want.items():
             assert np.abs(grads[name] - w).max() <= rtol * np.abs(w).max(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t_out", [2, 5])
+    def test_one_frame_blocks_gradients_bitwise_equal_to_per_block_unpack(self, dtype, t_out):
+        # the kth layout, one frame a block, at the micro config: cutting every block from
+        # one view node sums z's gradient as one zero-filled node per block summed it
+        cfg = replace(README_MICRO, t_out=t_out)
+        model = Model.build(cfg, seed=7, dtype=dtype)
+        seqs = gen_bouncing(seed=5, num_sequences=8, frames=2 + t_out, height=16, width=16)
+        frame_bytes = cfg.latent * cfg.height * cfg.width * np.dtype(dtype).itemsize
+        with mock.patch.object(ops, "BLOCK_BYTES", frame_bytes):
+            assert frame_blocks(cfg, dtype) == [slice(0, 1), slice(1, 2)]
+            loss, grads = loss_and_grads(model, seqs)
+            with mock.patch.object(Model, "predict", naive.blocked_predict):
+                want_loss, want = loss_and_grads(model, seqs)
+        assert loss.tobytes() == want_loss.tobytes()
+        assert list(grads) == list(want)
+        for name, w in want.items():
+            assert grads[name].tobytes() == w.tobytes(), name
 
     def test_partitions_of_both_regimes(self):
         # one block of both frames at the README micro config, and one frame a block at
